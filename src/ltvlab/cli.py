@@ -73,6 +73,32 @@ def _build_system(config):
     return parse_generator_spec(text)
 
 
+def _load(args):
+    """Config, system and resolved horizon of a config-driven command."""
+    config = _load_config(args.config)
+    seq = _build_system(config)
+    horizon = _horizon(config, args)
+    count = getattr(seq, "count", None)  # records in a file-backed system
+    if count is not None and horizon > count + 1:
+        # propagation to step H uses A(1) ... A(H-1)
+        raise ParseError(
+            f"horizon {horizon} needs {horizon - 1} matrix records, but the "
+            f"matrix file holds only {count}"
+        )
+    return config, seq, horizon
+
+
+def _numbers(config, key):
+    """The finite number or numbers in config field ``key``, as an array."""
+    try:
+        values = np.asarray(config[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"config field {key!r} must be numeric: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"config field {key!r} has a non-finite value")
+    return values
+
+
 def _build_fss(seq, config, horizon):
     vectors = config.get("initial_vectors")
     if vectors is None:
@@ -122,9 +148,7 @@ def _horizon(config, args, default=10_000):
 
 
 def cmd_spectrum(args):
-    config = _load_config(args.config)
-    seq = _build_system(config)
-    horizon = _horizon(config, args)
+    config, seq, horizon = _load(args)
     estimate = spectrum_estimate(
         seq,
         horizon,
@@ -147,9 +171,7 @@ def cmd_spectrum(args):
 
 
 def cmd_splitness(args):
-    config = _load_config(args.config)
-    seq = _build_system(config)
-    horizon = _horizon(config, args)
+    config, seq, horizon = _load(args)
     sigma = int(config.get("sigma", 1))
     gamma_grid = config.get("gamma_grid", list(GAMMA_GRID))
     fss = _build_fss(seq, config, horizon)
@@ -202,10 +224,8 @@ def cmd_splitness(args):
 
 
 def cmd_perturb(args):
-    config = _load_config(args.config)
-    seq = _build_system(config)
-    horizon = _horizon(config, args)
-    shifts = config["shifts"]
+    config, seq, horizon = _load(args)
+    shifts = _numbers(config, "shifts")
     fss = _build_fss(seq, config, horizon)
     plan = build_plan(fss, shifts)
     outcome = execute_plan(seq, fss, plan)
@@ -236,13 +256,11 @@ def cmd_perturb(args):
 
 
 def cmd_assign(args):
-    config = _load_config(args.config)
-    seq = _build_system(config)
-    horizon = _horizon(config, args)
+    config, seq, horizon = _load(args)
+    target = _numbers(config, "target_spectrum")
+    epsilon = float(_numbers(config, "epsilon"))
     fss = _build_fss(seq, config, horizon)
-    result = openness_experiment(
-        seq, fss, config["target_spectrum"], config["epsilon"]
-    )
+    result = openness_experiment(seq, fss, target, epsilon)
     payload = {"params": _resolved_params(config, args, horizon=horizon), **result}
     _report(args, "assign", payload)
     print(
@@ -253,15 +271,14 @@ def cmd_assign(args):
 
 
 def cmd_instability(args):
-    config = _load_config(args.config)
-    seq = _build_system(config)
-    horizon = _horizon(config, args)
+    config, seq, horizon = _load(args)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
+    epsilon_grid = _numbers(config, "epsilon_grid")
     fss = _build_fss(seq, config, horizon)
     result = instability_experiment(
         seq,
         fss,
-        config["epsilon_grid"],
+        epsilon_grid,
         trials=config.get("trials", 16),
         seed=seed,
     )
@@ -318,7 +335,7 @@ def cmd_sinln(args):
 
 
 def cmd_selftest(args):
-    from .linalg import oblique_projections, spectral_norm
+    from .linalg import angle_to_subspace, oblique_projections, spectral_norm
 
     checks = []
 
@@ -335,6 +352,14 @@ def cmd_selftest(args):
     ps = oblique_projections([[1.0, 0.0], [1.0, 1.0]])
     checks.append(("projection completeness", float(np.abs(sum(ps) - np.eye(2)).max()) < 1e-9))
     checks.append(("projection norm", abs(spectral_norm(ps[0]) - math.sqrt(2)) < 1e-9))
+
+    # ||P^i|| sin(phi_i) = 1 for every column of a 3-d basis, all columns at once
+    cols = np.array([[1.0, 0.3, -0.2], [0.1, 1.0, 0.5], [0.4, -0.6, 1.0]])
+    others = np.stack([np.delete(cols, i, axis=1) for i in range(3)])
+    phis = angle_to_subspace(cols.T, others)
+    norms = spectral_norm(np.stack(oblique_projections(list(cols.T))))
+    worst = float(np.abs(norms * np.sin(phis) - 1.0).max())
+    checks.append(("3-d projection norm times angle sine", worst < 1e-9))
 
     ok = True
     for name, passed in checks:

@@ -32,9 +32,14 @@ def _as_vector(v, name="vector"):
 
 
 def spectral_norm(m):
-    """Largest singular value of ``m``."""
-    m = _as_matrix(m)
-    return float(np.linalg.norm(m, 2))
+    """Largest singular value of ``m``, or of each matrix in an (..., r, c) stack."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2:
+        raise InvalidInputError(f"expected a matrix or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("matrix has non-finite entries")
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(norms) if m.ndim == 2 else norms
 
 
 def condition_number(m):
@@ -67,57 +72,92 @@ def angle_between(p, q):
     return float(np.arccos(c))
 
 
+def project_out(p, basis):
+    """Split stacked vectors against the spans of stacked bases.
+
+    ``p`` is (..., m) and ``basis`` is (..., m, k) with matching leading
+    shapes.  One batched QR gives, per entry, the coefficients ``Q^T p``
+    of the orthogonal projection onto the span, the residual
+    ``w0 = p - Q Q^T p`` and a flag that is False where the basis is rank
+    deficient to tolerance.  ``||Q^T p||`` is accurate near a right angle
+    and ``||w0||`` near zero; ``w0 / (w0 . p)`` is the covector of the
+    oblique projection onto ``p`` along the span.
+    """
+    q, r = np.linalg.qr(basis)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    scale = np.maximum(diag.max(axis=-1, initial=0.0), 1.0)
+    full_rank = diag.min(axis=-1, initial=np.inf) > SINGULAR_RTOL * scale
+    coef = (np.swapaxes(q, -1, -2) @ p[..., None])[..., 0]
+    w0 = p - (q @ coef[..., None])[..., 0]
+    return coef, w0, full_rank
+
+
+def _subspace_inputs(p, basis, name):
+    """Validated (p, basis, stacked) for the angle functions.
+
+    A 1-d ``p`` takes ``basis`` as a vector, an (m, k) array of columns
+    or a sequence of k vectors; a stacked (..., m) ``p`` takes an
+    (..., m, k) stack of column bases.
+    """
+    p = np.asarray(p, dtype=float)
+    b = np.asarray(basis, dtype=float)
+    if p.ndim == 0:
+        raise InvalidInputError(f"p must be at least 1-d, got shape {p.shape}")
+    stacked = p.ndim > 1
+    if not stacked:
+        if b.ndim == 1:
+            b = b[:, None]
+        elif b.shape[0] != p.shape[0]:
+            b = b.T  # sequence of vectors -> columns
+    if b.shape[:-2] != p.shape[:-1] or b.shape[-2] != p.shape[-1]:
+        raise InvalidInputError(
+            f"basis of shape {b.shape} does not match vectors of shape {p.shape}"
+        )
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError("p has non-finite entries")
+    if not np.all(np.isfinite(b)):
+        raise InvalidInputError("basis has non-finite entries")
+    norm_p = np.linalg.norm(p, axis=-1)
+    if np.any(norm_p == 0.0):
+        raise InvalidInputError(f"{name} requires a nonzero vector")
+    return p, b, norm_p, stacked
+
+
+def _per_entry(values, full_rank, stacked):
+    """Scalar result, or the stack with NaN where the basis is rank deficient."""
+    if stacked:
+        return np.where(full_rank, values, np.nan)
+    if not full_rank:
+        raise InvalidInputError("basis is rank deficient to tolerance")
+    return float(values)
+
+
 def angle_to_subspace(p, basis):
     """Angle between a nonzero vector and the span of ``basis``, in [0, pi/2].
 
     Computed as arcsin of the normalized residual distance, which is
-    accurate near both 0 and pi/2.  ``basis`` is a sequence of vectors or
-    an (s, k) array of columns; it must have full column rank.
+    accurate near 0.  ``basis`` is a sequence of vectors or an (s, k)
+    array of columns; it must have full column rank.  Stacked input
+    (``p`` of shape (..., s), ``basis`` of shape (..., s, k)) gives an
+    array of angles with NaN where a basis is rank deficient.
     """
-    p = _as_vector(p, "p")
-    b = np.asarray(basis, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    elif b.shape[0] != p.shape[0]:
-        # sequence of vectors -> columns
-        b = b.T
-    if not np.all(np.isfinite(b)):
-        raise InvalidInputError("basis has non-finite entries")
-    norm_p = np.linalg.norm(p)
-    if norm_p == 0.0:
-        raise InvalidInputError("angle_to_subspace requires a nonzero vector")
-    q, r = np.linalg.qr(b)
-    diag = np.abs(np.diag(r))
-    if diag.min(initial=np.inf) <= SINGULAR_RTOL * max(diag.max(initial=0.0), 1.0):
-        raise InvalidInputError("basis is rank deficient to tolerance")
-    residual = p - q @ (q.T @ p)
-    s = np.clip(np.linalg.norm(residual) / norm_p, 0.0, 1.0)
-    return float(np.arcsin(s))
+    p, b, norm_p, stacked = _subspace_inputs(p, basis, "angle_to_subspace")
+    _, w0, full_rank = project_out(p, b)
+    sines = np.clip(np.linalg.norm(w0, axis=-1) / norm_p, 0.0, 1.0)
+    return _per_entry(np.arcsin(sines), full_rank, stacked)
 
 
 def cosine_to_subspace(p, basis):
     """Cosine of the angle between ``p`` and the span of ``basis``.
 
     Computed as the norm of the orthogonal projection coefficient, which
-    is accurate near pi/2 where the arcsin route loses digits.
+    is accurate near pi/2 where the arcsin route loses digits.  Takes the
+    same scalar and stacked forms as ``angle_to_subspace``.
     """
-    p = _as_vector(p, "p")
-    b = np.asarray(basis, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    elif b.shape[0] != p.shape[0]:
-        b = b.T
-    if not np.all(np.isfinite(b)):
-        raise InvalidInputError("basis has non-finite entries")
-    norm_p = np.linalg.norm(p)
-    if norm_p == 0.0:
-        raise InvalidInputError("cosine_to_subspace requires a nonzero vector")
-    q, r = np.linalg.qr(b)
-    diag = np.abs(np.diag(r))
-    if diag.min(initial=np.inf) <= SINGULAR_RTOL * max(diag.max(initial=0.0), 1.0):
-        raise InvalidInputError("basis is rank deficient to tolerance")
-    c = np.linalg.norm(q.T @ p) / norm_p
-    return float(np.clip(c, 0.0, 1.0))
+    p, b, norm_p, stacked = _subspace_inputs(p, basis, "cosine_to_subspace")
+    coef, _, full_rank = project_out(p, b)
+    cosines = np.clip(np.linalg.norm(coef, axis=-1) / norm_p, 0.0, 1.0)
+    return _per_entry(cosines, full_rank, stacked)
 
 
 def oblique_projections(columns):

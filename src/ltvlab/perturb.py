@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from .linalg import spectral_norm
+from .linalg import project_out, spectral_norm
 from .spectrum import (
     REALIZE_TOL,
     TAIL_FRACTION,
@@ -261,47 +261,46 @@ def build_plan(
 # --- the perturbation matrices ------------------------------------------
 
 _ACTIVE_MU_TOL = 0.0  # mu_i == 0 contributes nothing even on Gamma_i
-
-
-def _active_projection(dirs, i):
-    """Oblique projection onto direction i along the span of the others.
-
-    dirs is the (s, s) matrix of unit direction columns.  Well conditioned
-    whenever the angle between column i and the others' span is bounded
-    away from zero, regardless of how degenerate the rest of the basis is.
-    """
-    s = dirs.shape[0]
-    d = dirs[:, i]
-    others = dirs[:, [j for j in range(s) if j != i]]
-    q, _ = np.linalg.qr(others)
-    w0 = d - q @ (q.T @ d)
-    denom = float(w0 @ d)  # equals ||w0||^2
-    if denom <= 1e-30:
-        raise SingularMatrixError(
-            f"projection direction {i} has collapsed onto the complement span",
-            smallest_singular_value=denom,
-        )
-    return np.outer(d, w0 / denom)
+_PROJECTION_DENOM_MIN = 1e-30  # w0 . d at or below this: direction collapsed
+PLAN_BLOCK = 1024  # steps per batch of R(n) in execute_plan; bounds its memory
 
 
 def perturbation_at(plan, fss, n):
-    """The matrix R(n) = sum_i P_n^i exp(s_i(n)).
+    """The matrix R(n) = sum_i P_n^i exp(s_i(n)), or the (k, s, s) stack
+    of them for an array of k steps.
 
     Evaluated as exp(eta) * (I + sum over active i of (exp(mu_i) - 1) P_n^i),
     where only solutions with n in Gamma_i (hence a well-separated angle)
-    contribute a projection.
+    contribute a projection.  P_n^i = d (w0 / (w0 . d)) is the oblique
+    projection onto direction d = x_i(n) along the span of the others,
+    with w0 the residual of d against that span; it stays well
+    conditioned while that angle is bounded away from zero, however
+    degenerate the rest of the basis is.
     """
+    steps = np.asarray(n, dtype=np.int64)
+    ns = np.atleast_1d(steps)
     s = fss.dimension
-    flags = plan.gamma_flags[n - 1]
-    scale = math.exp(plan.eta)
-    active = [i for i in range(s) if flags[i] and plan.mu[i] > _ACTIVE_MU_TOL]
-    if not active:
-        return scale * np.eye(s)
-    dirs = np.column_stack([traj.direction_at(n) for traj in fss.trajectories])
-    result = np.eye(s)
-    for i in active:
-        result = result + (math.exp(plan.mu[i]) - 1.0) * _active_projection(dirs, i)
-    return scale * result
+    dirs = fss.direction_stack(ns)  # KeyError for a step the FSS did not store
+    active = plan.gamma_flags[ns - 1] & (plan.mu > _ACTIVE_MU_TOL)  # (k, s)
+    result = np.repeat(np.eye(s)[None], len(ns), axis=0)
+    for i in np.flatnonzero(active.any(axis=0)):
+        rows = np.flatnonzero(active[:, i])
+        d = dirs[rows, :, i]
+        _, w0, _ = project_out(d, np.delete(dirs[rows], i, axis=2))
+        denom = np.einsum("km,km->k", w0, d)  # equals ||w0||^2
+        collapsed = denom <= _PROJECTION_DENOM_MIN
+        if collapsed.any():
+            k = int(np.argmax(collapsed))
+            raise SingularMatrixError(
+                f"projection direction {i} has collapsed onto the complement span "
+                f"at n={ns[rows[k]]}",
+                smallest_singular_value=float(denom[k]),
+                index=int(ns[rows[k]]),
+            )
+        covector = w0 / denom[:, None]
+        result[rows] += (math.exp(plan.mu[i]) - 1.0) * (d[:, :, None] * covector[:, None, :])
+    result *= math.exp(plan.eta)
+    return result[0] if steps.ndim == 0 else result
 
 
 def plan_r_sequence(plan, fss):
@@ -350,17 +349,25 @@ def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
     sim_logs = np.empty((horizon, s))
     sim_logs[0] = log_norms
     r_norm_sup = 0.0
-    for n in range(1, horizon):
-        r_mat = perturbation_at(plan, fss, n)
-        r_norm_sup = max(r_norm_sup, spectral_norm(r_mat - eye))
-        step = seq.matrix_at(n) @ r_mat
-        dirs = step @ dirs
-        norms = np.linalg.norm(dirs, axis=0)
-        if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
-            raise PreconditionError(f"perturbed propagation collapsed at n={n + 1}")
-        dirs = dirs / norms
-        log_norms = log_norms + np.log(norms)
-        sim_logs[n] = log_norms
+    for start in range(1, horizon, PLAN_BLOCK):
+        ns = np.arange(start, min(start + PLAN_BLOCK, horizon))
+        r_mats = perturbation_at(plan, fss, ns)
+        r_norm_sup = max(r_norm_sup, float(spectral_norm(r_mats - eye).max()))
+        steps = np.stack([seq.matrix_at(n) for n in ns]) @ r_mats
+        norms = np.empty((len(ns), s))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k, step in enumerate(steps):
+                dirs = step @ dirs
+                norms[k] = np.sqrt((dirs * dirs).sum(axis=0))  # column norms
+                dirs = dirs / norms[k]
+        bad = np.any((norms == 0.0) | ~np.isfinite(norms), axis=1)
+        if bad.any():
+            raise PreconditionError(
+                f"perturbed propagation collapsed at n={ns[np.argmax(bad)] + 1}"
+            )
+        logs = np.cumsum(np.vstack([log_norms, np.log(norms)]), axis=0)
+        sim_logs[ns] = logs[1:]
+        log_norms = logs[-1]
 
     base_logs = np.column_stack([traj.log_norms[:horizon] for traj in fss.trajectories])
     cum = np.vstack([np.zeros(s), np.cumsum(plan.schedule[: horizon - 1], axis=0)])

@@ -40,8 +40,8 @@ class FSSRecord:
                 f"an FSS of a {seq.dimension}-dimensional system needs "
                 f"{seq.dimension} solutions, got {s}"
             )
-        gram = self.initial_vectors @ self.initial_vectors.T
-        if abs(np.linalg.det(gram)) <= SINGULAR_RTOL:
+        sv = np.linalg.svd(self.initial_vectors, compute_uv=False)
+        if sv[-1] <= SINGULAR_RTOL * sv[0]:
             raise InvalidInputError("initial vectors are not linearly independent")
         base = self.trajectories[0].indices
         for traj in self.trajectories[1:]:
@@ -68,6 +68,27 @@ class FSSRecord:
     def indices(self):
         return self.trajectories[0].indices
 
+    def direction_stack(self, ns=None):
+        """Unit directions with one column per solution, shape (steps, s, s),
+        at every stored step or at the steps ``ns`` (KeyError if not stored)."""
+        pos = slice(None) if ns is None else self.trajectories[0].positions(ns)
+        return np.stack([traj.directions[pos] for traj in self.trajectories], axis=2)
+
+    def _member_profile(self, to_others, collapsed_value):
+        """to_others(x_i, the others' columns) for every member over all
+        stored steps, one stacked call per member.  A step where some
+        member's complement basis collapsed warns once and gets
+        ``collapsed_value`` for that member."""
+        dirs = self.direction_stack()
+        values = np.column_stack(
+            [to_others(dirs[:, :, i], np.delete(dirs, i, axis=2)) for i in range(self.dimension)]
+        )
+        collapsed = np.isnan(values)
+        for n in self.indices[collapsed.any(axis=1)]:
+            warnings.warn(f"angle basis numerically collapsed at n={n}", RuntimeWarning)
+        values[collapsed] = collapsed_value
+        return values
+
     def angle_profile(self):
         """phi_i(n) for every stored n, shape (steps, s); scale-free."""
         if self._angles is not None:
@@ -77,33 +98,18 @@ class FSSRecord:
         if s == 1:
             self._angles = np.full((steps, 1), math.pi / 2)
             return self._angles
-        dirs = np.stack([traj.directions for traj in self.trajectories], axis=2)
         if s == 2:
             # angle of each direction to the other one's line, folded to
             # [0, pi/2]; arcsin of the residual is accurate near 0
+            dirs = self.direction_stack()
             dots = np.einsum("ki,ki->k", dirs[:, :, 0], dirs[:, :, 1])
             resid = dirs[:, :, 0] - dots[:, None] * dirs[:, :, 1]
             sines = np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0)
             phi = np.arcsin(sines)
-            angles = np.column_stack([phi, phi])
+            self._angles = np.column_stack([phi, phi])
         else:
-            angles = np.empty((steps, s))
-            others = [[j for j in range(s) if j != i] for i in range(s)]
-            for k in range(steps):
-                basis_all = dirs[k]
-                for i in range(s):
-                    try:
-                        angles[k, i] = angle_to_subspace(
-                            basis_all[:, i], basis_all[:, others[i]]
-                        )
-                    except InvalidInputError:
-                        warnings.warn(
-                            f"angle basis numerically collapsed at n={self.indices[k]}",
-                            RuntimeWarning,
-                        )
-                        angles[k, i] = 0.0
-        self._angles = angles
-        return angles
+            self._angles = self._member_profile(angle_to_subspace, 0.0)
+        return self._angles
 
     def cos_angle_profile(self):
         """cos phi_i(n) computed directly from the directions.
@@ -118,26 +124,12 @@ class FSSRecord:
         if s == 1:
             self._cosines = np.zeros((steps, 1))
             return self._cosines
-        dirs = np.stack([traj.directions for traj in self.trajectories], axis=2)
         if s == 2:
+            dirs = self.direction_stack()
             dots = np.abs(np.einsum("ki,ki->k", dirs[:, :, 0], dirs[:, :, 1]))
             cosines = np.column_stack([dots, dots])
         else:
-            cosines = np.empty((steps, s))
-            others = [[j for j in range(s) if j != i] for i in range(s)]
-            for k in range(steps):
-                basis_all = dirs[k]
-                for i in range(s):
-                    try:
-                        cosines[k, i] = cosine_to_subspace(
-                            basis_all[:, i], basis_all[:, others[i]]
-                        )
-                    except InvalidInputError:
-                        warnings.warn(
-                            f"angle basis numerically collapsed at n={self.indices[k]}",
-                            RuntimeWarning,
-                        )
-                        cosines[k, i] = 1.0
+            cosines = self._member_profile(cosine_to_subspace, 1.0)
         self._cosines = np.clip(cosines, 0.0, 1.0)
         return self._cosines
 

@@ -319,7 +319,14 @@ def read_matrix_sequence(path):
         raise ParseError(
             f"{path!r}: expected {count * s * s} values, found {len(values)}", 1, 1
         )
-    data = np.array([float(v) for v in values]).reshape(count, s, s)
+    try:
+        data = np.array([float(v) for v in values]).reshape(count, s, s)
+    except ValueError as exc:
+        raise ParseError(f"{path!r}: {exc}", 1, 1) from exc
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        record = int(np.argmin(finite)) + 1
+        raise ParseError(f"{path!r}: record {record} has a non-finite value", 1, 1)
     return CoefficientSequence.from_matrices(list(data))
 
 
@@ -357,20 +364,24 @@ class TrajectoryLog:
     def horizon(self):
         return int(self.indices[-1])
 
-    def _pos(self, n):
-        i = int(np.searchsorted(self.indices, n))
-        if i >= len(self.indices) or self.indices[i] != n:
-            raise KeyError(f"step n={n} is not stored in this trajectory")
-        return i
+    def positions(self, ns):
+        """Storage positions of the steps ``ns``; KeyError for a step not stored."""
+        ns = np.asarray(ns)
+        pos = np.searchsorted(self.indices, ns)
+        stored = self.indices[np.minimum(pos, len(self.indices) - 1)] == ns
+        if not np.all(stored):
+            missing = np.ravel(ns)[np.argmin(np.ravel(stored))]
+            raise KeyError(f"step n={missing} is not stored in this trajectory")
+        return pos
 
     def direction_at(self, n):
-        return self.directions[self._pos(n)]
+        return self.directions[self.positions(n)]
 
     def log_norm_at(self, n):
-        return float(self.log_norms[self._pos(n)])
+        return float(self.log_norms[self.positions(n)])
 
     def value_at(self, n):
-        i = self._pos(n)
+        i = self.positions(n)
         return math.exp(self.log_norms[i]) * self.directions[i]
 
 

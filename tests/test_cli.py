@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from ltvlab import ParseError, read_matrix_sequence, write_matrix_sequence
 from ltvlab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -207,3 +209,67 @@ def test_format_json_only(tmp_path):
     assert code == EXIT_OK
     assert (out / "spectrum.json").exists()
     assert not (out / "spectrum.csv").exists()
+
+
+def file_system(tmp_path, count, bad_value=None):
+    matrices = [np.diag([1.0, 2.0]) for _ in range(count)]
+    if bad_value is not None:
+        matrices[count // 2] = np.array([[1.0, bad_value], [0.0, 2.0]])
+    path = tmp_path / "seq.txt"
+    write_matrix_sequence(path, matrices)
+    return path, f"dimension: 2\nkind: file\npath: {path}\n"
+
+
+def test_file_backed_horizon_beyond_the_records_exit_code(tmp_path, capsys):
+    _, spec = file_system(tmp_path, 50)
+    cfg = write_config(tmp_path, "cfg.json", {"system": spec, "horizon": 52})
+    code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "holds only 50" in capsys.readouterr().err
+    # A(1) ... A(H-1) drive a horizon of H, so count + 1 steps still fit
+    code = main(["spectrum", "--config", cfg, "--horizon", "51",
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("bad_value", [float("nan"), float("inf")])
+def test_non_finite_matrix_file_exit_code(tmp_path, capsys, bad_value):
+    path, spec = file_system(tmp_path, 20, bad_value)
+    with pytest.raises(ParseError, match="seq.txt"):
+        read_matrix_sequence(path)
+    cfg = write_config(tmp_path, "cfg.json", {"system": spec, "horizon": 20})
+    code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "seq.txt" in capsys.readouterr().err
+
+
+def test_non_numeric_matrix_file_exit_code(tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text("2 1\n1 0\n0 two\n")
+    cfg = write_config(
+        tmp_path, "cfg.json", {"system": f"dimension: 2\nkind: file\npath: {path}\n"}
+    )
+    code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("perturb", {"shifts": ["a", 0.0]}),
+        ("perturb", {"shifts": [0.01, float("nan")]}),
+        ("assign", {"target_spectrum": [0.0, "x"], "epsilon": 0.2}),
+        ("assign", {"target_spectrum": [0.01, 0.68], "epsilon": "big"}),
+        ("instability", {"epsilon_grid": ["0.1x"]}),
+    ],
+)
+def test_non_numeric_config_numbers_exit_code(tmp_path, capsys, command, fields):
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 500, **fields})
+    code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_selftest_checks_projection_norms_in_3d(tmp_path, capsys):
+    assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert "PASS  3-d projection norm times angle sine" in capsys.readouterr().out

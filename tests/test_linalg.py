@@ -150,3 +150,56 @@ def test_angle_contraction_under_invertible_maps():
         bound = (2.0 / math.pi) * before * kappa ** (1 - s)
         assert after >= bound - 1e-12
         checked += 1
+
+
+def test_stacked_angle_and_cosine_match_scalar_calls():
+    rng = np.random.default_rng(5)
+    for dim in (3, 4, 5):
+        for k in range(1, dim):
+            p = rng.normal(size=(40, dim))
+            basis = rng.normal(size=(40, dim, k))
+            deficient = np.zeros(40, dtype=bool)
+            if k > 1:
+                deficient[::7] = True
+                basis[deficient, :, -1] = 2.0 * basis[deficient, :, 0]
+            phis = angle_to_subspace(p, basis)
+            cosines = cosine_to_subspace(p, basis)
+            assert phis.shape == cosines.shape == (40,)
+            assert np.array_equal(np.isnan(phis), deficient)
+            assert np.array_equal(np.isnan(cosines), deficient)
+            for j in np.flatnonzero(~deficient):
+                assert abs(phis[j] - angle_to_subspace(p[j], basis[j])) <= 1e-14
+                assert abs(cosines[j] - cosine_to_subspace(p[j], basis[j])) <= 1e-14
+            for j in np.flatnonzero(deficient):
+                with pytest.raises(InvalidInputError):
+                    angle_to_subspace(p[j], basis[j])
+
+
+def test_stacked_angle_keeps_accuracy_at_both_ends():
+    eps = 1e-9
+    p = np.array([[1.0, 0.0, eps], [eps, 0.0, 1.0]])
+    basis = np.repeat(np.eye(3)[None, :, :2], 2, axis=0)
+    phis = angle_to_subspace(p, basis)
+    cosines = cosine_to_subspace(p, basis)
+    assert phis[0] == pytest.approx(eps, rel=1e-6)
+    assert cosines[1] == pytest.approx(eps, rel=1e-6)
+
+
+def test_stacked_angle_rejects_mismatched_or_bad_input():
+    with pytest.raises(InvalidInputError):
+        angle_to_subspace(np.ones((4, 3)), np.ones((5, 3, 2)))
+    with pytest.raises(InvalidInputError):
+        angle_to_subspace(np.zeros((2, 3)), np.ones((2, 3, 1)))
+    with pytest.raises(InvalidInputError):
+        cosine_to_subspace(np.ones((2, 3)), np.full((2, 3, 1), np.inf))
+
+
+def test_spectral_norm_of_a_stack():
+    rng = np.random.default_rng(9)
+    stack = rng.normal(size=(4, 3, 2, 3))
+    norms = spectral_norm(stack)
+    assert norms.shape == (4, 3)
+    for idx in np.ndindex(4, 3):
+        assert norms[idx] == spectral_norm(stack[idx])
+    with pytest.raises(InvalidInputError):
+        spectral_norm(np.full((2, 2, 2), np.nan))

@@ -5,8 +5,11 @@ import pytest
 
 from ltvlab import (
     BudgetError,
+    CoefficientSequence,
     FSSRecord,
     PreconditionError,
+    SingularMatrixError,
+    TrajectoryLog,
     build_plan,
     calibrate,
     execute_plan,
@@ -184,3 +187,97 @@ def test_openness_rejects_far_targets():
     with pytest.raises(PreconditionError) as info:
         openness_experiment(seq, fss, [1.0, 2.0], 0.2)
     assert "gamma" in str(info.value)
+
+
+def tri3_system(horizon, seed=0):
+    """Seeded 3-d upper-triangular system with a splitted standard-basis FSS."""
+    rng = np.random.default_rng(seed)
+    mats = np.triu(rng.uniform(-0.5, 0.5, size=(horizon, 3, 3)), 1)
+    growth = np.array([-0.3, 0.2, 0.7]) + 0.2 * rng.uniform(-1.0, 1.0, size=(horizon, 3))
+    mats[:, [0, 1, 2], [0, 1, 2]] = np.exp(growth)
+    return CoefficientSequence.from_matrices(list(mats))
+
+
+def plan_cases(horizon):
+    diag = geometric_diag([1.0, 2.0])
+    diag_fss = standard_basis_fss(diag, horizon)
+    tri = tri3_system(horizon)
+    tri_fss = standard_basis_fss(tri, horizon)
+    delta = calibrate(tri_fss).constants.delta
+    return [
+        (diag, diag_fss, build_plan(diag_fss, [0.01, -0.01])),
+        (tri, tri_fss, build_plan(tri_fss, [delta / 2, -delta / 3, delta / 4])),
+    ]
+
+
+def per_step_execution(seq, fss, plan):
+    """The recurrence x(n+1) = A(n) R(n) x(n) one step at a time."""
+    eye = np.eye(fss.dimension)
+    dirs = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
+    log_norms = np.log(np.linalg.norm(dirs, axis=0))
+    dirs = dirs / np.exp(log_norms)
+    logs, r_norm_sup = [log_norms], 0.0
+    for n in range(1, plan.horizon):
+        r_mat = perturbation_at(plan, fss, n)
+        r_norm_sup = max(r_norm_sup, np.linalg.norm(r_mat - eye, 2))
+        dirs = seq.matrix_at(n) @ r_mat @ dirs
+        norms = np.linalg.norm(dirs, axis=0)
+        dirs = dirs / norms
+        log_norms = log_norms + np.log(norms)
+        logs.append(log_norms)
+    return np.array(logs), r_norm_sup
+
+
+def test_perturbation_at_stacks_the_per_step_matrices():
+    for seq, fss, plan in plan_cases(300):
+        s = fss.dimension
+        ns = np.arange(1, 300)
+        stacked = perturbation_at(plan, fss, ns)
+        assert stacked.shape == (299, s, s)
+        assert perturbation_at(plan, fss, 5).shape == (s, s)
+        for n in ns:
+            assert np.abs(stacked[n - 1] - perturbation_at(plan, fss, n)).max() <= 1e-15
+        assert np.array_equal(perturbation_at(plan, fss, ns[::-7]), stacked[::-7])
+        with pytest.raises(KeyError):
+            perturbation_at(plan, fss, [3, 301])
+
+
+def test_execute_plan_matches_the_per_step_recurrence():
+    for seq, fss, plan in plan_cases(500):
+        outcome = execute_plan(seq, fss, plan)
+        logs, r_norm_sup = per_step_execution(seq, fss, plan)
+        rel = np.abs(outcome.perturbed_log_norms - logs) / np.maximum(1.0, np.abs(logs))
+        assert rel.max() <= 1e-13
+        assert outcome.r_norm_sup == pytest.approx(r_norm_sup, rel=1e-13)
+        base = np.column_stack([t.log_norms for t in fss.trajectories])
+        cum = np.vstack([np.zeros(fss.dimension), np.cumsum(plan.schedule[:-1], axis=0)])
+        closed = base + cum
+        agreement = np.max(np.abs(logs - closed) / np.maximum(1.0, np.abs(closed)))
+        assert outcome.agreement_residual == pytest.approx(agreement, rel=1e-6, abs=1e-14)
+        assert outcome.agreement_residual < 1e-9
+
+
+def test_perturbation_at_rejects_a_collapsed_projection():
+    seq, fss, plan = plan_cases(300)[1]
+    trajectories = [
+        TrajectoryLog(t.indices, t.directions.copy(), t.log_norms) for t in fss.trajectories
+    ]
+    # at step 40 x_1 falls into the span of x_2 and x_3
+    trajectories[0].directions[39] = trajectories[1].directions[39]
+    bad = FSSRecord(seq, trajectories, fss.initial_vectors)
+    active = plan.gamma_flags[39] & (plan.mu > 0)
+    assert active[0]
+    with pytest.raises(SingularMatrixError) as info:
+        perturbation_at(plan, bad, np.arange(1, 300))
+    assert info.value.index == 40
+
+
+def test_execute_plan_rejects_a_collapsed_propagation():
+    seq, fss, plan = plan_cases(300)[0]
+
+    def matrix_fn(n):
+        return np.zeros((2, 2)) if n == 7 else seq.matrix_at(n)
+
+    broken = CoefficientSequence.from_function(2, matrix_fn)
+    with pytest.raises(PreconditionError, match="n=8"):
+        execute_plan(broken, fss, plan)

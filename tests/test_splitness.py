@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ltvlab import (
+    CoefficientSequence,
     FSSRecord,
     InvalidInputError,
     LyapunovTransformation,
+    TrajectoryLog,
+    angle_to_subspace,
     apply_lyapunov_transformation,
     broken_away_scan,
+    cosine_to_subspace,
     gamma_statistics,
     sigma_invariance_check,
     splitness_report,
@@ -135,3 +140,63 @@ def test_lyapunov_transformation_bounds():
     sup_l, sup_linv = transform.bounds(10)
     assert sup_l == pytest.approx(2.0)
     assert sup_linv == pytest.approx(2.0)
+
+
+def test_fss_independence_check_is_scale_free():
+    seq = geometric_diag([1.0, 2.0])
+    independent = np.array([[1.0, 0.0], [1.0, 1.0]])
+    dependent = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-14]])
+    for c in (1e-6, 1.0, 1e6):
+        FSSRecord.from_initial_vectors(seq, c * independent, 10)
+        with pytest.raises(InvalidInputError):
+            FSSRecord.from_initial_vectors(seq, c * dependent, 10)
+    FSSRecord.from_initial_vectors(seq, 1e-4 * np.eye(2), 10)
+
+
+def triangular_fss(s, horizon, seed):
+    """Standard-basis FSS of a seeded upper-triangular system with growth
+    rates increasing down the diagonal, so the angles stay bounded away
+    from zero."""
+    rng = np.random.default_rng(seed)
+    mats = np.triu(rng.uniform(-0.5, 0.5, size=(horizon, s, s)), 1)
+    mats += np.eye(s) * np.exp(0.5 * np.arange(s) + 0.2 * rng.uniform(-1, 1, (horizon, 1, s)))
+    seq = CoefficientSequence.from_matrices(list(mats))
+    return standard_basis_fss(seq, horizon)
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_angle_profiles_match_a_per_step_loop(s):
+    fss = triangular_fss(s, 300, seed=s)
+    angles, cosines = fss.angle_profile(), fss.cos_angle_profile()
+    assert angles.shape == cosines.shape == (300, s)
+    for k, n in enumerate(fss.indices):
+        dirs = np.column_stack([t.direction_at(n) for t in fss.trajectories])
+        for i in range(s):
+            others = np.delete(dirs, i, axis=1)
+            assert abs(angles[k, i] - angle_to_subspace(dirs[:, i], others)) <= 1e-14
+            assert abs(cosines[k, i] - cosine_to_subspace(dirs[:, i], others)) <= 1e-14
+
+
+def test_collapsed_basis_warns_once_per_step():
+    # at steps 4 and 7 all three directions lie on one line, so every
+    # member's complement basis collapses; at step 9 only x_3's does
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0, 3.0]), 10)
+    trajectories = []
+    for i, traj in enumerate(fss.trajectories):
+        dirs = traj.directions.copy()
+        dirs[[3, 6]] = [1.0, 0.0, 0.0]
+        if i == 1:
+            dirs[8] = [1.0, 0.0, 0.0]
+        trajectories.append(TrajectoryLog(traj.indices, dirs, traj.log_norms))
+    bad = FSSRecord(fss.seq, trajectories, fss.initial_vectors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        angles = bad.angle_profile()
+        cosines = bad.cos_angle_profile()
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    per_profile = [f"angle basis numerically collapsed at n={n}" for n in (4, 7, 9)]
+    assert messages == per_profile * 2
+    assert np.all(angles[[3, 6]] == 0.0) and np.all(cosines[[3, 6]] == 1.0)
+    # x_1 = x_2 at step 9: angle 0 for both, and x_3 gets the collapsed value
+    assert np.all(angles[8] == 0.0) and np.all(cosines[8] == 1.0)
+    assert np.abs(np.delete(angles, [3, 6, 8], axis=0) - math.pi / 2).max() < 1e-12
