@@ -99,6 +99,18 @@ def _numbers(config, key):
     return values
 
 
+def _integer(key, value, minimum):
+    """``value`` of config field ``key`` as an integer >= ``minimum``."""
+    try:
+        number = int(value)
+        whole = not isinstance(value, bool) and number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or number < minimum:
+        raise ParseError(f"config field {key!r} must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
 def _build_fss(seq, config, horizon):
     vectors = config.get("initial_vectors")
     if vectors is None:
@@ -139,9 +151,7 @@ def _report(args, name, payload, csv_rows=None, csv_header=None):
 
 
 def _horizon(config, args, default=10_000):
-    if args.horizon:
-        return int(args.horizon)
-    return int(config.get("horizon", default))
+    return _integer("horizon", args.horizon or config.get("horizon", default), 2)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -149,10 +159,13 @@ def _horizon(config, args, default=10_000):
 
 def cmd_spectrum(args):
     config, seq, horizon = _load(args)
+    checkpoint_every = config.get("checkpoint_every")
+    if checkpoint_every is not None:
+        checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
     estimate = spectrum_estimate(
         seq,
         horizon,
-        checkpoint_every=config.get("checkpoint_every"),
+        checkpoint_every=checkpoint_every,
         tail_fraction=config.get("tail_fraction", 0.5),
     )
     rows = [
@@ -172,7 +185,7 @@ def cmd_spectrum(args):
 
 def cmd_splitness(args):
     config, seq, horizon = _load(args)
-    sigma = int(config.get("sigma", 1))
+    sigma = _integer("sigma", config.get("sigma", 1), 1)
     gamma_grid = config.get("gamma_grid", list(GAMMA_GRID))
     fss = _build_fss(seq, config, horizon)
     report = splitness_report(fss, gamma_grid, sigma)

@@ -9,11 +9,15 @@ Grammar (one variable, five functions, four operators, unary minus):
     FUNC  := sin | cos | ln | exp | pow      (pow takes two arguments)
 
 Parsing is deterministic; errors carry line and column.  A parsed
-expression can be evaluated at any n or compiled to a fast callable.
+expression compiles to numpy code and evaluates at one n or at an array of
+n in a single call.  Evaluation never raises on a bad value: a division by
+zero gives inf, an overflow inf, and a logarithm or fractional power of a
+negative number NaN, which the caller's finite check then rejects.
 """
 
-import math
 import re
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -35,10 +39,20 @@ class Expression:
         self._fn = _compile_node(node)
 
     def __call__(self, n):
-        return self._fn(n)
+        """Value at step n (a float), or at each entry of an array of n."""
+        # a scalar runs as a one-entry array, so it takes the same ufunc
+        # loops as an array and agrees with it bit for bit
+        x = np.ascontiguousarray(n, dtype=float)
+        with np.errstate(all="ignore"):
+            value = self._fn(x)
+        if np.ndim(n) == 0:
+            return float(value[0]) if np.ndim(value) else float(value)
+        if np.shape(value) != x.shape:  # a formula without n
+            value = np.full(x.shape, value)
+        return value
 
     def evaluate(self, n):
-        return self._fn(n)
+        return self(n)
 
     def __repr__(self):
         return f"Expression({self.source!r})"
@@ -143,26 +157,32 @@ class _Parser:
         raise ParseError(f"unexpected token {val or 'end of input'!r}", line, col)
 
 
-def _render(node):
+def _render(node, literals):
+    """Python source for ``node``; literals become numpy floats named in
+    ``literals``, so that even a formula without n follows numpy's rules."""
     kind = node[0]
     if kind == "lit":
-        return repr(node[1])
+        literals.append(np.float64(node[1]))
+        return f"_c{len(literals) - 1}"
     if kind == "var":
         return "n"
     if kind == "neg":
-        return f"(-{_render(node[1])})"
+        return f"(-{_render(node[1], literals)})"
     if kind in ("+", "-", "*", "/"):
-        return f"({_render(node[1])}{kind}{_render(node[2])})"
+        return f"({_render(node[1], literals)}{kind}{_render(node[2], literals)})"
     if kind == "ln":
-        return f"_log({_render(node[1])})"
+        return f"_log({_render(node[1], literals)})"
     if kind == "pow":
-        return f"({_render(node[1])}**{_render(node[2])})"
-    return f"_{kind}({_render(node[1])})"
+        return f"_pow({_render(node[1], literals)}, {_render(node[2], literals)})"
+    return f"_{kind}({_render(node[1], literals)})"
 
 
 def _compile_node(node):
-    env = {"_sin": math.sin, "_cos": math.cos, "_log": math.log, "_exp": math.exp}
-    return eval(f"lambda n: {_render(node)}", env)  # code generated from our own AST
+    literals = []
+    source = _render(node, literals)
+    env = {"_sin": np.sin, "_cos": np.cos, "_log": np.log, "_exp": np.exp, "_pow": np.power}
+    env.update((f"_c{i}", value) for i, value in enumerate(literals))
+    return eval(f"lambda n: {source}", env)  # code generated from our own AST
 
 
 def parse_expression(text):

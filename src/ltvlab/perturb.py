@@ -305,10 +305,10 @@ def perturbation_at(plan, fss, n):
 
 def plan_r_sequence(plan, fss):
     """The synthesized perturbation as a coefficient-style sequence."""
-    return CoefficientSequence.from_function(
+    return CoefficientSequence(
         fss.dimension,
-        lambda n: perturbation_at(plan, fss, n),
         "dense-formula",
+        lambda start, stop: perturbation_at(plan, fss, np.arange(start, stop)),
         "synthesized multiplicative perturbation",
     )
 
@@ -353,9 +353,15 @@ def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
         ns = np.arange(start, min(start + PLAN_BLOCK, horizon))
         r_mats = perturbation_at(plan, fss, ns)
         r_norm_sup = max(r_norm_sup, float(spectral_norm(r_mats - eye).max()))
-        steps = np.stack([seq.matrix_at(n) for n in ns]) @ r_mats
+        steps = seq.matrices(ns[0], ns[-1] + 1) @ r_mats
         norms = np.empty((len(ns), s))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # a step with entries beyond 2**+-256 is scaled by a power of two,
+            # which keeps the column norms in range; the others are left as
+            # they are, so that their norms and logs round as unscaled ones do
+            _, exps = np.frexp(np.abs(steps).max(axis=(1, 2)))
+            exps[np.abs(exps) <= 256] = 0
+            steps = np.ldexp(steps, -exps[:, None, None])
             for k, step in enumerate(steps):
                 dirs = step @ dirs
                 norms[k] = np.sqrt((dirs * dirs).sum(axis=0))  # column norms
@@ -365,7 +371,8 @@ def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
             raise PreconditionError(
                 f"perturbed propagation collapsed at n={ns[np.argmax(bad)] + 1}"
             )
-        logs = np.cumsum(np.vstack([log_norms, np.log(norms)]), axis=0)
+        growth = np.log(norms) + exps[:, None] * math.log(2.0)
+        logs = np.cumsum(np.vstack([log_norms, growth]), axis=0)
         sim_logs[ns] = logs[1:]
         log_norms = logs[-1]
 

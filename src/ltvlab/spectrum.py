@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError
-from .system import propagate
+from .system import BLOCK_STEPS, propagate
 
 TAIL_FRACTION = 0.5
 REALIZE_TOL = 1e-2
@@ -107,25 +107,29 @@ def spectrum_estimate(
         raise InvalidInputError("horizon must be >= 2")
     if checkpoint_every is None:
         checkpoint_every = max(1, horizon // 1000)
+    if checkpoint_every < 1:
+        raise InvalidInputError("checkpoint_every must be a positive integer")
 
     basis = np.eye(s)
     logs = np.zeros(s)
     cp_ns, cp_vals = [], []
-    for n in range(1, horizon):
-        basis = seq.matrix_at(n) @ basis
-        q, r = np.linalg.qr(basis)
-        diag = np.diag(r).copy()
-        sign = np.where(diag >= 0.0, 1.0, -1.0)
-        q = q * sign
-        diag = np.abs(diag)
-        if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-            raise PropagationError(f"basis collapsed at n={n + 1}")
-        logs += np.log(diag)
-        basis = q
-        m = n + 1
-        if (m - 1) % checkpoint_every == 0 or m == horizon:
-            cp_ns.append(m)
-            cp_vals.append(logs / m)
+    for start in range(1, horizon, BLOCK_STEPS):
+        block = seq.matrices(start, min(start + BLOCK_STEPS, horizon))
+        for n, a in enumerate(block, start):
+            basis = a @ basis
+            q, r = np.linalg.qr(basis)
+            diag = np.diag(r).copy()
+            sign = np.where(diag >= 0.0, 1.0, -1.0)
+            q = q * sign
+            diag = np.abs(diag)
+            if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
+                raise PropagationError(f"basis collapsed at n={n + 1}")
+            logs += np.log(diag)
+            basis = q
+            m = n + 1
+            if (m - 1) % checkpoint_every == 0 or m == horizon:
+                cp_ns.append(m)
+                cp_vals.append(logs / m)
 
     cp_ns = np.asarray(cp_ns)
     cp_vals = np.asarray(cp_vals)  # (num checkpoints, s)

@@ -52,9 +52,8 @@ class FSSRecord:
 
     @classmethod
     def from_initial_vectors(cls, seq, vectors, horizon, store_every=1):
-        vectors = [np.asarray(v, dtype=float) for v in vectors]
-        trajectories = [propagate(seq, v, horizon, store_every) for v in vectors]
-        return cls(seq, trajectories, np.array(vectors))
+        vectors = np.array(vectors, dtype=float)
+        return cls(seq, propagate(seq, vectors.T, horizon, store_every), vectors)
 
     @property
     def dimension(self):

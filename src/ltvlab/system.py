@@ -23,6 +23,9 @@ from .expressions import parse_expression
 from .linalg import SINGULAR_RTOL, spectral_norm
 
 UNIT_NORM_TOL = 1e-12
+BLOCK_STEPS = 256  # steps of A(n) evaluated, scanned or propagated per batch
+_TINY = 1e-280  # a scaled column or product below this has lost its digits
+_LN2 = math.log(2.0)
 
 
 class CoefficientSequence:
@@ -30,13 +33,14 @@ class CoefficientSequence:
 
     Immutable after construction.  ``kind`` is one of 'constant',
     'diagonal-formula', 'dense-formula', 'file-backed', or
-    'product-with-perturbation'.
+    'product-with-perturbation'.  ``block_fn(start, stop)`` returns the
+    matrices for n = start, ..., stop - 1 stacked as (stop - start, s, s).
     """
 
-    def __init__(self, dimension, kind, matrix_fn, description=""):
+    def __init__(self, dimension, kind, block_fn, description=""):
         self.dimension = int(dimension)
         self.kind = kind
-        self._matrix_fn = matrix_fn
+        self._block_fn = block_fn
         self.description = description
         self._bound = None
         self._bound_horizon = 0
@@ -51,7 +55,12 @@ class CoefficientSequence:
         if not np.all(np.isfinite(m)):
             raise InvalidInputError("constant coefficient has non-finite entries")
         m.setflags(write=False)
-        return cls(m.shape[0], "constant", lambda n: m, f"constant {m.shape[0]}x{m.shape[0]}")
+        return cls(
+            m.shape[0],
+            "constant",
+            lambda start, stop: np.broadcast_to(m, (stop - start, *m.shape)),
+            f"constant {m.shape[0]}x{m.shape[0]}",
+        )
 
     @classmethod
     def identity(cls, dimension):
@@ -59,25 +68,38 @@ class CoefficientSequence:
 
     @classmethod
     def diagonal_formulas(cls, expressions):
+        """Diagonal A(n) from s formulas; a callable entry must accept an
+        array of n."""
         exprs = [e if callable(e) else parse_expression(e) for e in expressions]
         s = len(exprs)
 
-        def matrix_fn(n):
-            return np.diag([e(n) for e in exprs])
+        def block_fn(start, stop):
+            ns = np.arange(start, stop)
+            out = np.zeros((len(ns), s, s))
+            for i, e in enumerate(exprs):
+                out[:, i, i] = e(ns)
+            return out
 
-        return cls(s, "diagonal-formula", matrix_fn, "diagonal formulas")
+        return cls(s, "diagonal-formula", block_fn, "diagonal formulas")
 
     @classmethod
     def dense_formulas(cls, rows):
+        """Dense A(n) from an s x s table of formulas; a callable entry must
+        accept an array of n."""
         exprs = [[e if callable(e) else parse_expression(e) for e in row] for row in rows]
         s = len(exprs)
         if any(len(row) != s for row in exprs):
             raise InvalidInputError("dense formula table must be square")
 
-        def matrix_fn(n):
-            return np.array([[e(n) for e in row] for row in exprs])
+        def block_fn(start, stop):
+            ns = np.arange(start, stop)
+            out = np.empty((len(ns), s, s))
+            for i, row in enumerate(exprs):
+                for j, e in enumerate(row):
+                    out[:, i, j] = e(ns)
+            return out
 
-        return cls(s, "dense-formula", matrix_fn, "dense formulas")
+        return cls(s, "dense-formula", block_fn, "dense formulas")
 
     @classmethod
     def from_matrices(cls, matrices):
@@ -89,15 +111,17 @@ class CoefficientSequence:
         for m in mats:
             if m.shape != (s, s):
                 raise InvalidInputError("matrix sequence has inconsistent dimensions")
+        data = np.array(mats)
+        data.setflags(write=False)
+        count = len(data)
 
-        count = len(mats)
-
-        def matrix_fn(n):
-            if n > count:
+        def block_fn(start, stop):
+            if stop - 1 > count:
+                n = max(start, count + 1)
                 raise IndexError(f"matrix sequence exhausted at n={n} (count={count})")
-            return mats[n - 1]
+            return data[start - 1 : stop - 1]
 
-        seq = cls(s, "file-backed", matrix_fn, f"file-backed ({count} records)")
+        seq = cls(s, "file-backed", block_fn, f"file-backed ({count} records)")
         seq.count = count
         return seq
 
@@ -108,39 +132,77 @@ class CoefficientSequence:
             raise InvalidInputError(
                 f"dimension mismatch: {seq.dimension} vs {rseq.dimension}"
             )
-
-        def matrix_fn(n):
-            return seq.matrix_at(n) @ rseq.matrix_at(n)
-
         return cls(
             seq.dimension,
             "product-with-perturbation",
-            matrix_fn,
+            lambda start, stop: seq.matrices(start, stop) @ rseq.matrices(start, stop),
             f"({seq.description}) * perturbation",
         )
 
     @classmethod
     def from_function(cls, dimension, fn, kind="dense-formula", description="callable"):
-        return cls(dimension, kind, fn, description)
+        """Sequence from a callable ``fn(n)`` giving one matrix per step."""
+        s = int(dimension)
+
+        def block_fn(start, stop):
+            out = np.empty((stop - start, s, s))
+            for k, n in enumerate(range(start, stop)):
+                try:
+                    m = np.asarray(fn(n), dtype=float)
+                except InvalidInputError:
+                    raise
+                except (ValueError, ArithmeticError) as exc:
+                    raise PropagationError(
+                        f"coefficient evaluation failed at n={n}: {exc}"
+                    ) from exc
+                if m.shape != (s, s):
+                    raise InvalidInputError(
+                        f"coefficient at n={n} has shape {m.shape}, expected ({s}, {s})"
+                    )
+                out[k] = m
+            return out
+
+        return cls(s, kind, block_fn, description)
 
     # --- access -------------------------------------------------------
 
+    def matrices(self, start, stop):
+        """The coefficient matrices A(start), ..., A(stop - 1) as a
+        (stop - start, s, s) array.  Deterministic; 1 <= start <= stop.
+
+        Raises PropagationError naming the first step whose matrix cannot
+        be evaluated or is not finite, and IndexError when a file-backed
+        sequence runs out of records.
+        """
+        start, stop = int(start), int(stop)
+        if start < 1 or stop < start:
+            raise InvalidInputError(f"steps must satisfy 1 <= start <= stop, got {start}, {stop}")
+        try:
+            mats = np.asarray(self._block_fn(start, stop), dtype=float)
+        except InvalidInputError:
+            raise
+        except (ValueError, ArithmeticError) as exc:
+            raise PropagationError(
+                f"coefficient evaluation failed on steps {start}..{stop - 1}: {exc}"
+            ) from exc
+        s = self.dimension
+        if mats.shape != (stop - start, s, s):
+            raise InvalidInputError(
+                f"coefficients for steps {start}..{stop - 1} have shape {mats.shape}, "
+                f"expected ({stop - start}, {s}, {s})"
+            )
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            n = start + int(np.argmin(finite))
+            raise PropagationError(f"coefficient A(n) is not finite at n={n}")
+        return mats
+
     def matrix_at(self, n):
         """Coefficient matrix A(n).  Deterministic; n >= 1."""
+        n = int(n)
         if n < 1:
             raise InvalidInputError(f"index must be >= 1, got {n}")
-        try:
-            m = np.asarray(self._matrix_fn(int(n)), dtype=float)
-        except IndexError:
-            raise
-        except (ValueError, OverflowError) as exc:
-            raise PropagationError(f"coefficient evaluation failed at n={n}: {exc}") from exc
-        if m.shape != (self.dimension, self.dimension):
-            raise InvalidInputError(
-                f"coefficient at n={n} has shape {m.shape}, expected "
-                f"({self.dimension}, {self.dimension})"
-            )
-        return m
+        return self.matrices(n, n + 1)[0]
 
     def lyapunov_bound(self, horizon):
         """max over n <= horizon of max(||A(n)||, ||A(n)^-1||); always >= 1.
@@ -153,19 +215,29 @@ class CoefficientSequence:
             raise InvalidInputError("horizon must be >= 1")
         if self._bound is not None and horizon <= self._bound_horizon:
             return self._bound
-        start = self._bound_horizon + 1
         bound = self._bound if self._bound is not None else 1.0
-        for n in range(start, horizon + 1):
-            m = self.matrix_at(n)
-            sv = np.linalg.svd(m, compute_uv=False)
-            if sv[-1] <= SINGULAR_RTOL * max(sv[0], 1.0):
+        for start in range(self._bound_horizon + 1, horizon + 1, BLOCK_STEPS):
+            sv, singular = _singular_values(
+                self.matrices(start, min(start + BLOCK_STEPS, horizon + 1)), start
+            )
+            if singular is not None:
                 raise NotLyapunovSequenceError(
-                    f"A({n}) is singular to tolerance; not a Lyapunov sequence", index=n
+                    f"A({singular}) is singular to tolerance; not a Lyapunov sequence",
+                    index=singular,
                 )
-            bound = max(bound, float(sv[0]), float(1.0 / sv[-1]))
+            bound = max(bound, float(sv[:, 0].max()), float((1.0 / sv[:, -1]).max()))
         self._bound = bound
         self._bound_horizon = horizon
         return bound
+
+
+def _singular_values(mats, start):
+    """Singular values (k, s) of a block of matrices for steps start, ...,
+    and the first of those steps whose matrix is singular to tolerance
+    (None when there is none)."""
+    sv = np.linalg.svd(mats, compute_uv=False)
+    singular = sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)
+    return sv, (start + int(np.argmax(singular)) if singular.any() else None)
 
 
 def lyapunov_bound_estimate(seq, horizon):
@@ -388,33 +460,107 @@ class TrajectoryLog:
 def propagate(seq, x0, horizon, store_every=1):
     """Propagate x(n+1) = A(n) x(n) from x(1) = x0 in log-scaled form.
 
-    Stores step 1, every ``store_every``-th step after it, and the final
-    step.  Returns a TrajectoryLog.
+    ``x0`` is one vector, which gives one TrajectoryLog, or an (s, m)
+    array of m initial columns, which gives a list of m TrajectoryLogs
+    from one pass over the coefficients.  Stores step 1, every
+    ``store_every``-th step after it, and the final step.
+
+    The steps are taken a block of BLOCK_STEPS at a time: the running
+    products A(j)...A(start) of a block, each scaled by a power of two,
+    are applied to the columns at once.  A block where a column or a
+    product loses its digits to underflow is taken in halves; a single
+    step that maps a column to zero raises PropagationError.
     """
     x0 = np.asarray(x0, dtype=float)
-    norm0 = np.linalg.norm(x0)
-    if norm0 == 0.0 or not np.all(np.isfinite(x0)):
+    single = x0.ndim == 1
+    cols = x0[:, None] if single else x0
+    if cols.ndim != 2 or cols.shape[0] != seq.dimension or cols.shape[1] == 0:
+        raise InvalidInputError(
+            f"initial vectors must have shape ({seq.dimension},) or ({seq.dimension}, m), "
+            f"got {x0.shape}"
+        )
+    d, log_norm = _unit_columns(cols)
+    if not np.all(np.isfinite(log_norm)):
         raise InvalidInputError("initial vector must be nonzero and finite")
     horizon = int(horizon)
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
+    store_every = int(store_every)
+    if store_every < 1:
+        raise InvalidInputError("store_every must be >= 1")
 
-    d = x0 / norm0
-    log_norm = math.log(norm0)
-    indices, directions, log_norms = [1], [d.copy()], [log_norm]
-    for n in range(1, horizon):
-        y = seq.matrix_at(n) @ d
-        ny = np.linalg.norm(y)
-        if ny == 0.0 or not np.isfinite(ny):
-            raise PropagationError(f"propagation collapsed at n={n + 1} (norm={ny})")
-        d = y / ny
-        log_norm += math.log(ny)
-        m = n + 1
-        if (m - 1) % store_every == 0 or m == horizon:
-            indices.append(m)
-            directions.append(d.copy())
-            log_norms.append(log_norm)
-    return TrajectoryLog(indices, directions, log_norms)
+    indices = np.arange(1, horizon + 1, store_every)
+    if indices[-1] != horizon:
+        indices = np.append(indices, horizon)
+    m = cols.shape[1]
+    directions = np.empty((m, len(indices), seq.dimension))
+    log_norms = np.empty((m, len(indices)))
+    directions[:, 0], log_norms[:, 0] = d.T, log_norm
+    for start in range(1, horizon, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, horizon)
+        dirs, growth = _block_states(seq.matrices(start, stop), d, start)
+        steps = np.arange(start + 1, stop + 1)  # x(n+1) follows A(n)
+        kept = ((steps - 1) % store_every == 0) | (steps == horizon)
+        pos = np.searchsorted(indices, steps[kept])
+        directions[:, pos] = dirs[kept].transpose(2, 0, 1)
+        log_norms[:, pos] = (log_norm + growth[kept]).T
+        d, log_norm = dirs[-1], log_norm + growth[-1]
+    logs = [TrajectoryLog(indices, directions[j], log_norms[j]) for j in range(m)]
+    return logs[0] if single else logs
+
+
+def _unit_columns(y):
+    """Unit columns of y and their log-norms.  Each column is scaled by a
+    power of two before its norm is taken, so no entry size overflows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, exps = np.frexp(np.abs(y).max(axis=0))
+        y = np.ldexp(y, -exps)
+        norms = np.sqrt((y * y).sum(axis=0))
+        return y / norms, exps * _LN2 + np.log(norms)
+
+
+def _running_products(mats):
+    """Prefix products P_j = A_j ... A_1 of a (k, s, s) block, in log2(k)
+    batched matmuls (Hillis-Steele scan).  Each P_j is stored scaled by
+    2**-e_j to max-abs in [0.5, 1).  Returns (P, e, lost), where lost_j
+    flags a product whose scaled entries cancelled below _TINY."""
+    k = len(mats)
+    with np.errstate(all="ignore"):
+        _, exps = np.frexp(np.abs(mats).max(axis=(1, 2)))
+        prods = np.ldexp(mats, -exps[:, None, None])
+        lost = np.zeros(k, dtype=bool)
+        offset = 1
+        while offset < k:
+            raw = prods[offset:] @ prods[:-offset]
+            top = np.abs(raw).max(axis=(1, 2))
+            _, shift = np.frexp(top)
+            prods[offset:] = np.ldexp(raw, -shift[:, None, None])
+            exps[offset:] = exps[offset:] + exps[:-offset] + shift
+            lost[offset:] |= lost[:-offset] | ~(top >= _TINY)
+            offset *= 2
+    return prods, exps, lost
+
+
+def _block_states(mats, d, n0):
+    """Unit directions (k, s, m) and log-growth (k, m) of the columns ``d``
+    after each step of the block ``mats`` = A(n0), ..., A(n0 + k - 1)."""
+    prods, exps, lost = _running_products(mats)
+    y = prods @ d
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(np.einsum("ksm,ksm->km", y, y))
+        if len(mats) > 1:
+            if (lost | ~(norms >= _TINY).all(axis=1)).any():
+                half = len(mats) // 2
+                dirs1, growth1 = _block_states(mats[:half], d, n0)
+                dirs2, growth2 = _block_states(mats[half:], dirs1[-1], n0 + half)
+                return np.concatenate([dirs1, dirs2]), np.concatenate(
+                    [growth1, growth2 + growth1[-1]]
+                )
+        elif not (norms > 0.0).all():
+            raise PropagationError(
+                f"propagation collapsed at n={n0 + 1} (norm={float(norms.min())})"
+            )
+        return y / norms[:, None, :], exps[:, None] * _LN2 + np.log(norms)
 
 
 @dataclass(frozen=True)
@@ -457,8 +603,8 @@ def transition(seq, n, m):
     if n > m:
         unit = np.eye(seq.dimension)
         log_scale = 0.0
-        for k in range(m, n):
-            unit = seq.matrix_at(k) @ unit
+        for a in seq.matrices(m, n):
+            unit = a @ unit
             unit, extra = _scaled(unit)
             log_scale += extra
         return ScaledMatrix(unit, log_scale)
@@ -486,18 +632,15 @@ def additive_to_multiplicative(seq, q_seq, check_horizon=0):
         raise InvalidInputError("dimension mismatch between system and perturbation")
     s = seq.dimension
 
-    def matrix_fn(n):
-        a = seq.matrix_at(n)
-        return np.eye(s) + np.linalg.solve(a, q_seq.matrix_at(n))
+    def block_fn(start, stop):
+        return np.eye(s) + np.linalg.solve(seq.matrices(start, stop), q_seq.matrices(start, stop))
 
-    r_seq = CoefficientSequence.from_function(s, matrix_fn, "dense-formula", "I + A^-1 Q")
-    for n in range(1, int(check_horizon) + 1):
-        perturbed = seq.matrix_at(n) + q_seq.matrix_at(n)
-        sv = np.linalg.svd(perturbed, compute_uv=False)
-        if sv[-1] <= SINGULAR_RTOL * max(sv[0], 1.0):
-            raise InadmissiblePerturbationError(
-                f"A({n}) + Q({n}) is singular to tolerance"
-            )
+    r_seq = CoefficientSequence(s, "dense-formula", block_fn, "I + A^-1 Q")
+    _check_nonsingular(
+        lambda start, stop: seq.matrices(start, stop) + q_seq.matrices(start, stop),
+        check_horizon,
+        "A({n}) + Q({n})",
+    )
     return r_seq
 
 
@@ -505,19 +648,26 @@ def multiplicative_to_additive(seq, r_seq, check_horizon=0):
     """Q(n) = A(n) R(n) - A(n)."""
     if seq.dimension != r_seq.dimension:
         raise InvalidInputError("dimension mismatch between system and perturbation")
-    s = seq.dimension
 
-    def matrix_fn(n):
-        a = seq.matrix_at(n)
-        return a @ r_seq.matrix_at(n) - a
+    def block_fn(start, stop):
+        a = seq.matrices(start, stop)
+        return a @ r_seq.matrices(start, stop) - a
 
-    q_seq = CoefficientSequence.from_function(s, matrix_fn, "dense-formula", "A R - A")
-    for n in range(1, int(check_horizon) + 1):
-        r = r_seq.matrix_at(n)
-        sv = np.linalg.svd(r, compute_uv=False)
-        if sv[-1] <= SINGULAR_RTOL * max(sv[0], 1.0):
-            raise InadmissiblePerturbationError(f"R({n}) is singular to tolerance")
+    q_seq = CoefficientSequence(seq.dimension, "dense-formula", block_fn, "A R - A")
+    _check_nonsingular(r_seq.matrices, check_horizon, "R({n})")
     return q_seq
+
+
+def _check_nonsingular(block_fn, horizon, name):
+    """InadmissiblePerturbationError at the first n <= horizon where the
+    matrix block_fn gives is singular to tolerance."""
+    horizon = int(horizon)
+    for start in range(1, horizon + 1, BLOCK_STEPS):
+        _, singular = _singular_values(block_fn(start, min(start + BLOCK_STEPS, horizon + 1)), start)
+        if singular is not None:
+            raise InadmissiblePerturbationError(
+                f"{name.format(n=singular)} is singular to tolerance"
+            )
 
 
 def perturbed_sequence(seq, r_seq):

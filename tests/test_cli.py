@@ -7,6 +7,7 @@ import pytest
 from ltvlab import ParseError, read_matrix_sequence, write_matrix_sequence
 from ltvlab.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     main,
@@ -273,3 +274,34 @@ def test_non_numeric_config_numbers_exit_code(tmp_path, capsys, command, fields)
 def test_selftest_checks_projection_norms_in_3d(tmp_path, capsys):
     assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
     assert "PASS  3-d projection norm times angle sine" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["spectrum", "splitness"])
+@pytest.mark.parametrize(
+    "formula, step",
+    [("1/(n-3)", 3), ("pow(-1-n, 0.5)", 1)],  # a division by zero; a complex value
+)
+def test_formula_without_a_finite_real_value_exit_code(tmp_path, capsys, command, formula, step):
+    spec = f"dimension: 2\nkind: diagonal\nentries:\n  {formula}\n  1\n"
+    cfg = write_config(tmp_path, "cfg.json", {"system": spec, "horizon": 100})
+    code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_NUMERICAL
+    assert f"n={step}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, fields, name",
+    [
+        ("spectrum", {"horizon": "abc"}, "horizon"),
+        ("spectrum", {"horizon": 0}, "horizon"),
+        ("splitness", {"horizon": 1}, "horizon"),
+        ("perturb", {"horizon": 2.5, "shifts": [0.01, -0.01]}, "horizon"),
+        ("spectrum", {"checkpoint_every": 0}, "checkpoint_every"),
+        ("splitness", {"sigma": 0}, "sigma"),
+    ],
+)
+def test_bad_integer_config_field_exit_code(tmp_path, capsys, command, fields, name):
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 200, **fields})
+    code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert repr(name) in capsys.readouterr().err

@@ -205,3 +205,132 @@ def test_perturbation_class_inclusions():
         r = np.eye(s) + q * (delta / max(np.linalg.norm(q, 2), 1e-300))
         q_back = a_mat @ r - a_mat
         assert np.linalg.norm(q_back, 2) <= a * delta + 1e-12
+
+
+# --- block evaluation and blocked propagation -------------------------
+
+
+def per_step_propagate(seq, x0, horizon):
+    """The reference recurrence: one matrix_at and one renormalization per step."""
+    d = np.asarray(x0, dtype=float)
+    log_norm = math.log(np.linalg.norm(d))
+    d = d / np.linalg.norm(d)
+    dirs, logs = [d], [log_norm]
+    for n in range(1, horizon):
+        y = seq.matrix_at(n) @ d
+        ny = np.linalg.norm(y)
+        d = y / ny
+        log_norm += math.log(ny)
+        dirs.append(d)
+        logs.append(log_norm)
+    return np.array(dirs), np.array(logs)
+
+
+def assert_matches_reference(traj, seq, x0, horizon, tol=1e-12):
+    dirs, logs = per_step_propagate(seq, x0, horizon)
+    ns = traj.indices
+    assert ns[0] == 1 and ns[-1] == horizon
+    rel = np.abs(traj.log_norms - logs[ns - 1]) / np.maximum(1.0, np.abs(logs[ns - 1]))
+    assert rel.max() <= tol
+    assert np.abs(traj.directions - dirs[ns - 1]).max() <= tol
+
+
+def random_file_system(tmp_path, s, count, seed):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / f"dense{s}.seq"
+    write_matrix_sequence(path, np.eye(s) + 0.5 * rng.normal(size=(count, s, s)))
+    return read_matrix_sequence(path)
+
+
+def test_matrices_stack_matrix_at_for_every_kind(tmp_path):
+    rng = np.random.default_rng(4)
+    file_seq = random_file_system(tmp_path, 3, 40, 4)
+    dense = CoefficientSequence.dense_formulas(
+        [["1 + sin(n)", "0.5", "ln(n)"], ["n/10", "cos(n)", "exp(-n)"], ["0", "1", "pow(n, 0.5)"]]
+    )
+    fixed = 1.0 + rng.normal(size=(40, 3, 3))
+    callable_seq = CoefficientSequence.from_function(3, lambda n: fixed[n - 1])
+    sequences = {
+        "constant": CoefficientSequence.constant(np.arange(9.0).reshape(3, 3)),
+        "diagonal": CoefficientSequence.diagonal_formulas(["n", "exp(-n/7)", "2"]),
+        "dense": dense,
+        "file-backed": file_seq,
+        "product": CoefficientSequence.product(file_seq, dense),
+        "from_function": callable_seq,
+        "additive-to-multiplicative": additive_to_multiplicative(file_seq, callable_seq),
+    }
+    for name, seq in sequences.items():
+        for start, stop in [(1, 41), (5, 6), (17, 33), (9, 9)]:
+            block = seq.matrices(start, stop)
+            assert block.shape == (stop - start, 3, 3), name
+            stacked = [seq.matrix_at(n) for n in range(start, stop)]
+            assert np.array_equal(block, np.array(stacked).reshape(-1, 3, 3)), name
+    assert np.array_equal(callable_seq.matrices(1, 41), fixed)
+    assert dense.matrices(7, 8)[0, 2, 2] == pytest.approx(math.sqrt(7), rel=1e-15)
+    with pytest.raises(IndexError):
+        file_seq.matrices(30, 42)
+    with pytest.raises(InvalidInputError):
+        file_seq.matrices(0, 3)
+
+
+def test_matrices_name_the_first_non_finite_step():
+    seq = CoefficientSequence.diagonal_formulas(["1", "1/((n-5)*(n-9))"])
+    assert np.isfinite(seq.matrices(1, 5)).all()
+    with pytest.raises(PropagationError, match="n=5"):
+        seq.matrices(1, 20)
+    with pytest.raises(PropagationError, match="n=9"):
+        seq.matrices(6, 20)
+
+
+@pytest.mark.parametrize("s, seed", [(3, 11), (4, 12)])
+def test_propagate_matches_the_per_step_loop_on_dense_systems(tmp_path, s, seed):
+    horizon = 700  # two full blocks and a partial one
+    seq = random_file_system(tmp_path, s, horizon, seed)
+    starts = np.random.default_rng(seed).normal(size=(s, s))
+    logs = propagate(seq, starts, horizon)
+    assert len(logs) == s
+    for j in range(s):
+        assert_matches_reference(logs[j], seq, starts[:, j], horizon)
+    assert_matches_reference(propagate(seq, starts[:, 0], horizon), seq, starts[:, 0], horizon)
+    sparse = propagate(seq, starts, horizon, store_every=7)
+    assert list(sparse[0].indices[:3]) == [1, 8, 15] and sparse[0].indices[-1] == horizon
+    for j in range(s):
+        assert_matches_reference(sparse[j], seq, starts[:, j], horizon)
+
+
+def test_propagate_matches_the_per_step_loop_on_sin_log():
+    seq = parse_generator_spec(SIN_LOG_SPEC)
+    starts = np.array([[1.0, 0.0], [1.0, 1.0]])  # columns (1, 1) and (0, 1)
+    for store_every in (1, 7):
+        logs = propagate(seq, starts, 3000, store_every)
+        for j in range(2):
+            assert_matches_reference(logs[j], seq, starts[:, j], 3000)
+
+
+def test_propagate_splits_a_block_that_underflows():
+    # over one block the (0, 1) column shrinks by 1e-1536 against (1, 0)
+    seq = geometric_diag([1e3, 1e-3])
+    starts = np.array([[1.0, 0.0], [1.0, 1.0]])
+    logs = propagate(seq, starts, 600)
+    for j in range(2):
+        assert_matches_reference(logs[j], seq, starts[:, j], 600)
+    assert logs[1].log_norm_at(600) == pytest.approx(599 * math.log(1e-3), rel=1e-13)
+    assert_matches_reference(propagate(seq, [1.0, 1.0], 600), seq, [1.0, 1.0], 600)
+
+
+def test_propagate_reports_a_collapse_inside_a_block():
+    mats = np.repeat(np.eye(2)[None], 400, axis=0)
+    mats[299] = np.diag([0.0, 1.0])  # A(300) maps (1, 0) to zero
+    seq = CoefficientSequence.from_matrices(mats)
+    with pytest.raises(PropagationError, match="n=301"):
+        propagate(seq, [1.0, 0.0], 400)
+    with pytest.raises(PropagationError, match="n=301"):
+        propagate(seq, np.eye(2), 400)
+    assert propagate(seq, [0.0, 1.0], 400).log_norm_at(400) == 0.0
+
+
+def test_propagate_scales_before_taking_norms():
+    # |x(n)| passes 1e154 at n = 2, where a plain sum of squares overflows
+    traj = propagate(geometric_diag([1e160, 1.0]), [1.0, 1.0], 100)
+    assert traj.log_norm_at(100) == pytest.approx(99 * math.log(1e160), rel=1e-14)
+    assert np.allclose(traj.direction_at(100), [1.0, 0.0])
