@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -34,7 +33,7 @@ from .perturb import (
 )
 from .spectrum import spectrum_estimate
 from .splitness import GAMMA_GRID, FSSRecord, gamma_statistics, splitness_report
-from .system import parse_generator_spec
+from .system import CoefficientSequence, parse_generator_spec
 
 SCHEMA_VERSION = 1
 
@@ -132,7 +131,10 @@ def _resolved_params(config, args, **extra):
     return params
 
 
-def _report(args, name, payload, csv_rows=None, csv_header=None):
+def _report(args, name, payload, csv_rows=None, csv_header=None, csv_format=None):
+    """Write the JSON payload and, when rows are given, a CSV with CRLF line
+    ends; each row is formatted by ``csv_format``, a %-format with one
+    field per column (default %s for every column)."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **payload}
@@ -142,10 +144,10 @@ def _report(args, name, payload, csv_rows=None, csv_header=None):
         print(f"wrote {path}")
     if csv_rows is not None and args.format in ("csv", "both"):
         path = out_dir / f"{name}.csv"
+        line = (csv_format or ",".join(["%s"] * len(csv_header))) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
+            fh.write(",".join(csv_header) + "\r\n")
+            fh.writelines(line % tuple(row) for row in csv_rows)
         print(f"wrote {path}")
     return payload
 
@@ -196,16 +198,13 @@ def cmd_splitness(args):
     for v in report.verdicts:
         gamma = v.gamma if v.gamma is not None else min(gamma_grid)
         stats.append(gamma_statistics(fss, v.solution_index, gamma, sigma))
-    k_max = len(stats[0].member_flags)
-    rows = []
-    for k in range(k_max):
-        n = (k + 1) * sigma
-        rows.append(
-            (n,
-             *(f"{angles[n - 1, i]:.9f}" for i in range(s)),
-             *(int(st.member_flags[k]) for st in stats),
-             *(f"{st.densities[k]:.9f}" for st in stats))
-        )
+    ns = sigma * np.arange(1, len(stats[0].member_flags) + 1)
+    rows = np.column_stack(
+        [ns, angles[ns - 1]]
+        + [st.member_flags for st in stats]
+        + [st.densities for st in stats]
+    ).tolist()
+    row_format = ",".join(["%d"] + ["%.9f"] * s + ["%d"] * s + ["%.9f"] * s)
     header = (
         ["n"]
         + [f"phi_{i + 1}" for i in range(s)]
@@ -226,7 +225,7 @@ def cmd_splitness(args):
             for v in report.verdicts
         ],
     }
-    _report(args, "splitness", payload, rows, header)
+    _report(args, "splitness", payload, rows, header, row_format)
     print(f"splitted: {report.splitted}")
     for v in report.verdicts:
         print(
@@ -357,10 +356,15 @@ def cmd_selftest(args):
 
     from .presets import geometric_diag
 
-    est = spectrum_estimate(geometric_diag([1.0, 2.0]), 2000)
-    checks.append(
-        ("constant diag spectrum", float(np.abs(est.exponents - [0.0, math.log(2)]).max()) < 5e-3)
-    )
+    # a rotated Q diag(1,2) Q^T turns the basis, which diag(1,2) leaves fixed
+    rotation = np.linalg.qr([[2.0, 1.0], [-1.0, 1.0]])[0]
+    rotated = CoefficientSequence.constant(rotation @ np.diag([1.0, 2.0]) @ rotation.T)
+    for name, seq in (
+        ("constant diag spectrum", geometric_diag([1.0, 2.0])),
+        ("rotated diag spectrum", rotated),
+    ):
+        est = spectrum_estimate(seq, 2000)
+        checks.append((name, float(np.abs(est.exponents - [0.0, math.log(2)]).max()) < 5e-3))
 
     ps = oblique_projections([[1.0, 0.0], [1.0, 1.0]])
     checks.append(("projection completeness", float(np.abs(sum(ps) - np.eye(2)).max()) < 1e-9))

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InvalidInputError, PropagationError
 from .system import BLOCK_STEPS, propagate
 
+VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
 TAIL_FRACTION = 0.5
 REALIZE_TOL = 1e-2
 GROUP_TOL = 1e-2
@@ -96,10 +97,17 @@ def spectrum_estimate(
 ):
     """Lyapunov spectrum estimate by the discrete QR method.
 
-    Propagates an orthonormal basis with per-column log scales,
-    re-orthonormalizing every step, and records per-column exponent
-    estimates ln(sigma_j)/n at checkpoints.  Each exponent is the tail-max
-    over checkpoints; equal exponents are grouped at resolution group_tol.
+    With X(n) = A(n-1) ... A(1) = Q(n) R(n), column j of the estimate at
+    checkpoint n is ln r_jj(n) / n.  Each exponent is the tail-max over
+    checkpoints; equal exponents are grouped at resolution group_tol.
+
+    For s <= VOLUME_MAX_DIMENSION the column logs come from volumes:
+    r_11 ... r_jj is the j-volume of the first j columns of X(n), the
+    log-norm of one ``propagate`` of e_1 under the j-th compound system,
+    so ln r_jj is the difference of consecutive volume logs.  Larger s,
+    and a system where a minor vanishes or overflows, propagates an
+    orthonormal basis instead, re-orthonormalizing every step (the
+    compounds grow as C(s, s/2), so volumes lose from s = 5 on).
     """
     s = seq.dimension
     horizon = int(horizon)
@@ -110,29 +118,8 @@ def spectrum_estimate(
     if checkpoint_every < 1:
         raise InvalidInputError("checkpoint_every must be a positive integer")
 
-    basis = np.eye(s)
-    logs = np.zeros(s)
-    cp_ns, cp_vals = [], []
-    for start in range(1, horizon, BLOCK_STEPS):
-        block = seq.matrices(start, min(start + BLOCK_STEPS, horizon))
-        for n, a in enumerate(block, start):
-            basis = a @ basis
-            q, r = np.linalg.qr(basis)
-            diag = np.diag(r).copy()
-            sign = np.where(diag >= 0.0, 1.0, -1.0)
-            q = q * sign
-            diag = np.abs(diag)
-            if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-                raise PropagationError(f"basis collapsed at n={n + 1}")
-            logs += np.log(diag)
-            basis = q
-            m = n + 1
-            if (m - 1) % checkpoint_every == 0 or m == horizon:
-                cp_ns.append(m)
-                cp_vals.append(logs / m)
-
-    cp_ns = np.asarray(cp_ns)
-    cp_vals = np.asarray(cp_vals)  # (num checkpoints, s)
+    cp_ns, cp_logs = _checkpoint_logs(seq, horizon, checkpoint_every)
+    cp_vals = cp_logs / cp_ns[:, None]  # (num checkpoints, s)
     start = max(2, int(math.ceil(horizon * (1.0 - tail_fraction))))
     mask = cp_ns >= start
     if not mask.any():
@@ -157,6 +144,55 @@ def spectrum_estimate(
             groups.append((float(lam), 1))
 
     return SpectrumEstimate(exponents, groups, realizing, horizon)
+
+
+def _checkpoint_logs(seq, horizon, checkpoint_every):
+    """Checkpoint steps n = 1 + k * checkpoint_every (and the horizon) and
+    the column logs ln r_jj(n) there, (num checkpoints, s)."""
+    if seq.dimension <= VOLUME_MAX_DIMENSION:
+        try:
+            return _volume_logs(seq, horizon, checkpoint_every)
+        except PropagationError:
+            pass  # a minor vanished or overflowed: the QR loop decides
+    return _qr_logs(seq, horizon, checkpoint_every)
+
+
+def _volume_logs(seq, horizon, checkpoint_every):
+    """Checkpoint steps and column logs from the j-volumes of X(n)."""
+    s = seq.dimension
+    trajs = [
+        propagate(seq.compound(j), np.eye(math.comb(s, j))[0], horizon, store_every=checkpoint_every)
+        for j in range(1, s + 1)
+    ]
+    volumes = np.column_stack([traj.log_norms[1:] for traj in trajs])
+    return trajs[0].indices[1:], np.diff(volumes, axis=1, prepend=0.0)
+
+
+def _qr_logs(seq, horizon, checkpoint_every):
+    """Checkpoint steps and column logs by per-step QR of a propagated
+    orthonormal basis."""
+    s = seq.dimension
+    basis = np.eye(s)
+    logs = np.zeros(s)
+    cp_ns, cp_logs = [], []
+    for start in range(1, horizon, BLOCK_STEPS):
+        block = seq.matrices(start, min(start + BLOCK_STEPS, horizon))
+        for n, a in enumerate(block, start):
+            basis = a @ basis
+            q, r = np.linalg.qr(basis)
+            diag = np.diag(r).copy()
+            sign = np.where(diag >= 0.0, 1.0, -1.0)
+            q = q * sign
+            diag = np.abs(diag)
+            if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
+                raise PropagationError(f"basis collapsed at n={n + 1}")
+            logs += np.log(diag)
+            basis = q
+            m = n + 1
+            if (m - 1) % checkpoint_every == 0 or m == horizon:
+                cp_ns.append(m)
+                cp_logs.append(logs.copy())
+    return np.asarray(cp_ns), np.asarray(cp_logs)
 
 
 # --- incompressibility / normality ------------------------------------

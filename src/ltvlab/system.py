@@ -7,6 +7,7 @@ overflow: a solution is stored as a unit direction plus an accumulated
 log-norm, and a transition matrix as a unit-norm matrix plus a log factor.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,9 +33,10 @@ class CoefficientSequence:
     """Generator of the coefficient matrices A(n), n >= 1.
 
     Immutable after construction.  ``kind`` is one of 'constant',
-    'diagonal-formula', 'dense-formula', 'file-backed', or
-    'product-with-perturbation'.  ``block_fn(start, stop)`` returns the
-    matrices for n = start, ..., stop - 1 stacked as (stop - start, s, s).
+    'diagonal-formula', 'dense-formula', 'file-backed',
+    'product-with-perturbation', or 'compound'.  ``block_fn(start, stop)``
+    returns the matrices for n = start, ..., stop - 1 stacked as
+    (stop - start, s, s).
     """
 
     def __init__(self, dimension, kind, block_fn, description=""):
@@ -103,15 +105,17 @@ class CoefficientSequence:
 
     @classmethod
     def from_matrices(cls, matrices):
-        """File-backed style sequence over a finite list of matrices (n=1..count)."""
-        mats = [np.array(m, dtype=float) for m in matrices]
-        if not mats:
+        """File-backed style sequence over a finite list of matrices or a
+        (count, s, s) array (n=1..count).  Keeps its own read-only copy."""
+        try:
+            data = np.array(matrices, dtype=float)
+        except ValueError as exc:  # ragged or non-numeric
+            raise InvalidInputError(f"matrix sequence has inconsistent dimensions: {exc}") from exc
+        if data.size == 0:
             raise InvalidInputError("empty matrix sequence")
-        s = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (s, s):
-                raise InvalidInputError("matrix sequence has inconsistent dimensions")
-        data = np.array(mats)
+        if data.ndim != 3 or data.shape[1] != data.shape[2]:
+            raise InvalidInputError("matrix sequence has inconsistent dimensions")
+        s = data.shape[1]
         data.setflags(write=False)
         count = len(data)
 
@@ -203,6 +207,35 @@ class CoefficientSequence:
         if n < 1:
             raise InvalidInputError(f"index must be >= 1, got {n}")
         return self.matrices(n, n + 1)[0]
+
+    def compound(self, j):
+        """The j-th compound sequence: C_j(A(n)) holds the j x j minors of
+        A(n), rows and columns indexed by the j-subsets of {1, ..., s} in
+        lexicographic order, so it is C(s, j) x C(s, j).
+
+        By Cauchy-Binet, C_j(A(n) A(m)) = C_j(A(n)) C_j(A(m)), so
+        propagating the first basis vector under C_j gives the j-volume of
+        the first j columns of A(n-1) ... A(1).  j = 1 is this sequence and
+        j = s holds det A(n).  Minors of entries past about 1e308**(1/j)
+        overflow and raise PropagationError.
+        """
+        s = self.dimension
+        j = int(j)
+        if not 1 <= j <= s:
+            raise InvalidInputError(f"compound order must be in 1..{s}, got {j}")
+        if j == 1:
+            return self
+        subsets = np.array(list(itertools.combinations(range(s), j)))
+        rows, cols = subsets[:, None, :, None], subsets[None, :, None, :]
+
+        def block_fn(start, stop):
+            mats = self.matrices(start, stop)
+            with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports it
+                return np.linalg.det(mats[:, rows, cols])
+
+        return CoefficientSequence(
+            len(subsets), "compound", block_fn, f"compound {j} of ({self.description})"
+        )
 
     def lyapunov_bound(self, horizon):
         """max over n <= horizon of max(||A(n)||, ||A(n)^-1||); always >= 1.
@@ -399,7 +432,7 @@ def read_matrix_sequence(path):
     if not finite.all():
         record = int(np.argmin(finite)) + 1
         raise ParseError(f"{path!r}: record {record} has a non-finite value", 1, 1)
-    return CoefficientSequence.from_matrices(list(data))
+    return CoefficientSequence.from_matrices(data)
 
 
 def write_matrix_sequence(path, matrices):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -71,6 +73,32 @@ def test_splitness_command(tmp_path, capsys):
     assert payload["splitted"] is True
     assert all(v["status"] == "yes" for v in payload["verdicts"])
     assert "splitted: True" in capsys.readouterr().out
+
+
+def test_splitness_csv_has_nine_decimals_and_crlf_line_ends(tmp_path):
+    from ltvlab.splitness import FSSRecord, gamma_statistics, splitness_report
+    from ltvlab.system import parse_generator_spec
+
+    fields = {"system": SIN_LOG_SYSTEM, "horizon": 600, "initial_vectors": [[1, 1], [0, 1]],
+              "sigma": 3}
+    out = tmp_path / "out"
+    assert main(["splitness", "--config", write_config(tmp_path, "cfg.json", fields),
+                 "--out-dir", str(out)]) == EXIT_OK
+    # the same table through csv.writer, one formatted cell at a time
+    fss = FSSRecord.from_initial_vectors(parse_generator_spec(SIN_LOG_SYSTEM), [[1, 1], [0, 1]],
+                                         600)
+    report = splitness_report(fss, sigma=3)
+    stats = [gamma_statistics(fss, v.solution_index, v.gamma, 3) for v in report.verdicts]
+    angles = fss.angle_profile()
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["n", "phi_1", "phi_2", "flag_1", "flag_2", "g_1", "g_2"])
+    for k in range(200):
+        n = 3 * (k + 1)
+        writer.writerow([n, *(f"{angles[n - 1, i]:.9f}" for i in range(2)),
+                         *(int(st.member_flags[k]) for st in stats),
+                         *(f"{st.densities[k]:.9f}" for st in stats)])
+    assert (out / "splitness.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_perturb_command(tmp_path):
@@ -274,6 +302,11 @@ def test_non_numeric_config_numbers_exit_code(tmp_path, capsys, command, fields)
 def test_selftest_checks_projection_norms_in_3d(tmp_path, capsys):
     assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
     assert "PASS  3-d projection norm times angle sine" in capsys.readouterr().out
+
+
+def test_selftest_checks_the_spectrum_of_a_rotated_system(tmp_path, capsys):
+    assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert "PASS  rotated diag spectrum" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["spectrum", "splitness"])

@@ -5,6 +5,7 @@ import pytest
 
 from ltvlab import (
     CoefficientSequence,
+    PropagationError,
     exponent_profile,
     incompressibility_test,
     limsup_estimate,
@@ -12,11 +13,20 @@ from ltvlab import (
     spectrum_estimate,
 )
 from ltvlab.presets import (
+    SIN_LOG_SPEC,
     geometric_diag,
     sin_log_witness_fss,
     standard_basis_fss,
 )
+from ltvlab.spectrum import (
+    REALIZE_TOL,
+    TAIL_FRACTION,
+    VOLUME_MAX_DIMENSION,
+    _qr_logs,
+    _volume_logs,
+)
 from ltvlab.splitness import FSSRecord
+from ltvlab.system import parse_generator_spec
 
 
 def test_exponent_profile_constant_growth():
@@ -116,3 +126,86 @@ def test_incompressibility_deterministic_given_seed():
     v2 = incompressibility_test(fss, seed=123)
     assert v1.status == v2.status
     assert np.array_equal(v1.witness, v2.witness)
+
+
+# --- spectrum_estimate against a per-step QR reference ---------------------
+
+
+def per_step_qr_spectrum(seq, horizon, checkpoint_every):
+    """Discrete QR one np.linalg.qr per step: checkpoint n's, the values
+    ln r_jj(n) / n there, and the tail-max exponents with their realizing
+    n's in increasing order."""
+    basis, logs = np.eye(seq.dimension), np.zeros(seq.dimension)
+    ns, values = [], []
+    for n in range(1, horizon):
+        q, r = np.linalg.qr(seq.matrix_at(n) @ basis)
+        sign = np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+        basis = q * sign
+        logs += np.log(np.abs(np.diag(r)))
+        if n % checkpoint_every == 0 or n + 1 == horizon:
+            ns.append(n + 1)
+            values.append(logs / (n + 1))
+    ns, values = np.array(ns), np.array(values)
+    window = ns >= max(2, math.ceil(horizon * (1.0 - TAIL_FRACTION)))
+    per_column = values[window].max(axis=0)
+    order = np.argsort(per_column, kind="stable")
+    realizing = [ns[window][values[window][:, j] >= per_column[j] - REALIZE_TOL] for j in order]
+    return ns, values, per_column[order], realizing
+
+
+def rotated_diag_1_2():
+    rotation = np.linalg.qr([[2.0, 1.0], [-1.0, 1.0]])[0]
+    return CoefficientSequence.constant(rotation @ np.diag([1.0, 2.0]) @ rotation.T)
+
+
+def random_dense(s, count=3000):
+    rng = np.random.default_rng(s)
+    return CoefficientSequence.from_matrices(np.eye(s) + 0.5 * rng.normal(size=(count, s, s)))
+
+
+REFERENCE_SYSTEMS = {
+    **{f"dense-{s}d": (lambda s=s: random_dense(s)) for s in range(1, 6)},
+    "rotated-diag-1-2": rotated_diag_1_2,
+    "sin-log": lambda: parse_generator_spec(SIN_LOG_SPEC),
+}
+
+
+@pytest.mark.parametrize("checkpoint_every", [1, 7, None])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SYSTEMS))
+def test_spectrum_estimate_matches_per_step_qr(name, checkpoint_every):
+    seq = REFERENCE_SYSTEMS[name]()
+    horizon = 3000  # default checkpoint_every is 3
+    every = checkpoint_every or horizon // 1000
+    ns, values, exponents, realizing = per_step_qr_spectrum(seq, horizon, every)
+    path = _volume_logs if seq.dimension <= VOLUME_MAX_DIMENSION else _qr_logs
+    cp_ns, cp_logs = path(seq, horizon, every)
+    assert np.array_equal(cp_ns, ns)
+    assert np.abs(cp_logs / cp_ns[:, None] - values).max() <= 1e-12
+    est = spectrum_estimate(seq, horizon, checkpoint_every=checkpoint_every)
+    assert np.abs(est.exponents - exponents).max() <= 1e-12
+    assert all(np.array_equal(a, b) for a, b in zip(est.realizing_indices, realizing, strict=True))
+
+
+def test_spectrum_estimate_runs_the_per_step_qr_only_from_five_dimensions(monkeypatch):
+    def per_step_qr(*args):
+        raise AssertionError("per-step QR loop ran")
+
+    monkeypatch.setattr("ltvlab.spectrum._qr_logs", per_step_qr)
+    for s in (1, 2, 3, 4):
+        spectrum_estimate(random_dense(s, 200), 200)
+    with pytest.raises(AssertionError, match="per-step QR loop ran"):
+        spectrum_estimate(random_dense(5, 200), 200)
+
+
+@pytest.mark.parametrize("s", [2, 5])  # the volume path and the per-step QR path
+def test_spectrum_estimate_names_the_step_after_a_singular_matrix(s):
+    mats = np.repeat(np.eye(s)[None], 400, axis=0)
+    mats[299] = np.diag([0.0] + [1.0] * (s - 1))  # A(300) is singular
+    with pytest.raises(PropagationError, match="n=301"):
+        spectrum_estimate(CoefficientSequence.from_matrices(mats), 400)
+
+
+def test_spectrum_estimate_survives_minors_past_double_range():
+    # det A(n) = 1e320 overflows; the per-step QR takes over
+    est = spectrum_estimate(geometric_diag([1e160, 1e160]), 100)
+    assert est.exponents == pytest.approx([99 * math.log(1e160) / 100] * 2, rel=1e-14)

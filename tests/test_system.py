@@ -1,7 +1,11 @@
+import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltvlab import (
     CoefficientSequence,
@@ -88,6 +92,38 @@ def test_matrix_sequence_round_trip(tmp_path):
         assert np.array_equal(seq.matrix_at(n), mats[n - 1])
     with pytest.raises(IndexError):
         seq.matrix_at(6)
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300, -0.0]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), s=st.integers(1, 4), count=st.integers(1, 4))
+def test_matrix_sequence_round_trip_is_bit_exact(data, s, count):
+    values = data.draw(st.lists(FLOATS, min_size=count * s * s, max_size=count * s * s))
+    mats = np.array(values).reshape(count, s, s)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seq.txt"
+        write_matrix_sequence(path, mats)
+        back = read_matrix_sequence(path).matrices(1, count + 1)
+    assert np.array_equal(back.view(np.uint64), mats.view(np.uint64))
+
+
+def test_from_matrices_takes_an_array_and_keeps_its_own_copy():
+    mats = np.arange(12.0).reshape(3, 2, 2)
+    seq = CoefficientSequence.from_matrices(mats)
+    mats[0] = -1.0
+    assert mats.flags.writeable
+    assert np.array_equal(seq.matrices(1, 4), np.arange(12.0).reshape(3, 2, 2))
+    assert seq.count == 3
+    with pytest.raises(IndexError):
+        seq.matrices(3, 5)
+    for bad in ([], [np.eye(2), np.eye(3)], np.zeros((3, 2, 3)), np.eye(2)):
+        with pytest.raises(InvalidInputError):
+            CoefficientSequence.from_matrices(bad)
 
 
 def test_file_backed_via_generator_spec(tmp_path):
@@ -334,3 +370,53 @@ def test_propagate_scales_before_taking_norms():
     traj = propagate(geometric_diag([1e160, 1.0]), [1.0, 1.0], 100)
     assert traj.log_norm_at(100) == pytest.approx(99 * math.log(1e160), rel=1e-14)
     assert np.allclose(traj.direction_at(100), [1.0, 0.0])
+
+
+# --- compound sequences -----------------------------------------------
+
+
+def explicit_compound(a, j):
+    subsets = list(itertools.combinations(range(len(a)), j))
+    return np.array([[np.linalg.det(a[np.ix_(rows, cols)]) for cols in subsets] for rows in subsets])
+
+
+def test_compound_holds_the_minors_in_lexicographic_order():
+    rng = np.random.default_rng(3)
+    seq = CoefficientSequence.from_matrices(rng.normal(size=(6, 4, 4)))
+    assert seq.compound(1) is seq
+    for j, size in ((2, 6), (3, 4), (4, 1)):
+        comp = seq.compound(j)
+        assert comp.dimension == size
+        block = comp.matrices(2, 5)
+        for k, a in enumerate(seq.matrices(2, 5)):
+            assert np.allclose(block[k], explicit_compound(a, j), rtol=0, atol=1e-12)
+    assert np.allclose(seq.compound(4).matrices(1, 7)[:, 0, 0], np.linalg.det(seq.matrices(1, 7)))
+    diag = CoefficientSequence.constant(np.diag([2.0, 3.0, 5.0])).compound(2)
+    assert np.allclose(diag.matrix_at(1), np.diag([6.0, 10.0, 15.0]), rtol=1e-15, atol=0)
+    with pytest.raises(InvalidInputError):
+        seq.compound(5)
+    with pytest.raises(InvalidInputError):
+        seq.compound(0)
+
+
+def test_compound_volumes_are_the_products_of_the_qr_diagonal():
+    # Cauchy-Binet: propagating e_1 under C_j gives |r_11 ... r_jj| of X(n)
+    rng = np.random.default_rng(5)
+    seq = CoefficientSequence.from_matrices(np.eye(3) + 0.5 * rng.normal(size=(8, 3, 3)))
+    x = np.eye(3)
+    for a in seq.matrices(1, 9):
+        x = a @ x
+    r = np.abs(np.diag(np.linalg.qr(x)[1]))
+    for j in (1, 2, 3):
+        traj = propagate(seq.compound(j), np.eye(math.comb(3, j))[0], 9)
+        assert traj.log_norm_at(9) == pytest.approx(np.log(r[:j]).sum(), abs=1e-12)
+
+
+def test_compound_keeps_the_checks_of_the_sequence():
+    comp = CoefficientSequence.diagonal_formulas(["1", "1/(n-5)", "2"]).compound(2)
+    with pytest.raises(PropagationError, match="n=5"):
+        comp.matrices(1, 10)
+    file_comp = CoefficientSequence.from_matrices(np.ones((4, 3, 3))).compound(3)
+    assert file_comp.matrices(1, 5).shape == (4, 1, 1)
+    with pytest.raises(IndexError):
+        file_comp.matrices(3, 7)
