@@ -37,6 +37,11 @@ class PropagationError(LtvLabError, RuntimeError):
     """Trajectory propagation broke down (zero vector or overflow)."""
 
 
+class UnderflowError(PropagationError):
+    """A nonzero value fell below the normal floating-point range, where it
+    keeps too few significant digits to be used."""
+
+
 class ParseError(LtvLabError, ValueError):
     """Syntax or semantic error in a generator spec or expression."""
 

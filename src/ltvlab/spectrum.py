@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, PropagationError
+from .errors import InvalidInputError, PropagationError, UnderflowError
 from .system import BLOCK_STEPS, propagate
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -105,9 +105,10 @@ def spectrum_estimate(
     r_11 ... r_jj is the j-volume of the first j columns of X(n), the
     log-norm of one ``propagate`` of e_1 under the j-th compound system,
     so ln r_jj is the difference of consecutive volume logs.  Larger s,
-    and a system where a minor vanishes or overflows, propagates an
-    orthonormal basis instead, re-orthonormalizing every step (the
-    compounds grow as C(s, s/2), so volumes lose from s = 5 on).
+    and a system with some A(n) conditioned past about 1e308 (where a
+    minor would underflow), propagates an orthonormal basis instead,
+    re-orthonormalizing every step (the compounds grow as C(s, s/2), so
+    volumes lose from s = 5 on).
     """
     s = seq.dimension
     horizon = int(horizon)
@@ -152,20 +153,28 @@ def _checkpoint_logs(seq, horizon, checkpoint_every):
     if seq.dimension <= VOLUME_MAX_DIMENSION:
         try:
             return _volume_logs(seq, horizon, checkpoint_every)
-        except PropagationError:
-            pass  # a minor vanished or overflowed: the QR loop decides
+        except UnderflowError:
+            pass  # some A(n) is conditioned past the double range
     return _qr_logs(seq, horizon, checkpoint_every)
 
 
 def _volume_logs(seq, horizon, checkpoint_every):
-    """Checkpoint steps and column logs from the j-volumes of X(n)."""
+    """Checkpoint steps and column logs from the j-volumes of X(n).
+
+    The volumes are taken under the compounds of the unit part U(n) of
+    A(n) = 2**e(n) U(n), whose minors stay in the normal range; since
+    C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log is short by the
+    accumulated ln 2 * e, which one 1 x 1 ``propagate`` adds back.
+    """
     s = seq.dimension
+    unit, scale = seq.split_scale()
     trajs = [
-        propagate(seq.compound(j), np.eye(math.comb(s, j))[0], horizon, store_every=checkpoint_every)
+        propagate(unit.compound(j), np.eye(math.comb(s, j))[0], horizon, store_every=checkpoint_every)
         for j in range(1, s + 1)
     ]
+    shift = propagate(scale, [1.0], horizon, store_every=checkpoint_every).log_norms[1:]
     volumes = np.column_stack([traj.log_norms[1:] for traj in trajs])
-    return trajs[0].indices[1:], np.diff(volumes, axis=1, prepend=0.0)
+    return trajs[0].indices[1:], np.diff(volumes, axis=1, prepend=0.0) + shift[:, None]
 
 
 def _qr_logs(seq, horizon, checkpoint_every):

@@ -19,6 +19,7 @@ from .errors import (
     NotLyapunovSequenceError,
     ParseError,
     PropagationError,
+    UnderflowError,
 )
 from .expressions import parse_expression
 from .linalg import SINGULAR_RTOL, spectral_norm
@@ -27,6 +28,8 @@ UNIT_NORM_TOL = 1e-12
 BLOCK_STEPS = 256  # steps of A(n) evaluated, scanned or propagated per batch
 _TINY = 1e-280  # a scaled column or product below this has lost its digits
 _LN2 = math.log(2.0)
+_NORMAL_MIN = np.finfo(float).tiny  # below this a double keeps fewer than 53 bits
+_LOG_NORMAL_MIN = math.log(_NORMAL_MIN)
 
 
 class CoefficientSequence:
@@ -107,10 +110,15 @@ class CoefficientSequence:
     def from_matrices(cls, matrices):
         """File-backed style sequence over a finite list of matrices or a
         (count, s, s) array (n=1..count).  Keeps its own read-only copy."""
+        if not isinstance(matrices, np.ndarray):
+            matrices = list(matrices)  # a generator would become a 0-d object array
         try:
-            data = np.array(matrices, dtype=float)
-        except ValueError as exc:  # ragged or non-numeric
-            raise InvalidInputError(f"matrix sequence has inconsistent dimensions: {exc}") from exc
+            data = np.asarray(matrices)
+            if np.iscomplexobj(data):
+                raise TypeError("complex entries")
+            data = np.array(data, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged, non-numeric or complex
+            raise InvalidInputError(f"matrix sequence is not a real (count, s, s) array: {exc}") from exc
         if data.size == 0:
             raise InvalidInputError("empty matrix sequence")
         if data.ndim != 3 or data.shape[1] != data.shape[2]:
@@ -216,8 +224,11 @@ class CoefficientSequence:
         By Cauchy-Binet, C_j(A(n) A(m)) = C_j(A(n)) C_j(A(m)), so
         propagating the first basis vector under C_j gives the j-volume of
         the first j columns of A(n-1) ... A(1).  j = 1 is this sequence and
-        j = s holds det A(n).  Minors of entries past about 1e308**(1/j)
-        overflow and raise PropagationError.
+        j = s holds det A(n).  A minor past the double range raises
+        PropagationError, and a nonzero minor below the normal range, which
+        would keep only a few significant bits, raises UnderflowError; the
+        sequence of ``split_scale()[0]`` avoids both unless A(n) is
+        conditioned past about 1e308.
         """
         s = self.dimension
         j = int(j)
@@ -229,12 +240,40 @@ class CoefficientSequence:
         rows, cols = subsets[:, None, :, None], subsets[None, :, None, :]
 
         def block_fn(start, stop):
-            mats = self.matrices(start, stop)
-            with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports it
-                return np.linalg.det(mats[:, rows, cols])
+            sign, logdet = np.linalg.slogdet(self.matrices(start, stop)[:, rows, cols])
+            _raise_on_underflow(sign != 0.0, logdet < _LOG_NORMAL_MIN, start, "a minor of")
+            with np.errstate(over="ignore"):  # the finite check reports it
+                return sign * np.exp(logdet)
 
         return CoefficientSequence(
             len(subsets), "compound", block_fn, f"compound {j} of ({self.description})"
+        )
+
+    def split_scale(self):
+        """Split A(n) = 2**e(n) U(n) exactly, with max |U(n)| in [1, 2) (a
+        zero matrix keeps e(n) = 0).  Returns the sequences (U, S) with
+        S(n) = [[2**e(n)]], so ``propagate(S, [1.0], ...)`` accumulates
+        ln 2 * (e(1) + ... + e(n-1)).  A nonzero entry of U(n) below the
+        normal range (A(n) conditioned past about 1e308) raises
+        UnderflowError.
+        """
+
+        def exponents(mats):
+            top = np.abs(mats).max(axis=(1, 2))
+            return np.where(top > 0.0, np.frexp(top)[1] - 1, 0)
+
+        def unit_fn(start, stop):
+            mats = self.matrices(start, stop)
+            unit = np.ldexp(mats, -exponents(mats)[:, None, None])
+            _raise_on_underflow(unit != 0.0, np.abs(unit) < _NORMAL_MIN, start, "an entry of")
+            return unit
+
+        def scale_fn(start, stop):
+            return np.ldexp(1.0, exponents(self.matrices(start, stop)))[:, None, None]
+
+        return (
+            CoefficientSequence(self.dimension, self.kind, unit_fn, f"unit part of ({self.description})"),
+            CoefficientSequence(1, self.kind, scale_fn, f"power-of-two scale of ({self.description})"),
         )
 
     def lyapunov_bound(self, horizon):
@@ -262,6 +301,15 @@ class CoefficientSequence:
         self._bound = bound
         self._bound_horizon = horizon
         return bound
+
+
+def _raise_on_underflow(nonzero, tiny, start, what):
+    """UnderflowError naming the first step whose block entries are flagged
+    both nonzero and below the normal range."""
+    lost = (nonzero & tiny).reshape(len(nonzero), -1).any(axis=1)
+    if lost.any():
+        n = start + int(np.argmax(lost))
+        raise UnderflowError(f"{what} A(n) underflows the double range at n={n}")
 
 
 def _singular_values(mats, start):
@@ -502,7 +550,8 @@ def propagate(seq, x0, horizon, store_every=1):
     products A(j)...A(start) of a block, each scaled by a power of two,
     are applied to the columns at once.  A block where a column or a
     product loses its digits to underflow is taken in halves; a single
-    step that maps a column to zero raises PropagationError.
+    step that maps a column to zero raises PropagationError, and one that
+    maps it below the normal double range raises UnderflowError.
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
@@ -580,20 +629,23 @@ def _block_states(mats, d, n0):
     prods, exps, lost = _running_products(mats)
     y = prods @ d
     with np.errstate(all="ignore"):
-        norms = np.sqrt(np.einsum("ksm,ksm->km", y, y))
+        top = np.abs(y).max(axis=1)  # (k, m)
         if len(mats) > 1:
-            if (lost | ~(norms >= _TINY).all(axis=1)).any():
+            if (lost | ~(top >= _TINY).all(axis=1)).any():
                 half = len(mats) // 2
                 dirs1, growth1 = _block_states(mats[:half], d, n0)
                 dirs2, growth2 = _block_states(mats[half:], dirs1[-1], n0 + half)
                 return np.concatenate([dirs1, dirs2]), np.concatenate(
                     [growth1, growth2 + growth1[-1]]
                 )
-        elif not (norms > 0.0).all():
-            raise PropagationError(
-                f"propagation collapsed at n={n0 + 1} (norm={float(norms.min())})"
-            )
-        return y / norms[:, None, :], exps[:, None] * _LN2 + np.log(norms)
+        elif not (top >= _NORMAL_MIN).all():
+            error = UnderflowError if (top > 0.0).all() else PropagationError
+            raise error(f"propagation collapsed at n={n0 + 1} (max |x|={float(top.min())})")
+        # scale each column by a power of two so its sum of squares cannot underflow
+        _, shift = np.frexp(top)
+        y = np.ldexp(y, -shift[:, None, :])
+        norms = np.sqrt(np.einsum("ksm,ksm->km", y, y))
+        return y / norms[:, None, :], (exps[:, None] + shift) * _LN2 + np.log(norms)
 
 
 @dataclass(frozen=True)

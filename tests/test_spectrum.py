@@ -12,6 +12,7 @@ from ltvlab import (
     propagate,
     spectrum_estimate,
 )
+from ltvlab.errors import UnderflowError
 from ltvlab.presets import (
     SIN_LOG_SPEC,
     geometric_diag,
@@ -186,11 +187,17 @@ def test_spectrum_estimate_matches_per_step_qr(name, checkpoint_every):
     assert all(np.array_equal(a, b) for a, b in zip(est.realizing_indices, realizing, strict=True))
 
 
-def test_spectrum_estimate_runs_the_per_step_qr_only_from_five_dimensions(monkeypatch):
+@pytest.fixture
+def no_qr_loop(monkeypatch):
+    """Make the per-step QR loop fail the test if it runs."""
+
     def per_step_qr(*args):
         raise AssertionError("per-step QR loop ran")
 
     monkeypatch.setattr("ltvlab.spectrum._qr_logs", per_step_qr)
+
+
+def test_spectrum_estimate_runs_the_per_step_qr_only_from_five_dimensions(no_qr_loop):
     for s in (1, 2, 3, 4):
         spectrum_estimate(random_dense(s, 200), 200)
     with pytest.raises(AssertionError, match="per-step QR loop ran"):
@@ -198,14 +205,34 @@ def test_spectrum_estimate_runs_the_per_step_qr_only_from_five_dimensions(monkey
 
 
 @pytest.mark.parametrize("s", [2, 5])  # the volume path and the per-step QR path
-def test_spectrum_estimate_names_the_step_after_a_singular_matrix(s):
+def test_spectrum_estimate_names_the_step_after_a_singular_matrix(s, request):
     mats = np.repeat(np.eye(s)[None], 400, axis=0)
     mats[299] = np.diag([0.0] + [1.0] * (s - 1))  # A(300) is singular
+    if s <= VOLUME_MAX_DIMENSION:  # the volume path names the step itself, without a rerun
+        request.getfixturevalue("no_qr_loop")
     with pytest.raises(PropagationError, match="n=301"):
         spectrum_estimate(CoefficientSequence.from_matrices(mats), 400)
 
 
-def test_spectrum_estimate_survives_minors_past_double_range():
-    # det A(n) = 1e320 overflows; the per-step QR takes over
-    est = spectrum_estimate(geometric_diag([1e160, 1e160]), 100)
-    assert est.exponents == pytest.approx([99 * math.log(1e160) / 100] * 2, rel=1e-14)
+@pytest.mark.parametrize("values", [[1e160, 1e160], [1e-162, 7e-162], [1e-200, 1.0]])
+def test_spectrum_estimate_takes_volumes_past_the_double_range(values, request):
+    # det A(n) = 1e320 overflows and 7e-324 is subnormal; minors of the
+    # power-of-two-scaled A(n) are normal, so the per-step QR loop never runs
+    seq = geometric_diag(values)
+    _, _, exponents, realizing = per_step_qr_spectrum(seq, 100, 1)
+    request.getfixturevalue("no_qr_loop")
+    est = spectrum_estimate(seq, 100, checkpoint_every=1)
+    assert est.exponents == pytest.approx(exponents, rel=1e-14)
+    assert all(np.array_equal(a, b) for a, b in zip(est.realizing_indices, realizing, strict=True))
+
+
+@pytest.mark.parametrize("values", [[1e200, 1e-120], [1e-200, 1e-200, 1.0]])
+def test_spectrum_estimate_runs_the_qr_loop_where_a_minor_underflows(values):
+    # A(n) conditioned past 1e308: an entry or a minor of the scaled A(n)
+    # falls below the normal range, and the per-step QR loop takes over
+    seq = geometric_diag(values)
+    with pytest.raises(UnderflowError):
+        _volume_logs(seq, 100, 1)
+    _, _, exponents, _ = per_step_qr_spectrum(seq, 100, 1)
+    est = spectrum_estimate(seq, 100, checkpoint_every=1)
+    assert est.exponents == pytest.approx(exponents, rel=1e-14)

@@ -22,6 +22,7 @@ from ltvlab import (
     transition,
     write_matrix_sequence,
 )
+from ltvlab.errors import UnderflowError
 from ltvlab.presets import SIN_LOG_SPEC, geometric_diag
 
 
@@ -121,9 +122,11 @@ def test_from_matrices_takes_an_array_and_keeps_its_own_copy():
     assert seq.count == 3
     with pytest.raises(IndexError):
         seq.matrices(3, 5)
-    for bad in ([], [np.eye(2), np.eye(3)], np.zeros((3, 2, 3)), np.eye(2)):
+    for bad in ([], [np.eye(2), np.eye(3)], np.zeros((3, 2, 3)), np.eye(2), [1j * np.eye(2)], [[[1j]]]):
         with pytest.raises(InvalidInputError):
             CoefficientSequence.from_matrices(bad)
+    from_generator = CoefficientSequence.from_matrices(m for m in np.arange(12.0).reshape(3, 2, 2))
+    assert np.array_equal(from_generator.matrices(1, 4), np.arange(12.0).reshape(3, 2, 2))
 
 
 def test_file_backed_via_generator_spec(tmp_path):
@@ -372,6 +375,16 @@ def test_propagate_scales_before_taking_norms():
     assert np.allclose(traj.direction_at(100), [1.0, 0.0])
 
 
+def test_propagate_scales_a_shrinking_column_before_taking_its_norm():
+    # x(2) = (1e-200, 0), whose plain sum of squares underflows to zero
+    traj = propagate(geometric_diag([1e-200, 1.0]), [1.0, 0.0], 100)
+    assert traj.log_norm_at(100) == pytest.approx(99 * math.log(1e-200), rel=1e-14)
+    assert np.array_equal(traj.direction_at(100), [1.0, 0.0])
+    # x(2) = (0, 1e-310) is subnormal: too few digits left to go on
+    with pytest.raises(UnderflowError, match="n=2"):
+        propagate(geometric_diag([1.0, 1e-310]), [0.0, 1.0], 3)
+
+
 # --- compound sequences -----------------------------------------------
 
 
@@ -420,3 +433,34 @@ def test_compound_keeps_the_checks_of_the_sequence():
     assert file_comp.matrices(1, 5).shape == (4, 1, 1)
     with pytest.raises(IndexError):
         file_comp.matrices(3, 7)
+
+
+def test_compound_raises_on_a_minor_below_the_normal_range():
+    # det diag(1e-162, 7e-162) = 7e-324 would round to the subnormal 4.9e-324
+    comp = CoefficientSequence.from_matrices(
+        [np.eye(2), np.diag([1e-162, 7e-162])]
+    ).compound(2)
+    assert comp.matrix_at(1)[0, 0] == 1.0
+    with pytest.raises(UnderflowError, match="n=2"):
+        comp.matrices(1, 3)
+    assert CoefficientSequence.constant(np.diag([0.0, 1.0])).compound(2).matrix_at(1)[0, 0] == 0.0
+
+
+def test_split_scale_is_exact_and_keeps_the_minors_normal():
+    rng = np.random.default_rng(7)
+    mats = rng.normal(size=(5, 3, 3)) * np.array([1e-162, 1e160, 1.0, 3e-300, 0.0])[:, None, None]
+    seq = CoefficientSequence.from_matrices(mats)
+    unit, scale = seq.split_scale()
+    units, scales = unit.matrices(1, 6), scale.matrices(1, 6)[:, 0, 0]
+    assert np.array_equal(units * scales[:, None, None], mats)
+    top = np.abs(units[:4]).max(axis=(1, 2))
+    assert np.all((top >= 1.0) & (top < 2.0))
+    assert scales[4] == 1.0 and not units[4].any()
+    for j in (2, 3):
+        assert np.all(np.isfinite(unit.compound(j).matrices(1, 6)))
+    traj = propagate(scale, [1.0], 6)
+    assert traj.log_norm_at(6) == pytest.approx(np.log(scales[:5]).sum(), rel=1e-15)
+    stretched = CoefficientSequence.constant(np.diag([1e200, 1e-120])).split_scale()[0]
+    with pytest.raises(UnderflowError, match="n=1"):
+        stretched.matrix_at(1)
+
