@@ -69,7 +69,6 @@ from .system import (
     lyapunov_bound_estimate,
     multiplicative_to_additive,
     parse_generator_spec,
-    perturbed_sequence,
     propagate,
     read_matrix_sequence,
     transition,

@@ -58,7 +58,10 @@ _NUMERICAL_ERRORS = (
 
 def _load_config(path):
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ParseError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _build_system(config):
@@ -98,6 +101,20 @@ def _numbers(config, key):
     return values
 
 
+def _in_range(config, key, high, ndim=0, default=None):
+    """Config field ``key`` as numbers in (0, high]: one number (ndim 0) or
+    a non-empty list of them (ndim 1).  ``default`` when the field is absent
+    and a default is given."""
+    if default is not None and key not in config:
+        return default
+    values = _numbers(config, key)
+    if values.ndim != ndim or values.size == 0 or not np.all((values > 0.0) & (values <= high)):
+        what = "a number" if ndim == 0 else "a non-empty list of numbers"
+        bound = "> 0" if high == math.inf else f"in (0, {high:.6g}]"
+        raise ParseError(f"config field {key!r} must be {what} {bound}, got {config[key]!r}")
+    return float(values) if ndim == 0 else values
+
+
 def _integer(key, value, minimum):
     """``value`` of config field ``key`` as an integer >= ``minimum``."""
     try:
@@ -111,9 +128,16 @@ def _integer(key, value, minimum):
 
 
 def _build_fss(seq, config, horizon):
-    vectors = config.get("initial_vectors")
-    if vectors is None:
-        vectors = list(np.eye(seq.dimension))
+    s = seq.dimension
+    if config.get("initial_vectors") is None:
+        vectors = np.eye(s)
+    else:
+        vectors = _numbers(config, "initial_vectors")
+        if vectors.shape != (s, s):
+            raise ParseError(
+                f"config field 'initial_vectors' must hold {s} vectors of length {s}, "
+                f"got shape {vectors.shape}"
+            )
     return FSSRecord.from_initial_vectors(seq, vectors, horizon)
 
 
@@ -168,7 +192,7 @@ def cmd_spectrum(args):
         seq,
         horizon,
         checkpoint_every=checkpoint_every,
-        tail_fraction=config.get("tail_fraction", 0.5),
+        tail_fraction=_in_range(config, "tail_fraction", 1.0, default=0.5),
     )
     rows = [
         (value, count, sum(len(r) for r in estimate.realizing_indices))
@@ -188,7 +212,7 @@ def cmd_spectrum(args):
 def cmd_splitness(args):
     config, seq, horizon = _load(args)
     sigma = _integer("sigma", config.get("sigma", 1), 1)
-    gamma_grid = config.get("gamma_grid", list(GAMMA_GRID))
+    gamma_grid = _in_range(config, "gamma_grid", math.pi / 2, ndim=1, default=GAMMA_GRID)
     fss = _build_fss(seq, config, horizon)
     report = splitness_report(fss, gamma_grid, sigma)
 
@@ -270,7 +294,7 @@ def cmd_perturb(args):
 def cmd_assign(args):
     config, seq, horizon = _load(args)
     target = _numbers(config, "target_spectrum")
-    epsilon = float(_numbers(config, "epsilon"))
+    epsilon = _in_range(config, "epsilon", math.inf)
     fss = _build_fss(seq, config, horizon)
     result = openness_experiment(seq, fss, target, epsilon)
     payload = {"params": _resolved_params(config, args, horizon=horizon), **result}
@@ -285,7 +309,7 @@ def cmd_assign(args):
 def cmd_instability(args):
     config, seq, horizon = _load(args)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    epsilon_grid = _numbers(config, "epsilon_grid")
+    epsilon_grid = _in_range(config, "epsilon_grid", math.inf, ndim=1)
     fss = _build_fss(seq, config, horizon)
     result = instability_experiment(
         seq,
@@ -365,6 +389,16 @@ def cmd_selftest(args):
     ):
         est = spectrum_estimate(seq, 2000)
         checks.append((name, float(np.abs(est.exponents - [0.0, math.log(2)]).max()) < 5e-3))
+
+    # shifting the exponents of diag(1,2) by (0.01, -0.01) through a synthesized R(n)
+    diag12 = geometric_diag([1.0, 2.0])
+    fss = FSSRecord.from_initial_vectors(diag12, np.eye(2), 2000)
+    outcome = execute_plan(diag12, fss, build_plan(fss, [0.01, -0.01]))
+    targets = np.array([0.01, math.log(2) - 0.01])
+    checks.append(("perturbation closed-form oracle", outcome.agreement_residual <= 1e-9))
+    checks.append(
+        ("perturbed exponents", float(np.abs(outcome.perturbed_exponents - targets).max()) <= 1e-3)
+    )
 
     ps = oblique_projections([[1.0, 0.0], [1.0, 1.0]])
     checks.append(("projection completeness", float(np.abs(sum(ps) - np.eye(2)).max()) < 1e-9))

@@ -24,6 +24,7 @@ from .errors import (
     BudgetError,
     InvalidInputError,
     PreconditionError,
+    PropagationError,
     SingularMatrixError,
 )
 from .linalg import project_out, spectral_norm
@@ -34,9 +35,16 @@ from .spectrum import (
     incompressibility_test,
     limsup_estimate,
     spectrum_estimate,
+    tail_window,
 )
-from .splitness import GAMMA_GRID, RHO_THRESHOLD, broken_away_scan, splitness_report
-from .system import CoefficientSequence
+from .splitness import (
+    GAMMA_GRID,
+    RHO_THRESHOLD,
+    broken_away_scan,
+    gamma_statistics,
+    splitness_report,
+)
+from .system import CoefficientSequence, propagate
 
 MU_VALUE_TOL = 1e-9
 MU_BRACKET_TOL = 1e-6
@@ -88,13 +96,21 @@ def lambda_mu(fss, i, mu, gamma, sigma=1, tail_fraction=TAIL_FRACTION):
     """Tail-max estimate of limsup_k (f_i(k) + mu * g_i(k))."""
     if mu < 0.0:
         raise InvalidInputError("mu must be >= 0")
-    from .splitness import gamma_statistics
+    return _boosted_tail_max(fss, i, gamma, sigma, tail_fraction)(mu)
 
+
+def _boosted_tail_max(fss, i, gamma, sigma, tail_fraction):
+    """The function mu -> lambda_mu(fss, i, mu, gamma, sigma, tail_fraction).
+
+    The exponent profile, the gamma densities and the tail window are
+    evaluated here, once; each call then only forms f_i + mu * g_i on the
+    window and takes its maximum, the same arithmetic as the tail-max.
+    """
     profile = fss.profile(i, sigma)
-    stats = gamma_statistics(fss, i, gamma, sigma)
-    boosted = ExponentProfile(sigma, profile.ks, profile.values + mu * stats.densities)
-    lam, _ = limsup_estimate(boosted, tail_fraction, REALIZE_TOL)
-    return lam
+    window = tail_window(profile.ks, tail_fraction)
+    values = profile.values[window]
+    densities = gamma_statistics(fss, i, gamma, sigma).densities[window]
+    return lambda mu: float((values + mu * densities).max())
 
 
 def solve_mu(fss, i, zeta, rho_hat, gamma, sigma=1, tail_fraction=TAIL_FRACTION):
@@ -107,10 +123,11 @@ def solve_mu(fss, i, zeta, rho_hat, gamma, sigma=1, tail_fraction=TAIL_FRACTION)
         raise InvalidInputError("zeta must be >= 0")
     if zeta == 0.0:
         return 0.0
-    lam0 = lambda_mu(fss, i, 0.0, gamma, sigma, tail_fraction)
+    lam_at = _boosted_tail_max(fss, i, gamma, sigma, tail_fraction)
+    lam0 = lam_at(0.0)
     target = lam0 + zeta
     hi = zeta / rho_hat
-    f_hi = lambda_mu(fss, i, hi, gamma, sigma, tail_fraction)
+    f_hi = lam_at(hi)
     if f_hi < target - MU_BRACKET_TOL:
         raise BracketError(
             f"estimator inconsistency for solution {i}: Lambda({hi:.6g}) = "
@@ -120,7 +137,7 @@ def solve_mu(fss, i, zeta, rho_hat, gamma, sigma=1, tail_fraction=TAIL_FRACTION)
     lo = 0.0
     for _ in range(MU_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        val = lambda_mu(fss, i, mid, gamma, sigma, tail_fraction)
+        val = lam_at(mid)
         if abs(val - target) <= MU_VALUE_TOL:
             return mid
         if val < target:
@@ -262,7 +279,6 @@ def build_plan(
 
 _ACTIVE_MU_TOL = 0.0  # mu_i == 0 contributes nothing even on Gamma_i
 _PROJECTION_DENOM_MIN = 1e-30  # w0 . d at or below this: direction collapsed
-PLAN_BLOCK = 1024  # steps per batch of R(n) in execute_plan; bounds its memory
 
 
 def perturbation_at(plan, fss, n):
@@ -334,47 +350,34 @@ def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
     """Simulate the perturbed system and verify the closed-form identity.
 
     Propagates x_bar(n+1) = A(n) R(n) x_bar(n) from x_bar(1) = x_i(1) for
-    every FSS member, while evaluating the exact closed form
-    log||x_bar_i(k)|| = log||x_i(k)|| + sum_{j<k} s_i(j).  The maximum
-    relative deviation between the two is the module's primary oracle.
+    every FSS member in one ``propagate`` call, while evaluating the exact
+    closed form log||x_bar_i(k)|| = log||x_i(k)|| + sum_{j<k} s_i(j).  The
+    maximum relative deviation between the two is the module's primary
+    oracle.  A perturbed solution that collapses (or an A(n) R(n) that is
+    not finite) raises PreconditionError naming the step.
     """
     s = fss.dimension
     horizon = plan.horizon
     eye = np.eye(s)
-
-    dirs = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
-    log_norms = np.log(np.linalg.norm(dirs, axis=0))
-    dirs = dirs / np.exp(log_norms)
-
-    sim_logs = np.empty((horizon, s))
-    sim_logs[0] = log_norms
     r_norm_sup = 0.0
-    for start in range(1, horizon, PLAN_BLOCK):
-        ns = np.arange(start, min(start + PLAN_BLOCK, horizon))
-        r_mats = perturbation_at(plan, fss, ns)
+
+    def perturbed_block(start, stop):
+        # each R(n) is formed once, here, and ||R(n) - I|| taken from it
+        nonlocal r_norm_sup
+        r_mats = perturbation_at(plan, fss, np.arange(start, stop))
         r_norm_sup = max(r_norm_sup, float(spectral_norm(r_mats - eye).max()))
-        steps = seq.matrices(ns[0], ns[-1] + 1) @ r_mats
-        norms = np.empty((len(ns), s))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # a step with entries beyond 2**+-256 is scaled by a power of two,
-            # which keeps the column norms in range; the others are left as
-            # they are, so that their norms and logs round as unscaled ones do
-            _, exps = np.frexp(np.abs(steps).max(axis=(1, 2)))
-            exps[np.abs(exps) <= 256] = 0
-            steps = np.ldexp(steps, -exps[:, None, None])
-            for k, step in enumerate(steps):
-                dirs = step @ dirs
-                norms[k] = np.sqrt((dirs * dirs).sum(axis=0))  # column norms
-                dirs = dirs / norms[k]
-        bad = np.any((norms == 0.0) | ~np.isfinite(norms), axis=1)
-        if bad.any():
-            raise PreconditionError(
-                f"perturbed propagation collapsed at n={ns[np.argmax(bad)] + 1}"
-            )
-        growth = np.log(norms) + exps[:, None] * math.log(2.0)
-        logs = np.cumsum(np.vstack([log_norms, growth]), axis=0)
-        sim_logs[ns] = logs[1:]
-        log_norms = logs[-1]
+        return seq.matrices(start, stop) @ r_mats
+
+    perturbed = CoefficientSequence(
+        s, "product-with-perturbation", perturbed_block, f"({seq.description}) * R(n)"
+    )
+    initial = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
+    try:
+        trajectories = propagate(perturbed, initial, horizon)
+    except PropagationError as exc:
+        raise PreconditionError(f"perturbed {exc}") from exc
+    sim_logs = np.column_stack([traj.log_norms for traj in trajectories])
+    del trajectories  # frees their (s, horizon, s) directions before the comparison
 
     base_logs = np.column_stack([traj.log_norms[:horizon] for traj in fss.trajectories])
     cum = np.vstack([np.zeros(s), np.cumsum(plan.schedule[: horizon - 1], axis=0)])

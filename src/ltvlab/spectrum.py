@@ -71,20 +71,25 @@ def limsup_estimate(profile, tail_fraction=TAIL_FRACTION, realize_tol=REALIZE_TO
 
     Returns (lambda_hat, RealizingSequence of k's).
     """
+    mask = tail_window(profile.ks, tail_fraction)
+    window = profile.values[mask]
+    lam = float(window.max())
+    realizing = profile.ks[mask][window >= lam - realize_tol]
+    return lam, RealizingSequence(np.asarray(realizing))
+
+
+def tail_window(ks, tail_fraction):
+    """Mask of the profile indices ``ks`` that fall in the final
+    ``tail_fraction`` of the horizon, the window of every tail-max."""
     if not 0.0 < tail_fraction <= 1.0:
         raise InvalidInputError("tail_fraction must be in (0, 1]")
-    ks = profile.ks
     if len(ks) == 0:
         raise InvalidInputError("empty profile")
-    kmax = ks[-1]
-    start = max(1, int(math.ceil(kmax * (1.0 - tail_fraction))))
+    start = max(1, int(math.ceil(ks[-1] * (1.0 - tail_fraction))))
     mask = ks >= start
     if not mask.any():
         raise InvalidInputError("empty tail window")
-    window = profile.values[mask]
-    lam = float(window.max())
-    realizing = ks[mask][window >= lam - realize_tol]
-    return lam, RealizingSequence(np.asarray(realizing))
+    return mask
 
 
 def spectrum_estimate(
@@ -118,6 +123,8 @@ def spectrum_estimate(
         checkpoint_every = max(1, horizon // 1000)
     if checkpoint_every < 1:
         raise InvalidInputError("checkpoint_every must be a positive integer")
+    if not 0.0 < tail_fraction <= 1.0:
+        raise InvalidInputError("tail_fraction must be in (0, 1]")
 
     cp_ns, cp_logs = _checkpoint_logs(seq, horizon, checkpoint_every)
     cp_vals = cp_logs / cp_ns[:, None]  # (num checkpoints, s)

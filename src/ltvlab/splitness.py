@@ -159,19 +159,27 @@ class GammaStatistics:
 def gamma_statistics(fss, i, gamma, sigma=1, k_max=None):
     """Membership flags, counts and densities of the gamma angle set."""
     sigma = int(sigma)
-    angles = fss.angle_profile()[:, i]
-    indices = fss.indices
+    flags, counts, densities = _gamma_set(_member_angles(fss, i, sigma, k_max), gamma)
+    return GammaStatistics(float(gamma), sigma, flags, counts, densities)
+
+
+def _member_angles(fss, i, sigma, k_max=None):
+    """phi_i(k * sigma) for k = 1, ..., k_max (default: the whole horizon)."""
     limit = fss.horizon // sigma
     if k_max is None:
         k_max = limit
     if k_max > limit:
         raise InvalidInputError(f"horizon covers only k <= {limit}, requested {k_max}")
     ns = sigma * np.arange(1, k_max + 1)
-    pos = np.searchsorted(indices, ns)
-    flags = angles[pos] >= gamma
+    return fss.angle_profile()[np.searchsorted(fss.indices, ns), i]
+
+
+def _gamma_set(angles, gamma):
+    """Flags phi >= gamma along ``angles``, their running counts N(k) and
+    the densities N(k) / k."""
+    flags = angles >= gamma
     counts = np.cumsum(flags)
-    densities = counts / np.arange(1, k_max + 1)
-    return GammaStatistics(float(gamma), sigma, flags, counts, densities)
+    return flags, counts, counts / np.arange(1, len(flags) + 1)
 
 
 @dataclass(frozen=True)
@@ -214,10 +222,10 @@ def broken_away_scan(
             i, sigma, None, None, None, float(lam), "inconclusive", fss.horizon
         )
     ks = realizing.indices
+    angles = _member_angles(fss, i, sigma)
     best_gamma, best_rho = None, -1.0
     for gamma in sorted(gamma_grid, reverse=True):
-        stats = gamma_statistics(fss, i, gamma, sigma)
-        rho = float(stats.densities[ks - 1].min())
+        rho = float(_gamma_set(angles, gamma)[2][ks - 1].min())
         if rho > best_rho + 1e-12:
             best_gamma, best_rho = float(gamma), rho
     status = "yes" if best_rho >= rho_threshold else "no"

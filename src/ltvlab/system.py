@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     InadmissiblePerturbationError,
     InvalidInputError,
+    LtvLabError,
     NotLyapunovSequenceError,
     ParseError,
     PropagationError,
@@ -191,7 +192,7 @@ class CoefficientSequence:
             raise InvalidInputError(f"steps must satisfy 1 <= start <= stop, got {start}, {stop}")
         try:
             mats = np.asarray(self._block_fn(start, stop), dtype=float)
-        except InvalidInputError:
+        except LtvLabError:  # the package's own errors keep their type
             raise
         except (ValueError, ArithmeticError) as exc:
             raise PropagationError(
@@ -753,8 +754,3 @@ def _check_nonsingular(block_fn, horizon, name):
             raise InadmissiblePerturbationError(
                 f"{name.format(n=singular)} is singular to tolerance"
             )
-
-
-def perturbed_sequence(seq, r_seq):
-    """The multiplicatively perturbed system x(n+1) = A(n) R(n) x(n)."""
-    return CoefficientSequence.product(seq, r_seq)

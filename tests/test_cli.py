@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ltvlab import ParseError, read_matrix_sequence, write_matrix_sequence
 from ltvlab.cli import (
@@ -338,3 +339,140 @@ def test_bad_integer_config_field_exit_code(tmp_path, capsys, command, fields, n
     code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, fields, name",
+    [
+        ("splitness", {"gamma_grid": []}, "gamma_grid"),
+        ("splitness", {"gamma_grid": [float("nan")]}, "gamma_grid"),
+        ("splitness", {"gamma_grid": [0.5, 2.0]}, "gamma_grid"),
+        ("spectrum", {"tail_fraction": float("nan")}, "tail_fraction"),
+        ("spectrum", {"tail_fraction": 5}, "tail_fraction"),
+        ("spectrum", {"tail_fraction": -1}, "tail_fraction"),
+        ("perturb", {"shifts": [0.01, -0.01], "initial_vectors": [[1, 0], ["x", 1]]},
+         "initial_vectors"),
+        ("perturb", {"shifts": [0.01, -0.01], "initial_vectors": [[1, 0], [1]]},
+         "initial_vectors"),
+        ("perturb", {"shifts": [0.01, -0.01], "initial_vectors": [[1, 0, 0], [0, 1, 0]]},
+         "initial_vectors"),
+        ("assign", {"target_spectrum": [0.01, 0.68], "epsilon": [0.2]}, "epsilon"),
+        ("instability", {"epsilon_grid": []}, "epsilon_grid"),
+        ("instability", {"epsilon_grid": [0.1, -0.1]}, "epsilon_grid"),
+    ],
+)
+def test_bad_number_config_field_exit_code(tmp_path, capsys, command, fields, name):
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 200, **fields})
+    code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [[1, 2], 3, "diag(1,2)", None])
+def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_selftest_checks_a_perturbation_plan(tmp_path, capsys):
+    assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS  perturbation closed-form oracle" in out
+    assert "PASS  perturbed exponents" in out
+
+
+# --- malformed configs: a documented exit code, never a traceback ----------
+
+VALID_CONFIGS = {  # command -> (a valid config on diag(1,2), its exit code)
+    "spectrum": ({"horizon": 200, "tail_fraction": 0.5, "checkpoint_every": 10}, EXIT_OK),
+    "splitness": (
+        {"horizon": 200, "gamma_grid": [0.4, 0.8], "sigma": 2, "initial_vectors": [[1, 0], [1, 1]]},
+        EXIT_OK,
+    ),
+    "perturb": ({"horizon": 200, "shifts": [0.01, -0.01], "initial_vectors": [[1, 0], [0, 1]]},
+                EXIT_OK),
+    "assign": ({"horizon": 200, "target_spectrum": [0.01, 0.68], "epsilon": 0.2}, EXIT_OK),
+    # diag(1,2) has a normal FSS, which the instability experiment refuses
+    "instability": ({"horizon": 200, "epsilon_grid": [0.1]}, EXIT_PRECONDITION),
+}
+TOP_LEVEL = "<top level>"
+
+_NOT_A_NUMBER = st.one_of(
+    st.text(alphabet="abxyz ,{}", max_size=4),  # no digits, so never parses as a number
+    st.lists(st.text(alphabet="ab", min_size=1), min_size=1, max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=1),
+    st.sampled_from([[], [[1.0], [1.0, 2.0]], float("nan"), float("inf"), -float("inf")]),
+)
+_NOT_AN_INTEGER = st.one_of(
+    _NOT_A_NUMBER,
+    st.just(True),
+    st.floats(0.0, 1000.0).filter(lambda x: x != int(x)),
+)
+_GOOD_GAMMAS = st.lists(st.floats(0.1, 1.5), max_size=2)
+_BAD_GAMMA = st.one_of(st.floats(max_value=0.0), st.floats(min_value=math.pi / 2, exclude_min=True))
+_NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False)
+_WRONG_LENGTH = st.lists(st.floats(-0.01, 0.01), max_size=4).filter(lambda v: len(v) != 2)
+
+BAD_VALUES = {  # field -> (commands that read it, values it must refuse)
+    "horizon": (list(VALID_CONFIGS), st.one_of(_NOT_AN_INTEGER, st.integers(max_value=1))),
+    "checkpoint_every": (["spectrum"], st.one_of(_NOT_AN_INTEGER, st.integers(max_value=0))),
+    "sigma": (["splitness"], st.one_of(_NOT_AN_INTEGER, st.integers(max_value=0))),
+    "tail_fraction": (["spectrum"], st.one_of(
+        _NOT_A_NUMBER, _NOT_POSITIVE, st.floats(min_value=1.0, exclude_min=True),
+        st.lists(st.floats(0.1, 1.0), min_size=1, max_size=2),
+    )),
+    "gamma_grid": (["splitness"], st.one_of(
+        _NOT_A_NUMBER, st.floats(0.1, 1.5),
+        st.tuples(_GOOD_GAMMAS, _BAD_GAMMA).map(lambda t: t[0] + [t[1]]),
+    )),
+    "epsilon": (["assign"], st.one_of(
+        _NOT_A_NUMBER, _NOT_POSITIVE, st.lists(st.floats(0.1, 1.0), min_size=1, max_size=2),
+    )),
+    "epsilon_grid": (["instability"], st.one_of(
+        _NOT_A_NUMBER, st.floats(0.1, 1.0),
+        st.tuples(st.lists(st.floats(0.1, 1.0), max_size=2), _NOT_POSITIVE).map(
+            lambda t: t[0] + [t[1]]),
+    )),
+    "shifts": (["perturb"], st.one_of(
+        _NOT_A_NUMBER, _WRONG_LENGTH, st.lists(st.floats(0.5, 10.0), min_size=2, max_size=2),
+    )),
+    "target_spectrum": (["assign"], st.one_of(
+        _NOT_A_NUMBER, _WRONG_LENGTH, st.lists(st.floats(2.0, 10.0), min_size=2, max_size=2),
+    )),
+    "initial_vectors": (["splitness", "perturb"], st.one_of(
+        _NOT_A_NUMBER,
+        st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda rc: rc != (2, 2)).flatmap(
+            lambda rc: st.lists(st.lists(st.floats(-1.0, 1.0), min_size=rc[1], max_size=rc[1]),
+                                min_size=rc[0], max_size=rc[0])),
+        st.just([[1.0, 1.0], [2.0, 2.0]]),  # linearly dependent
+    )),
+    TOP_LEVEL: (list(VALID_CONFIGS), st.one_of(
+        st.lists(st.integers(), max_size=3), st.integers(), st.text(max_size=3), st.none(),
+    )),
+}
+CORRUPTIONS = [(command, field) for field, (commands, _) in BAD_VALUES.items()
+               for command in commands]
+
+
+@pytest.mark.parametrize("command", list(VALID_CONFIGS))
+def test_valid_configs_behind_the_malformed_config_property(tmp_path, command):
+    fields, code = VALID_CONFIGS[command]
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", **fields})
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == code
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_config_gives_a_documented_exit_code(tmp_path, data):
+    command, field = data.draw(st.sampled_from(CORRUPTIONS))
+    value = data.draw(BAD_VALUES[field][1], label=field)
+    if field == TOP_LEVEL:
+        config = value
+    else:
+        config = {"system": "diag(1,2)", **VALID_CONFIGS[command][0], field: value}
+    cfg = write_config(tmp_path, "cfg.json", config)
+    code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code in (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_PRECONDITION)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from ltvlab import (
+    BracketError,
     BudgetError,
     CoefficientSequence,
     FSSRecord,
     PreconditionError,
     SingularMatrixError,
     TrajectoryLog,
+    broken_away_scan,
     build_plan,
     calibrate,
     execute_plan,
@@ -27,6 +29,7 @@ from ltvlab.presets import (
     sin_log_witness_fss,
     standard_basis_fss,
 )
+from ltvlab.splitness import GAMMA_GRID
 
 
 def test_synthesis_constants_defaults():
@@ -281,3 +284,113 @@ def test_execute_plan_rejects_a_collapsed_propagation():
     broken = CoefficientSequence.from_function(2, matrix_fn)
     with pytest.raises(PreconditionError, match="n=8"):
         execute_plan(broken, fss, plan)
+
+
+def test_execute_plan_on_entries_near_1e150():
+    # the steps pass 2**256; propagate's power-of-two scaling keeps them in range
+    horizon = 2000
+    seq = geometric_diag([1e150, 2e150])
+    fss = standard_basis_fss(seq, horizon)
+    outcome = execute_plan(seq, fss, build_plan(fss, [0.01, -0.01]))
+    assert outcome.agreement_residual <= 1e-9
+    # the tail-max of ((k - 1) / k) * lambda is taken at k = horizon
+    targets = math.log(1e150) + np.array([0.01, math.log(2) - 0.01])
+    assert np.abs(outcome.perturbed_exponents - targets * (1 - 1 / horizon)).max() <= 1e-3
+    assert np.abs(outcome.achieved_shifts - [0.01, -0.01]).max() <= 1e-3
+
+
+def per_call_densities(fss, i, gamma, sigma):
+    """g_i(k; sigma) for every k, from the stored angles."""
+    ns = sigma * np.arange(1, fss.horizon // sigma + 1)
+    flags = fss.angle_profile()[np.searchsorted(fss.indices, ns), i] >= gamma
+    return np.cumsum(flags) / np.arange(1, len(ns) + 1)
+
+
+def per_call_lambda_mu(fss, i, mu, gamma, sigma, tail_fraction):
+    """Tail-max of f_i + mu g_i, with the profile and densities evaluated on every call."""
+    profile = fss.profile(i, sigma)
+    boosted = profile.values + mu * per_call_densities(fss, i, gamma, sigma)
+    start = max(1, math.ceil(profile.ks[-1] * (1.0 - tail_fraction)))
+    return float(boosted[profile.ks >= start].max())
+
+
+def per_call_solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
+    """The bisection of solve_mu with every lambda_mu evaluated from scratch."""
+    if zeta == 0.0:
+        return 0.0
+    target = per_call_lambda_mu(fss, i, 0.0, gamma, sigma, tail_fraction) + zeta
+    lo, hi = 0.0, zeta / rho_hat
+    if per_call_lambda_mu(fss, i, hi, gamma, sigma, tail_fraction) < target - 1e-6:
+        return "bracket"
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        val = per_call_lambda_mu(fss, i, mid, gamma, sigma, tail_fraction)
+        if abs(val - target) <= 1e-9:
+            return mid
+        if val < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def per_call_scan(fss, i, gamma_grid, sigma, tail_fraction):
+    """(gamma, rho_hat, status) of broken_away_scan, densities recomputed per gamma."""
+    profile = fss.profile(i, sigma)
+    start = max(1, math.ceil(profile.ks[-1] * (1.0 - tail_fraction)))
+    window = profile.ks >= start
+    lam = profile.values[window].max()
+    ks = profile.ks[window][profile.values[window] >= lam - 1e-2]
+    best_gamma, best_rho = None, -1.0
+    for gamma in sorted(gamma_grid, reverse=True):
+        rho = float(per_call_densities(fss, i, gamma, sigma)[ks - 1].min())
+        if rho > best_rho + 1e-12:
+            best_gamma, best_rho = float(gamma), rho
+    return best_gamma, best_rho, "yes" if best_rho >= 0.05 else "no", ks
+
+
+def solver_cases():
+    diag = geometric_diag([1.0, 2.0])
+    return [
+        standard_basis_fss(diag, 2000),
+        FSSRecord.from_initial_vectors(diag, [[1.0, 0.0], [1.0, 1.0]], 2000),
+        sin_log_witness_fss(4000),
+        standard_basis_fss(tri3_system(1000), 1000),
+    ]
+
+
+def test_solve_mu_is_bit_identical_to_the_per_call_bisection():
+    for fss in solver_cases():
+        for i in range(fss.dimension):
+            for gamma, sigma, tail in ((0.3, 1, 0.5), (math.acos(0.9), 1, 1.0), (0.7, 3, 0.25)):
+                for mu in (0.0, 0.013, 0.2):
+                    assert lambda_mu(fss, i, mu, gamma, sigma, tail) == per_call_lambda_mu(
+                        fss, i, mu, gamma, sigma, tail)
+                for zeta, rho_hat in ((0.0, 0.5), (0.004, 0.5), (0.02, 0.19), (0.05, 1.0)):
+                    try:
+                        mu = solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail)
+                    except BracketError:
+                        mu = "bracket"
+                    assert mu == per_call_solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail)
+
+
+def test_broken_away_scan_matches_the_per_gamma_scan():
+    for fss in solver_cases():
+        for i in range(fss.dimension):
+            for grid, sigma, tail in ((GAMMA_GRID, 1, 0.5), ((0.2, 1.2, 0.7), 2, 1.0)):
+                verdict = broken_away_scan(fss, i, grid, sigma, tail)
+                gamma, rho, status, ks = per_call_scan(fss, i, grid, sigma, tail)
+                assert (verdict.gamma, verdict.rho_hat, verdict.status) == (gamma, rho, status)
+                assert np.array_equal(verdict.realizing_ks, ks)
+
+
+def test_execute_plan_reports_a_collapsed_projection_as_such():
+    seq, fss, plan = plan_cases(300)[1]
+    trajectories = [
+        TrajectoryLog(t.indices, t.directions.copy(), t.log_norms) for t in fss.trajectories
+    ]
+    trajectories[0].directions[39] = trajectories[1].directions[39]
+    bad = FSSRecord(seq, trajectories, fss.initial_vectors)
+    with pytest.raises(SingularMatrixError) as info:
+        execute_plan(seq, bad, plan)
+    assert info.value.index == 40

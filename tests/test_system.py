@@ -16,7 +16,6 @@ from ltvlab import (
     additive_to_multiplicative,
     multiplicative_to_additive,
     parse_generator_spec,
-    perturbed_sequence,
     propagate,
     read_matrix_sequence,
     transition,
@@ -219,7 +218,7 @@ def test_additive_multiplicative_round_trip():
     for n in range(1, 11):
         assert np.allclose(back.matrix_at(n), q_seq.matrix_at(n), atol=1e-12)
         # the product system equals A + Q
-        prod = perturbed_sequence(seq, r_seq)
+        prod = CoefficientSequence.product(seq, r_seq)
         assert np.allclose(
             prod.matrix_at(n), seq.matrix_at(n) + q_seq.matrix_at(n), atol=1e-12
         )
