@@ -54,11 +54,9 @@ from .splitness import (
     GammaStatistics,
     LyapunovTransformation,
     SplitnessReport,
-    angle_profile,
     apply_lyapunov_transformation,
     broken_away_scan,
     gamma_statistics,
-    sigma_invariance_check,
     splitness_report,
 )
 from .system import (
@@ -66,7 +64,6 @@ from .system import (
     ScaledMatrix,
     TrajectoryLog,
     additive_to_multiplicative,
-    lyapunov_bound_estimate,
     multiplicative_to_additive,
     parse_generator_spec,
     propagate,

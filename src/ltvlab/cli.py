@@ -25,13 +25,14 @@ from .errors import (
     PropagationError,
     SingularMatrixError,
 )
+from .linalg import condition_number
 from .perturb import (
     build_plan,
     execute_plan,
     instability_experiment,
     openness_experiment,
 )
-from .spectrum import spectrum_estimate
+from .spectrum import incompressibility_test, spectrum_estimate
 from .splitness import GAMMA_GRID, FSSRecord, gamma_statistics, splitness_report
 from .system import CoefficientSequence, parse_generator_spec
 
@@ -101,6 +102,14 @@ def _numbers(config, key):
     return values
 
 
+def _vector(config, key, length):
+    """Config field ``key`` as ``length`` finite numbers."""
+    values = _numbers(config, key)
+    if values.shape != (length,):
+        raise ParseError(f"config field {key!r} must hold {length} numbers, got {config[key]!r}")
+    return values
+
+
 def _in_range(config, key, high, ndim=0, default=None):
     """Config field ``key`` as numbers in (0, high]: one number (ndim 0) or
     a non-empty list of them (ndim 1).  ``default`` when the field is absent
@@ -138,6 +147,12 @@ def _build_fss(seq, config, horizon):
                 f"config field 'initial_vectors' must hold {s} vectors of length {s}, "
                 f"got shape {vectors.shape}"
             )
+        try:
+            condition_number(vectors)
+        except SingularMatrixError as exc:
+            raise ParseError(
+                f"config field 'initial_vectors' must hold linearly independent vectors: {exc}"
+            ) from exc
     return FSSRecord.from_initial_vectors(seq, vectors, horizon)
 
 
@@ -261,7 +276,7 @@ def cmd_splitness(args):
 
 def cmd_perturb(args):
     config, seq, horizon = _load(args)
-    shifts = _numbers(config, "shifts")
+    shifts = _vector(config, "shifts", seq.dimension)
     fss = _build_fss(seq, config, horizon)
     plan = build_plan(fss, shifts)
     outcome = execute_plan(seq, fss, plan)
@@ -293,7 +308,7 @@ def cmd_perturb(args):
 
 def cmd_assign(args):
     config, seq, horizon = _load(args)
-    target = _numbers(config, "target_spectrum")
+    target = _vector(config, "target_spectrum", seq.dimension)
     epsilon = _in_range(config, "epsilon", math.inf)
     fss = _build_fss(seq, config, horizon)
     result = openness_experiment(seq, fss, target, epsilon)
@@ -399,6 +414,14 @@ def cmd_selftest(args):
     checks.append(
         ("perturbed exponents", float(np.abs(outcome.perturbed_exponents - targets).max()) <= 1e-3)
     )
+
+    # the standard basis of diag(1,2) is normal; (1,1), (0,1) cancel to (1,0) along +-(1,-1)
+    normal = incompressibility_test(fss)
+    checks.append(("normal FSS verdict", normal.is_normal))
+    skew_fss = FSSRecord.from_initial_vectors(diag12, [[1.0, 1.0], [0.0, 1.0]], 2000)
+    skew = incompressibility_test(skew_fss)
+    found = skew.witness is not None and sorted(skew.witness) == [-1.0, 1.0]
+    checks.append(("non-normal FSS witness", not skew.is_normal and found))
 
     ps = oblique_projections([[1.0, 0.0], [1.0, 1.0]])
     checks.append(("projection completeness", float(np.abs(sum(ps) - np.eye(2)).max()) < 1e-9))

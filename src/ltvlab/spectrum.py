@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
-from .system import BLOCK_STEPS, propagate
+from .system import _LN2, BLOCK_STEPS, _propagation_blocks, _stored_steps
+from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
 TAIL_FRACTION = 0.5
@@ -81,15 +82,19 @@ def limsup_estimate(profile, tail_fraction=TAIL_FRACTION, realize_tol=REALIZE_TO
 def tail_window(ks, tail_fraction):
     """Mask of the profile indices ``ks`` that fall in the final
     ``tail_fraction`` of the horizon, the window of every tail-max."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise InvalidInputError("tail_fraction must be in (0, 1]")
     if len(ks) == 0:
         raise InvalidInputError("empty profile")
-    start = max(1, int(math.ceil(ks[-1] * (1.0 - tail_fraction))))
-    mask = ks >= start
+    mask = ks >= _tail_start(ks[-1], tail_fraction)
     if not mask.any():
         raise InvalidInputError("empty tail window")
     return mask
+
+
+def _tail_start(last, tail_fraction):
+    """First index of the tail window of a profile that ends at ``last``."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise InvalidInputError("tail_fraction must be in (0, 1]")
+    return max(1, int(math.ceil(last * (1.0 - tail_fraction))))
 
 
 def spectrum_estimate(
@@ -170,18 +175,26 @@ def _volume_logs(seq, horizon, checkpoint_every):
 
     The volumes are taken under the compounds of the unit part U(n) of
     A(n) = 2**e(n) U(n), whose minors stay in the normal range; since
-    C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log is short by the
-    accumulated ln 2 * e, which one 1 x 1 ``propagate`` adds back.
+    C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log is short by
+    ln 2 * (e(1) + ... + e(n-1)), a sum taken exactly in integers.
     """
     s = seq.dimension
-    unit, scale = seq.split_scale()
-    trajs = [
-        propagate(unit.compound(j), np.eye(math.comb(s, j))[0], horizon, store_every=checkpoint_every)
-        for j in range(1, s + 1)
-    ]
-    shift = propagate(scale, [1.0], horizon, store_every=checkpoint_every).log_norms[1:]
-    volumes = np.column_stack([traj.log_norms[1:] for traj in trajs])
-    return trajs[0].indices[1:], np.diff(volumes, axis=1, prepend=0.0) + shift[:, None]
+    unit, exponents = seq.split_scale()
+    volumes = []
+    for j in range(1, s + 1):
+        first = np.eye(math.comb(s, j))[:, :1]
+        blocks = _propagation_blocks(unit.compound(j), first, horizon)
+        logs = [log_norms[_stored_steps(steps, horizon, checkpoint_every), 0]
+                for steps, _, log_norms in blocks]
+        volumes.append(np.concatenate(logs)[1:])
+    ns = np.arange(1, horizon + 1)
+    cp_ns = ns[_stored_steps(ns, horizon, checkpoint_every)][1:]
+    e_sums = np.cumsum(
+        np.concatenate([exponents(start, min(start + BLOCK_STEPS, horizon))
+                        for start in range(1, horizon, BLOCK_STEPS)])
+    )
+    shift = _LN2 * e_sums[cp_ns - 2]
+    return cp_ns, np.diff(np.column_stack(volumes), axis=1, prepend=0.0) + shift[:, None]
 
 
 def _qr_logs(seq, horizon, checkpoint_every):
@@ -254,34 +267,24 @@ def incompressibility_test(
     estimated exponent falls more than gap_tol below the largest exponent
     among its supported members.  For dimension <= 3 all deterministic
     sign patterns are checked before random unit-sphere draws.
+
+    All candidates are propagated in one pass, which keeps only a running
+    tail-max per candidate; the witness is the first violating candidate
+    in that order.  A candidate whose propagation collapses therefore
+    raises even when an earlier candidate is a witness.
     """
     trajectories = fss.trajectories
-    seq = fss.seq
     s = len(trajectories)
     if horizon is None:
         horizon = trajectories[0].horizon
     horizon = int(horizon)
+    if horizon < 1:
+        raise InvalidInputError("horizon must be >= 1")
 
     member_exps = np.empty(s)
     for j, traj in enumerate(trajectories):
         lam, _ = limsup_estimate(exponent_profile(traj, 1), tail_fraction)
         member_exps[j] = lam
-
-    initials = np.column_stack([traj.value_at(1) for traj in trajectories])
-
-    def check(c):
-        support = np.abs(c) > 0.0
-        if not support.any():
-            return None  # degenerate sample, skipped
-        y0 = initials @ c
-        if np.linalg.norm(y0) == 0.0:
-            return None  # numerically degenerate combination of initials
-        traj = propagate(seq, y0, horizon)
-        lam, _ = limsup_estimate(exponent_profile(traj, 1), tail_fraction)
-        support_max = float(member_exps[support].max())
-        if lam < support_max - gap_tol:
-            return lam, support_max
-        return None
 
     candidates = []
     if s <= 3:
@@ -294,13 +297,24 @@ def incompressibility_test(
             continue
         candidates.append(c / norm)
 
-    for c in candidates:
-        hit = check(c)
-        if hit is not None:
-            lam, support_max = hit
-            return IncompressibilityVerdict(
-                "NOT-NORMAL", c.copy(), lam, support_max, horizon, member_exps
-            )
+    initials = np.column_stack([traj.value_at(1) for traj in trajectories])
+    # a numerically degenerate combination of initials is skipped
+    live = [c for c in candidates if np.linalg.norm(initials @ c) != 0.0]
+    if live:
+        window_start = _tail_start(horizon, tail_fraction)
+        tail_max = np.full(len(live), -np.inf)
+        cols = np.column_stack([initials @ c for c in live])
+        for steps, _, log_norms in _propagation_blocks(fss.seq, cols, horizon):
+            window = steps >= window_start
+            if window.any():
+                values = log_norms[window] / steps[window, None]
+                tail_max = np.maximum(tail_max, values.max(axis=0))
+        for c, lam in zip(live, tail_max):
+            support_max = float(member_exps[np.abs(c) > 0.0].max())
+            if lam < support_max - gap_tol:
+                return IncompressibilityVerdict(
+                    "NOT-NORMAL", c.copy(), float(lam), support_max, horizon, member_exps
+                )
     return IncompressibilityVerdict(
         "NORMAL-UP-TO-HORIZON", None, None, None, horizon, member_exps
     )

@@ -143,10 +143,6 @@ class FSSRecord:
         return ExponentProfile(sigma, np.arange(1, kmax + 1), traj.log_norms[pos] / ns)
 
 
-def angle_profile(fss):
-    return fss.angle_profile()
-
-
 @dataclass(frozen=True)
 class GammaStatistics:
     gamma: float
@@ -263,13 +259,6 @@ def splitness_report(
     else:
         splitted = True
     return SplitnessReport(verdicts, splitted, sigma, fss.horizon)
-
-
-def sigma_invariance_check(fss, i, sigma0, sigma1, gamma_grid=GAMMA_GRID, **kwargs):
-    """Broken-away verdicts for the same solution at two samplings."""
-    v0 = broken_away_scan(fss, i, gamma_grid, sigma0, **kwargs)
-    v1 = broken_away_scan(fss, i, gamma_grid, sigma1, **kwargs)
-    return v0, v1
 
 
 class LyapunovTransformation:

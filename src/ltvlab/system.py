@@ -252,30 +252,27 @@ class CoefficientSequence:
 
     def split_scale(self):
         """Split A(n) = 2**e(n) U(n) exactly, with max |U(n)| in [1, 2) (a
-        zero matrix keeps e(n) = 0).  Returns the sequences (U, S) with
-        S(n) = [[2**e(n)]], so ``propagate(S, [1.0], ...)`` accumulates
-        ln 2 * (e(1) + ... + e(n-1)).  A nonzero entry of U(n) below the
+        zero matrix keeps e(n) = 0).  Returns the sequence U and the
+        function ``exponents(start, stop)``, which gives the integers
+        e(start), ..., e(stop - 1).  A nonzero entry of U(n) below the
         normal range (A(n) conditioned past about 1e308) raises
         UnderflowError.
         """
 
-        def exponents(mats):
+        def exponents_of(mats):
             top = np.abs(mats).max(axis=(1, 2))
             return np.where(top > 0.0, np.frexp(top)[1] - 1, 0)
 
         def unit_fn(start, stop):
             mats = self.matrices(start, stop)
-            unit = np.ldexp(mats, -exponents(mats)[:, None, None])
+            unit = np.ldexp(mats, -exponents_of(mats)[:, None, None])
             _raise_on_underflow(unit != 0.0, np.abs(unit) < _NORMAL_MIN, start, "an entry of")
             return unit
 
-        def scale_fn(start, stop):
-            return np.ldexp(1.0, exponents(self.matrices(start, stop)))[:, None, None]
-
-        return (
-            CoefficientSequence(self.dimension, self.kind, unit_fn, f"unit part of ({self.description})"),
-            CoefficientSequence(1, self.kind, scale_fn, f"power-of-two scale of ({self.description})"),
+        unit = CoefficientSequence(
+            self.dimension, self.kind, unit_fn, f"unit part of ({self.description})"
         )
+        return unit, lambda start, stop: exponents_of(self.matrices(start, stop))
 
     def lyapunov_bound(self, horizon):
         """max over n <= horizon of max(||A(n)||, ||A(n)^-1||); always >= 1.
@@ -320,10 +317,6 @@ def _singular_values(mats, start):
     sv = np.linalg.svd(mats, compute_uv=False)
     singular = sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)
     return sv, (start + int(np.argmax(singular)) if singular.any() else None)
-
-
-def lyapunov_bound_estimate(seq, horizon):
-    return seq.lyapunov_bound(horizon)
 
 
 # --- generator spec parsing ------------------------------------------
@@ -562,9 +555,6 @@ def propagate(seq, x0, horizon, store_every=1):
             f"initial vectors must have shape ({seq.dimension},) or ({seq.dimension}, m), "
             f"got {x0.shape}"
         )
-    d, log_norm = _unit_columns(cols)
-    if not np.all(np.isfinite(log_norm)):
-        raise InvalidInputError("initial vector must be nonzero and finite")
     horizon = int(horizon)
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
@@ -578,18 +568,44 @@ def propagate(seq, x0, horizon, store_every=1):
     m = cols.shape[1]
     directions = np.empty((m, len(indices), seq.dimension))
     log_norms = np.empty((m, len(indices)))
-    directions[:, 0], log_norms[:, 0] = d.T, log_norm
+    for steps, dirs, logs in _propagation_blocks(seq, cols, horizon):
+        kept = _stored_steps(steps, horizon, store_every)
+        pos = np.searchsorted(indices, steps[kept])
+        directions[:, pos] = dirs[kept].transpose(2, 0, 1)
+        log_norms[:, pos] = logs[kept].T
+    logs = [TrajectoryLog(indices, directions[j], log_norms[j]) for j in range(m)]
+    return logs[0] if single else logs
+
+
+def _stored_steps(steps, horizon, store_every):
+    """Mask of the ``steps`` that ``propagate`` stores: step 1, every
+    ``store_every``-th step after it, and the horizon."""
+    return ((steps - 1) % store_every == 0) | (steps == horizon)
+
+
+def _propagation_blocks(seq, cols, horizon):
+    """The propagation of the (s, m) columns ``cols`` from step 1 to
+    ``horizon`` (>= 1), one block at a time; only the last state is carried
+    from a block to the next.
+
+    Yields (steps, dirs, log_norms): the steps of a block, and the unit
+    directions (k, s, m) and accumulated log-norms (k, m) of the columns
+    there.  The first block is step 1 alone; each later one holds up to
+    BLOCK_STEPS steps.  ``propagate`` stores from these blocks, and a
+    caller that reads only log-norms folds over them one block at a time.
+    A zero or non-finite column raises InvalidInputError, and a collapse
+    raises as in ``propagate``.
+    """
+    d, log_norm = _unit_columns(cols)
+    if not np.all(np.isfinite(log_norm)):
+        raise InvalidInputError("initial vector must be nonzero and finite")
+    yield np.array([1]), d[None], log_norm[None]
     for start in range(1, horizon, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, horizon)
         dirs, growth = _block_states(seq.matrices(start, stop), d, start)
-        steps = np.arange(start + 1, stop + 1)  # x(n+1) follows A(n)
-        kept = ((steps - 1) % store_every == 0) | (steps == horizon)
-        pos = np.searchsorted(indices, steps[kept])
-        directions[:, pos] = dirs[kept].transpose(2, 0, 1)
-        log_norms[:, pos] = (log_norm + growth[kept]).T
-        d, log_norm = dirs[-1], log_norm + growth[-1]
-    logs = [TrajectoryLog(indices, directions[j], log_norms[j]) for j in range(m)]
-    return logs[0] if single else logs
+        logs = log_norm + growth
+        yield np.arange(start + 1, stop + 1), dirs, logs  # x(n+1) follows A(n)
+        d, log_norm = dirs[-1], logs[-1]
 
 
 def _unit_columns(y):
@@ -633,6 +649,7 @@ def _block_states(mats, d, n0):
         top = np.abs(y).max(axis=1)  # (k, m)
         if len(mats) > 1:
             if (lost | ~(top >= _TINY).all(axis=1)).any():
+                del y, top  # free this block's states before the halves make theirs
                 half = len(mats) // 2
                 dirs1, growth1 = _block_states(mats[:half], d, n0)
                 dirs2, growth2 = _block_states(mats[half:], dirs1[-1], n0 + half)
@@ -642,11 +659,15 @@ def _block_states(mats, d, n0):
         elif not (top >= _NORMAL_MIN).all():
             error = UnderflowError if (top > 0.0).all() else PropagationError
             raise error(f"propagation collapsed at n={n0 + 1} (max |x|={float(top.min())})")
-        # scale each column by a power of two so its sum of squares cannot underflow
-        _, shift = np.frexp(top)
-        y = np.ldexp(y, -shift[:, None, :])
+        # scale each column by a power of two so its sum of squares cannot underflow;
+        # in place, so that a block of many columns holds one (k, s, m) array
+        shift = np.frexp(top)[1]
+        np.ldexp(y, -shift[:, None, :], out=y)
         norms = np.sqrt(np.einsum("ksm,ksm->km", y, y))
-        return y / norms[:, None, :], (exps[:, None] + shift) * _LN2 + np.log(norms)
+        y /= norms[:, None, :]
+        growth = np.log(norms, out=norms)
+        growth += (exps[:, None] + shift) * _LN2
+        return y, growth
 
 
 @dataclass(frozen=True)
@@ -662,10 +683,6 @@ class ScaledMatrix:
     @property
     def log_spectral_norm(self):
         return self.log_scale  # ||unit|| == 1 by construction
-
-    def singular_value_logs(self):
-        sv = np.linalg.svd(self.unit, compute_uv=False)
-        return self.log_scale + np.log(sv)
 
 
 def _scaled(m):

@@ -359,6 +359,16 @@ def test_bad_integer_config_field_exit_code(tmp_path, capsys, command, fields, n
         ("assign", {"target_spectrum": [0.01, 0.68], "epsilon": [0.2]}, "epsilon"),
         ("instability", {"epsilon_grid": []}, "epsilon_grid"),
         ("instability", {"epsilon_grid": [0.1, -0.1]}, "epsilon_grid"),
+        ("perturb", {"shifts": [0.01]}, "shifts"),
+        ("perturb", {"shifts": [0.01, -0.01, 0.0]}, "shifts"),
+        ("perturb", {"shifts": [[0.01, -0.01]]}, "shifts"),
+        ("assign", {"target_spectrum": [0.01], "epsilon": 0.2}, "target_spectrum"),
+        ("assign", {"target_spectrum": [0.01, 0.68, 1.0], "epsilon": 0.2}, "target_spectrum"),
+        ("perturb", {"shifts": [0.01, -0.01], "initial_vectors": [[1, 1], [2, 2]]},
+         "initial_vectors"),
+        ("splitness", {"initial_vectors": [[1, 1], [2, 2]]}, "initial_vectors"),
+        ("assign", {"target_spectrum": [0.01, 0.68], "epsilon": 0.2,
+                    "initial_vectors": [[0, 0], [0, 0]]}, "initial_vectors"),
     ],
 )
 def test_bad_number_config_field_exit_code(tmp_path, capsys, command, fields, name):
@@ -374,6 +384,13 @@ def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, config):
     code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_selftest_checks_two_incompressibility_verdicts(tmp_path, capsys):
+    assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS  normal FSS verdict" in out
+    assert "PASS  non-normal FSS witness" in out
 
 
 def test_selftest_checks_a_perturbation_plan(tmp_path, capsys):

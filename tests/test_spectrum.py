@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from ltvlab.spectrum import (
     _volume_logs,
 )
 from ltvlab.splitness import FSSRecord
-from ltvlab.system import parse_generator_spec
+from ltvlab.system import _propagation_blocks, parse_generator_spec
 
 
 def test_exponent_profile_constant_growth():
@@ -129,6 +130,78 @@ def test_incompressibility_deterministic_given_seed():
     assert np.array_equal(v1.witness, v2.witness)
 
 
+# --- incompressibility_test against a per-candidate reference ---------------
+
+
+def per_candidate_incompressibility(fss, trials=64, seed=0, gap_tol=0.1):
+    """One ``propagate`` per candidate, stopping at the first violation:
+    (status, witness, witness exponent, support exponent)."""
+    s = fss.dimension
+    horizon = fss.horizon
+    member_exps = np.array(
+        [limsup_estimate(exponent_profile(traj))[0] for traj in fss.trajectories]
+    )
+    candidates = [np.array(c, dtype=float) for c in itertools.product((0, 1, -1), repeat=s)
+                  if any(c) and next(v for v in c if v) > 0] if s <= 3 else []
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        c = rng.normal(size=s)
+        candidates.append(c / np.linalg.norm(c))
+    initials = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
+    for c in candidates:
+        lam, _ = limsup_estimate(exponent_profile(propagate(fss.seq, initials @ c, horizon)))
+        support_max = member_exps[np.abs(c) > 0.0].max()
+        if lam < support_max - gap_tol:
+            return "NOT-NORMAL", c, lam, support_max
+    return "NORMAL-UP-TO-HORIZON", None, None, None
+
+
+def triangular_3d(horizon, seed=3):
+    """Seeded upper-triangular A(n) with diagonal growth rates -0.3, 0.2, 0.7."""
+    rng = np.random.default_rng(seed)
+    mats = np.zeros((horizon, 3, 3))
+    growth = [-0.3, 0.2, 0.7] + 0.2 * rng.uniform(-1, 1, (horizon, 3))
+    mats[:, [0, 1, 2], [0, 1, 2]] = np.exp(growth)
+    mats[:, [0, 0, 1], [1, 2, 2]] = rng.uniform(-0.5, 0.5, (horizon, 3))
+    return CoefficientSequence.from_matrices(mats)
+
+
+INCOMPRESSIBILITY_CASES = {
+    "sin-log-1e4": (lambda: sin_log_witness_fss(10_000), 0),
+    "sin-log-1e4-seed-123": (lambda: sin_log_witness_fss(10_000), 123),
+    "sin-log-3000-seed-123": (lambda: sin_log_witness_fss(3000), 123),
+    "diag-1-2-normal": (lambda: standard_basis_fss(geometric_diag([1.0, 2.0]), 2000), 0),
+    "diag-1-2-cancellation": (
+        lambda: FSSRecord.from_initial_vectors(
+            geometric_diag([1.0, 2.0]), [[1.0, 1.0], [0.0, 1.0]], 2000
+        ),
+        0,
+    ),
+    "triangular-3d": (lambda: standard_basis_fss(triangular_3d(1000), 1000), 5),
+    "triangular-3d-skewed": (
+        lambda: FSSRecord.from_initial_vectors(
+            triangular_3d(1000), [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]], 1000
+        ),
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCOMPRESSIBILITY_CASES))
+def test_incompressibility_matches_the_per_candidate_reference(name):
+    make_fss, seed = INCOMPRESSIBILITY_CASES[name]
+    fss = make_fss()
+    status, witness, lam, support_max = per_candidate_incompressibility(fss, seed=seed)
+    verdict = incompressibility_test(fss, seed=seed)
+    assert verdict.status == status
+    if witness is None:
+        assert verdict.witness is None and verdict.witness_exponent is None
+    else:
+        assert np.array_equal(verdict.witness, witness)
+        assert abs(verdict.witness_exponent - lam) <= 1e-12
+        assert verdict.support_exponent == support_max
+
+
 # --- spectrum_estimate against a per-step QR reference ---------------------
 
 
@@ -185,6 +258,22 @@ def test_spectrum_estimate_matches_per_step_qr(name, checkpoint_every):
     est = spectrum_estimate(seq, horizon, checkpoint_every=checkpoint_every)
     assert np.abs(est.exponents - exponents).max() <= 1e-12
     assert all(np.array_equal(a, b) for a, b in zip(est.realizing_indices, realizing, strict=True))
+
+
+@pytest.mark.parametrize("store_every", [1, 7])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SYSTEMS))
+def test_propagation_blocks_give_the_log_norms_of_propagate(name, store_every):
+    seq = REFERENCE_SYSTEMS[name]()
+    s, horizon = seq.dimension, 3000
+    cols = np.column_stack([np.eye(s), np.random.default_rng(s).normal(size=s)])
+    blocks = list(_propagation_blocks(seq, cols, horizon))
+    steps = np.concatenate([b[0] for b in blocks])
+    assert np.array_equal(steps, np.arange(1, horizon + 1))
+    logs = np.concatenate([b[2] for b in blocks])
+    dirs = np.concatenate([b[1] for b in blocks])
+    for j, traj in enumerate(propagate(seq, cols, horizon, store_every=store_every)):
+        assert np.array_equal(logs[traj.indices - 1, j], traj.log_norms)
+        assert np.array_equal(dirs[traj.indices - 1, :, j], traj.directions)
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from ltvlab import (
     broken_away_scan,
     cosine_to_subspace,
     gamma_statistics,
-    sigma_invariance_check,
     splitness_report,
 )
 from ltvlab.presets import geometric_diag, sin_log_witness_fss, standard_basis_fss
@@ -104,7 +103,7 @@ def test_splitness_report_tri_state():
 def test_sigma_invariance_sin_log():
     fss = sin_log_witness_fss(10_000)
     for sigma in (3, 5):
-        v0, v1 = sigma_invariance_check(fss, 0, 1, sigma)
+        v0, v1 = (broken_away_scan(fss, 0, GAMMA_GRID, every) for every in (1, sigma))
         assert v0.status == v1.status == "yes"
 
 
