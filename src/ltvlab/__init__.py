@@ -52,7 +52,6 @@ from .splitness import (
     BrokenAwayVerdict,
     FSSRecord,
     GammaStatistics,
-    LyapunovTransformation,
     SplitnessReport,
     apply_lyapunov_transformation,
     broken_away_scan,

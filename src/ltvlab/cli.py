@@ -25,7 +25,6 @@ from .errors import (
     PropagationError,
     SingularMatrixError,
 )
-from .linalg import condition_number
 from .perturb import (
     build_plan,
     execute_plan,
@@ -33,7 +32,8 @@ from .perturb import (
     openness_experiment,
 )
 from .spectrum import incompressibility_test, spectrum_estimate
-from .splitness import GAMMA_GRID, FSSRecord, gamma_statistics, splitness_report
+from .presets import geometric_diag, sin_log_extrema
+from .splitness import GAMMA_GRID, FSSRecord, _initial_basis, gamma_statistics, splitness_report
 from .system import CoefficientSequence, parse_generator_spec
 
 SCHEMA_VERSION = 1
@@ -77,10 +77,21 @@ def _build_system(config):
 
 
 def _load(args):
-    """Config, system and resolved horizon of a config-driven command."""
+    """System and resolved params of a config-driven command: the config's
+    fields with the horizon and seed resolved against the command line, plus
+    the output settings."""
     config = _load_config(args.config)
     seq = _build_system(config)
-    horizon = _horizon(config, args)
+    params = {
+        **config,
+        "horizon": _integer(
+            "horizon", config.get("horizon", 10_000) if args.horizon is None else args.horizon, 2
+        ),
+        "seed": _integer("seed", config.get("seed", 0) if args.seed is None else args.seed, 0),
+        "format": args.format,
+        "out_dir": str(args.out_dir),
+    }
+    horizon = params["horizon"]
     count = getattr(seq, "count", None)  # records in a file-backed system
     if count is not None and horizon > count + 1:
         # propagation to step H uses A(1) ... A(H-1)
@@ -88,7 +99,7 @@ def _load(args):
             f"horizon {horizon} needs {horizon - 1} matrix records, but the "
             f"matrix file holds only {count}"
         )
-    return config, seq, horizon
+    return seq, params
 
 
 def _numbers(config, key):
@@ -136,38 +147,14 @@ def _integer(key, value, minimum):
     return number
 
 
-def _build_fss(seq, config, horizon):
-    s = seq.dimension
-    if config.get("initial_vectors") is None:
-        vectors = np.eye(s)
-    else:
-        vectors = _numbers(config, "initial_vectors")
-        if vectors.shape != (s, s):
-            raise ParseError(
-                f"config field 'initial_vectors' must hold {s} vectors of length {s}, "
-                f"got shape {vectors.shape}"
-            )
+def _build_fss(seq, params):
+    vectors = np.eye(seq.dimension)
+    if params.get("initial_vectors") is not None:
         try:
-            condition_number(vectors)
-        except SingularMatrixError as exc:
-            raise ParseError(
-                f"config field 'initial_vectors' must hold linearly independent vectors: {exc}"
-            ) from exc
-    return FSSRecord.from_initial_vectors(seq, vectors, horizon)
-
-
-def _resolved_params(config, args, **extra):
-    params = dict(config)
-    params.update(
-        {
-            "horizon": args.horizon if args.horizon else config.get("horizon"),
-            "seed": args.seed if args.seed is not None else config.get("seed", 0),
-            "format": args.format,
-            "out_dir": str(args.out_dir),
-        }
-    )
-    params.update(extra)
-    return params
+            vectors = _initial_basis(seq, _numbers(params, "initial_vectors"))
+        except InvalidInputError as exc:
+            raise ParseError(f"config field 'initial_vectors': {exc}") from exc
+    return FSSRecord.from_initial_vectors(seq, vectors, params["horizon"])
 
 
 def _report(args, name, payload, csv_rows=None, csv_header=None, csv_format=None):
@@ -191,30 +178,26 @@ def _report(args, name, payload, csv_rows=None, csv_header=None, csv_format=None
     return payload
 
 
-def _horizon(config, args, default=10_000):
-    return _integer("horizon", args.horizon or config.get("horizon", default), 2)
-
-
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_spectrum(args):
-    config, seq, horizon = _load(args)
-    checkpoint_every = config.get("checkpoint_every")
+    seq, params = _load(args)
+    checkpoint_every = params.get("checkpoint_every")
     if checkpoint_every is not None:
         checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
     estimate = spectrum_estimate(
         seq,
-        horizon,
+        params["horizon"],
         checkpoint_every=checkpoint_every,
-        tail_fraction=_in_range(config, "tail_fraction", 1.0, default=0.5),
+        tail_fraction=_in_range(params, "tail_fraction", 1.0, default=0.5),
     )
     rows = [
         (value, count, sum(len(r) for r in estimate.realizing_indices))
         for value, count in estimate.multiplicities
     ]
     payload = {
-        "params": _resolved_params(config, args, horizon=horizon),
+        "params": params,
         "exponents": estimate.exponents.tolist(),
         "multiplicities": estimate.multiplicities,
         "horizon": estimate.horizon,
@@ -225,10 +208,10 @@ def cmd_spectrum(args):
 
 
 def cmd_splitness(args):
-    config, seq, horizon = _load(args)
-    sigma = _integer("sigma", config.get("sigma", 1), 1)
-    gamma_grid = _in_range(config, "gamma_grid", math.pi / 2, ndim=1, default=GAMMA_GRID)
-    fss = _build_fss(seq, config, horizon)
+    seq, params = _load(args)
+    sigma = _integer("sigma", params.get("sigma", 1), 1)
+    gamma_grid = _in_range(params, "gamma_grid", math.pi / 2, ndim=1, default=GAMMA_GRID)
+    fss = _build_fss(seq, params)
     report = splitness_report(fss, gamma_grid, sigma)
 
     angles = fss.angle_profile()
@@ -251,7 +234,7 @@ def cmd_splitness(args):
         + [f"g_{i + 1}" for i in range(s)]
     )
     payload = {
-        "params": _resolved_params(config, args, horizon=horizon, sigma=sigma),
+        "params": {**params, "sigma": sigma},
         "splitted": report.splitted,
         "verdicts": [
             {
@@ -275,13 +258,13 @@ def cmd_splitness(args):
 
 
 def cmd_perturb(args):
-    config, seq, horizon = _load(args)
-    shifts = _vector(config, "shifts", seq.dimension)
-    fss = _build_fss(seq, config, horizon)
+    seq, params = _load(args)
+    shifts = _vector(params, "shifts", seq.dimension)
+    fss = _build_fss(seq, params)
     plan = build_plan(fss, shifts)
     outcome = execute_plan(seq, fss, plan)
     payload = {
-        "params": _resolved_params(config, args, horizon=horizon),
+        "params": params,
         "constants": {
             "gamma": plan.constants.gamma,
             "rho": plan.constants.rho,
@@ -307,12 +290,12 @@ def cmd_perturb(args):
 
 
 def cmd_assign(args):
-    config, seq, horizon = _load(args)
-    target = _vector(config, "target_spectrum", seq.dimension)
-    epsilon = _in_range(config, "epsilon", math.inf)
-    fss = _build_fss(seq, config, horizon)
+    seq, params = _load(args)
+    target = _vector(params, "target_spectrum", seq.dimension)
+    epsilon = _in_range(params, "epsilon", math.inf)
+    fss = _build_fss(seq, params)
     result = openness_experiment(seq, fss, target, epsilon)
-    payload = {"params": _resolved_params(config, args, horizon=horizon), **result}
+    payload = {"params": params, **result}
     _report(args, "assign", payload)
     print(
         f"assigned spectrum {result['achieved_exponents']} "
@@ -322,17 +305,11 @@ def cmd_assign(args):
 
 
 def cmd_instability(args):
-    config, seq, horizon = _load(args)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    epsilon_grid = _in_range(config, "epsilon_grid", math.inf, ndim=1)
-    fss = _build_fss(seq, config, horizon)
-    result = instability_experiment(
-        seq,
-        fss,
-        epsilon_grid,
-        trials=config.get("trials", 16),
-        seed=seed,
-    )
+    seq, params = _load(args)
+    trials = _integer("trials", params.get("trials", 16), 1)
+    epsilon_grid = _in_range(params, "epsilon_grid", math.inf, ndim=1)
+    fss = _build_fss(seq, params)
+    result = instability_experiment(seq, fss, epsilon_grid, trials=trials, seed=params["seed"])
     rows = [
         (
             row["epsilon"],
@@ -342,7 +319,7 @@ def cmd_instability(args):
         )
         for row in result["rows"]
     ]
-    payload = {"params": _resolved_params(config, args, horizon=horizon), **result}
+    payload = {"params": params, **result}
     _report(args, "instability", payload, rows,
             ("epsilon", "r_norm_sup", "distance_to_base", "status"))
     for row in result["rows"]:
@@ -354,24 +331,10 @@ def cmd_instability(args):
     return EXIT_OK
 
 
-def _sin_log_extrema(max_n):
-    ns = np.arange(1, int(max_n) + 1, dtype=float)
-    values = np.sin(np.log(ns))
-    i_max = int(np.argmax(values))
-    i_min = int(np.argmin(values))
-    return {
-        "max_n": int(max_n),
-        "max_value": float(values[i_max]),
-        "argmax": i_max + 1,
-        "min_value": float(values[i_min]),
-        "argmin": i_min + 1,
-    }
-
-
 def cmd_sinln(args):
     if args.max_n < 10:
         raise InvalidInputError("--max-n must be at least 10")
-    result = _sin_log_extrema(args.max_n)
+    result = sin_log_extrema(args.max_n)
     payload = {"params": {"max_n": args.max_n}, **result}
     rows = [
         ("max", result["max_value"], result["argmax"]),
@@ -390,10 +353,8 @@ def cmd_selftest(args):
 
     checks = []
 
-    extrema = _sin_log_extrema(10_000)
+    extrema = sin_log_extrema(10_000)
     checks.append(("sin-ln scan max", extrema["max_value"] >= 1 - 1e-7))
-
-    from .presets import geometric_diag
 
     # a rotated Q diag(1,2) Q^T turns the basis, which diag(1,2) leaves fixed
     rotation = np.linalg.qr([[2.0, 1.0], [-1.0, 1.0]])[0]

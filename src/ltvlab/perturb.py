@@ -31,19 +31,12 @@ from .linalg import project_out, spectral_norm
 from .spectrum import (
     REALIZE_TOL,
     TAIL_FRACTION,
-    ExponentProfile,
+    exponent_profile,
     incompressibility_test,
-    limsup_estimate,
     spectrum_estimate,
     tail_window,
 )
-from .splitness import (
-    GAMMA_GRID,
-    RHO_THRESHOLD,
-    broken_away_scan,
-    gamma_statistics,
-    splitness_report,
-)
+from .splitness import GAMMA_GRID, RHO_THRESHOLD, broken_away_scan, gamma_statistics
 from .system import CoefficientSequence, _propagation_blocks
 
 MU_VALUE_TOL = 1e-9
@@ -106,7 +99,7 @@ def _boosted_tail_max(fss, i, gamma, sigma, tail_fraction):
     evaluated here, once; each call then only forms f_i + mu * g_i on the
     window and takes its maximum, the same arithmetic as the tail-max.
     """
-    profile = fss.profile(i, sigma)
+    profile = exponent_profile(fss.trajectories[i], sigma)
     window = tail_window(profile.ks, tail_fraction)
     values = profile.values[window]
     densities = gamma_statistics(fss, i, gamma, sigma).densities[window]
@@ -322,10 +315,7 @@ def perturbation_at(plan, fss, n):
 def plan_r_sequence(plan, fss):
     """The synthesized perturbation as a coefficient-style sequence."""
     return CoefficientSequence(
-        fss.dimension,
-        "dense-formula",
-        lambda start, stop: perturbation_at(plan, fss, np.arange(start, stop)),
-        "synthesized multiplicative perturbation",
+        fss.dimension, lambda start, stop: perturbation_at(plan, fss, np.arange(start, stop))
     )
 
 
@@ -369,9 +359,7 @@ def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
         r_norm_sup = max(r_norm_sup, float(spectral_norm(r_mats - eye).max()))
         return seq.matrices(start, stop) @ r_mats
 
-    perturbed = CoefficientSequence(
-        s, "product-with-perturbation", perturbed_block, f"({seq.description}) * R(n)"
-    )
+    perturbed = CoefficientSequence(s, perturbed_block)
     initial = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
     try:
         sim_logs = np.concatenate(
@@ -388,11 +376,7 @@ def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
     )
 
     ks = np.arange(1, horizon + 1)
-    perturbed_exponents = np.empty(s)
-    for i in range(s):
-        profile = ExponentProfile(1, ks, sim_logs[:, i] / ks)
-        lam, _ = limsup_estimate(profile, tail_fraction, REALIZE_TOL)
-        perturbed_exponents[i] = lam
+    perturbed_exponents = (sim_logs / ks[:, None])[tail_window(ks, tail_fraction)].max(axis=0)
 
     base_exponents = np.array([v.lambda_hat for v in plan.calibration.verdicts])
     return PerturbationOutcome(
@@ -432,16 +416,13 @@ def instability_experiment(
     alpha-neighborhood of the unperturbed spectrum estimate while
     ||R - I|| stays below epsilon.
     """
-    report = splitness_report(fss, gamma_grid, 1, tail_fraction)
-    if report.splitted is not True:
-        raise PreconditionError("instability experiment needs a splitted FSS")
+    calibration = calibrate(fss, r, delta1, gamma_grid, tail_fraction)
     verdict = incompressibility_test(fss, trials=trials, seed=seed, tail_fraction=tail_fraction)
     if verdict.is_normal:
         raise PreconditionError(
             "instability experiment needs a non-normal FSS; no violation found"
         )
 
-    calibration = calibrate(fss, r, delta1, gamma_grid, tail_fraction)
     delta = calibration.constants.delta
     s = fss.dimension
     base_spectrum = spectrum_estimate(seq, fss.horizon, tail_fraction=tail_fraction)

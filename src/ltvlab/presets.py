@@ -37,3 +37,19 @@ def geometric_diag(values):
 def standard_basis_fss(seq, horizon):
     """FSS started from the standard basis vectors."""
     return FSSRecord.from_initial_vectors(seq, list(np.eye(seq.dimension)), horizon)
+
+
+def sin_log_extrema(max_n):
+    """Largest and smallest sin(ln n) over n = 1, ..., max_n and where
+    they occur."""
+    ns = np.arange(1, int(max_n) + 1, dtype=float)
+    values = np.sin(np.log(ns))
+    i_max = int(np.argmax(values))
+    i_min = int(np.argmin(values))
+    return {
+        "max_n": int(max_n),
+        "max_value": float(values[i_max]),
+        "argmax": i_max + 1,
+        "min_value": float(values[i_min]),
+        "argmin": i_min + 1,
+    }

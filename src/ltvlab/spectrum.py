@@ -128,15 +128,11 @@ def spectrum_estimate(
         checkpoint_every = max(1, horizon // 1000)
     if checkpoint_every < 1:
         raise InvalidInputError("checkpoint_every must be a positive integer")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise InvalidInputError("tail_fraction must be in (0, 1]")
+    window_start = _tail_start(horizon, tail_fraction)
 
     cp_ns, cp_logs = _checkpoint_logs(seq, horizon, checkpoint_every)
     cp_vals = cp_logs / cp_ns[:, None]  # (num checkpoints, s)
-    start = max(2, int(math.ceil(horizon * (1.0 - tail_fraction))))
-    mask = cp_ns >= start
-    if not mask.any():
-        mask = cp_ns >= cp_ns[-1]
+    mask = cp_ns >= window_start  # the horizon is always a checkpoint
     window_ns = cp_ns[mask]
     window = cp_vals[mask]
 

@@ -13,15 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, SingularMatrixError
+from .errors import InvalidInputError
 from .linalg import SINGULAR_RTOL, angle_to_subspace, cosine_to_subspace
-from .spectrum import (
-    REALIZE_TOL,
-    TAIL_FRACTION,
-    ExponentProfile,
-    limsup_estimate,
-)
-from .system import CoefficientSequence, propagate
+from .spectrum import REALIZE_TOL, TAIL_FRACTION, exponent_profile, limsup_estimate
+from .system import CoefficientSequence, TrajectoryLog, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
 RHO_THRESHOLD = 0.05
@@ -33,16 +28,13 @@ class FSSRecord:
     def __init__(self, seq, trajectories, initial_vectors):
         self.seq = seq
         self.trajectories = list(trajectories)
-        self.initial_vectors = np.asarray(initial_vectors, dtype=float)
+        self.initial_vectors = _initial_basis(seq, initial_vectors)
         s = len(self.trajectories)
         if s != seq.dimension:
             raise InvalidInputError(
                 f"an FSS of a {seq.dimension}-dimensional system needs "
                 f"{seq.dimension} solutions, got {s}"
             )
-        sv = np.linalg.svd(self.initial_vectors, compute_uv=False)
-        if sv[-1] <= SINGULAR_RTOL * sv[0]:
-            raise InvalidInputError("initial vectors are not linearly independent")
         base = self.trajectories[0].indices
         for traj in self.trajectories[1:]:
             if not np.array_equal(traj.indices, base):
@@ -52,7 +44,9 @@ class FSSRecord:
 
     @classmethod
     def from_initial_vectors(cls, seq, vectors, horizon, store_every=1):
-        vectors = np.array(vectors, dtype=float)
+        """The FSS propagated from ``vectors``, one initial vector per row;
+        they are checked before the propagation."""
+        vectors = _initial_basis(seq, vectors)
         return cls(seq, propagate(seq, vectors.T, horizon, store_every), vectors)
 
     @property
@@ -132,15 +126,21 @@ class FSSRecord:
         self._cosines = np.clip(cosines, 0.0, 1.0)
         return self._cosines
 
-    def profile(self, i, sigma=1):
-        """Exponent profile f_i(k; sigma) for solution i."""
-        traj = self.trajectories[i]
-        kmax = traj.horizon // sigma
-        ns = sigma * np.arange(1, kmax + 1)
-        pos = np.searchsorted(traj.indices, ns)
-        if not np.array_equal(traj.indices[pos], ns):
-            raise InvalidInputError("FSS is not stored at every multiple of sigma")
-        return ExponentProfile(sigma, np.arange(1, kmax + 1), traj.log_norms[pos] / ns)
+
+def _initial_basis(seq, vectors):
+    """``vectors`` as an (s, s) float array of s finite, linearly
+    independent rows; InvalidInputError otherwise."""
+    vectors = np.array(vectors, dtype=float)
+    s = seq.dimension
+    if vectors.shape != (s, s) or not np.isfinite(vectors).all():
+        raise InvalidInputError(
+            f"an FSS of a {s}-dimensional system needs {s} finite initial vectors "
+            f"of length {s}, got shape {vectors.shape}"
+        )
+    sv = np.linalg.svd(vectors, compute_uv=False)
+    if sv[-1] <= SINGULAR_RTOL * sv[0]:
+        raise InvalidInputError("initial vectors are not linearly independent")
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def broken_away_scan(
     with the largest rho_hat, preferring larger gamma on ties.
     """
     sigma = int(sigma)
-    profile = fss.profile(i, sigma)
+    profile = exponent_profile(fss.trajectories[i], sigma)
     lam, realizing = limsup_estimate(profile, tail_fraction, realize_tol)
     if len(realizing) == 0:
         return BrokenAwayVerdict(
@@ -261,71 +261,29 @@ def splitness_report(
     return SplitnessReport(verdicts, splitted, sigma, fss.horizon)
 
 
-class LyapunovTransformation:
-    """A bounded invertible coordinate change y = L(n) x."""
-
-    def __init__(self, matrix_fn, dimension, description="L(n)"):
-        self._matrix_fn = matrix_fn
-        self.dimension = int(dimension)
-        self.description = description
-
-    @classmethod
-    def constant(cls, matrix):
-        m = np.array(matrix, dtype=float)
-        return cls(lambda n: m, m.shape[0], "constant L")
-
-    def matrix_at(self, n):
-        m = np.asarray(self._matrix_fn(int(n)), dtype=float)
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= SINGULAR_RTOL * max(sv[0], 1.0):
-            raise SingularMatrixError(
-                f"L({n}) is singular to tolerance", smallest_singular_value=float(sv[-1])
-            )
-        return m
-
-    def bounds(self, horizon):
-        """(sup ||L(n)||, sup ||L(n)^-1||) over n <= horizon."""
-        sup_l, sup_linv = 0.0, 0.0
-        for n in range(1, int(horizon) + 1):
-            sv = np.linalg.svd(self.matrix_at(n), compute_uv=False)
-            sup_l = max(sup_l, float(sv[0]))
-            sup_linv = max(sup_linv, float(1.0 / sv[-1]))
-        return sup_l, sup_linv
-
-
 def apply_lyapunov_transformation(seq, fss, transform):
-    """Transformed system B(n) = L(n+1) A(n) L(n)^-1 and FSS y_i = L(n) x_i.
+    """Transformed system B(n) = L(n+1) A(n) L(n)^-1 and FSS y_i = L(n) x_i
+    under the coordinate change L(n), a CoefficientSequence.
 
-    Returns (transformed sequence, transformed FSSRecord).
+    L must be a Lyapunov sequence up to the step after the horizon; a
+    singular L(n) raises NotLyapunovSequenceError naming n.  Returns
+    (transformed sequence, transformed FSSRecord).
     """
     if transform.dimension != seq.dimension:
         raise InvalidInputError("transformation dimension mismatch")
+    transform.lyapunov_bound(fss.horizon + 1)
 
-    def matrix_fn(n):
-        ln1 = transform.matrix_at(n + 1)
-        ln = transform.matrix_at(n)
-        return ln1 @ seq.matrix_at(n) @ np.linalg.inv(ln)
+    def block_fn(start, stop):
+        ls = transform.matrices(start, stop + 1)
+        return ls[1:] @ seq.matrices(start, stop) @ np.linalg.inv(ls[:-1])
 
-    new_seq = CoefficientSequence.from_function(
-        seq.dimension, matrix_fn, "dense-formula", f"L-conjugated ({seq.description})"
-    )
-
-    from .system import TrajectoryLog  # local import to avoid cycle at module load
-
-    new_trajs = []
-    for traj in fss.trajectories:
-        dirs = np.empty_like(traj.directions)
-        logn = np.empty_like(traj.log_norms)
-        for k, n in enumerate(traj.indices):
-            y = transform.matrix_at(int(n)) @ traj.directions[k]
-            ny = np.linalg.norm(y)
-            if ny == 0.0:
-                raise PreconditionError(f"transformation collapsed a direction at n={n}")
-            dirs[k] = y / ny
-            logn[k] = traj.log_norms[k] + math.log(ny)
-        new_trajs.append(TrajectoryLog(traj.indices.copy(), dirs, logn))
-
-    new_initials = np.array(
-        [transform.matrix_at(1) @ v for v in fss.initial_vectors]
-    )
-    return new_seq, FSSRecord(new_seq, new_trajs, new_initials)
+    new_seq = CoefficientSequence(seq.dimension, block_fn)
+    ls = transform.matrices(1, fss.horizon + 1)
+    ys = ls[fss.indices - 1] @ fss.direction_stack()  # (steps, s, members)
+    norms = np.linalg.norm(ys, axis=1)
+    new_trajs = [
+        TrajectoryLog(fss.indices.copy(), ys[:, :, i] / norms[:, i, None],
+                      traj.log_norms + np.log(norms[:, i]))
+        for i, traj in enumerate(fss.trajectories)
+    ]
+    return new_seq, FSSRecord(new_seq, new_trajs, fss.initial_vectors @ ls[0].T)

@@ -36,18 +36,13 @@ _LOG_NORMAL_MIN = math.log(_NORMAL_MIN)
 class CoefficientSequence:
     """Generator of the coefficient matrices A(n), n >= 1.
 
-    Immutable after construction.  ``kind`` is one of 'constant',
-    'diagonal-formula', 'dense-formula', 'file-backed',
-    'product-with-perturbation', or 'compound'.  ``block_fn(start, stop)``
-    returns the matrices for n = start, ..., stop - 1 stacked as
-    (stop - start, s, s).
+    Immutable after construction.  ``block_fn(start, stop)`` returns the
+    matrices for n = start, ..., stop - 1 stacked as (stop - start, s, s).
     """
 
-    def __init__(self, dimension, kind, block_fn, description=""):
+    def __init__(self, dimension, block_fn):
         self.dimension = int(dimension)
-        self.kind = kind
         self._block_fn = block_fn
-        self.description = description
         self._bound = None
         self._bound_horizon = 0
 
@@ -61,12 +56,7 @@ class CoefficientSequence:
         if not np.all(np.isfinite(m)):
             raise InvalidInputError("constant coefficient has non-finite entries")
         m.setflags(write=False)
-        return cls(
-            m.shape[0],
-            "constant",
-            lambda start, stop: np.broadcast_to(m, (stop - start, *m.shape)),
-            f"constant {m.shape[0]}x{m.shape[0]}",
-        )
+        return cls(m.shape[0], lambda start, stop: np.broadcast_to(m, (stop - start, *m.shape)))
 
     @classmethod
     def identity(cls, dimension):
@@ -86,7 +76,7 @@ class CoefficientSequence:
                 out[:, i, i] = e(ns)
             return out
 
-        return cls(s, "diagonal-formula", block_fn, "diagonal formulas")
+        return cls(s, block_fn)
 
     @classmethod
     def dense_formulas(cls, rows):
@@ -105,7 +95,7 @@ class CoefficientSequence:
                     out[:, i, j] = e(ns)
             return out
 
-        return cls(s, "dense-formula", block_fn, "dense formulas")
+        return cls(s, block_fn)
 
     @classmethod
     def from_matrices(cls, matrices):
@@ -134,7 +124,7 @@ class CoefficientSequence:
                 raise IndexError(f"matrix sequence exhausted at n={n} (count={count})")
             return data[start - 1 : stop - 1]
 
-        seq = cls(s, "file-backed", block_fn, f"file-backed ({count} records)")
+        seq = cls(s, block_fn)
         seq.count = count
         return seq
 
@@ -147,13 +137,11 @@ class CoefficientSequence:
             )
         return cls(
             seq.dimension,
-            "product-with-perturbation",
             lambda start, stop: seq.matrices(start, stop) @ rseq.matrices(start, stop),
-            f"({seq.description}) * perturbation",
         )
 
     @classmethod
-    def from_function(cls, dimension, fn, kind="dense-formula", description="callable"):
+    def from_function(cls, dimension, fn):
         """Sequence from a callable ``fn(n)`` giving one matrix per step."""
         s = int(dimension)
 
@@ -175,7 +163,7 @@ class CoefficientSequence:
                 out[k] = m
             return out
 
-        return cls(s, kind, block_fn, description)
+        return cls(s, block_fn)
 
     # --- access -------------------------------------------------------
 
@@ -246,9 +234,7 @@ class CoefficientSequence:
             with np.errstate(over="ignore"):  # the finite check reports it
                 return sign * np.exp(logdet)
 
-        return CoefficientSequence(
-            len(subsets), "compound", block_fn, f"compound {j} of ({self.description})"
-        )
+        return CoefficientSequence(len(subsets), block_fn)
 
     def split_scale(self):
         """Split A(n) = 2**e(n) U(n) exactly, with max |U(n)| in [1, 2) (a
@@ -269,9 +255,7 @@ class CoefficientSequence:
             _raise_on_underflow(unit != 0.0, np.abs(unit) < _NORMAL_MIN, start, "an entry of")
             return unit
 
-        unit = CoefficientSequence(
-            self.dimension, self.kind, unit_fn, f"unit part of ({self.description})"
-        )
+        unit = CoefficientSequence(self.dimension, unit_fn)
         return unit, lambda start, stop: exponents_of(self.matrices(start, stop))
 
     def lyapunov_bound(self, horizon):
@@ -697,20 +681,26 @@ def transition(seq, n, m):
 
     X_A(n, m) = A(n-1) ... A(m) for n > m (descending index order),
     the identity for n = m, and the inverse of X_A(m, n) for n < m.
+
+    The product is taken a block of BLOCK_STEPS matrices at a time by
+    running products scaled by powers of two; a product that cancels to
+    zero or below the double range raises PropagationError.
     """
     n, m = int(n), int(m)
     if n < 1 or m < 1:
         raise InvalidInputError("indices must be >= 1")
-    if n == m:
-        return ScaledMatrix(np.eye(seq.dimension), 0.0)
-    if n > m:
-        unit = np.eye(seq.dimension)
-        log_scale = 0.0
-        for a in seq.matrices(m, n):
-            unit = a @ unit
-            unit, extra = _scaled(unit)
-            log_scale += extra
-        return ScaledMatrix(unit, log_scale)
+    if n >= m:
+        prod, exp2 = np.eye(seq.dimension), 0
+        for start in range(m, n, BLOCK_STEPS):
+            mats = seq.matrices(start, min(start + BLOCK_STEPS, n))
+            prods, exps, lost = _running_products(np.concatenate([prod[None], mats]))
+            if lost[-1]:
+                raise PropagationError(
+                    f"transition X({start + int(np.argmax(lost))}, {m}) is zero or underflows"
+                )
+            prod, exp2 = prods[-1], exp2 + int(exps[-1])
+        unit, extra = _scaled(prod)
+        return ScaledMatrix(unit, extra + exp2 * _LN2)
     fwd = transition(seq, m, n)
     sv = np.linalg.svd(fwd.unit, compute_uv=False)
     if sv[-1] <= SINGULAR_RTOL * sv[0]:
@@ -738,7 +728,7 @@ def additive_to_multiplicative(seq, q_seq, check_horizon=0):
     def block_fn(start, stop):
         return np.eye(s) + np.linalg.solve(seq.matrices(start, stop), q_seq.matrices(start, stop))
 
-    r_seq = CoefficientSequence(s, "dense-formula", block_fn, "I + A^-1 Q")
+    r_seq = CoefficientSequence(s, block_fn)
     _check_nonsingular(
         lambda start, stop: seq.matrices(start, stop) + q_seq.matrices(start, stop),
         check_horizon,
@@ -756,7 +746,7 @@ def multiplicative_to_additive(seq, r_seq, check_horizon=0):
         a = seq.matrices(start, stop)
         return a @ r_seq.matrices(start, stop) - a
 
-    q_seq = CoefficientSequence(seq.dimension, "dense-formula", block_fn, "A R - A")
+    q_seq = CoefficientSequence(seq.dimension, block_fn)
     _check_nonsingular(r_seq.matrices, check_horizon, "R({n})")
     return q_seq
 

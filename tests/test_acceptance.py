@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import ltvlab as lt
-from ltvlab.cli import _sin_log_extrema
 from ltvlab.presets import (
     geometric_diag,
+    sin_log_extrema,
     sin_log_system,
     sin_log_witness_fss,
     standard_basis_fss,
@@ -85,7 +85,7 @@ def test_criterion_3_sin_log_density_at_realizing_index(sin_log_fss):
     assert n1 == 2576
     stats = lt.gamma_statistics(sin_log_fss, 0, gamma, sigma=1)
     g1 = float(stats.densities[n1 - 1])
-    f1 = float(sin_log_fss.profile(0, 1).values[n1 - 1])
+    f1 = float(lt.exponent_profile(sin_log_fss.trajectories[0], 1).values[n1 - 1])
     asymptotic = (1 - math.e**-math.pi) / math.e ** (math.pi / 2)
     print(f"asymptotic density lower bound: {asymptotic:.4f}")
     report(
@@ -259,8 +259,8 @@ def test_criterion_8_sampling_invariance(diag12_fss, sin_log_fss):
 
 def test_criterion_9_sin_log_extrema_scan():
     start = time.perf_counter()
-    small = _sin_log_extrema(10_000)
-    large = _sin_log_extrema(100_000)
+    small = sin_log_extrema(10_000)
+    large = sin_log_extrema(100_000)
     elapsed = time.perf_counter() - start
     report(
         9,

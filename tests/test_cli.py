@@ -332,6 +332,11 @@ def test_formula_without_a_finite_real_value_exit_code(tmp_path, capsys, command
         ("perturb", {"horizon": 2.5, "shifts": [0.01, -0.01]}, "horizon"),
         ("spectrum", {"checkpoint_every": 0}, "checkpoint_every"),
         ("splitness", {"sigma": 0}, "sigma"),
+        ("instability", {"trials": "abc", "epsilon_grid": [0.1]}, "trials"),
+        ("instability", {"trials": 2.5, "epsilon_grid": [0.1]}, "trials"),
+        ("instability", {"trials": 0, "epsilon_grid": [0.1]}, "trials"),
+        ("instability", {"seed": -1, "epsilon_grid": [0.1]}, "seed"),
+        ("spectrum", {"seed": "abc"}, "seed"),
     ],
 )
 def test_bad_integer_config_field_exit_code(tmp_path, capsys, command, fields, name):
@@ -339,6 +344,15 @@ def test_bad_integer_config_field_exit_code(tmp_path, capsys, command, fields, n
     code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--horizon", "0")])
+def test_bad_integer_option_exit_code(tmp_path, capsys, option, value):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"system": "diag(1,2)", "horizon": 200, "epsilon_grid": [0.1]})
+    code = main(["instability", "--config", cfg, option, value, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert repr(option[2:]) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -465,6 +479,8 @@ BAD_VALUES = {  # field -> (commands that read it, values it must refuse)
                                 min_size=rc[0], max_size=rc[0])),
         st.just([[1.0, 1.0], [2.0, 2.0]]),  # linearly dependent
     )),
+    "seed": (list(VALID_CONFIGS), st.one_of(_NOT_AN_INTEGER, st.integers(max_value=-1))),
+    "trials": (["instability"], st.one_of(_NOT_AN_INTEGER, st.integers(max_value=0))),
     TOP_LEVEL: (list(VALID_CONFIGS), st.one_of(
         st.lists(st.integers(), max_size=3), st.integers(), st.text(max_size=3), st.none(),
     )),

@@ -15,6 +15,7 @@ from ltvlab import (
     build_plan,
     calibrate,
     execute_plan,
+    exponent_profile,
     instability_experiment,
     lambda_mu,
     openness_experiment,
@@ -308,7 +309,7 @@ def per_call_densities(fss, i, gamma, sigma):
 
 def per_call_lambda_mu(fss, i, mu, gamma, sigma, tail_fraction):
     """Tail-max of f_i + mu g_i, with the profile and densities evaluated on every call."""
-    profile = fss.profile(i, sigma)
+    profile = exponent_profile(fss.trajectories[i], sigma)
     boosted = profile.values + mu * per_call_densities(fss, i, gamma, sigma)
     start = max(1, math.ceil(profile.ks[-1] * (1.0 - tail_fraction)))
     return float(boosted[profile.ks >= start].max())
@@ -336,7 +337,7 @@ def per_call_solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
 
 def per_call_scan(fss, i, gamma_grid, sigma, tail_fraction):
     """(gamma, rho_hat, status) of broken_away_scan, densities recomputed per gamma."""
-    profile = fss.profile(i, sigma)
+    profile = exponent_profile(fss.trajectories[i], sigma)
     start = max(1, math.ceil(profile.ks[-1] * (1.0 - tail_fraction)))
     window = profile.ks >= start
     lam = profile.values[window].max()

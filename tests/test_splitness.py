@@ -8,7 +8,7 @@ from ltvlab import (
     CoefficientSequence,
     FSSRecord,
     InvalidInputError,
-    LyapunovTransformation,
+    NotLyapunovSequenceError,
     TrajectoryLog,
     angle_to_subspace,
     apply_lyapunov_transformation,
@@ -122,7 +122,7 @@ def test_lyapunov_transformation_preserves_verdicts():
     rot = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
-    transform = LyapunovTransformation.constant(rot)
+    transform = CoefficientSequence.constant(rot)
     new_seq, new_fss = apply_lyapunov_transformation(fss.seq, fss, transform)
     before = broken_away_scan(fss, 0)
     after = broken_away_scan(new_fss, 0)
@@ -135,10 +135,60 @@ def test_lyapunov_transformation_preserves_verdicts():
 
 
 def test_lyapunov_transformation_bounds():
-    transform = LyapunovTransformation.constant(np.diag([2.0, 0.5]))
-    sup_l, sup_linv = transform.bounds(10)
-    assert sup_l == pytest.approx(2.0)
-    assert sup_linv == pytest.approx(2.0)
+    # the bound is max(sup ||L(n)||, sup ||L(n)^-1||): each side can set it
+    for diag, bound in (([2.0, 0.5], 2.0), ([3.0, 0.5], 3.0), ([2.0, 0.25], 4.0)):
+        assert CoefficientSequence.constant(np.diag(diag)).lyapunov_bound(10) == pytest.approx(bound)
+
+
+def rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def test_lyapunov_transformation_matches_the_per_step_map():
+    # L(n) is the rotation by sin n; the FSS stores every 7th step, and the
+    # horizon crosses a block boundary of the transformed system
+    rng = np.random.default_rng(4)
+    horizon = 300
+    seq = CoefficientSequence.from_matrices(np.eye(2) + 0.3 * rng.normal(size=(horizon, 2, 2)))
+    fss = FSSRecord.from_initial_vectors(seq, [[1.0, 1.0], [0.0, 1.0]], horizon, store_every=7)
+    transform = CoefficientSequence.from_function(2, lambda n: rotation(math.sin(n)))
+    new_seq, new_fss = apply_lyapunov_transformation(seq, fss, transform)
+    l_at = transform.matrix_at
+    for n in (1, 2, 256, 257, 299):
+        expected = l_at(n + 1) @ seq.matrix_at(n) @ np.linalg.inv(l_at(n))
+        assert np.allclose(new_seq.matrix_at(n), expected, rtol=1e-12, atol=1e-14)
+    for traj, new in zip(fss.trajectories, new_fss.trajectories):
+        assert np.array_equal(new.indices, traj.indices)
+        for k, n in enumerate(traj.indices):
+            y = l_at(n) @ traj.directions[k]
+            assert np.allclose(new.directions[k], y / np.linalg.norm(y), rtol=0, atol=1e-14)
+            assert new.log_norms[k] == pytest.approx(
+                traj.log_norms[k] + math.log(np.linalg.norm(y)), rel=1e-14, abs=1e-14
+            )
+    assert np.allclose(new_fss.initial_vectors, [l_at(1) @ v for v in fss.initial_vectors])
+
+
+def test_singular_lyapunov_transformation_names_the_step():
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10)
+    for bad in (5, 11):  # a step of the FSS, and the step after the horizon
+        transform = CoefficientSequence.from_function(
+            2, lambda n, bad=bad: np.diag([1.0, 0.0 if n == bad else 1.0])
+        )
+        with pytest.raises(NotLyapunovSequenceError, match=f"A\\({bad}\\)") as info:
+            apply_lyapunov_transformation(fss.seq, fss, transform)
+        assert info.value.index == bad
+
+
+def test_fss_checks_initial_vectors_before_propagating(monkeypatch):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagate called on bad initial vectors")
+
+    monkeypatch.setattr("ltvlab.splitness.propagate", no_propagation)
+    seq = geometric_diag([1.0, 2.0])
+    for bad in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0]],
+                [[1.0, 0.0], [0.0, float("nan")]]):
+        with pytest.raises(InvalidInputError):
+            FSSRecord.from_initial_vectors(seq, bad, 10_000)
 
 
 def test_fss_independence_check_is_scale_free():

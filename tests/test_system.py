@@ -197,6 +197,58 @@ def test_transition_norm_bound():
         assert x.log_spectral_norm <= abs(n - m) * math.log(a) + 1e-9
 
 
+def per_step_transition(seq, n, m):
+    """X_A(n, m) for n >= m as (unit, log_scale), with one product and one
+    spectral normalization per step."""
+    unit, log_scale = np.eye(seq.dimension), 0.0
+    for a in seq.matrices(m, n):
+        unit = a @ unit
+        norm = np.linalg.norm(unit, 2)
+        unit, log_scale = unit / norm, log_scale + math.log(norm)
+    return unit, log_scale
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_blocked_transition_matches_the_per_step_product(s):
+    rng = np.random.default_rng(s)
+    dense = CoefficientSequence.from_matrices(rng.normal(size=(700, s, s)))
+    # rotations times mild stretches: X(600, 1) stays well conditioned, so it inverts
+    q = np.linalg.qr(rng.normal(size=(700, s, s)))[0]
+    mild = CoefficientSequence.from_matrices(q * np.exp(0.01 * rng.normal(size=(700, 1, s))))
+    for seq in (dense, mild):
+        for n, m in [(600, 1), (300, 200), (258, 2), (257, 1), (2, 1)]:
+            x = transition(seq, n, m)
+            unit, log_scale = per_step_transition(seq, n, m)
+            assert x.log_scale == pytest.approx(log_scale, rel=1e-12, abs=1e-12)
+            assert np.allclose(x.unit, unit, rtol=0, atol=1e-10)
+            assert np.linalg.norm(x.unit, 2) == pytest.approx(1.0, abs=1e-12)
+    inv = transition(mild, 1, 600)
+    unit, log_scale = per_step_transition(mild, 600, 1)
+    ref = np.linalg.inv(unit)
+    norm = np.linalg.norm(ref, 2)
+    assert inv.log_scale == pytest.approx(math.log(norm) - log_scale, rel=1e-12, abs=1e-12)
+    assert np.allclose(inv.unit, ref / norm, rtol=0, atol=1e-10)
+
+
+def test_blocked_transition_of_entries_near_1e160():
+    # the product passes 1e308 after two steps; its log scale does not overflow
+    seq = geometric_diag([1e160, 1.0])
+    x = transition(seq, 600, 1)
+    unit, log_scale = per_step_transition(seq, 600, 1)
+    assert x.log_scale == pytest.approx(599 * math.log(1e160), rel=1e-14)
+    assert x.log_scale == pytest.approx(log_scale, rel=1e-14)
+    assert np.allclose(x.unit, unit, rtol=0, atol=1e-14)
+    with pytest.raises(NotLyapunovSequenceError):
+        transition(seq, 1, 600)
+
+
+def test_transition_of_a_vanishing_product_names_the_step():
+    seq = CoefficientSequence.constant([[0.0, 0.0], [1.0, 0.0]])  # A(2) A(1) = 0
+    assert np.array_equal(transition(seq, 2, 1).unit, [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(PropagationError, match=r"X\(3, 1\)"):
+        transition(seq, 5, 1)
+
+
 def test_transition_composition():
     rng = np.random.default_rng(9)
     mats = [np.eye(2) + 0.2 * rng.normal(size=(2, 2)) for _ in range(10)]
