@@ -17,9 +17,7 @@ from .errors import (
 )
 from .expressions import Expression, parse_expression
 from .linalg import (
-    angle_between,
     angle_to_subspace,
-    condition_number,
     cosine_to_subspace,
     oblique_projections,
     spectral_norm,
@@ -35,7 +33,6 @@ from .perturb import (
     lambda_mu,
     openness_experiment,
     perturbation_at,
-    plan_r_sequence,
     solve_mu,
     synthesis_constants,
 )
@@ -63,7 +60,6 @@ from .system import (
     ScaledMatrix,
     TrajectoryLog,
     additive_to_multiplicative,
-    multiplicative_to_additive,
     parse_generator_spec,
     propagate,
     read_matrix_sequence,

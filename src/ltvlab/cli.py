@@ -333,7 +333,7 @@ def cmd_instability(args):
 
 def cmd_sinln(args):
     if args.max_n < 10:
-        raise InvalidInputError("--max-n must be at least 10")
+        raise ParseError(f"--max-n must be at least 10, got {args.max_n}")
     result = sin_log_extrema(args.max_n)
     payload = {"params": {"max_n": args.max_n}, **result}
     rows = [
@@ -406,11 +406,7 @@ def cmd_selftest(args):
 # --- entry point -------------------------------------------------------------
 
 
-def _add_common(parser, needs_config=True):
-    if needs_config:
-        parser.add_argument("--config", required=True, help="path to a JSON scenario config")
-    parser.add_argument("--horizon", type=int, default=None, help="override the config horizon")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+def _add_output(parser):
     parser.add_argument("--out-dir", default="out", help="report output directory")
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
@@ -432,16 +428,18 @@ def build_parser():
     }
     for name, (fn, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="path to a JSON scenario config")
+        p.add_argument("--horizon", type=int, default=None, help="override the config horizon")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        _add_output(p)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("sinln", help="extrema scan of sin(ln n)")
     p.add_argument("--max-n", type=int, required=True)
-    _add_common(p, needs_config=False)
+    _add_output(p)
     p.set_defaults(fn=cmd_sinln)
 
     p = sub.add_parser("selftest", help="quick internal consistency checks")
-    _add_common(p, needs_config=False)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

@@ -51,9 +51,6 @@ class Expression:
             value = np.full(x.shape, value)
         return value
 
-    def evaluate(self, n):
-        return self(n)
-
     def __repr__(self):
         return f"Expression({self.source!r})"
 

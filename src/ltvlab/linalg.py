@@ -1,5 +1,5 @@
-"""Dense small-matrix primitives: spectral norms, condition numbers,
-angles to subspaces, and oblique projections onto a basis of directions.
+"""Dense small-matrix primitives: spectral norms, angles to subspaces,
+and oblique projections onto a basis of directions.
 
 All functions are pure and operate on plain numpy arrays.
 """
@@ -11,15 +11,6 @@ from .errors import InvalidInputError, SingularMatrixError
 # A matrix counts as singular when its smallest singular value falls below
 # this fraction of the largest one.
 SINGULAR_RTOL = 1e-12
-
-
-def _as_matrix(m):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise InvalidInputError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("matrix has non-finite entries")
-    return m
 
 
 def _as_vector(v, name="vector"):
@@ -40,36 +31,6 @@ def spectral_norm(m):
         raise InvalidInputError("matrix has non-finite entries")
     norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(norms) if m.ndim == 2 else norms
-
-
-def condition_number(m):
-    """Spectral condition number ||m|| * ||m^-1||.
-
-    Raises SingularMatrixError when the matrix is singular to tolerance.
-    """
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise InvalidInputError("condition number requires a square matrix")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * sv[0]:
-        raise SingularMatrixError(
-            f"matrix singular to tolerance (sigma_min={sv[-1]:.3e})",
-            smallest_singular_value=float(sv[-1]),
-        )
-    return float(sv[0] / sv[-1])
-
-
-def angle_between(p, q):
-    """Angle between two nonzero vectors, in [0, pi]."""
-    p = _as_vector(p, "p")
-    q = _as_vector(q, "q")
-    np_ = np.linalg.norm(p)
-    nq = np.linalg.norm(q)
-    if np_ == 0.0 or nq == 0.0:
-        raise InvalidInputError("angle_between requires nonzero vectors")
-    # rounding can push the cosine out of [-1, 1] by ~1e-16
-    c = np.clip(np.dot(p, q) / (np_ * nq), -1.0, 1.0)
-    return float(np.arccos(c))
 
 
 def project_out(p, basis):

@@ -29,19 +29,19 @@ from .errors import (
 )
 from .linalg import project_out, spectral_norm
 from .spectrum import (
-    REALIZE_TOL,
     TAIL_FRACTION,
     exponent_profile,
     incompressibility_test,
     spectrum_estimate,
     tail_window,
 )
-from .splitness import GAMMA_GRID, RHO_THRESHOLD, broken_away_scan, gamma_statistics
+from .splitness import RHO_THRESHOLD, broken_away_scan, gamma_statistics
 from .system import CoefficientSequence, _propagation_blocks
 
 MU_VALUE_TOL = 1e-9
 MU_BRACKET_TOL = 1e-6
 MU_MAX_ITER = 80
+DISTINCT_EXPONENT_GAP = 1e-6  # estimates this close count as equal in openness_experiment
 
 
 @dataclass(frozen=True)
@@ -151,25 +151,14 @@ class Calibration:
     constants: SynthesisConstants
 
 
-def calibrate(
-    fss,
-    r=0.5,
-    delta1=None,
-    gamma_grid=GAMMA_GRID,
-    tail_fraction=TAIL_FRACTION,
-    realize_tol=REALIZE_TOL,
-    rho_threshold=RHO_THRESHOLD,
-):
+def calibrate(fss):
     """Run per-solution broken-away scans and derive the synthesis constants.
 
     Uses sigma = 1 throughout, the common gamma is the minimum over the
     per-solution certificates (enlarging every index set), and rho is the
     minimum of the measured density floors.
     """
-    verdicts = [
-        broken_away_scan(fss, i, gamma_grid, 1, tail_fraction, realize_tol, rho_threshold)
-        for i in range(fss.dimension)
-    ]
+    verdicts = [broken_away_scan(fss, i) for i in range(fss.dimension)]
     bad = [v for v in verdicts if v.status != "yes"]
     if bad:
         raise PreconditionError(
@@ -177,8 +166,8 @@ def calibrate(
             + ", ".join(f"{v.solution_index} ({v.status})" for v in bad)
         )
     gamma = min(v.gamma for v in verdicts)
-    rho_hat = max(rho_threshold, min(v.rho_hat for v in verdicts))
-    constants = synthesis_constants(gamma, rho_hat, fss.dimension, r, delta1)
+    rho_hat = max(RHO_THRESHOLD, min(v.rho_hat for v in verdicts))
+    constants = synthesis_constants(gamma, rho_hat, fss.dimension)
     return Calibration(verdicts, gamma, rho_hat, constants)
 
 
@@ -196,38 +185,24 @@ class PerturbationPlan:
     calibration: Calibration
     horizon: int
 
-    def schedule_at(self, n):
-        return self.schedule[n - 1]
-
     @property
     def norm_budget(self):
         return self.constants.beta * self.epsilon
 
 
-def build_plan(
-    fss,
-    xi_shifts,
-    r=0.5,
-    delta1=None,
-    gamma_grid=GAMMA_GRID,
-    tail_fraction=TAIL_FRACTION,
-    realize_tol=REALIZE_TOL,
-    rho_threshold=RHO_THRESHOLD,
-    calibration=None,
-):
+def build_plan(fss, xi_shifts, calibration=None):
     """Build a perturbation plan shifting exponent i by xi_shifts[i].
 
     Every |xi_i| must fit within the budget delta of the synthesis
-    constants.  Synthesis always uses sigma = 1.
+    constants, from ``calibration`` or else from ``calibrate(fss)``.
+    Synthesis always uses sigma = 1.
     """
     xi = np.asarray(xi_shifts, dtype=float)
     s = fss.dimension
     if xi.shape != (s,):
         raise InvalidInputError(f"expected {s} shifts, got shape {xi.shape}")
     if calibration is None:
-        calibration = calibrate(
-            fss, r, delta1, gamma_grid, tail_fraction, realize_tol, rho_threshold
-        )
+        calibration = calibrate(fss)
     constants = calibration.constants
     over = np.abs(xi) > constants.delta
     if over.any():
@@ -243,8 +218,7 @@ def build_plan(
     zeta = xi - eta
     mu = np.array(
         [
-            solve_mu(fss, i, float(zeta[i]), calibration.rho_hat, calibration.gamma,
-                     1, tail_fraction)
+            solve_mu(fss, i, float(zeta[i]), calibration.rho_hat, calibration.gamma)
             for i in range(s)
         ]
     )
@@ -312,13 +286,6 @@ def perturbation_at(plan, fss, n):
     return result[0] if steps.ndim == 0 else result
 
 
-def plan_r_sequence(plan, fss):
-    """The synthesized perturbation as a coefficient-style sequence."""
-    return CoefficientSequence(
-        fss.dimension, lambda start, stop: perturbation_at(plan, fss, np.arange(start, stop))
-    )
-
-
 # --- plan execution -------------------------------------------------------
 
 
@@ -336,7 +303,7 @@ class PerturbationOutcome:
     perturbed_log_norms: np.ndarray  # (horizon, s)
 
 
-def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
+def execute_plan(seq, fss, plan):
     """Simulate the perturbed system and verify the closed-form identity.
 
     Propagates x_bar(n+1) = A(n) R(n) x_bar(n) from x_bar(1) = x_i(1) for
@@ -376,7 +343,7 @@ def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
     )
 
     ks = np.arange(1, horizon + 1)
-    perturbed_exponents = (sim_logs / ks[:, None])[tail_window(ks, tail_fraction)].max(axis=0)
+    perturbed_exponents = (sim_logs / ks[:, None])[tail_window(ks, TAIL_FRACTION)].max(axis=0)
 
     base_exponents = np.array([v.lambda_hat for v in plan.calibration.verdicts])
     return PerturbationOutcome(
@@ -396,28 +363,18 @@ def execute_plan(seq, fss, plan, tail_fraction=TAIL_FRACTION):
 # --- experiments -----------------------------------------------------------
 
 
-def instability_experiment(
-    seq,
-    fss,
-    epsilon_grid,
-    alpha=None,
-    r=0.5,
-    delta1=None,
-    gamma_grid=GAMMA_GRID,
-    tail_fraction=TAIL_FRACTION,
-    trials=16,
-    seed=0,
-):
+def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
     """Drive spectrum jumps from a splitted non-normal FSS.
 
     Preconditions: the FSS is splitted and not normal.  For each epsilon,
     distinct shifts within min(epsilon/beta, delta) are applied; a SUCCESS
     row means the perturbed spectrum estimate stays outside the
     alpha-neighborhood of the unperturbed spectrum estimate while
-    ||R - I|| stays below epsilon.
+    ||R - I|| stays below epsilon, where alpha is half the largest gap
+    between the FSS exponents and that estimate.
     """
-    calibration = calibrate(fss, r, delta1, gamma_grid, tail_fraction)
-    verdict = incompressibility_test(fss, trials=trials, seed=seed, tail_fraction=tail_fraction)
+    calibration = calibrate(fss)
+    verdict = incompressibility_test(fss, trials=trials, seed=seed)
     if verdict.is_normal:
         raise PreconditionError(
             "instability experiment needs a non-normal FSS; no violation found"
@@ -425,16 +382,15 @@ def instability_experiment(
 
     delta = calibration.constants.delta
     s = fss.dimension
-    base_spectrum = spectrum_estimate(seq, fss.horizon, tail_fraction=tail_fraction)
+    base_spectrum = spectrum_estimate(seq, fss.horizon)
     fss_exponents = np.sort([v.lambda_hat for v in calibration.verdicts])
-    if alpha is None:
-        gap = float(np.max(np.abs(fss_exponents - base_spectrum.exponents)))
-        if gap <= 0.0:
-            raise PreconditionError(
-                "FSS exponents coincide with the spectrum estimate; cannot "
-                "choose disjoint neighborhoods"
-            )
-        alpha = gap / 2.0
+    gap = float(np.max(np.abs(fss_exponents - base_spectrum.exponents)))
+    if gap <= 0.0:
+        raise PreconditionError(
+            "FSS exponents coincide with the spectrum estimate; cannot "
+            "choose disjoint neighborhoods"
+        )
+    alpha = gap / 2.0
 
     beta = calibration.constants.beta
     rows = []
@@ -443,9 +399,7 @@ def instability_experiment(
         budget = min(float(eps) / beta, delta)
         clamped = float(eps) / beta > delta
         xi = np.linspace(-budget, budget, s) if s > 1 else np.array([budget])
-        plan = build_plan(fss, xi, r, delta1, gamma_grid, tail_fraction,
-                          calibration=calibration)
-        outcome = execute_plan(seq, fss, plan, tail_fraction)
+        outcome = execute_plan(seq, fss, build_plan(fss, xi, calibration))
         perturbed = np.sort(outcome.perturbed_exponents)
         distance = float(np.max(np.abs(perturbed - base_spectrum.exponents)))
         within_budget = outcome.r_norm_sup < float(eps)
@@ -463,7 +417,7 @@ def instability_experiment(
             }
         )
     return {
-        "alpha": float(alpha),
+        "alpha": alpha,
         "delta": delta,
         "beta": calibration.constants.beta,
         "base_spectrum": base_spectrum.exponents.tolist(),
@@ -473,17 +427,7 @@ def instability_experiment(
     }
 
 
-def openness_experiment(
-    seq,
-    fss,
-    target_spectrum,
-    epsilon,
-    r=0.5,
-    delta1=None,
-    gamma_grid=GAMMA_GRID,
-    tail_fraction=TAIL_FRACTION,
-    min_gap=1e-6,
-):
+def openness_experiment(seq, fss, target_spectrum, epsilon):
     """Assign a nearby target spectrum through a small perturbation.
 
     Requires a splitted FSS with pairwise distinct exponent estimates.
@@ -495,11 +439,11 @@ def openness_experiment(
     if target.shape != (s,):
         raise InvalidInputError(f"expected {s} target exponents, got {target.shape}")
 
-    calibration = calibrate(fss, r, delta1, gamma_grid, tail_fraction)
+    calibration = calibrate(fss)
     lams = np.array([v.lambda_hat for v in calibration.verdicts])
     if s > 1:
         gaps = np.abs(np.subtract.outer(lams, lams))[~np.eye(s, dtype=bool)]
-        if gaps.min() <= min_gap:
+        if gaps.min() <= DISTINCT_EXPONENT_GAP:
             raise PreconditionError(
                 "openness experiment needs pairwise distinct exponent estimates"
             )
@@ -518,9 +462,7 @@ def openness_experiment(
             f"max|xi| = {worst:.6g} >= gamma = {gamma_open:.6g}"
         )
 
-    plan = build_plan(fss, xi, r, delta1, gamma_grid, tail_fraction,
-                      calibration=calibration)
-    outcome = execute_plan(seq, fss, plan, tail_fraction)
+    outcome = execute_plan(seq, fss, build_plan(fss, xi, calibration))
     achieved = outcome.perturbed_exponents
     return {
         "gamma": gamma_open,

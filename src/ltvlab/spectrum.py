@@ -33,14 +33,6 @@ class ExponentProfile:
 
 
 @dataclass(frozen=True)
-class RealizingSequence:
-    indices: np.ndarray  # strictly increasing k's attaining the tail max
-
-    def __len__(self):
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class SpectrumEstimate:
     exponents: np.ndarray  # nondecreasing, length s
     multiplicities: list  # (value, count) pairs, values increasing
@@ -67,16 +59,16 @@ def exponent_profile(traj, sigma=1):
     return ExponentProfile(sigma, np.arange(1, kmax + 1), values)
 
 
-def limsup_estimate(profile, tail_fraction=TAIL_FRACTION, realize_tol=REALIZE_TOL):
+def limsup_estimate(profile, tail_fraction=TAIL_FRACTION):
     """Tail-max exponent estimate and the indices realizing it.
 
-    Returns (lambda_hat, RealizingSequence of k's).
+    Returns (lambda_hat, the increasing k's of the window within
+    REALIZE_TOL of it).
     """
     mask = tail_window(profile.ks, tail_fraction)
     window = profile.values[mask]
     lam = float(window.max())
-    realizing = profile.ks[mask][window >= lam - realize_tol]
-    return lam, RealizingSequence(np.asarray(realizing))
+    return lam, profile.ks[mask][window >= lam - REALIZE_TOL]
 
 
 def tail_window(ks, tail_fraction):
@@ -97,19 +89,12 @@ def _tail_start(last, tail_fraction):
     return max(1, int(math.ceil(last * (1.0 - tail_fraction))))
 
 
-def spectrum_estimate(
-    seq,
-    horizon,
-    checkpoint_every=None,
-    tail_fraction=TAIL_FRACTION,
-    realize_tol=REALIZE_TOL,
-    group_tol=GROUP_TOL,
-):
+def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FRACTION):
     """Lyapunov spectrum estimate by the discrete QR method.
 
     With X(n) = A(n-1) ... A(1) = Q(n) R(n), column j of the estimate at
     checkpoint n is ln r_jj(n) / n.  Each exponent is the tail-max over
-    checkpoints; equal exponents are grouped at resolution group_tol.
+    checkpoints; equal exponents are grouped at resolution GROUP_TOL.
 
     For s <= VOLUME_MAX_DIMENSION the column logs come from volumes:
     r_11 ... r_jj is the j-volume of the first j columns of X(n), the
@@ -138,7 +123,7 @@ def spectrum_estimate(
 
     per_column = window.max(axis=0)
     realizing = [
-        window_ns[window[:, j] >= per_column[j] - realize_tol] for j in range(s)
+        window_ns[window[:, j] >= per_column[j] - REALIZE_TOL] for j in range(s)
     ]
     order = np.argsort(per_column, kind="stable")
     exponents = per_column[order]
@@ -146,7 +131,7 @@ def spectrum_estimate(
 
     groups = []
     for lam in exponents:
-        if groups and lam - groups[-1][0] <= group_tol:
+        if groups and lam - groups[-1][0] <= GROUP_TOL:
             value, count = groups[-1]
             groups[-1] = (value, count + 1)
         else:
@@ -247,22 +232,16 @@ def _sign_patterns(s):
         yield np.array(raw, dtype=float)
 
 
-def incompressibility_test(
-    fss,
-    trials=64,
-    horizon=None,
-    seed=0,
-    tail_fraction=TAIL_FRACTION,
-    gap_tol=COMBINATION_GAP_TOL,
-):
+def incompressibility_test(fss, trials=64, seed=0):
     """Test an FSS for incompressibility (equivalently, normality).
 
     Each candidate coefficient vector c defines a combined solution, which
     is propagated directly from its combined initial vector (avoiding
-    cancellation in stored logs).  A violation is a combination whose
-    estimated exponent falls more than gap_tol below the largest exponent
-    among its supported members.  For dimension <= 3 all deterministic
-    sign patterns are checked before random unit-sphere draws.
+    cancellation in stored logs) to the FSS horizon.  A violation is a
+    combination whose estimated exponent falls more than
+    COMBINATION_GAP_TOL below the largest exponent among its supported
+    members.  For dimension <= 3 all deterministic sign patterns are
+    checked before random unit-sphere draws.
 
     All candidates are propagated in one pass, which keeps only a running
     tail-max per candidate; the witness is the first violating candidate
@@ -271,15 +250,11 @@ def incompressibility_test(
     """
     trajectories = fss.trajectories
     s = len(trajectories)
-    if horizon is None:
-        horizon = trajectories[0].horizon
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InvalidInputError("horizon must be >= 1")
+    horizon = fss.horizon
 
     member_exps = np.empty(s)
     for j, traj in enumerate(trajectories):
-        lam, _ = limsup_estimate(exponent_profile(traj, 1), tail_fraction)
+        lam, _ = limsup_estimate(exponent_profile(traj, 1))
         member_exps[j] = lam
 
     candidates = []
@@ -297,7 +272,7 @@ def incompressibility_test(
     # a numerically degenerate combination of initials is skipped
     live = [c for c in candidates if np.linalg.norm(initials @ c) != 0.0]
     if live:
-        window_start = _tail_start(horizon, tail_fraction)
+        window_start = _tail_start(horizon, TAIL_FRACTION)
         tail_max = np.full(len(live), -np.inf)
         cols = np.column_stack([initials @ c for c in live])
         for steps, _, log_norms in _propagation_blocks(fss.seq, cols, horizon):
@@ -307,7 +282,7 @@ def incompressibility_test(
                 tail_max = np.maximum(tail_max, values.max(axis=0))
         for c, lam in zip(live, tail_max):
             support_max = float(member_exps[np.abs(c) > 0.0].max())
-            if lam < support_max - gap_tol:
+            if lam < support_max - COMBINATION_GAP_TOL:
                 return IncompressibilityVerdict(
                     "NOT-NORMAL", c.copy(), float(lam), support_max, horizon, member_exps
                 )

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NotLyapunovSequenceError
 from .linalg import SINGULAR_RTOL, angle_to_subspace, cosine_to_subspace
-from .spectrum import REALIZE_TOL, TAIL_FRACTION, exponent_profile, limsup_estimate
+from .spectrum import TAIL_FRACTION, exponent_profile, limsup_estimate
 from .system import CoefficientSequence, TrajectoryLog, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
@@ -86,12 +86,7 @@ class FSSRecord:
         """phi_i(n) for every stored n, shape (steps, s); scale-free."""
         if self._angles is not None:
             return self._angles
-        s = self.dimension
-        steps = len(self.indices)
-        if s == 1:
-            self._angles = np.full((steps, 1), math.pi / 2)
-            return self._angles
-        if s == 2:
+        if self.dimension == 2:
             # angle of each direction to the other one's line, folded to
             # [0, pi/2]; arcsin of the residual is accurate near 0
             dirs = self.direction_stack()
@@ -112,12 +107,7 @@ class FSSRecord:
         """
         if self._cosines is not None:
             return self._cosines
-        s = self.dimension
-        steps = len(self.indices)
-        if s == 1:
-            self._cosines = np.zeros((steps, 1))
-            return self._cosines
-        if s == 2:
+        if self.dimension == 2:
             dirs = self.direction_stack()
             dots = np.abs(np.einsum("ki,ki->k", dirs[:, :, 0], dirs[:, :, 1]))
             cosines = np.column_stack([dots, dots])
@@ -152,21 +142,16 @@ class GammaStatistics:
     densities: np.ndarray  # g(k; sigma) = N(k)/k, in [0, 1]
 
 
-def gamma_statistics(fss, i, gamma, sigma=1, k_max=None):
+def gamma_statistics(fss, i, gamma, sigma=1):
     """Membership flags, counts and densities of the gamma angle set."""
     sigma = int(sigma)
-    flags, counts, densities = _gamma_set(_member_angles(fss, i, sigma, k_max), gamma)
+    flags, counts, densities = _gamma_set(_member_angles(fss, i, sigma), gamma)
     return GammaStatistics(float(gamma), sigma, flags, counts, densities)
 
 
-def _member_angles(fss, i, sigma, k_max=None):
-    """phi_i(k * sigma) for k = 1, ..., k_max (default: the whole horizon)."""
-    limit = fss.horizon // sigma
-    if k_max is None:
-        k_max = limit
-    if k_max > limit:
-        raise InvalidInputError(f"horizon covers only k <= {limit}, requested {k_max}")
-    ns = sigma * np.arange(1, k_max + 1)
+def _member_angles(fss, i, sigma):
+    """phi_i(k * sigma) for every k * sigma within the horizon."""
+    ns = sigma * np.arange(1, fss.horizon // sigma + 1)
     return fss.angle_profile()[np.searchsorted(fss.indices, ns), i]
 
 
@@ -194,37 +179,29 @@ class BrokenAwayVerdict:
         return self.status == "yes"
 
 
-def broken_away_scan(
-    fss,
-    i,
-    gamma_grid=GAMMA_GRID,
-    sigma=1,
-    tail_fraction=TAIL_FRACTION,
-    realize_tol=REALIZE_TOL,
-    rho_threshold=RHO_THRESHOLD,
-):
+def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1, tail_fraction=TAIL_FRACTION):
     """Scan the gamma grid for the best broken-away certificate.
 
     The density g is evaluated along the realizing indices of the
     exponent estimate; rho_hat is the minimum density over those indices
     (a conservative stand-in for the limit).  The verdict keeps the gamma
-    with the largest rho_hat, preferring larger gamma on ties.
+    with the largest rho_hat, preferring larger gamma on ties, and is
+    "yes" when that rho_hat reaches RHO_THRESHOLD.
     """
     sigma = int(sigma)
     profile = exponent_profile(fss.trajectories[i], sigma)
-    lam, realizing = limsup_estimate(profile, tail_fraction, realize_tol)
-    if len(realizing) == 0:
+    lam, ks = limsup_estimate(profile, tail_fraction)
+    if len(ks) == 0:
         return BrokenAwayVerdict(
             i, sigma, None, None, None, float(lam), "inconclusive", fss.horizon
         )
-    ks = realizing.indices
     angles = _member_angles(fss, i, sigma)
     best_gamma, best_rho = None, -1.0
     for gamma in sorted(gamma_grid, reverse=True):
         rho = float(_gamma_set(angles, gamma)[2][ks - 1].min())
         if rho > best_rho + 1e-12:
             best_gamma, best_rho = float(gamma), rho
-    status = "yes" if best_rho >= rho_threshold else "no"
+    status = "yes" if best_rho >= RHO_THRESHOLD else "no"
     return BrokenAwayVerdict(
         i, sigma, best_gamma, ks, best_rho, float(lam), status, fss.horizon
     )
@@ -238,19 +215,9 @@ class SplitnessReport:
     horizon: int
 
 
-def splitness_report(
-    fss,
-    gamma_grid=GAMMA_GRID,
-    sigma=1,
-    tail_fraction=TAIL_FRACTION,
-    realize_tol=REALIZE_TOL,
-    rho_threshold=RHO_THRESHOLD,
-):
+def splitness_report(fss, gamma_grid=GAMMA_GRID, sigma=1):
     """Per-solution broken-away verdicts plus the overall splitted flag."""
-    verdicts = [
-        broken_away_scan(fss, i, gamma_grid, sigma, tail_fraction, realize_tol, rho_threshold)
-        for i in range(fss.dimension)
-    ]
+    verdicts = [broken_away_scan(fss, i, gamma_grid, sigma) for i in range(fss.dimension)]
     statuses = {v.status for v in verdicts}
     if "no" in statuses:
         splitted = False
@@ -265,15 +232,17 @@ def apply_lyapunov_transformation(seq, fss, transform):
     """Transformed system B(n) = L(n+1) A(n) L(n)^-1 and FSS y_i = L(n) x_i
     under the coordinate change L(n), a CoefficientSequence.
 
-    L must be a Lyapunov sequence up to the step after the horizon; a
-    singular L(n) raises NotLyapunovSequenceError naming n.  Returns
-    (transformed sequence, transformed FSSRecord).
+    L is checked as a Lyapunov sequence up to the step after the horizon,
+    and each block of B(n) checks the L(n) it reads past that; a singular
+    L(n) raises NotLyapunovSequenceError naming n.  Returns (transformed
+    sequence, transformed FSSRecord).
     """
     if transform.dimension != seq.dimension:
         raise InvalidInputError("transformation dimension mismatch")
-    transform.lyapunov_bound(fss.horizon + 1)
+    _check_lyapunov(transform, fss.horizon + 1)
 
     def block_fn(start, stop):
+        _check_lyapunov(transform, stop)  # cached: each L(n) is scanned once
         ls = transform.matrices(start, stop + 1)
         return ls[1:] @ seq.matrices(start, stop) @ np.linalg.inv(ls[:-1])
 
@@ -287,3 +256,14 @@ def apply_lyapunov_transformation(seq, fss, transform):
         for i, traj in enumerate(fss.trajectories)
     ]
     return new_seq, FSSRecord(new_seq, new_trajs, fss.initial_vectors @ ls[0].T)
+
+
+def _check_lyapunov(transform, horizon):
+    """``transform.lyapunov_bound(horizon)``, with a singular step named as L(n)."""
+    try:
+        transform.lyapunov_bound(horizon)
+    except NotLyapunovSequenceError as exc:
+        raise NotLyapunovSequenceError(
+            f"L({exc.index}) is singular to tolerance; not a Lyapunov transformation",
+            index=exc.index,
+        ) from exc

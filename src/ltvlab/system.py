@@ -1,5 +1,5 @@
 """Coefficient sequences A(n), log-scaled propagation, transition matrices,
-and conversion between additive and multiplicative perturbations.
+and conversion of additive perturbations to multiplicative ones.
 
 A coefficient sequence generates square matrices for n = 1, 2, ...  All
 growth bookkeeping is kept in log scale so that entries like 2**n never
@@ -735,20 +735,6 @@ def additive_to_multiplicative(seq, q_seq, check_horizon=0):
         "A({n}) + Q({n})",
     )
     return r_seq
-
-
-def multiplicative_to_additive(seq, r_seq, check_horizon=0):
-    """Q(n) = A(n) R(n) - A(n)."""
-    if seq.dimension != r_seq.dimension:
-        raise InvalidInputError("dimension mismatch between system and perturbation")
-
-    def block_fn(start, stop):
-        a = seq.matrices(start, stop)
-        return a @ r_seq.matrices(start, stop) - a
-
-    q_seq = CoefficientSequence(seq.dimension, block_fn)
-    _check_nonsingular(r_seq.matrices, check_horizon, "R({n})")
-    return q_seq
 
 
 def _check_nonsingular(block_fn, horizon, name):

@@ -14,13 +14,13 @@ PUBLIC_NAMES = [
     "ParseError", "PerturbationOutcome", "PerturbationPlan", "PreconditionError",
     "PropagationError", "ScaledMatrix", "SingularMatrixError", "SpectrumEstimate",
     "SplitnessReport", "SynthesisConstants", "TrajectoryLog", "additive_to_multiplicative",
-    "angle_between", "angle_to_subspace", "apply_lyapunov_transformation", "broken_away_scan",
-    "build_plan", "calibrate", "condition_number", "cosine_to_subspace", "errors",
+    "angle_to_subspace", "apply_lyapunov_transformation", "broken_away_scan",
+    "build_plan", "calibrate", "cosine_to_subspace", "errors",
     "execute_plan", "exponent_profile", "expressions", "gamma_statistics",
     "incompressibility_test", "instability_experiment", "lambda_mu", "limsup_estimate",
-    "linalg", "multiplicative_to_additive", "oblique_projections", "openness_experiment",
+    "linalg", "oblique_projections", "openness_experiment",
     "parse_expression", "parse_generator_spec", "perturb", "perturbation_at",
-    "plan_r_sequence", "propagate", "read_matrix_sequence", "solve_mu", "spectral_norm",
+    "propagate", "read_matrix_sequence", "solve_mu", "spectral_norm",
     "spectrum", "spectrum_estimate", "splitness", "splitness_report", "synthesis_constants",
     "system", "transition", "write_matrix_sequence",
 ]
@@ -33,4 +33,4 @@ def test_public_names_are_pinned():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert sorted(json.loads(out)) == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 63
+    assert len(PUBLIC_NAMES) == 59

@@ -202,8 +202,8 @@ def test_sinln_command(tmp_path, capsys):
     assert "max" in capsys.readouterr().out
 
 
-def test_selftest_command(tmp_path, capsys):
-    code = main(["selftest", "--out-dir", str(tmp_path)])
+def test_selftest_command(capsys):
+    code = main(["selftest"])
     assert code == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
 
@@ -300,13 +300,13 @@ def test_non_numeric_config_numbers_exit_code(tmp_path, capsys, command, fields)
     assert "config error" in capsys.readouterr().err
 
 
-def test_selftest_checks_projection_norms_in_3d(tmp_path, capsys):
-    assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
+def test_selftest_checks_projection_norms_in_3d(capsys):
+    assert main(["selftest"]) == EXIT_OK
     assert "PASS  3-d projection norm times angle sine" in capsys.readouterr().out
 
 
-def test_selftest_checks_the_spectrum_of_a_rotated_system(tmp_path, capsys):
-    assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
+def test_selftest_checks_the_spectrum_of_a_rotated_system(capsys):
+    assert main(["selftest"]) == EXIT_OK
     assert "PASS  rotated diag spectrum" in capsys.readouterr().out
 
 
@@ -392,6 +392,11 @@ def test_bad_number_config_field_exit_code(tmp_path, capsys, command, fields, na
     assert repr(name) in capsys.readouterr().err
 
 
+def test_bad_max_n_option_exit_code(tmp_path, capsys):
+    assert main(["sinln", "--max-n", "5", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "--max-n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [[1, 2], 3, "diag(1,2)", None])
 def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, config):
     cfg = write_config(tmp_path, "cfg.json", config)
@@ -400,15 +405,15 @@ def test_config_that_is_not_an_object_exit_code(tmp_path, capsys, config):
     assert "JSON object" in capsys.readouterr().err
 
 
-def test_selftest_checks_two_incompressibility_verdicts(tmp_path, capsys):
-    assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
+def test_selftest_checks_two_incompressibility_verdicts(capsys):
+    assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS  normal FSS verdict" in out
     assert "PASS  non-normal FSS witness" in out
 
 
-def test_selftest_checks_a_perturbation_plan(tmp_path, capsys):
-    assert main(["selftest", "--out-dir", str(tmp_path)]) == EXIT_OK
+def test_selftest_checks_a_perturbation_plan(capsys):
+    assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS  perturbation closed-form oracle" in out
     assert "PASS  perturbed exponents" in out

@@ -20,7 +20,6 @@ from ltvlab import (
     lambda_mu,
     openness_experiment,
     perturbation_at,
-    plan_r_sequence,
     solve_mu,
     synthesis_constants,
 )
@@ -100,14 +99,16 @@ def test_plan_eigenvector_property():
         r_mat = perturbation_at(plan, fss, n)
         for i, traj in enumerate(fss.trajectories):
             d = traj.direction_at(n)
-            expected = math.exp(plan.schedule_at(n)[i]) * d
+            expected = math.exp(plan.schedule[n - 1][i]) * d
             assert np.abs(r_mat @ d - expected).max() < 1e-12
 
 
 def test_plan_r_norm_within_proof_cap():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 2000)
     plan = build_plan(fss, [0.01, -0.01])
-    r_seq = plan_r_sequence(plan, fss)
+    r_seq = CoefficientSequence(
+        2, lambda start, stop: perturbation_at(plan, fss, np.arange(start, stop))
+    )
     eye = np.eye(2)
     worst = max(
         np.linalg.norm(r_seq.matrix_at(n) - eye, 2) for n in range(1, 2001)

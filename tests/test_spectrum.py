@@ -40,7 +40,7 @@ def test_exponent_profile_constant_growth():
     lam, realizing = limsup_estimate(profile)
     assert lam == pytest.approx(math.log(3), abs=2e-3)
     assert len(realizing) > 0
-    assert realizing.indices[-1] == 1000
+    assert realizing[-1] == 1000
 
 
 def test_exponent_profile_sigma_subsampling():

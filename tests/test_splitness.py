@@ -174,9 +174,33 @@ def test_singular_lyapunov_transformation_names_the_step():
         transform = CoefficientSequence.from_function(
             2, lambda n, bad=bad: np.diag([1.0, 0.0 if n == bad else 1.0])
         )
-        with pytest.raises(NotLyapunovSequenceError, match=f"A\\({bad}\\)") as info:
+        with pytest.raises(NotLyapunovSequenceError, match=f"L\\({bad}\\)") as info:
             apply_lyapunov_transformation(fss.seq, fss, transform)
         assert info.value.index == bad
+
+
+def test_lyapunov_transformation_checks_the_steps_past_the_horizon():
+    # B(11) and B(12) read L(12), which the up-front check up to H + 1 = 11 misses
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10)
+    for small in (1e-300, 0.0):
+        transform = CoefficientSequence.from_function(
+            2, lambda n, small=small: np.diag([1.0, small if n == 12 else 1.0])
+        )
+        new_seq, _ = apply_lyapunov_transformation(fss.seq, fss, transform)
+        for n in (11, 12):
+            with pytest.raises(NotLyapunovSequenceError, match=r"L\(12\)") as info:
+                new_seq.matrix_at(n)
+            assert info.value.index == 12
+
+
+def test_one_dimensional_fss_takes_the_general_angle_path():
+    fss = standard_basis_fss(geometric_diag([2.0]), 200)
+    assert np.all(fss.angle_profile() == math.pi / 2)
+    assert np.all(fss.cos_angle_profile() == 0.0)
+    report = splitness_report(fss)
+    assert report.splitted is True
+    (verdict,) = report.verdicts
+    assert verdict.gamma == max(GAMMA_GRID) and verdict.rho_hat == 1.0
 
 
 def test_fss_checks_initial_vectors_before_propagating(monkeypatch):
