@@ -8,35 +8,35 @@ Grammar (one variable, five functions, four operators, unary minus):
     atom  := NUMBER | 'n' | FUNC '(' args ')' | '(' expr ')'
     FUNC  := sin | cos | ln | exp | pow      (pow takes two arguments)
 
-Parsing is deterministic; errors carry line and column.  A parsed
-expression compiles to numpy code and evaluates at one n or at an array of
-n in a single call.  Evaluation never raises on a bad value: a division by
-zero gives inf, an overflow inf, and a logarithm or fractional power of a
-negative number NaN, which the caller's finite check then rejects.
+The grammar is a subset of Python's, so a formula, one line of printable
+ASCII, is parsed with ``ast`` and checked node by node.  Errors give the
+line and column of the rejected construct, even for nesting too deep for
+Python.  A formula compiles to numpy code over one n or an array of n.
+It never raises on a bad value: a division by zero or an overflow gives
+inf, and a logarithm or fractional power of a negative number NaN.
 """
 
+import ast
 import re
+import warnings
 
 import numpy as np
 
 from .errors import ParseError
 
-_FUNCTIONS = {"sin": 1, "cos": 1, "ln": 1, "exp": 1, "pow": 2}
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[()+\-*/,]))"
-)
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_BAD_CHARACTER = re.compile(r"[^\t -~]|#")  # a line break, non-ASCII, a comment
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_FUNCTIONS = {"sin": "_sin", "cos": "_cos", "ln": "_log", "exp": "_exp", "pow": "_pow"}
+_ENV = {"_sin": np.sin, "_cos": np.cos, "_log": np.log, "_exp": np.exp, "_pow": np.power}
 
 
 class Expression:
     """A parsed formula over the variable n."""
 
-    def __init__(self, node, source):
-        self._node = node
+    def __init__(self, fn, source):
+        self._fn = fn
         self.source = source
-        self._fn = _compile_node(node)
 
     def __call__(self, n):
         """Value at step n (a float), or at each entry of an array of n."""
@@ -55,135 +55,46 @@ class Expression:
         return f"Expression({self.source!r})"
 
 
-def _tokenize(text):
-    tokens = []
-    line, col_base = 1, 0
-    pos = 0
-    while pos < len(text):
-        # track line numbers through skipped whitespace
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            line = text.count("\n", 0, bad_pos) + 1
-            col = bad_pos - (text.rfind("\n", 0, bad_pos) + 1) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-        start = m.start(m.lastgroup)
-        line = text.count("\n", 0, start) + 1
-        col = start - (text.rfind("\n", 0, start) + 1) + 1
-        tokens.append((m.lastgroup, m.group(m.lastgroup), line, col))
-        pos = m.end()
-    tokens.append(("end", "", line, col_base + len(text) - (text.rfind("\n") + 1) + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value):
-        kind, val, line, col = self.peek()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", line, col)
-        return self.next()
-
-    def parse(self):
-        node = self.expr()
-        kind, val, line, col = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", line, col)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.next()
-            return ("neg", self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind, val, line, col = self.next()
-        if kind == "number":
-            return ("lit", float(val))
-        if kind == "name":
-            if val == "n":
-                return ("var",)
-            if val in _FUNCTIONS:
-                self.expect("(")
-                args = [self.expr()]
-                while self.peek()[1] == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect(")")
-                if len(args) != _FUNCTIONS[val]:
-                    raise ParseError(
-                        f"{val} takes {_FUNCTIONS[val]} argument(s), got {len(args)}", line, col
-                    )
-                return (val, *args)
-            raise ParseError(f"unknown function or variable {val!r}", line, col)
-        if val == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", line, col)
-
-
-def _render(node, literals):
-    """Python source for ``node``; literals become numpy floats named in
-    ``literals``, so that even a formula without n follows numpy's rules."""
-    kind = node[0]
-    if kind == "lit":
-        literals.append(np.float64(node[1]))
-        return f"_c{len(literals) - 1}"
-    if kind == "var":
+def _render(node, text, env):
+    """Python source for ``node`` of the parse tree of ``text``; literals become
+    numpy floats in ``env``, so even a formula without n follows numpy's rules."""
+    segment = text[node.col_offset : node.end_col_offset]
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        name = f"_c{len(env) - len(_ENV)}"
+        env[name] = np.float64(float(segment))
+        return name
+    if isinstance(node, ast.Name) and node.id == "n":
         return "n"
-    if kind == "neg":
-        return f"(-{_render(node[1], literals)})"
-    if kind in ("+", "-", "*", "/"):
-        return f"({_render(node[1], literals)}{kind}{_render(node[2], literals)})"
-    if kind == "ln":
-        return f"_log({_render(node[1], literals)})"
-    if kind == "pow":
-        return f"_pow({_render(node[1], literals)}, {_render(node[2], literals)})"
-    return f"_{kind}({_render(node[1], literals)})"
-
-
-def _compile_node(node):
-    literals = []
-    source = _render(node, literals)
-    env = {"_sin": np.sin, "_cos": np.cos, "_log": np.log, "_exp": np.exp, "_pow": np.power}
-    env.update((f"_c{i}", value) for i, value in enumerate(literals))
-    return eval(f"lambda n: {source}", env)  # code generated from our own AST
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return f"(-{_render(node.operand, text, env)})"
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        op = _OPERATORS[type(node.op)]
+        return f"({_render(node.left, text, env)}{op}{_render(node.right, text, env)})"
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS:
+        fn, arity = _FUNCTIONS[node.func.id], _ENV[_FUNCTIONS[node.func.id]].nin
+        if len(node.args) != arity or node.keywords or segment[:-1].rstrip().endswith(","):
+            expected = f"{node.func.id}({', '.join('xy'[:arity])})"
+            raise ParseError(f"expected {expected}, got {segment!r}", 1, node.col_offset + 1)
+        return f"{fn}({', '.join(_render(arg, text, env) for arg in node.args)})"
+    raise ParseError(f"{segment!r} is not in the formula grammar", 1, node.col_offset + 1)
 
 
 def parse_expression(text):
     """Parse ``text`` into an Expression.  Raises ParseError on bad input."""
-    tokens = _tokenize(text)
-    node = _Parser(tokens).parse()
-    return Expression(node, text.strip())
+    text = text.strip()
+    if bad := _BAD_CHARACTER.search(text):
+        raise ParseError(f"unexpected character {bad.group()!r}", 1, bad.start() + 1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning such as 1if marks bad input
+            tree = ast.parse(text, mode="eval")
+    except (SyntaxError, RecursionError, ValueError) as exc:
+        column = min(max(getattr(exc, "offset", None) or 1, 1), len(text) + 1)
+        raise ParseError(getattr(exc, "msg", str(exc)), 1, column) from None
+    env = dict(_ENV)
+    try:
+        source = _render(tree.body, text, env)
+        fn = eval(f"lambda n: {source}", env)  # code generated from a checked parse tree
+    except (SyntaxError, RecursionError):  # Python's own nesting limits
+        raise ParseError("formula nests too deeply", 1, 1) from None
+    return Expression(fn, text)

@@ -42,6 +42,12 @@ class SpectrumEstimate:
 
 def exponent_profile(traj, sigma=1):
     """Profile of a TrajectoryLog along the multiples of sigma."""
+    ns, pos = _sigma_positions(traj, sigma)
+    return ExponentProfile(int(sigma), np.arange(1, len(ns) + 1), traj.log_norms[pos] / ns)
+
+
+def _sigma_positions(traj, sigma):
+    """The steps k*sigma to the horizon of ``traj`` and their stored positions."""
     sigma = int(sigma)
     if sigma < 1:
         raise InvalidInputError("sigma must be a positive integer")
@@ -55,8 +61,7 @@ def exponent_profile(traj, sigma=1):
             "trajectory is not stored at every multiple of sigma; "
             "propagate with store_every=1"
         )
-    values = traj.log_norms[pos] / ns
-    return ExponentProfile(sigma, np.arange(1, kmax + 1), values)
+    return ns, pos
 
 
 def limsup_estimate(profile, tail_fraction=TAIL_FRACTION):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NotLyapunovSequenceError
 from .linalg import SINGULAR_RTOL, angle_to_subspace, cosine_to_subspace
-from .spectrum import TAIL_FRACTION, exponent_profile, limsup_estimate
+from .spectrum import TAIL_FRACTION, _sigma_positions, exponent_profile, limsup_estimate
 from .system import CoefficientSequence, TrajectoryLog, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
@@ -151,8 +151,7 @@ def gamma_statistics(fss, i, gamma, sigma=1):
 
 def _member_angles(fss, i, sigma):
     """phi_i(k * sigma) for every k * sigma within the horizon."""
-    ns = sigma * np.arange(1, fss.horizon // sigma + 1)
-    return fss.angle_profile()[np.searchsorted(fss.indices, ns), i]
+    return fss.angle_profile()[_sigma_positions(fss.trajectories[0], sigma)[1], i]
 
 
 def _gamma_set(angles, gamma):

@@ -310,7 +310,7 @@ def _parse_shorthand(text):
     stripped = text.strip()
     if stripped.startswith("identity"):
         parts = stripped.split()
-        if len(parts) != 2 or not parts[1].isdigit():
+        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
             raise ParseError(f"bad identity shorthand: {stripped!r}", 1, 1)
         return CoefficientSequence.identity(int(parts[1]))
     if stripped.startswith("diag(") and stripped.endswith(")"):

@@ -310,6 +310,21 @@ def test_selftest_checks_the_spectrum_of_a_rotated_system(capsys):
     assert "PASS  rotated diag spectrum" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["(" * 300 + "n" + ")" * 300, "n" + "+n" * 250, "-" * 250 + "n"],
+    ids=["parentheses", "sum", "negations"],
+)
+def test_formula_nested_too_deeply_exit_code(tmp_path, capsys, formula):
+    spec = f"dimension: 2\nkind: diagonal\nentries:\n  {formula}\n  1\n"
+    cfg = write_config(tmp_path, "cfg.json", {"system": spec, "horizon": 100})
+    code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "config error:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["spectrum", "splitness"])
 @pytest.mark.parametrize(
     "formula, step",

@@ -60,6 +60,25 @@ def test_parse_errors_carry_position():
         parse_expression("1 2")
 
 
+REJECTED = [
+    "n**2", "n % 2", "n // 2", "+n", "n < 1", "1_000", "0x10", "1j", "True", "n.real",
+    "__import__('os')", "sin", "n(1)", "sin(x=1)", "(n, n)", "[n]", "lambda: 1",
+    "n if n else 1", "2n", "n +\n 1", "",
+    # Python's parser takes these, the formula grammar does not
+    "sin(n,)", "sin(n, x=1)", "sin(*n)", "n # comment", "1if n else 2",
+]
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_constructs_outside_the_grammar_are_rejected(text, recwarn):
+    # no attribute, builtin, keyword or other Python construct reaches eval
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert info.value.line == 1
+    assert 1 <= info.value.column <= len(text) + 1
+    assert not recwarn.list  # not even a SyntaxWarning from Python's parser
+
+
 def test_repr_round_trip_source():
     e = parse_expression("  n + 1 ")
     assert e.source == "n + 1"

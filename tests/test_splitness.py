@@ -70,6 +70,15 @@ def test_gamma_statistics_sigma_subsampling():
     assert np.array_equal(s4.member_flags, s1.member_flags[3::4])
 
 
+def test_gamma_statistics_needs_every_sigma_step_stored():
+    # stored at steps 1, 8, 15, ..., 43 and 50 only, so phi(2) is not there
+    seq = CoefficientSequence.constant(np.array([[1.0, 1.0], [0.0, 2.0]]))
+    fss = FSSRecord.from_initial_vectors(seq, np.eye(2), 50, store_every=7)
+    for sigma in (1, 7):
+        with pytest.raises(InvalidInputError, match="not stored at every multiple of sigma"):
+            gamma_statistics(fss, 0, 0.3, sigma)
+
+
 def test_broken_away_orthogonal_solutions():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 2000)
     verdict = broken_away_scan(fss, 0)

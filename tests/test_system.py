@@ -77,6 +77,10 @@ def test_parse_generator_errors():
         parse_generator_spec("dimension: 2\nkind: banana\nentries:\n  n\n  n\n")
     with pytest.raises(ParseError):
         parse_generator_spec("diag(1,oops)")
+    with pytest.raises(ParseError):
+        parse_generator_spec("identity 0")
+    with pytest.raises(ParseError):
+        parse_generator_spec("identity \u00b2")  # a digit that int() refuses
 
 
 def test_matrix_sequence_round_trip(tmp_path):
