@@ -46,6 +46,7 @@ class ParseError(LtvLabError, ValueError):
     """Syntax or semantic error in a generator spec or expression."""
 
     def __init__(self, message, line=None, column=None):
+        self.reason = message  # without the position
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
-from .system import _LN2, BLOCK_STEPS, _propagation_blocks, _stored_steps
+from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _block_states, _propagation_blocks,
+                     _stored_steps)
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -103,8 +104,8 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FR
 
     For s <= VOLUME_MAX_DIMENSION the column logs come from volumes:
     r_11 ... r_jj is the j-volume of the first j columns of X(n), the
-    log-norm of one ``propagate`` of e_1 under the j-th compound system,
-    so ln r_jj is the difference of consecutive volume logs.  Larger s,
+    log-norm of e_1 carried under the j-th compound system (all j in one
+    pass over A(n)), so ln r_jj is the difference of consecutive volume logs.  Larger s,
     and a system with some A(n) conditioned past about 1e308 (where a
     minor would underflow), propagates an orthonormal basis instead,
     re-orthonormalizing every step (the compounds grow as C(s, s/2), so
@@ -157,30 +158,74 @@ def _checkpoint_logs(seq, horizon, checkpoint_every):
 
 
 def _volume_logs(seq, horizon, checkpoint_every):
-    """Checkpoint steps and column logs from the j-volumes of X(n).
-
-    The volumes are taken under the compounds of the unit part U(n) of
-    A(n) = 2**e(n) U(n), whose minors stay in the normal range; since
-    C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log is short by
-    ln 2 * (e(1) + ... + e(n-1)), a sum taken exactly in integers.
+    """Checkpoint steps and column logs from the j-volumes of X(n), in one
+    pass that splits each block of A(n) exactly into 2**e(n) U(n) and carries
+    e_1 through every compound C_j(U(n)).  The minors of U(n) stay in the
+    normal range; since C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log
+    is short by ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
     """
     s = seq.dimension
-    unit, exponents = seq.split_scale()
-    volumes = []
-    for j in range(1, s + 1):
-        first = np.eye(math.comb(s, j))[:, :1]
-        blocks = _propagation_blocks(unit.compound(j), first, horizon)
-        logs = [log_norms[_stored_steps(steps, horizon, checkpoint_every), 0]
-                for steps, _, log_norms in blocks]
-        volumes.append(np.concatenate(logs)[1:])
-    ns = np.arange(1, horizon + 1)
-    cp_ns = ns[_stored_steps(ns, horizon, checkpoint_every)][1:]
-    e_sums = np.cumsum(
-        np.concatenate([exponents(start, min(start + BLOCK_STEPS, horizon))
-                        for start in range(1, horizon, BLOCK_STEPS)])
-    )
-    shift = _LN2 * e_sums[cp_ns - 2]
-    return cp_ns, np.diff(np.column_stack(volumes), axis=1, prepend=0.0) + shift[:, None]
+    states = [(np.eye(math.comb(s, j))[:, :1], 0.0) for j in range(1, s + 1)]
+    e_sum = 0
+    cp_ns, cp_logs = [], []
+    for start in range(1, horizon, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, horizon)
+        unit, exponents = _unit_part(seq.matrices(start, stop), start)
+        steps = np.arange(start + 1, stop + 1)  # x(n+1) follows A(n)
+        kept = _stored_steps(steps, horizon, checkpoint_every)
+        volumes = []
+        for j, (d, log_norm) in enumerate(states):
+            dirs, growth = _block_states(_compound(unit, j + 1, start), d, start)
+            logs = log_norm + growth[:, 0]
+            states[j] = dirs[-1], logs[-1]
+            volumes.append(logs[kept])
+        e_sums = e_sum + np.cumsum(exponents)
+        e_sum = e_sums[-1]
+        cp_ns.append(steps[kept])
+        cp_logs.append(np.diff(np.column_stack(volumes), axis=1, prepend=0.0)
+                       + _LN2 * e_sums[kept, None])
+    return np.concatenate(cp_ns), np.concatenate(cp_logs)
+
+
+def _unit_part(mats, start):
+    """Split a block A(start), ... exactly into A(n) = 2**e(n) U(n), with
+    max |U(n)| in [1, 2) (a zero matrix keeps e(n) = 0).  Returns U and the
+    integers e(n).  A nonzero entry of U(n) below the normal range (A(n)
+    conditioned past about 1e308) raises UnderflowError.
+    """
+    top = np.abs(mats).max(axis=(1, 2))
+    exponents = np.where(top > 0.0, np.frexp(top)[1] - 1, 0)
+    unit = np.ldexp(mats, -exponents[:, None, None])
+    _raise_on_underflow(unit != 0.0, np.abs(unit) < _NORMAL_MIN, start, "an entry of")
+    return unit, exponents
+
+
+def _compound(mats, j, start):
+    """C_j(A(n)) for a block A(start), ...: the j x j minors of A(n), rows
+    and columns indexed by the j-subsets of {1, ..., s} in lexicographic order.
+
+    By Cauchy-Binet, C_j(A(n) A(m)) = C_j(A(n)) C_j(A(m)), so e_1 carried
+    under C_j has the j-volume of the first j columns of A(n-1) ... A(1).
+    j = 1 is the block itself.  A nonzero minor below the normal range raises
+    UnderflowError; a minor of a ``_unit_part`` block cannot overflow, and
+    underflows only where A(n) is conditioned past about 1e308.
+    """
+    if j == 1:
+        return mats
+    subsets = np.array(list(itertools.combinations(range(mats.shape[1]), j)))
+    rows, cols = subsets[:, None, :, None], subsets[None, :, None, :]
+    sign, logdet = np.linalg.slogdet(mats[:, rows, cols])
+    _raise_on_underflow(sign != 0.0, logdet < math.log(_NORMAL_MIN), start, "a minor of")
+    return sign * np.exp(logdet)
+
+
+def _raise_on_underflow(nonzero, tiny, start, what):
+    """UnderflowError naming the first step whose block entries are flagged
+    both nonzero and below the normal range."""
+    lost = (nonzero & tiny).reshape(len(nonzero), -1).any(axis=1)
+    if lost.any():
+        n = start + int(np.argmax(lost))
+        raise UnderflowError(f"{what} A(n) underflows the double range at n={n}")
 
 
 def _qr_logs(seq, horizon, checkpoint_every):
@@ -203,9 +248,8 @@ def _qr_logs(seq, horizon, checkpoint_every):
                 raise PropagationError(f"basis collapsed at n={n + 1}")
             logs += np.log(diag)
             basis = q
-            m = n + 1
-            if (m - 1) % checkpoint_every == 0 or m == horizon:
-                cp_ns.append(m)
+            if _stored_steps(n + 1, horizon, checkpoint_every):
+                cp_ns.append(n + 1)
                 cp_logs.append(logs.copy())
     return np.asarray(cp_ns), np.asarray(cp_logs)
 

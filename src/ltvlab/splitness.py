@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NotLyapunovSequenceError
 from .linalg import SINGULAR_RTOL, angle_to_subspace, cosine_to_subspace
-from .spectrum import TAIL_FRACTION, _sigma_positions, exponent_profile, limsup_estimate
+from .spectrum import _sigma_positions, exponent_profile, limsup_estimate
 from .system import CoefficientSequence, TrajectoryLog, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
@@ -178,7 +178,7 @@ class BrokenAwayVerdict:
         return self.status == "yes"
 
 
-def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1, tail_fraction=TAIL_FRACTION):
+def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
     """Scan the gamma grid for the best broken-away certificate.
 
     The density g is evaluated along the realizing indices of the
@@ -189,7 +189,7 @@ def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1, tail_fraction=TAIL_
     """
     sigma = int(sigma)
     profile = exponent_profile(fss.trajectories[i], sigma)
-    lam, ks = limsup_estimate(profile, tail_fraction)
+    lam, ks = limsup_estimate(profile)
     if len(ks) == 0:
         return BrokenAwayVerdict(
             i, sigma, None, None, None, float(lam), "inconclusive", fss.horizon

@@ -7,7 +7,6 @@ overflow: a solution is stored as a unit direction plus an accumulated
 log-norm, and a transition matrix as a unit-norm matrix plus a log factor.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ BLOCK_STEPS = 256  # steps of A(n) evaluated, scanned or propagated per batch
 _TINY = 1e-280  # a scaled column or product below this has lost its digits
 _LN2 = math.log(2.0)
 _NORMAL_MIN = np.finfo(float).tiny  # below this a double keeps fewer than 53 bits
-_LOG_NORMAL_MIN = math.log(_NORMAL_MIN)
 
 
 class CoefficientSequence:
@@ -57,10 +55,6 @@ class CoefficientSequence:
             raise InvalidInputError("constant coefficient has non-finite entries")
         m.setflags(write=False)
         return cls(m.shape[0], lambda start, stop: np.broadcast_to(m, (stop - start, *m.shape)))
-
-    @classmethod
-    def identity(cls, dimension):
-        return cls.constant(np.eye(int(dimension)))
 
     @classmethod
     def diagonal_formulas(cls, expressions):
@@ -205,59 +199,6 @@ class CoefficientSequence:
             raise InvalidInputError(f"index must be >= 1, got {n}")
         return self.matrices(n, n + 1)[0]
 
-    def compound(self, j):
-        """The j-th compound sequence: C_j(A(n)) holds the j x j minors of
-        A(n), rows and columns indexed by the j-subsets of {1, ..., s} in
-        lexicographic order, so it is C(s, j) x C(s, j).
-
-        By Cauchy-Binet, C_j(A(n) A(m)) = C_j(A(n)) C_j(A(m)), so
-        propagating the first basis vector under C_j gives the j-volume of
-        the first j columns of A(n-1) ... A(1).  j = 1 is this sequence and
-        j = s holds det A(n).  A minor past the double range raises
-        PropagationError, and a nonzero minor below the normal range, which
-        would keep only a few significant bits, raises UnderflowError; the
-        sequence of ``split_scale()[0]`` avoids both unless A(n) is
-        conditioned past about 1e308.
-        """
-        s = self.dimension
-        j = int(j)
-        if not 1 <= j <= s:
-            raise InvalidInputError(f"compound order must be in 1..{s}, got {j}")
-        if j == 1:
-            return self
-        subsets = np.array(list(itertools.combinations(range(s), j)))
-        rows, cols = subsets[:, None, :, None], subsets[None, :, None, :]
-
-        def block_fn(start, stop):
-            sign, logdet = np.linalg.slogdet(self.matrices(start, stop)[:, rows, cols])
-            _raise_on_underflow(sign != 0.0, logdet < _LOG_NORMAL_MIN, start, "a minor of")
-            with np.errstate(over="ignore"):  # the finite check reports it
-                return sign * np.exp(logdet)
-
-        return CoefficientSequence(len(subsets), block_fn)
-
-    def split_scale(self):
-        """Split A(n) = 2**e(n) U(n) exactly, with max |U(n)| in [1, 2) (a
-        zero matrix keeps e(n) = 0).  Returns the sequence U and the
-        function ``exponents(start, stop)``, which gives the integers
-        e(start), ..., e(stop - 1).  A nonzero entry of U(n) below the
-        normal range (A(n) conditioned past about 1e308) raises
-        UnderflowError.
-        """
-
-        def exponents_of(mats):
-            top = np.abs(mats).max(axis=(1, 2))
-            return np.where(top > 0.0, np.frexp(top)[1] - 1, 0)
-
-        def unit_fn(start, stop):
-            mats = self.matrices(start, stop)
-            unit = np.ldexp(mats, -exponents_of(mats)[:, None, None])
-            _raise_on_underflow(unit != 0.0, np.abs(unit) < _NORMAL_MIN, start, "an entry of")
-            return unit
-
-        unit = CoefficientSequence(self.dimension, unit_fn)
-        return unit, lambda start, stop: exponents_of(self.matrices(start, stop))
-
     def lyapunov_bound(self, horizon):
         """max over n <= horizon of max(||A(n)||, ||A(n)^-1||); always >= 1.
 
@@ -285,15 +226,6 @@ class CoefficientSequence:
         return bound
 
 
-def _raise_on_underflow(nonzero, tiny, start, what):
-    """UnderflowError naming the first step whose block entries are flagged
-    both nonzero and below the normal range."""
-    lost = (nonzero & tiny).reshape(len(nonzero), -1).any(axis=1)
-    if lost.any():
-        n = start + int(np.argmax(lost))
-        raise UnderflowError(f"{what} A(n) underflows the double range at n={n}")
-
-
 def _singular_values(mats, start):
     """Singular values (k, s) of a block of matrices for steps start, ...,
     and the first of those steps whose matrix is singular to tolerance
@@ -312,15 +244,31 @@ def _parse_shorthand(text):
         parts = stripped.split()
         if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
             raise ParseError(f"bad identity shorthand: {stripped!r}", 1, 1)
-        return CoefficientSequence.identity(int(parts[1]))
+        return CoefficientSequence.constant(np.eye(int(parts[1])))
     if stripped.startswith("diag(") and stripped.endswith(")"):
         body = stripped[len("diag(") : -1]
-        try:
-            values = [float(v) for v in body.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"bad diag shorthand: {stripped!r}", 1, 1) from exc
-        return CoefficientSequence.constant(np.diag(values))
+        return CoefficientSequence.constant(np.diag([_number(v, 1) for v in body.split(",")]))
     return None
+
+
+def _number(text, lineno):
+    """The finite number ``text`` on spec line ``lineno``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"bad number {text!r}", lineno, 1)
+    return value
+
+
+def _formula(lineno, column, text):
+    """The formula ``text``, which follows ``column`` characters on spec
+    line ``lineno``; a ParseError in it points into the spec."""
+    try:
+        return parse_expression(text)
+    except ParseError as exc:
+        raise ParseError(exc.reason, lineno, column + exc.column) from None
 
 
 def parse_generator_spec(text):
@@ -337,34 +285,31 @@ def parse_generator_spec(text):
 
     For kind ``constant`` the entries are s*s numbers (row-major); for
     ``diagonal`` s expressions; for ``dense`` s*s expressions (row-major,
-    one per line or comma-separated); for ``file`` a single ``path:`` field.
+    one per line or separated by ``;``); for ``file`` a single ``path:`` field.
     """
     shorthand = _parse_shorthand(text)
     if shorthand is not None:
         return shorthand
 
     fields = {}
-    entries = []
+    entries = []  # (line, column where the chunk starts, chunk)
     in_entries = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         if in_entries and (raw.startswith((" ", "\t"))):
-            entries.append((lineno, line.strip()))
+            entries.append((lineno, 0, line))
             continue
         in_entries = False
         if ":" not in line:
             raise ParseError(f"expected 'key: value', got {line.strip()!r}", lineno, 1)
         key, _, value = line.partition(":")
-        key = key.strip().lower()
-        value = value.strip()
-        if key == "entries":
+        if key.strip().lower() == "entries":
             in_entries = True
-            if value:
-                entries.append((lineno, value))
+            entries.append((lineno, len(key) + 1, value))
         else:
-            fields[key] = (lineno, value)
+            fields[key.strip().lower()] = (lineno, value.strip())
 
     if "dimension" not in fields:
         raise ParseError("missing 'dimension' field", 1, 1)
@@ -390,21 +335,17 @@ def parse_generator_spec(text):
             )
         return seq
 
-    flat = []
-    for lineno, chunk in entries:
+    flat = []  # (line, column before the piece, piece)
+    for lineno, column, chunk in entries:
         for piece in chunk.split(";"):
-            piece = piece.strip()
-            if piece:
-                flat.append((lineno, piece))
+            if piece.strip():
+                flat.append((lineno, column + len(piece) - len(piece.lstrip()), piece.strip()))
+            column += len(piece) + 1
 
     if kind == "constant":
         values = []
-        for lineno, piece in flat:
-            for tok in piece.replace(",", " ").split():
-                try:
-                    values.append(float(tok))
-                except ValueError as exc:
-                    raise ParseError(f"bad number {tok!r}", lineno, 1) from exc
+        for lineno, _, piece in flat:
+            values.extend(_number(tok, lineno) for tok in piece.replace(",", " ").split())
         if len(values) == s:  # allow a plain diagonal
             return CoefficientSequence.constant(np.diag(values))
         if len(values) != s * s:
@@ -418,13 +359,13 @@ def parse_generator_spec(text):
     if kind == "diagonal":
         if len(flat) != s:
             raise ParseError(f"diagonal kind needs {s} entries, got {len(flat)}", 1, 1)
-        return CoefficientSequence.diagonal_formulas([p for _, p in flat])
+        return CoefficientSequence.diagonal_formulas([_formula(*entry) for entry in flat])
 
     if kind == "dense":
         if len(flat) != s * s:
             raise ParseError(f"dense kind needs {s * s} entries, got {len(flat)}", 1, 1)
-        rows = [[flat[i * s + j][1] for j in range(s)] for i in range(s)]
-        return CoefficientSequence.dense_formulas(rows)
+        exprs = [_formula(*entry) for entry in flat]
+        return CoefficientSequence.dense_formulas([exprs[i * s : (i + 1) * s] for i in range(s)])
 
     raise ParseError(f"unknown kind {kind!r}", 1, 1)
 
@@ -443,8 +384,10 @@ def read_matrix_sequence(path):
         raise ParseError(f"matrix sequence file {path!r} is too short", 1, 1)
     try:
         s, count = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise ParseError(f"bad header in {path!r}", 1, 1) from exc
+    except ValueError:
+        s = count = 0
+    if s < 1 or count < 1:
+        raise ParseError(f"bad header in {path!r}: needs positive 's count'", 1, 1)
     values = tokens[2:]
     if len(values) != count * s * s:
         raise ParseError(

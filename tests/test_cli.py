@@ -223,9 +223,12 @@ def test_malformed_config_exit_code(tmp_path):
 
 
 def test_bad_system_spec_exit_code(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,oops)"})
-    code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path)])
-    assert code == EXIT_CONFIG
+    constant = "dimension: 2\nkind: constant\nentries:\n  1 0\n  0 {}\n"
+    for spec in ("diag(1,oops)", "diag(1,nan)", "diag(1e400, 2)",
+                 constant.format("nan"), constant.format("inf")):
+        cfg = write_config(tmp_path, "cfg.json", {"system": spec})
+        code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG, spec
 
 
 def test_format_json_only(tmp_path):
@@ -275,12 +278,13 @@ def test_non_finite_matrix_file_exit_code(tmp_path, capsys, bad_value):
 
 def test_non_numeric_matrix_file_exit_code(tmp_path):
     path = tmp_path / "seq.txt"
-    path.write_text("2 1\n1 0\n0 two\n")
     cfg = write_config(
         tmp_path, "cfg.json", {"system": f"dimension: 2\nkind: file\npath: {path}\n"}
     )
-    code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
+    for text in ("2 1\n1 0\n0 two\n", "2 0\n", "0 5\n"):
+        path.write_text(text)
+        code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG, text
 
 
 @pytest.mark.parametrize(

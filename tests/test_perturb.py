@@ -29,6 +29,7 @@ from ltvlab.presets import (
     sin_log_witness_fss,
     standard_basis_fss,
 )
+from ltvlab.spectrum import TAIL_FRACTION
 from ltvlab.splitness import GAMMA_GRID
 
 
@@ -379,9 +380,9 @@ def test_solve_mu_is_bit_identical_to_the_per_call_bisection():
 def test_broken_away_scan_matches_the_per_gamma_scan():
     for fss in solver_cases():
         for i in range(fss.dimension):
-            for grid, sigma, tail in ((GAMMA_GRID, 1, 0.5), ((0.2, 1.2, 0.7), 2, 1.0)):
-                verdict = broken_away_scan(fss, i, grid, sigma, tail)
-                gamma, rho, status, ks = per_call_scan(fss, i, grid, sigma, tail)
+            for grid, sigma in ((GAMMA_GRID, 1), ((0.2, 1.2, 0.7), 2)):
+                verdict = broken_away_scan(fss, i, grid, sigma)
+                gamma, rho, status, ks = per_call_scan(fss, i, grid, sigma, TAIL_FRACTION)
                 assert (verdict.gamma, verdict.rho_hat, verdict.status) == (gamma, rho, status)
                 assert np.array_equal(verdict.realizing_ks, ks)
 

@@ -276,6 +276,18 @@ def test_propagation_blocks_give_the_log_norms_of_propagate(name, store_every):
         assert np.array_equal(dirs[traj.indices - 1, :, j], traj.directions)
 
 
+def test_spectrum_estimate_reads_each_coefficient_once():
+    # the volume pass takes every compound from one read of a block of A(n)
+    requested = []
+
+    def counting_block_fn(start, stop):
+        requested.extend(range(start, stop))
+        return np.broadcast_to(np.triu(np.ones((3, 3))) + np.eye(3), (stop - start, 3, 3))
+
+    spectrum_estimate(CoefficientSequence(3, counting_block_fn), 1000)
+    assert requested == list(range(1, 1000))
+
+
 @pytest.fixture
 def no_qr_loop(monkeypatch):
     """Make the per-step QR loop fail the test if it runs."""

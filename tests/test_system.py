@@ -22,6 +22,7 @@ from ltvlab import (
 )
 from ltvlab.errors import UnderflowError
 from ltvlab.presets import SIN_LOG_SPEC, geometric_diag
+from ltvlab.spectrum import _compound, _unit_part, _volume_logs
 
 
 def test_constant_sequence():
@@ -81,6 +82,21 @@ def test_parse_generator_errors():
         parse_generator_spec("identity 0")
     with pytest.raises(ParseError):
         parse_generator_spec("identity \u00b2")  # a digit that int() refuses
+
+
+@pytest.mark.parametrize(
+    "spec, line, column",
+    [
+        ("dimension: 2\nkind: diagonal\nentries:\n  n\n  n**2\n", 5, 3),
+        ("dimension: 2\nkind: dense\nentries:\n  1; 0\n  0; sin(n$)\n", 5, 11),
+        ("dimension: 1\nkind: diagonal\n# one formula\nentries: ln(n) + $\n", 4, 18),
+    ],
+)
+def test_formula_errors_point_into_the_spec(spec, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_generator_spec(spec)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value).count("(line ") == 1
 
 
 def test_matrix_sequence_round_trip(tmp_path):
@@ -439,7 +455,7 @@ def test_propagate_scales_a_shrinking_column_before_taking_its_norm():
         propagate(geometric_diag([1.0, 1e-310]), [0.0, 1.0], 3)
 
 
-# --- compound sequences -----------------------------------------------
+# --- compound blocks of the spectrum's volume pass ----------------------
 
 
 def explicit_compound(a, j):
@@ -450,20 +466,22 @@ def explicit_compound(a, j):
 def test_compound_holds_the_minors_in_lexicographic_order():
     rng = np.random.default_rng(3)
     seq = CoefficientSequence.from_matrices(rng.normal(size=(6, 4, 4)))
-    assert seq.compound(1) is seq
+    mats = seq.matrices(2, 5)
+    assert _compound(mats, 1, 2) is mats
     for j, size in ((2, 6), (3, 4), (4, 1)):
-        comp = seq.compound(j)
-        assert comp.dimension == size
-        block = comp.matrices(2, 5)
-        for k, a in enumerate(seq.matrices(2, 5)):
+        block = _compound(mats, j, 2)
+        assert block.shape == (3, size, size)
+        for k, a in enumerate(mats):
             assert np.allclose(block[k], explicit_compound(a, j), rtol=0, atol=1e-12)
-    assert np.allclose(seq.compound(4).matrices(1, 7)[:, 0, 0], np.linalg.det(seq.matrices(1, 7)))
-    diag = CoefficientSequence.constant(np.diag([2.0, 3.0, 5.0])).compound(2)
-    assert np.allclose(diag.matrix_at(1), np.diag([6.0, 10.0, 15.0]), rtol=1e-15, atol=0)
-    with pytest.raises(InvalidInputError):
-        seq.compound(5)
-    with pytest.raises(InvalidInputError):
-        seq.compound(0)
+    assert np.allclose(_compound(seq.matrices(1, 7), 4, 1)[:, 0, 0], np.linalg.det(seq.matrices(1, 7)))
+    diag = _compound(np.diag([2.0, 3.0, 5.0])[None], 2, 1)[0]
+    assert np.allclose(diag, np.diag([6.0, 10.0, 15.0]), rtol=1e-15, atol=0)
+
+
+def compound_sequence(seq, j):
+    return CoefficientSequence(
+        math.comb(seq.dimension, j), lambda start, stop: _compound(seq.matrices(start, stop), j, start)
+    )
 
 
 def test_compound_volumes_are_the_products_of_the_qr_diagonal():
@@ -475,46 +493,42 @@ def test_compound_volumes_are_the_products_of_the_qr_diagonal():
         x = a @ x
     r = np.abs(np.diag(np.linalg.qr(x)[1]))
     for j in (1, 2, 3):
-        traj = propagate(seq.compound(j), np.eye(math.comb(3, j))[0], 9)
+        traj = propagate(compound_sequence(seq, j), np.eye(math.comb(3, j))[0], 9)
         assert traj.log_norm_at(9) == pytest.approx(np.log(r[:j]).sum(), abs=1e-12)
 
 
 def test_compound_keeps_the_checks_of_the_sequence():
-    comp = CoefficientSequence.diagonal_formulas(["1", "1/(n-5)", "2"]).compound(2)
+    seq = CoefficientSequence.diagonal_formulas(["1", "1/(n-5)", "2"])
     with pytest.raises(PropagationError, match="n=5"):
-        comp.matrices(1, 10)
-    file_comp = CoefficientSequence.from_matrices(np.ones((4, 3, 3))).compound(3)
-    assert file_comp.matrices(1, 5).shape == (4, 1, 1)
+        _volume_logs(seq, 10, 1)
+    file_seq = CoefficientSequence.from_matrices(np.ones((4, 3, 3)))
+    assert _compound(file_seq.matrices(1, 5), 3, 1).shape == (4, 1, 1)
     with pytest.raises(IndexError):
-        file_comp.matrices(3, 7)
+        _volume_logs(file_seq, 7, 1)
 
 
 def test_compound_raises_on_a_minor_below_the_normal_range():
     # det diag(1e-162, 7e-162) = 7e-324 would round to the subnormal 4.9e-324
-    comp = CoefficientSequence.from_matrices(
-        [np.eye(2), np.diag([1e-162, 7e-162])]
-    ).compound(2)
-    assert comp.matrix_at(1)[0, 0] == 1.0
+    mats = np.array([np.eye(2), np.diag([1e-162, 7e-162])])
+    assert _compound(mats[:1], 2, 1)[0, 0, 0] == 1.0
     with pytest.raises(UnderflowError, match="n=2"):
-        comp.matrices(1, 3)
-    assert CoefficientSequence.constant(np.diag([0.0, 1.0])).compound(2).matrix_at(1)[0, 0] == 0.0
+        _compound(mats, 2, 1)
+    assert _compound(np.diag([0.0, 1.0])[None], 2, 1)[0, 0, 0] == 0.0
 
 
 def test_split_scale_is_exact_and_keeps_the_minors_normal():
     rng = np.random.default_rng(7)
     mats = rng.normal(size=(5, 3, 3)) * np.array([1e-162, 1e160, 1.0, 3e-300, 0.0])[:, None, None]
-    seq = CoefficientSequence.from_matrices(mats)
-    unit, exponents = seq.split_scale()
-    e = exponents(1, 6)
+    units, e = _unit_part(CoefficientSequence.from_matrices(mats).matrices(1, 6), 1)
     assert e.dtype.kind == "i"  # so their running sums are exact
-    units, scales = unit.matrices(1, 6), np.ldexp(1.0, e)
+    scales = np.ldexp(1.0, e)
     assert np.array_equal(units * scales[:, None, None], mats)
     top = np.abs(units[:4]).max(axis=(1, 2))
     assert np.all((top >= 1.0) & (top < 2.0))
     assert scales[4] == 1.0 and not units[4].any()
     for j in (2, 3):
-        assert np.all(np.isfinite(unit.compound(j).matrices(1, 6)))
-    stretched = CoefficientSequence.constant(np.diag([1e200, 1e-120])).split_scale()[0]
+        assert np.all(np.isfinite(_compound(units, j, 1)))
+    stretched = CoefficientSequence.constant(np.diag([1e200, 1e-120]))
     with pytest.raises(UnderflowError, match="n=1"):
-        stretched.matrix_at(1)
+        _unit_part(stretched.matrices(1, 2), 1)
 
