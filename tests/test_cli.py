@@ -453,6 +453,8 @@ VALID_CONFIGS = {  # command -> (a valid config on diag(1,2), its exit code)
     "instability": ({"horizon": 200, "epsilon_grid": [0.1]}, EXIT_PRECONDITION),
 }
 TOP_LEVEL = "<top level>"
+ABSENT = object()  # a drawn value that removes the field from the config
+MISSING_FILE = "no-such-directory/spec.txt"
 
 _NOT_A_NUMBER = st.one_of(
     st.text(alphabet="abxyz ,{}", max_size=4),  # no digits, so never parses as a number
@@ -505,6 +507,8 @@ BAD_VALUES = {  # field -> (commands that read it, values it must refuse)
     )),
     "seed": (list(VALID_CONFIGS), st.one_of(_NOT_AN_INTEGER, st.integers(max_value=-1))),
     "trials": (["instability"], st.one_of(_NOT_AN_INTEGER, st.integers(max_value=0))),
+    "system": (list(VALID_CONFIGS), st.sampled_from(
+        [{}, {"file": 3}, {"file": MISSING_FILE}, ABSENT])),
     TOP_LEVEL: (list(VALID_CONFIGS), st.one_of(
         st.lists(st.integers(), max_size=3), st.integers(), st.text(max_size=3), st.none(),
     )),
@@ -530,6 +534,42 @@ def test_malformed_config_gives_a_documented_exit_code(tmp_path, data):
         config = value
     else:
         config = {"system": "diag(1,2)", **VALID_CONFIGS[command][0], field: value}
+        if value is ABSENT:
+            del config[field]
     cfg = write_config(tmp_path, "cfg.json", config)
     code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert code in (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_PRECONDITION)
+
+
+@pytest.mark.parametrize("command, field", [
+    (command, field) for field, (commands, _) in BAD_VALUES.items()
+    if field not in (TOP_LEVEL, "system") for command in commands
+])
+def test_null_config_field_exit_code(tmp_path, capsys, command, field):
+    # null stands for the default where the default is none; elsewhere it is refused
+    fields, code = VALID_CONFIGS[command]
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", **fields, field: None})
+    if field in ("checkpoint_every", "initial_vectors"):
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == code
+    else:
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert repr(field) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system", [{}, {"file": 3}, {"file": MISSING_FILE}, ABSENT,
+                                    f"dimension: 2\nkind: file\npath: {MISSING_FILE}\n"])
+def test_bad_system_field_exit_code(tmp_path, system):
+    config = {"horizon": 200} if system is ABSENT else {"system": system, "horizon": 200}
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, name", [
+    ("perturb", "shifts"), ("assign", "target_spectrum"), ("assign", "epsilon"),
+    ("instability", "epsilon_grid"),
+])
+def test_missing_required_config_field_exit_code(tmp_path, command, name):
+    fields = {**VALID_CONFIGS[command][0]}
+    del fields[name]
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", **fields})
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
