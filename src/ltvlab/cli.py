@@ -9,22 +9,13 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BracketError,
-    BudgetError,
-    InadmissiblePerturbationError,
-    InvalidInputError,
-    NotLyapunovSequenceError,
-    ParseError,
-    PreconditionError,
-    PropagationError,
-    SingularMatrixError,
-)
+from .errors import InvalidInputError, LtvLabError, ParseError
 from .perturb import (
     build_plan,
     execute_plan,
@@ -43,69 +34,17 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PRECONDITION = 4
 
-_CONFIG_ERRORS = (ParseError, KeyError, TypeError, OSError, json.JSONDecodeError)
-_PRECONDITION_ERRORS = (PreconditionError, BudgetError)
-_NUMERICAL_ERRORS = (
-    PropagationError,
-    BracketError,
-    SingularMatrixError,
-    NotLyapunovSequenceError,
-    InadmissiblePerturbationError,
-    InvalidInputError,
-    FloatingPointError,
-    np.linalg.LinAlgError,
-)
+_LABELS = {EXIT_CONFIG: "config error", EXIT_NUMERICAL: "numerical failure",
+           EXIT_PRECONDITION: "precondition error"}
 
 
-def _load_config(path):
-    with open(path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ParseError(f"config must be a JSON object, got {type(config).__name__}")
-    return config
+# --- config fields: a check(key, value, seq) returns the value to use ------
 
 
-def _build_system(config):
-    system = config.get("system")
-    if system is None:
-        raise KeyError("config is missing the 'system' field")
-    if isinstance(system, dict):
-        text = Path(system["file"]).read_text()
-    else:
-        text = str(system)
-    return parse_generator_spec(text)
-
-
-def _load(args):
-    """System and resolved params of a config-driven command: the config's
-    fields with the horizon and seed resolved against the command line, plus
-    the output settings."""
-    config = _load_config(args.config)
-    seq = _build_system(config)
-    params = {
-        **config,
-        "horizon": _integer(
-            "horizon", config.get("horizon", 10_000) if args.horizon is None else args.horizon, 2
-        ),
-        "seed": _integer("seed", config.get("seed", 0) if args.seed is None else args.seed, 0),
-        "format": args.format,
-        "out_dir": str(args.out_dir),
-    }
-    horizon = params["horizon"]
-    count = getattr(seq, "count", None)  # records in a file-backed system
-    if count is not None and horizon > count + 1:
-        # propagation to step H uses A(1) ... A(H-1)
-        raise ParseError(
-            f"horizon {horizon} needs {horizon - 1} matrix records, but the "
-            f"matrix file holds only {count}"
-        )
-    return seq, params
-
-
-def _numbers(config, key):
-    """The finite number or numbers in config field ``key``, as an array."""
+def _numbers(key, value):
+    """The finite number or numbers ``value`` of config field ``key``, as an array."""
     try:
-        values = np.asarray(config[key], dtype=float)
+        values = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"config field {key!r} must be numeric: {exc}") from exc
     if not np.all(np.isfinite(values)):
@@ -113,30 +52,26 @@ def _numbers(config, key):
     return values
 
 
-def _vector(config, key, length):
-    """Config field ``key`` as ``length`` finite numbers."""
-    values = _numbers(config, key)
-    if values.shape != (length,):
-        raise ParseError(f"config field {key!r} must hold {length} numbers, got {config[key]!r}")
+def _vector(key, value, seq):
+    """One finite number per dimension of the system."""
+    values = _numbers(key, value)
+    if values.shape != (seq.dimension,):
+        raise ParseError(f"config field {key!r} must hold {seq.dimension} numbers, got {value!r}")
     return values
 
 
-def _in_range(config, key, high, ndim=0, default=None):
-    """Config field ``key`` as numbers in (0, high]: one number (ndim 0) or
-    a non-empty list of them (ndim 1).  ``default`` when the field is absent
-    and a default is given."""
-    if default is not None and key not in config:
-        return default
-    values = _numbers(config, key)
+def _in_range(key, value, seq, high, ndim=0):
+    """Numbers in (0, high]: one number (ndim 0) or a non-empty list of them (ndim 1)."""
+    values = _numbers(key, value)
     if values.ndim != ndim or values.size == 0 or not np.all((values > 0.0) & (values <= high)):
         what = "a number" if ndim == 0 else "a non-empty list of numbers"
         bound = "> 0" if high == math.inf else f"in (0, {high:.6g}]"
-        raise ParseError(f"config field {key!r} must be {what} {bound}, got {config[key]!r}")
+        raise ParseError(f"config field {key!r} must be {what} {bound}, got {value!r}")
     return float(values) if ndim == 0 else values
 
 
-def _integer(key, value, minimum):
-    """``value`` of config field ``key`` as an integer >= ``minimum``."""
+def _integer(key, value, seq, minimum):
+    """An integer >= ``minimum``."""
     try:
         number = int(value)
         whole = not isinstance(value, bool) and number == float(value)
@@ -147,14 +82,84 @@ def _integer(key, value, minimum):
     return number
 
 
-def _build_fss(seq, params):
-    vectors = np.eye(seq.dimension)
-    if params.get("initial_vectors") is not None:
-        try:
-            vectors = _initial_basis(seq, _numbers(params, "initial_vectors"))
-        except InvalidInputError as exc:
-            raise ParseError(f"config field 'initial_vectors': {exc}") from exc
-    return FSSRecord.from_initial_vectors(seq, vectors, params["horizon"])
+def _horizon(key, value, seq):
+    """An integer >= 2 that a file-backed system holds the records for."""
+    horizon = _integer(key, value, seq, 2)
+    count = getattr(seq, "count", None)  # records in a file-backed system
+    if count is not None and horizon > count + 1:  # step H uses A(1) ... A(H-1)
+        raise ParseError(f"horizon {horizon} needs {horizon - 1} matrix records, "
+                         f"but the matrix file holds only {count}")
+    return horizon
+
+
+def _basis(key, value, seq):
+    """s finite, linearly independent rows of s numbers."""
+    try:
+        return _initial_basis(seq, _numbers(key, value))
+    except InvalidInputError as exc:
+        raise ParseError(f"config field {key!r}: {exc}") from exc
+
+
+_REQUIRED = object()
+
+_FIELDS = {  # config field -> (check, default); a default of None also accepts null
+    "horizon": (_horizon, 10_000),
+    "seed": (partial(_integer, minimum=0), 0),
+    "checkpoint_every": (partial(_integer, minimum=1), None),
+    "tail_fraction": (partial(_in_range, high=1.0), 0.5),
+    "sigma": (partial(_integer, minimum=1), 1),
+    "gamma_grid": (partial(_in_range, high=math.pi / 2, ndim=1), GAMMA_GRID),
+    "initial_vectors": (_basis, None),  # None: the standard basis
+    "shifts": (_vector, _REQUIRED),
+    "target_spectrum": (_vector, _REQUIRED),
+    "epsilon": (partial(_in_range, high=math.inf), _REQUIRED),
+    "trials": (partial(_integer, minimum=1), 16),
+    "epsilon_grid": (partial(_in_range, high=math.inf, ndim=1), _REQUIRED),
+}
+
+
+def _read_system(config):
+    """The system of config field 'system': a generator spec, or
+    {"file": path} naming a file that holds one."""
+    system = config.get("system")
+    if system is None:
+        raise ParseError("config field 'system' is required")
+    try:
+        text = Path(system["file"]).read_text() if isinstance(system, dict) else str(system)
+        return parse_generator_spec(text)  # a 'file' kind reads a matrix file
+    except (KeyError, TypeError, OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"config field 'system': {type(exc).__name__}: {exc}") from exc
+
+
+def _load(args):
+    """The system, the checked config fields and the params to echo of a
+    config-driven command.  It reads horizon, seed and ``args.fields``, with
+    --horizon and --seed over the config's values, and for a command that
+    reads initial_vectors it builds the FSS as opts["fss"]."""
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ParseError(str(exc)) from exc
+    if not isinstance(config, dict):
+        raise ParseError(f"config must be a JSON object, got {type(config).__name__}")
+    seq = _read_system(config)
+    overrides = {"horizon": args.horizon, "seed": args.seed}
+    given = {**config, **{k: v for k, v in overrides.items() if v is not None}}
+    opts = {}
+    for key in ("horizon", "seed", *args.fields):
+        check, default = _FIELDS[key]
+        value = given.get(key, default)
+        if value is _REQUIRED:
+            raise ParseError(f"config field {key!r} is required")
+        opts[key] = None if value is None and default is None else check(key, value, seq)
+    if "initial_vectors" in opts:
+        vectors = opts["initial_vectors"]
+        opts["fss"] = FSSRecord.from_initial_vectors(
+            seq, np.eye(seq.dimension) if vectors is None else vectors, opts["horizon"])
+    params = {**config, "horizon": opts["horizon"], "seed": opts["seed"],
+              "format": args.format, "out_dir": str(args.out_dir)}
+    return seq, opts, params
 
 
 def _report(args, name, payload, csv_rows=None, csv_header=None, csv_format=None):
@@ -182,16 +187,9 @@ def _report(args, name, payload, csv_rows=None, csv_header=None, csv_format=None
 
 
 def cmd_spectrum(args):
-    seq, params = _load(args)
-    checkpoint_every = params.get("checkpoint_every")
-    if checkpoint_every is not None:
-        checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
-    estimate = spectrum_estimate(
-        seq,
-        params["horizon"],
-        checkpoint_every=checkpoint_every,
-        tail_fraction=_in_range(params, "tail_fraction", 1.0, default=0.5),
-    )
+    seq, opts, params = _load(args)
+    estimate = spectrum_estimate(seq, opts["horizon"], checkpoint_every=opts["checkpoint_every"],
+                                 tail_fraction=opts["tail_fraction"])
     rows = [
         (value, count, sum(len(r) for r in estimate.realizing_indices))
         for value, count in estimate.multiplicities
@@ -208,10 +206,8 @@ def cmd_spectrum(args):
 
 
 def cmd_splitness(args):
-    seq, params = _load(args)
-    sigma = _integer("sigma", params.get("sigma", 1), 1)
-    gamma_grid = _in_range(params, "gamma_grid", math.pi / 2, ndim=1, default=GAMMA_GRID)
-    fss = _build_fss(seq, params)
+    _, opts, params = _load(args)
+    fss, sigma, gamma_grid = opts["fss"], opts["sigma"], opts["gamma_grid"]
     report = splitness_report(fss, gamma_grid, sigma)
 
     angles = fss.angle_profile()
@@ -258,11 +254,9 @@ def cmd_splitness(args):
 
 
 def cmd_perturb(args):
-    seq, params = _load(args)
-    shifts = _vector(params, "shifts", seq.dimension)
-    fss = _build_fss(seq, params)
-    plan = build_plan(fss, shifts)
-    outcome = execute_plan(seq, fss, plan)
+    seq, opts, params = _load(args)
+    plan = build_plan(opts["fss"], opts["shifts"])
+    outcome = execute_plan(seq, opts["fss"], plan)
     payload = {
         "params": params,
         "constants": {
@@ -290,11 +284,8 @@ def cmd_perturb(args):
 
 
 def cmd_assign(args):
-    seq, params = _load(args)
-    target = _vector(params, "target_spectrum", seq.dimension)
-    epsilon = _in_range(params, "epsilon", math.inf)
-    fss = _build_fss(seq, params)
-    result = openness_experiment(seq, fss, target, epsilon)
+    seq, opts, params = _load(args)
+    result = openness_experiment(seq, opts["fss"], opts["target_spectrum"], opts["epsilon"])
     payload = {"params": params, **result}
     _report(args, "assign", payload)
     print(
@@ -305,11 +296,9 @@ def cmd_assign(args):
 
 
 def cmd_instability(args):
-    seq, params = _load(args)
-    trials = _integer("trials", params.get("trials", 16), 1)
-    epsilon_grid = _in_range(params, "epsilon_grid", math.inf, ndim=1)
-    fss = _build_fss(seq, params)
-    result = instability_experiment(seq, fss, epsilon_grid, trials=trials, seed=params["seed"])
+    seq, opts, params = _load(args)
+    result = instability_experiment(seq, opts["fss"], opts["epsilon_grid"],
+                                    trials=opts["trials"], seed=opts["seed"])
     rows = [
         (
             row["epsilon"],
@@ -419,20 +408,25 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = {
-        "spectrum": (cmd_spectrum, "estimate the Lyapunov spectrum"),
-        "splitness": (cmd_splitness, "angle statistics and broken-away verdicts"),
-        "perturb": (cmd_perturb, "synthesize and execute a spectrum-shift plan"),
-        "assign": (cmd_assign, "assign a nearby target spectrum (openness)"),
-        "instability": (cmd_instability, "drive spectrum jumps from a non-normal FSS"),
+    commands = {  # name -> (function, help, the config fields it reads besides horizon and seed)
+        "spectrum": (cmd_spectrum, "estimate the Lyapunov spectrum",
+                     ("checkpoint_every", "tail_fraction")),
+        "splitness": (cmd_splitness, "angle statistics and broken-away verdicts",
+                      ("sigma", "gamma_grid", "initial_vectors")),
+        "perturb": (cmd_perturb, "synthesize and execute a spectrum-shift plan",
+                    ("shifts", "initial_vectors")),
+        "assign": (cmd_assign, "assign a nearby target spectrum (openness)",
+                   ("target_spectrum", "epsilon", "initial_vectors")),
+        "instability": (cmd_instability, "drive spectrum jumps from a non-normal FSS",
+                        ("trials", "epsilon_grid", "initial_vectors")),
     }
-    for name, (fn, help_text) in commands.items():
+    for name, (fn, help_text, fields) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON scenario config")
         p.add_argument("--horizon", type=int, default=None, help="override the config horizon")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         _add_output(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, fields=fields)
 
     p = sub.add_parser("sinln", help="extrema scan of sin(ln n)")
     p.add_argument("--max-n", type=int, required=True)
@@ -449,15 +443,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (LtvLabError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        code = getattr(exc, "exit_code", EXIT_NUMERICAL)
+        print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

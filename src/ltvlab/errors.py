@@ -2,7 +2,10 @@
 
 
 class LtvLabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``exit_code`` is the command
+    line's exit status for one (3: a numerical failure)."""
+
+    exit_code = 3
 
 
 class InvalidInputError(LtvLabError, ValueError):
@@ -43,7 +46,9 @@ class UnderflowError(PropagationError):
 
 
 class ParseError(LtvLabError, ValueError):
-    """Syntax or semantic error in a generator spec or expression."""
+    """Syntax or semantic error in a generator spec, expression or config."""
+
+    exit_code = 2  # a config error
 
     def __init__(self, message, line=None, column=None):
         self.reason = message  # without the position
@@ -56,6 +61,8 @@ class ParseError(LtvLabError, ValueError):
 
 class BudgetError(LtvLabError, ValueError):
     """A requested exponent shift exceeds the synthesis budget delta."""
+
+    exit_code = 4  # a precondition violation
 
     def __init__(self, message, index=None, delta=None):
         super().__init__(message)
@@ -70,3 +77,5 @@ class BracketError(LtvLabError, RuntimeError):
 
 class PreconditionError(LtvLabError, ValueError):
     """An experiment precondition does not hold for the given inputs."""
+
+    exit_code = 4  # a precondition violation

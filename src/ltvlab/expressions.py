@@ -9,11 +9,12 @@ Grammar (one variable, five functions, four operators, unary minus):
     FUNC  := sin | cos | ln | exp | pow      (pow takes two arguments)
 
 The grammar is a subset of Python's, so a formula, one line of printable
-ASCII, is parsed with ``ast`` and checked node by node.  Errors give the
-line and column of the rejected construct, even for nesting too deep for
-Python.  A formula compiles to numpy code over one n or an array of n.
-It never raises on a bad value: a division by zero or an overflow gives
-inf, and a logarithm or fractional power of a negative number NaN.
+ASCII, is parsed with ``ast`` and checked node by node; a number must be
+finite.  Errors give the line and column of the rejected construct, even
+for nesting too deep for Python.  A formula compiles to numpy code over
+one n or an array of n.  It never raises on a bad value: a division by
+zero or an overflow gives inf, and a logarithm or fractional power of a
+negative number NaN.
 """
 
 import ast
@@ -60,8 +61,11 @@ def _render(node, text, env):
     numpy floats in ``env``, so even a formula without n follows numpy's rules."""
     segment = text[node.col_offset : node.end_col_offset]
     if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        value = np.float64(float(segment))
+        if not np.isfinite(value):  # a literal too large for a float, such as 1e400
+            raise ParseError(f"number {segment!r} is not finite", 1, node.col_offset + 1)
         name = f"_c{len(env) - len(_ENV)}"
-        env[name] = np.float64(float(segment))
+        env[name] = value
         return name
     if isinstance(node, ast.Name) and node.id == "n":
         return "n"

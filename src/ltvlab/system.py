@@ -8,6 +8,7 @@ log-norm, and a transition matrix as a unit-norm matrix plus a log factor.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,18 +248,18 @@ def _parse_shorthand(text):
         return CoefficientSequence.constant(np.eye(int(parts[1])))
     if stripped.startswith("diag(") and stripped.endswith(")"):
         body = stripped[len("diag(") : -1]
-        return CoefficientSequence.constant(np.diag([_number(v, 1) for v in body.split(",")]))
+        return CoefficientSequence.constant(np.diag([_number(v, 1, 1) for v in body.split(",")]))
     return None
 
 
-def _number(text, lineno):
-    """The finite number ``text`` on spec line ``lineno``."""
+def _number(text, lineno, column):
+    """The finite number ``text`` at ``column`` of spec line ``lineno``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ParseError(f"bad number {text!r}", lineno, 1)
+        raise ParseError(f"bad number {text!r}", lineno, column)
     return value
 
 
@@ -321,11 +322,13 @@ def parse_generator_spec(text):
     if s < 1:
         raise ParseError(f"dimension must be >= 1, got {s}", lineno, 1)
 
-    kind = fields.get("kind", (1, "dense"))[1].lower()
+    kind_line, kind = fields.get("kind", (1, "dense"))
+    kind = kind.lower()
+    entries_line = entries[0][0] if entries else kind_line  # count errors point here
 
     if kind == "file":
         if "path" not in fields:
-            raise ParseError("kind 'file' requires a 'path' field", 1, 1)
+            raise ParseError("kind 'file' requires a 'path' field", kind_line, 1)
         seq = read_matrix_sequence(fields["path"][1])
         if seq.dimension != s:
             raise ParseError(
@@ -343,31 +346,30 @@ def parse_generator_spec(text):
             column += len(piece) + 1
 
     if kind == "constant":
-        values = []
-        for lineno, _, piece in flat:
-            values.extend(_number(tok, lineno) for tok in piece.replace(",", " ").split())
+        values = [_number(tok.group(), lineno, column + tok.start() + 1)
+                  for lineno, column, piece in flat for tok in re.finditer(r"[^\s,]+", piece)]
         if len(values) == s:  # allow a plain diagonal
             return CoefficientSequence.constant(np.diag(values))
         if len(values) != s * s:
             raise ParseError(
                 f"constant kind needs {s * s} (or {s} diagonal) numbers, got {len(values)}",
-                1,
+                entries_line,
                 1,
             )
         return CoefficientSequence.constant(np.array(values).reshape(s, s))
 
     if kind == "diagonal":
         if len(flat) != s:
-            raise ParseError(f"diagonal kind needs {s} entries, got {len(flat)}", 1, 1)
+            raise ParseError(f"diagonal kind needs {s} entries, got {len(flat)}", entries_line, 1)
         return CoefficientSequence.diagonal_formulas([_formula(*entry) for entry in flat])
 
     if kind == "dense":
         if len(flat) != s * s:
-            raise ParseError(f"dense kind needs {s * s} entries, got {len(flat)}", 1, 1)
+            raise ParseError(f"dense kind needs {s * s} entries, got {len(flat)}", entries_line, 1)
         exprs = [_formula(*entry) for entry in flat]
         return CoefficientSequence.dense_formulas([exprs[i * s : (i + 1) * s] for i in range(s)])
 
-    raise ParseError(f"unknown kind {kind!r}", 1, 1)
+    raise ParseError(f"unknown kind {kind!r}", kind_line, 1)
 
 
 # --- matrix sequence files --------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ltvlab import ParseError, read_matrix_sequence, write_matrix_sequence
 from ltvlab.cli import (
+    _FIELDS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -224,8 +226,10 @@ def test_malformed_config_exit_code(tmp_path):
 
 def test_bad_system_spec_exit_code(tmp_path):
     constant = "dimension: 2\nkind: constant\nentries:\n  1 0\n  0 {}\n"
+    diagonal = "dimension: 1\nkind: diagonal\nentries:\n  {}\n"
     for spec in ("diag(1,oops)", "diag(1,nan)", "diag(1e400, 2)",
-                 constant.format("nan"), constant.format("inf")):
+                 constant.format("nan"), constant.format("inf"),
+                 diagonal.format("1e400"), diagonal.format("n*1e400")):
         cfg = write_config(tmp_path, "cfg.json", {"system": spec})
         code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG, spec
@@ -558,18 +562,28 @@ def test_null_config_field_exit_code(tmp_path, capsys, command, field):
 
 @pytest.mark.parametrize("system", [{}, {"file": 3}, {"file": MISSING_FILE}, ABSENT,
                                     f"dimension: 2\nkind: file\npath: {MISSING_FILE}\n"])
-def test_bad_system_field_exit_code(tmp_path, system):
+def test_bad_system_field_exit_code(tmp_path, capsys, system):
     config = {"horizon": 200} if system is ABSENT else {"system": system, "horizon": 200}
     cfg = write_config(tmp_path, "cfg.json", config)
     assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config field 'system'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, name", [
     ("perturb", "shifts"), ("assign", "target_spectrum"), ("assign", "epsilon"),
     ("instability", "epsilon_grid"),
 ])
-def test_missing_required_config_field_exit_code(tmp_path, command, name):
+def test_missing_required_config_field_exit_code(tmp_path, capsys, command, name):
     fields = {**VALID_CONFIGS[command][0]}
     del fields[name]
     cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", **fields})
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config field {name!r} is required" in capsys.readouterr().err
+
+
+def test_readme_config_table_has_a_row_per_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config format\n")[1].split("\n#")[0]
+    rows = {line.split("|")[1].strip(" `") for line in section.splitlines()
+            if line.startswith("| `")}
+    assert rows == {"system", *_FIELDS}

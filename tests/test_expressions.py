@@ -40,6 +40,14 @@ def test_nested_against_math_module():
         assert e(n) == pytest.approx(direct, rel=1e-14)
 
 
+@pytest.mark.parametrize("text, column", [("1e400", 1), ("n + 2*1e400", 7), ("-1e999*n", 2)])
+def test_non_finite_literal_is_a_parse_error(text, column):
+    with pytest.raises(ParseError, match="not finite") as info:
+        parse_expression(text)
+    assert (info.value.line, info.value.column) == (1, column)
+    assert parse_expression("1e308*10")(1) == math.inf  # an overflow in evaluation is a value
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as info:
         parse_expression("1 + $")

@@ -99,6 +99,26 @@ def test_formula_errors_point_into_the_spec(spec, line, column):
     assert str(info.value).count("(line ") == 1
 
 
+@pytest.mark.parametrize(
+    "spec, message, line, column",
+    [
+        ("dimension: 2\nkind: banana\nentries:\n  n\n  n\n", "unknown kind", 2, 1),
+        ("dimension: 2\n\nkind: file\n", "requires a 'path'", 3, 1),
+        ("dimension: 2\nkind: diagonal\n# one entry\nentries:\n  n\n", "needs 2 entries", 4, 1),
+        ("dimension: 2\nkind: dense\nentries: 1; 0\n  1\n", "needs 4 entries", 3, 1),
+        ("dimension: 2\nkind: constant\n\nentries:\n  1 0 0\n", "or 2 diagonal", 4, 1),
+        ("dimension: 2\nkind: constant\nentries:\n  1 0\n  0,  x2\n", "'x2'", 5, 7),
+        ("dimension: 2\nkind: constant\nentries: 1; 2 0; nan\n", "'nan'", 3, 18),
+    ],
+    ids=["kind", "file-path", "diagonal-count", "dense-count", "constant-count",
+         "constant-number", "constant-non-finite"],
+)
+def test_spec_errors_point_at_their_line(spec, message, line, column):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_generator_spec(spec)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_matrix_sequence_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     mats = [rng.normal(size=(3, 3)) for _ in range(5)]
