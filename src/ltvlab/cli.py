@@ -149,7 +149,7 @@ def _load(args):
     opts = {}
     for key in ("horizon", "seed", *args.fields):
         check, default = _FIELDS[key]
-        value = given.get(key, default)
+        value = given.get(key, default)  # a default is checked too: a horizon against a file
         if value is _REQUIRED:
             raise ParseError(f"config field {key!r} is required")
         opts[key] = None if value is None and default is None else check(key, value, seq)
