@@ -71,10 +71,10 @@ def _in_range(key, value, seq, high, ndim=0):
 
 
 def _integer(key, value, seq, minimum):
-    """An integer >= ``minimum``."""
+    """An integer >= ``minimum``; a float must be whole, and a bool is refused."""
     try:
         number = int(value)
-        whole = not isinstance(value, bool) and number == float(value)
+        whole = not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer())
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole or number < minimum:
@@ -153,6 +153,9 @@ def _load(args):
         if value is _REQUIRED:
             raise ParseError(f"config field {key!r} is required")
         opts[key] = None if value is None and default is None else check(key, value, seq)
+    if opts.get("sigma", 1) > opts["horizon"]:
+        raise ParseError(f"config field 'sigma' must be at most the horizon "
+                         f"{opts['horizon']}, got {opts['sigma']}")
     if "initial_vectors" in opts:
         vectors = opts["initial_vectors"]
         opts["fss"] = FSSRecord.from_initial_vectors(

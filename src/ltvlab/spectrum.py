@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
-from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _block_states, _propagation_blocks,
-                     _stored_steps)
+from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _block_states, _max_abs,
+                     _propagation_blocks, _stored_steps)
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -160,13 +160,14 @@ def _checkpoint_logs(seq, horizon, checkpoint_every):
 def _volume_logs(seq, horizon, checkpoint_every):
     """Checkpoint steps and column logs from the j-volumes of X(n), in one
     pass that splits each block of A(n) exactly into 2**e(n) U(n) and carries
-    e_1 through every compound C_j(U(n)).  The minors of U(n) stay in the
-    normal range; since C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log
-    is short by ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
+    e_1 through every compound C_j(U(n)) with j < s; the s-volume's log is
+    the running sum of ln |det U(n)|.  The minors of U(n) stay in the normal
+    range; since C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log is
+    short by ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
     """
     s = seq.dimension
-    states = [(np.eye(math.comb(s, j))[:, :1], 0.0) for j in range(1, s + 1)]
-    e_sum = 0
+    states = [(np.eye(math.comb(s, j))[:, :1], 0.0) for j in range(1, s)]
+    e_sum = det_sum = 0
     cp_ns, cp_logs = [], []
     for start in range(1, horizon, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, horizon)
@@ -179,6 +180,14 @@ def _volume_logs(seq, horizon, checkpoint_every):
             logs = log_norm + growth[:, 0]
             states[j] = dirs[-1], logs[-1]
             volumes.append(logs[kept])
+        sign, log_det = np.linalg.slogdet(unit)
+        _raise_on_underflow(sign != 0.0, log_det < math.log(_NORMAL_MIN), start, "a minor of")
+        if not sign.all():  # a singular A(n) collapses the s-volume
+            n = start + int(np.argmin(sign != 0.0))
+            raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
+        det_sums = det_sum + np.cumsum(log_det)
+        det_sum = det_sums[-1]
+        volumes.append(det_sums[kept])
         e_sums = e_sum + np.cumsum(exponents)
         e_sum = e_sums[-1]
         cp_ns.append(steps[kept])
@@ -193,7 +202,7 @@ def _unit_part(mats, start):
     integers e(n).  A nonzero entry of U(n) below the normal range (A(n)
     conditioned past about 1e308) raises UnderflowError.
     """
-    top = np.abs(mats).max(axis=(1, 2))
+    top = _max_abs(mats.reshape(len(mats), -1))
     exponents = np.where(top > 0.0, np.frexp(top)[1] - 1, 0)
     unit = np.ldexp(mats, -exponents[:, None, None])
     _raise_on_underflow(unit != 0.0, np.abs(unit) < _NORMAL_MIN, start, "an entry of")

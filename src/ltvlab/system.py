@@ -554,19 +554,27 @@ def _running_products(mats):
     flags a product whose scaled entries cancelled below _TINY."""
     k = len(mats)
     with np.errstate(all="ignore"):
-        _, exps = np.frexp(np.abs(mats).max(axis=(1, 2)))
+        _, exps = np.frexp(_max_abs(mats.reshape(k, -1)))
         prods = np.ldexp(mats, -exps[:, None, None])
         lost = np.zeros(k, dtype=bool)
         offset = 1
         while offset < k:
             raw = prods[offset:] @ prods[:-offset]
-            top = np.abs(raw).max(axis=(1, 2))
+            top = _max_abs(raw.reshape(k - offset, -1))
             _, shift = np.frexp(top)
-            prods[offset:] = np.ldexp(raw, -shift[:, None, None])
-            exps[offset:] = exps[offset:] + exps[:-offset] + shift
+            np.ldexp(raw, -shift[:, None, None], out=prods[offset:])
+            exps[offset:] += exps[:-offset] + shift
             lost[offset:] |= lost[:-offset] | ~(top >= _TINY)
             offset *= 2
     return prods, exps, lost
+
+
+def _max_abs(stack):
+    """np.abs(stack).max(axis=1) of a (k, n, ...) stack, bit for bit, taken
+    over a contiguous copy with axis 1 in front: numpy then compares whole
+    rows of k at once, not one short run per entry of the stack."""
+    lead = np.moveaxis(stack, 1, 0).copy()
+    return np.abs(lead, out=lead).max(axis=0)
 
 
 def _block_states(mats, d, n0):
@@ -575,7 +583,7 @@ def _block_states(mats, d, n0):
     prods, exps, lost = _running_products(mats)
     y = prods @ d
     with np.errstate(all="ignore"):
-        top = np.abs(y).max(axis=1)  # (k, m)
+        top = _max_abs(y)  # (k, m)
         if len(mats) > 1:
             if (lost | ~(top >= _TINY).all(axis=1)).any():
                 del y, top  # free this block's states before the halves make theirs

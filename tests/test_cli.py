@@ -360,6 +360,7 @@ def test_formula_without_a_finite_real_value_exit_code(tmp_path, capsys, command
         ("instability", {"trials": 0, "epsilon_grid": [0.1]}, "trials"),
         ("instability", {"seed": -1, "epsilon_grid": [0.1]}, "seed"),
         ("spectrum", {"seed": "abc"}, "seed"),
+        ("splitness", {"sigma": 500}, "sigma"),  # beyond the horizon
     ],
 )
 def test_bad_integer_config_field_exit_code(tmp_path, capsys, command, fields, name):
@@ -367,6 +368,19 @@ def test_bad_integer_config_field_exit_code(tmp_path, capsys, command, fields, n
     code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1, 2.0**64])
+def test_whole_number_config_field_above_2_53(tmp_path, seed):
+    # 2**53 + 1 and 2**64 - 1 have no float of the same value
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 200, "seed": seed})
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    assert json.loads((tmp_path / "o" / "spectrum.json").read_text())["params"]["seed"] == seed
+
+
+def test_sigma_up_to_the_horizon(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 200, "sigma": 200})
+    assert main(["splitness", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--horizon", "0")])

@@ -23,6 +23,7 @@ from ltvlab import (
 from ltvlab.errors import UnderflowError
 from ltvlab.presets import SIN_LOG_SPEC, geometric_diag
 from ltvlab.spectrum import _compound, _unit_part, _volume_logs
+from ltvlab.system import _TINY, _block_states, _running_products
 
 
 def test_constant_sequence():
@@ -473,6 +474,59 @@ def test_propagate_scales_a_shrinking_column_before_taking_its_norm():
     # x(2) = (0, 1e-310) is subnormal: too few digits left to go on
     with pytest.raises(UnderflowError, match="n=2"):
         propagate(geometric_diag([1.0, 1e-310]), [0.0, 1.0], 3)
+
+
+def first_form_scan(mats):
+    """``_running_products`` as first written: each matrix's max over its own
+    trailing axes, and nothing updated in place."""
+    _, exps = np.frexp(np.abs(mats).max(axis=(1, 2)))
+    prods, lost, offset = np.ldexp(mats, -exps[:, None, None]), np.zeros(len(mats), bool), 1
+    while offset < len(mats):
+        raw = prods[offset:] @ prods[:-offset]
+        top = np.abs(raw).max(axis=(1, 2))
+        prods[offset:] = np.ldexp(raw, -np.frexp(top)[1][:, None, None])
+        exps[offset:] = exps[offset:] + exps[:-offset] + np.frexp(top)[1]
+        lost[offset:] |= lost[:-offset] | ~(top >= _TINY)
+        offset *= 2
+    return prods, exps, lost
+
+
+def scan_outcome(fn, *args):
+    """The arrays ``fn(*args)`` returns as raw bytes, or its PropagationError."""
+    try:
+        with np.errstate(all="ignore"):
+            return [(a.dtype, a.shape, a.tobytes()) for a in fn(*args)]
+    except PropagationError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("k", [1, 2, 255, 256])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_the_scan_matches_its_first_form_bit_for_bit(monkeypatch, s, k):
+    rng = np.random.default_rng(10 * k + s)
+    mats = rng.normal(size=(k, s, s)) * 2.0 ** rng.integers(-300, 300, size=(k, 1, 1))
+    zero = mats.copy()
+    zero[k // 2] = 0.0  # every running product from here on is zero
+    # every other axis shrinks 1e6-fold a step against the rest, so columns
+    # in those axes fall below _TINY within a long block, which is halved
+    shrink = np.repeat(np.diag(1e3 ** (1 - 2 * (np.arange(s) % 2)))[None], k, axis=0)
+    for block in (mats, zero, shrink):
+        assert scan_outcome(_running_products, block) == scan_outcome(first_form_scan, block)
+        for m in (1, 68):
+            d = rng.normal(size=(s, m))
+            if block is shrink and s > 1:
+                d[::2] = 0.0
+            d /= np.linalg.norm(d, axis=0)
+            with monkeypatch.context() as patch:
+                calls = []
+                patch.setattr("ltvlab.system._block_states",
+                              lambda *args: calls.append(args) or _block_states(*args))
+                fast = scan_outcome(_block_states, block, d, 7)
+            assert bool(calls) == (block is zero and k > 1 or block is shrink and s > 1 and k > 2)
+            with monkeypatch.context() as patch:
+                patch.setattr("ltvlab.system._running_products", first_form_scan)
+                patch.setattr("ltvlab.system._max_abs", lambda a: np.abs(a).max(axis=1))
+                assert fast == scan_outcome(_block_states, block, d, 7)
 
 
 # --- compound blocks of the spectrum's volume pass ----------------------
