@@ -71,15 +71,13 @@ def _in_range(key, value, seq, high, ndim=0):
 
 
 def _integer(key, value, seq, minimum):
-    """An integer >= ``minimum``; a float must be whole, and a bool is refused."""
-    try:
-        number = int(value)
-        whole = not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer())
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole or number < minimum:
+    """An integer >= ``minimum``: a JSON number that is whole; a string or a
+    bool is refused."""
+    whole = isinstance(value, int) and not isinstance(value, bool) or (
+        isinstance(value, float) and value.is_integer())
+    if not whole or int(value) < minimum:
         raise ParseError(f"config field {key!r} must be an integer >= {minimum}, got {value!r}")
-    return number
+    return int(value)
 
 
 def _horizon(key, value, seq):
@@ -450,6 +448,10 @@ def main(argv=None):
         code = getattr(exc, "exit_code", EXIT_NUMERICAL)
         print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
         return code
+    except MemoryError as exc:  # the arrays of a horizon too long for this machine
+        print(f"{_LABELS[EXIT_CONFIG]}: config field 'horizon' is too large to hold in memory: "
+              f"{exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -572,15 +572,24 @@ def _running_products(mats):
 def _max_abs(stack):
     """np.abs(stack).max(axis=1) of a (k, n, ...) stack, bit for bit, taken
     over a contiguous copy with axis 1 in front: numpy then compares whole
-    rows of k at once, not one short run per entry of the stack."""
-    lead = np.moveaxis(stack, 1, 0).copy()
+    rows of k at once, not one short run per entry of the stack.  The copy
+    comes from ``swapaxes``, a C call; ``np.moveaxis`` gives the same layout
+    but costs microseconds of Python per call, and this runs once per scan
+    round and once per block."""
+    lead = stack.swapaxes(0, 1).copy()
     return np.abs(lead, out=lead).max(axis=0)
 
 
-def _block_states(mats, d, n0):
+def _block_states(mats, d, n0, scan=None):
     """Unit directions (k, s, m) and log-growth (k, m) of the columns ``d``
-    after each step of the block ``mats`` = A(n0), ..., A(n0 + k - 1)."""
-    prods, exps, lost = _running_products(mats)
+    after each step of the block ``mats`` = A(n0), ..., A(n0 + k - 1).
+
+    ``scan`` is ``_running_products(mats)`` when the caller holds it.  A
+    block that is halved passes its first half the first half of its own
+    scan: prefix j of a Hillis-Steele scan reads only steps <= j, so that
+    slice equals a fresh scan of the half bit for bit, and only the second
+    half is scanned anew."""
+    prods, exps, lost = _running_products(mats) if scan is None else scan
     y = prods @ d
     with np.errstate(all="ignore"):
         top = _max_abs(y)  # (k, m)
@@ -588,7 +597,9 @@ def _block_states(mats, d, n0):
             if (lost | ~(top >= _TINY).all(axis=1)).any():
                 del y, top  # free this block's states before the halves make theirs
                 half = len(mats) // 2
-                dirs1, growth1 = _block_states(mats[:half], d, n0)
+                dirs1, growth1 = _block_states(
+                    mats[:half], d, n0, (prods[:half], exps[:half], lost[:half])
+                )
                 dirs2, growth2 = _block_states(mats[half:], dirs1[-1], n0 + half)
                 return np.concatenate([dirs1, dirs2]), np.concatenate(
                     [growth1, growth2 + growth1[-1]]

@@ -361,6 +361,9 @@ def test_formula_without_a_finite_real_value_exit_code(tmp_path, capsys, command
         ("instability", {"seed": -1, "epsilon_grid": [0.1]}, "seed"),
         ("spectrum", {"seed": "abc"}, "seed"),
         ("splitness", {"sigma": 500}, "sigma"),  # beyond the horizon
+        ("spectrum", {"seed": "12"}, "seed"),  # a string, even one int() reads
+        ("spectrum", {"horizon": "300"}, "horizon"),
+        ("splitness", {"sigma": "2"}, "sigma"),
     ],
 )
 def test_bad_integer_config_field_exit_code(tmp_path, capsys, command, fields, name):
@@ -381,6 +384,14 @@ def test_whole_number_config_field_above_2_53(tmp_path, seed):
 def test_sigma_up_to_the_horizon(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 200, "sigma": 200})
     assert main(["splitness", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_horizon_too_large_to_hold_exit_code(tmp_path, capsys):
+    # the FSS of 1e15 steps asks for petabytes, which numpy refuses at once
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 1e15})
+    assert main(["splitness", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'horizon'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--horizon", "0")])

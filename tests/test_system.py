@@ -9,14 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from ltvlab import (
     CoefficientSequence,
+    FSSRecord,
     InvalidInputError,
     NotLyapunovSequenceError,
     ParseError,
     PropagationError,
     additive_to_multiplicative,
+    incompressibility_test,
     parse_generator_spec,
     propagate,
     read_matrix_sequence,
+    spectrum_estimate,
     transition,
     write_matrix_sequence,
 )
@@ -527,6 +530,26 @@ def test_the_scan_matches_its_first_form_bit_for_bit(monkeypatch, s, k):
                 patch.setattr("ltvlab.system._running_products", first_form_scan)
                 patch.setattr("ltvlab.system._max_abs", lambda a: np.abs(a).max(axis=1))
                 assert fast == scan_outcome(_block_states, block, d, 7)
+
+
+def test_a_halved_block_scans_each_step_once(monkeypatch):
+    # on sin-log at H = 1e4 the volume and incompressibility passes each halve
+    # 10 of their 40 blocks, and a halved block scans only its second half anew
+    seq = parse_generator_spec(SIN_LOG_SPEC)
+    sizes = []
+    monkeypatch.setattr("ltvlab.system._running_products",
+                        lambda mats: sizes.append(len(mats)) or _running_products(mats))
+
+    def scans(fn, *args):
+        sizes.clear()
+        result = fn(*args)
+        return result, (len(sizes), sum(sizes))
+
+    _, volume_scans = scans(spectrum_estimate, seq, 10_000)
+    fss, fss_scans = scans(FSSRecord.from_initial_vectors, seq, [[1.0, 1.0], [0.0, 1.0]], 10_000)
+    _, test_scans = scans(incompressibility_test, fss)
+    assert volume_scans == test_scans == (50, 11_279)
+    assert fss_scans == (40, 9_999)
 
 
 # --- compound blocks of the spectrum's volume pass ----------------------
