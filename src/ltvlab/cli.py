@@ -42,7 +42,16 @@ _LABELS = {EXIT_CONFIG: "config error", EXIT_NUMERICAL: "numerical failure",
 
 
 def _numbers(key, value):
-    """The finite number or numbers ``value`` of config field ``key``, as an array."""
+    """The finite number or numbers ``value`` of config field ``key``, as an
+    array; a string or a bool at any depth is refused, though numpy would
+    read '0.5' or true as a number."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, (str, bool)):
+            raise ParseError(f"config field {key!r} must be numeric, got {value!r}")
     try:
         values = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -4,6 +4,8 @@ and oblique projections onto a basis of directions.
 All functions are pure and operate on plain numpy arrays.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError, SingularMatrixError
@@ -23,34 +25,71 @@ def _as_vector(v, name="vector"):
 
 
 def spectral_norm(m):
-    """Largest singular value of ``m``, or of each matrix in an (..., r, c) stack."""
+    """Largest singular value of ``m``, or of each matrix in an (..., r, c) stack.
+
+    Each matrix is scaled by the power of two of its largest entry (exact,
+    so no square overflows or underflows), and the norm is the square root
+    of the top eigenvalue of the smaller Gram matrix, M^T M or M M^T.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2:
         raise InvalidInputError(f"expected a matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
-    norms = np.linalg.svd(m, compute_uv=False)[..., 0]
-    return float(norms) if m.ndim == 2 else norms
+    stack = m[None] if m.ndim == 2 else m  # one route, so a matrix equals its stack entry
+    _, exps = np.frexp(np.abs(stack).max(axis=(-2, -1), initial=0.0))
+    unit = np.ldexp(stack, -exps[..., None, None])
+    if unit.shape[-2] < unit.shape[-1]:
+        unit = np.swapaxes(unit, -1, -2)
+    gram = np.swapaxes(unit, -1, -2) @ unit
+    top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    norms = np.ldexp(top, exps)
+    return float(norms[0]) if m.ndim == 2 else norms
 
 
 def project_out(p, basis):
     """Split stacked vectors against the spans of stacked bases.
 
     ``p`` is (..., m) and ``basis`` is (..., m, k) with matching leading
-    shapes.  One batched QR gives, per entry, the coefficients ``Q^T p``
-    of the orthogonal projection onto the span, the residual
+    shapes.  Classical Gram-Schmidt applied twice per column ("twice is
+    enough") orthonormalizes the k columns one at a time, each step one
+    vector operation over the whole stack.  Each column is first scaled
+    by the power of two of its largest entry (exact), so no square
+    overflows or underflows; a column with no component left gets a zero
+    q.  It returns, per entry, the coefficients ``Q^T p`` of the
+    orthogonal projection onto the span, the residual
     ``w0 = p - Q Q^T p`` and a flag that is False where the basis is rank
-    deficient to tolerance.  ``||Q^T p||`` is accurate near a right angle
-    and ``||w0||`` near zero; ``w0 / (w0 . p)`` is the covector of the
-    oblique projection onto ``p`` along the span.
+    deficient to tolerance: where the smallest r_jj, the norm of column
+    j's component orthogonal to the earlier columns, is at most
+    SINGULAR_RTOL * max(largest r_jj, 1).  ``||Q^T p||`` is accurate near
+    a right angle and ``||w0||`` near zero; ``w0 / (w0 . p)`` is the
+    covector of the oblique projection onto ``p`` along the span.
     """
-    q, r = np.linalg.qr(basis)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    scale = np.maximum(diag.max(axis=-1, initial=0.0), 1.0)
-    full_rank = diag.min(axis=-1, initial=np.inf) > SINGULAR_RTOL * scale
-    coef = (np.swapaxes(q, -1, -2) @ p[..., None])[..., 0]
-    w0 = p - (q @ coef[..., None])[..., 0]
-    return coef, w0, full_rank
+    lead, (m, k) = basis.shape[:-2], basis.shape[-2:]
+    # column j of every basis as rows of the stack: cols[j, i] is entry i of
+    # all of them, so each step below is a whole-row operation
+    cols = basis.reshape(math.prod(lead), m, k).transpose(2, 1, 0).copy()  # (k, m, N)
+    qs = []
+    diag = np.empty((k, cols.shape[-1]))
+    for j in range(k):
+        _, exps = np.frexp(np.abs(cols[j]).max(axis=0))
+        v = np.ldexp(cols[j], -exps)
+        for _ in range(2):
+            coef = [(q * v).sum(axis=0) for q in qs]
+            for c, q in zip(coef, qs):
+                v = v - c * q
+        norm = np.sqrt((v * v).sum(axis=0))
+        diag[j] = np.ldexp(norm, exps)
+        qs.append(v / np.where(norm > 0.0, norm, np.inf))
+    scale = np.maximum(diag.max(axis=0, initial=0.0), 1.0)
+    full_rank = diag.min(axis=0, initial=np.inf) > SINGULAR_RTOL * scale
+    w0 = p.reshape(-1, m).T.copy()  # (m, N)
+    coef = np.empty_like(diag)
+    for j, q in enumerate(qs):
+        coef[j] = (q * w0).sum(axis=0)
+    for c, q in zip(coef, qs):
+        w0 -= c * q
+    return coef.T.reshape(lead + (k,)), w0.T.reshape(lead + (m,)), full_rank.reshape(lead)
 
 
 def _subspace_inputs(p, basis, name):

@@ -9,6 +9,7 @@ log-norm, and a transition matrix as a unit-norm matrix plus a log factor.
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,7 +382,41 @@ def read_matrix_sequence(path):
     Records are indexed from n=1; other origins are not supported.
     """
     with open(path) as fh:
-        tokens = fh.read().split()
+        text = fh.read()
+    data = _fast_records(text)
+    if data is None:
+        data = _token_records(path, text.split())
+    return CoefficientSequence.from_matrices(data)
+
+
+def _fast_records(text):
+    """The (count, s, s) records of a matrix file from one np.fromstring
+    call, or None wherever it might not agree with ``_token_records``:
+    an unreadable token (numpy >= 2 raises, numpy < 2 warns and returns
+    what it read so far), a bad header, a wrong count or a non-finite
+    value.  Where it returns records, each one has the bits float() gives
+    its token; numpy refuses tokens such as '1_000' that float() takes."""
+    head = text.split(None, 2)
+    try:
+        s, count, rest = int(head[0]), int(head[1]), head[2]
+    except (IndexError, ValueError):
+        return None
+    if s < 1 or count < 1:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(rest, sep=" ")
+        except (ValueError, Warning):
+            return None
+    if values.size != count * s * s or not np.isfinite(values).all():
+        return None
+    return values.reshape(count, s, s)
+
+
+def _token_records(path, tokens):
+    """The (count, s, s) records of a matrix file's whitespace tokens, one
+    float() per value, or a ParseError naming what is wrong."""
     if len(tokens) < 2:
         raise ParseError(f"matrix sequence file {path!r} is too short", 1, 1)
     try:
@@ -403,7 +438,7 @@ def read_matrix_sequence(path):
     if not finite.all():
         record = int(np.argmin(finite)) + 1
         raise ParseError(f"{path!r}: record {record} has a non-finite value", 1, 1)
-    return CoefficientSequence.from_matrices(data)
+    return data
 
 
 def write_matrix_sequence(path, matrices):

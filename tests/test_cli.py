@@ -299,6 +299,9 @@ def test_non_numeric_matrix_file_exit_code(tmp_path):
         ("assign", {"target_spectrum": [0.0, "x"], "epsilon": 0.2}),
         ("assign", {"target_spectrum": [0.01, 0.68], "epsilon": "big"}),
         ("instability", {"epsilon_grid": ["0.1x"]}),
+        ("spectrum", {"tail_fraction": "0.5"}),
+        ("spectrum", {"tail_fraction": True}),
+        ("perturb", {"shifts": ["0.01", "-0.01"]}),
     ],
 )
 def test_non_numeric_config_numbers_exit_code(tmp_path, capsys, command, fields):

@@ -11,7 +11,7 @@ from ltvlab import (
     oblique_projections,
     spectral_norm,
 )
-from ltvlab.linalg import SINGULAR_RTOL
+from ltvlab.linalg import SINGULAR_RTOL, project_out
 
 
 def test_spectral_norm_known_values():
@@ -182,3 +182,86 @@ def test_spectral_norm_of_a_stack():
         assert norms[idx] == spectral_norm(stack[idx])
     with pytest.raises(InvalidInputError):
         spectral_norm(np.full((2, 2, 2), np.nan))
+
+
+def _qr_project_out(p, basis):
+    """project_out by one batched Householder QR: the reference form."""
+    q, r = np.linalg.qr(basis)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    scale = np.maximum(diag.max(axis=-1, initial=0.0), 1.0)
+    full_rank = diag.min(axis=-1, initial=np.inf) > SINGULAR_RTOL * scale
+    coef = (np.swapaxes(q, -1, -2) @ p[..., None])[..., 0]
+    return coef, p - (q @ coef[..., None])[..., 0], full_rank
+
+
+def _assert_matches_qr(p, basis, tol):
+    coef, w0, full_rank = project_out(p, basis)
+    ref_coef, ref_w0, ref_full_rank = _qr_project_out(p, basis)
+    assert coef.shape == ref_coef.shape and w0.shape == ref_w0.shape
+    assert np.array_equal(full_rank, ref_full_rank)
+    assert np.abs(w0 - ref_w0).max(initial=0.0) <= tol
+    coef_norms = np.linalg.norm(coef, axis=-1) - np.linalg.norm(ref_coef, axis=-1)
+    assert np.abs(coef_norms).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("count", [1, 256, 10_000])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_project_out_matches_the_qr_form(s, count):
+    rng = np.random.default_rng(100 * s + count)
+    p = rng.normal(size=(count, s))
+    basis = rng.normal(size=(count, s, s - 1))
+    _assert_matches_qr(p, basis, 1e-13)
+    _assert_matches_qr(p[0], basis[0], 1e-13)  # a single vector and basis
+    if s == 1:  # no columns: nothing to project out
+        coef, w0, full_rank = project_out(p, basis)
+        assert coef.shape == (count, 0) and np.array_equal(w0, p) and full_rank.all()
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_project_out_near_parallel_and_rank_deficient_bases(s):
+    # the last column leans on the first by delta: full rank to tolerance
+    # down to about 1e-12, and the span itself moves by about eps / delta
+    rng = np.random.default_rng(s)
+    for delta in (1e-3, 1e-6, 1e-9, 1e-13, 1e-15, 0.0):
+        p = rng.normal(size=(256, s))
+        basis = rng.normal(size=(256, s, s - 1))
+        basis[..., -1] = basis[..., 0] + delta * rng.normal(size=(256, s))
+        coef, w0, full_rank = project_out(p, basis)
+        _, ref_w0, ref_full_rank = _qr_project_out(p, basis)
+        assert np.array_equal(full_rank, ref_full_rank)
+        assert full_rank.all() == (delta >= 1e-9) and full_rank.any() == (delta >= 1e-9)
+        assert np.isfinite(coef).all() and np.isfinite(w0).all()
+        if delta > 0.0:
+            assert np.abs(w0 - ref_w0).max() <= 100 * np.finfo(float).eps / delta
+    zero_column = np.zeros((4, s, s - 1))
+    zero_column[:, :, 1:] = rng.normal(size=(4, s, s - 2))
+    coef, w0, full_rank = project_out(rng.normal(size=(4, s)), zero_column)
+    assert not full_rank.any() and np.isfinite(coef).all() and np.isfinite(w0).all()
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_project_out_scale_free_in_the_basis(power):
+    rng = np.random.default_rng(abs(power))
+    p = rng.normal(size=(256, 3))
+    basis = rng.normal(size=(256, 3, 2))
+    scaled = basis * 2.0**power
+    _assert_matches_qr(p, scaled, 1e-13)
+    _, w0, _ = project_out(p, basis)
+    _, scaled_w0, full_rank = project_out(p, scaled)
+    assert np.abs(scaled_w0 - w0).max() <= 1e-13
+    # the rank rule is in the caller's units: columns of norm 2**-600
+    # fall below SINGULAR_RTOL, as they do for the QR form
+    assert full_rank.all() == (power > 0)
+    if power > 0:
+        assert np.abs(angle_to_subspace(p, scaled) - angle_to_subspace(p, basis)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(256, 2, 2), (256, 3, 3), (50, 2, 5), (50, 5, 2), (3, 3)])
+@pytest.mark.parametrize("size", [1.0, 1e200, 1e-200])
+def test_spectral_norm_matches_the_svd(shape, size):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    for m in (rng.normal(size=shape) * size,
+              rng.normal(size=shape[:-1] + (1,)) * rng.normal(size=shape[:-2] + (1, shape[-1])) * size):
+        svd = np.linalg.svd(m, compute_uv=False)[..., 0]  # random, then rank 1
+        assert np.all(np.abs(spectral_norm(m) - svd) <= 1e-14 * svd)
+    assert np.array_equal(spectral_norm(np.zeros(shape)), np.zeros(shape[:-2]))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from ltvlab import (
 from ltvlab.errors import UnderflowError
 from ltvlab.presets import SIN_LOG_SPEC, geometric_diag
 from ltvlab.spectrum import _compound, _unit_part, _volume_logs
-from ltvlab.system import _TINY, _block_states, _running_products
+from ltvlab.system import (_TINY, _block_states, _fast_records, _running_products,
+                           _token_records)
 
 
 def test_constant_sequence():
@@ -153,6 +155,60 @@ def test_matrix_sequence_round_trip_is_bit_exact(data, s, count):
         write_matrix_sequence(path, mats)
         back = read_matrix_sequence(path).matrices(1, count + 1)
     assert np.array_equal(back.view(np.uint64), mats.view(np.uint64))
+
+
+# tokens on which np.fromstring and float() may differ, each with 1.5 as a
+# second value: float() takes the first three and numpy refuses them,
+# numpy reads 'nan(123)' and float() refuses it, both refuse the next two,
+# both take the two overflows, and the rest must round as float() does
+PARSE_CASES = {
+    "underscore": "1 2\n1_000 1.5\n",
+    "arabic-digits": "1 2\n\u0661\u0662 1.5\n",
+    "no-break-space": "1 2\n1\u00a01.5\n",
+    "nan-payload": "1 2\nnan(123) 1.5\n",
+    "hex": "1 2\n0x10 1.5\n",
+    "trailing-letter": "1 2\n1e5x 1.5\n",
+    "infinity": "1 2\ninfinity 1.5\n",
+    "overflow": "1 2\n1e400 1.5\n",
+    "smallest-subnormal": "1 2\n5e-324 1.5\n",
+    "below-normal": "1 2\n2.2250738585072011e-308 1.5\n",
+    "repr-17-digits": "3 7\n" + " ".join(
+        f"{v:.17g}" for v in np.random.default_rng(0).normal(size=63) * 10.0 ** np.arange(-31, 32)
+    ) + "\n",
+}
+FAST_PATH_CASES = {"smallest-subnormal", "below-normal", "repr-17-digits"}
+
+
+def _parse_outcome(parse, path):
+    try:
+        return parse(path).view(np.uint64).tolist()
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_matrix_file_parse_agrees_with_float_token_by_token(tmp_path, case):
+    path = tmp_path / "seq.txt"
+    path.write_text(PARSE_CASES[case], encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert (_fast_records(text) is not None) == (case in FAST_PATH_CASES)
+    by_float = _parse_outcome(lambda p: _token_records(p, text.split()), path)
+    assert _parse_outcome(_all_records, path) == by_float
+
+
+def _all_records(path):
+    seq = read_matrix_sequence(path)
+    return seq.matrices(1, seq.count + 1)
+
+
+def test_matrix_file_parse_falls_back_where_numpy_warns(monkeypatch):
+    # numpy < 2 warns on an unreadable token and returns what it read so far
+    def partial_read(text, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([1.0])
+
+    monkeypatch.setattr(np, "fromstring", partial_read)
+    assert _fast_records("1 1\n1_0\n") is None
 
 
 def test_from_matrices_takes_an_array_and_keeps_its_own_copy():
