@@ -71,8 +71,8 @@ class BudgetError(LtvLabError, ValueError):
 
 
 class BracketError(LtvLabError, RuntimeError):
-    """Bisection bracket failure, i.e. the measured estimators are
-    inconsistent with the theoretical sandwich."""
+    """Root outside the density-floor bracket, i.e. the measured estimators
+    are inconsistent with the theoretical sandwich."""
 
 
 class PreconditionError(LtvLabError, ValueError):

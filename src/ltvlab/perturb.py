@@ -38,9 +38,7 @@ from .spectrum import (
 from .splitness import RHO_THRESHOLD, broken_away_scan, gamma_statistics
 from .system import CoefficientSequence, _propagation_blocks
 
-MU_VALUE_TOL = 1e-9
 MU_BRACKET_TOL = 1e-6
-MU_MAX_ITER = 80
 DISTINCT_EXPONENT_GAP = 1e-6  # estimates this close count as equal in openness_experiment
 
 
@@ -87,57 +85,48 @@ def synthesis_constants(gamma, rho, s, r=0.5, delta1=None):
 
 def lambda_mu(fss, i, mu, gamma, sigma=1, tail_fraction=TAIL_FRACTION):
     """Tail-max estimate of limsup_k (f_i(k) + mu * g_i(k))."""
-    if mu < 0.0:
-        raise InvalidInputError("mu must be >= 0")
-    return _boosted_tail_max(fss, i, gamma, sigma, tail_fraction)(mu)
+    if not mu >= 0.0:
+        raise InvalidInputError(f"mu must be >= 0, got {mu}")
+    values, densities = _tail_lines(fss, i, gamma, sigma, tail_fraction)
+    return float((values + mu * densities).max())
 
 
-def _boosted_tail_max(fss, i, gamma, sigma, tail_fraction):
-    """The function mu -> lambda_mu(fss, i, mu, gamma, sigma, tail_fraction).
-
-    The exponent profile, the gamma densities and the tail window are
-    evaluated here, once; each call then only forms f_i + mu * g_i on the
-    window and takes its maximum, the same arithmetic as the tail-max.
-    """
+def _tail_lines(fss, i, gamma, sigma, tail_fraction):
+    """The exponent profile f_i(k) and the gamma densities g_i(k) >= 0 on
+    the tail window: lambda_mu is the maximum of the lines f_i + mu g_i."""
     profile = exponent_profile(fss.trajectories[i], sigma)
     window = tail_window(profile.ks, tail_fraction)
-    values = profile.values[window]
-    densities = gamma_statistics(fss, i, gamma, sigma).densities[window]
-    return lambda mu: float((values + mu * densities).max())
+    return profile.values[window], gamma_statistics(fss, i, gamma, sigma).densities[window]
 
 
 def solve_mu(fss, i, zeta, rho_hat, gamma, sigma=1, tail_fraction=TAIL_FRACTION):
-    """Solve lambda_mu(mu) = lambda_hat + zeta by bisection on [0, zeta/rho_hat].
+    """Solve lambda_mu(mu) = lambda_hat + zeta in closed form.
 
-    The bracket is the one guaranteed by the density floor; failure of the
-    upper end indicates inconsistent estimators and is reported as such.
+    lambda_mu is a maximum of lines f_i(k) + mu g_i(k) with g_i(k) >= 0,
+    so its root is the smallest (target - f_i(k)) / g_i(k) over the k with
+    g_i(k) > 0.  The density floor guarantees a root in [0, zeta/rho_hat];
+    a lambda_mu(zeta/rho_hat) short of the target indicates inconsistent
+    estimators and is reported as such.
     """
-    if zeta < 0.0:
-        raise InvalidInputError("zeta must be >= 0")
+    if not zeta >= 0.0:
+        raise InvalidInputError(f"zeta must be >= 0, got {zeta}")
+    if not rho_hat > 0.0:
+        raise InvalidInputError(f"rho_hat must be > 0, got {rho_hat}")
     if zeta == 0.0:
         return 0.0
-    lam_at = _boosted_tail_max(fss, i, gamma, sigma, tail_fraction)
-    lam0 = lam_at(0.0)
+    values, densities = _tail_lines(fss, i, gamma, sigma, tail_fraction)
+    lam0 = float(values.max())
     target = lam0 + zeta
     hi = zeta / rho_hat
-    f_hi = lam_at(hi)
-    if f_hi < target - MU_BRACKET_TOL:
+    f_hi = float((values + hi * densities).max())
+    rising = densities > 0.0
+    if f_hi < target - MU_BRACKET_TOL or not rising.any():
         raise BracketError(
             f"estimator inconsistency for solution {i}: Lambda({hi:.6g}) = "
             f"{f_hi:.6g} < target {target:.6g} (lambda_hat={lam0:.6g}, "
             f"zeta={zeta:.6g}, rho_hat={rho_hat:.6g})"
         )
-    lo = 0.0
-    for _ in range(MU_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        val = lam_at(mid)
-        if abs(val - target) <= MU_VALUE_TOL:
-            return mid
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(((target - values[rising]) / densities[rising]).min())
 
 
 # --- plan construction --------------------------------------------------
@@ -244,7 +233,6 @@ def build_plan(fss, xi_shifts, calibration=None):
 
 # --- the perturbation matrices ------------------------------------------
 
-_ACTIVE_MU_TOL = 0.0  # mu_i == 0 contributes nothing even on Gamma_i
 _PROJECTION_DENOM_MIN = 1e-30  # w0 . d at or below this: direction collapsed
 
 
@@ -264,7 +252,7 @@ def perturbation_at(plan, fss, n):
     ns = np.atleast_1d(steps)
     s = fss.dimension
     dirs = fss.direction_stack(ns)  # KeyError for a step the FSS did not store
-    active = plan.gamma_flags[ns - 1] & (plan.mu > _ACTIVE_MU_TOL)  # (k, s)
+    active = plan.gamma_flags[ns - 1] & (plan.mu > 0.0)  # (k, s); mu_i = 0 adds nothing
     result = np.repeat(np.eye(s)[None], len(ns), axis=0)
     for i in np.flatnonzero(active.any(axis=0)):
         rows = np.flatnonzero(active[:, i])

@@ -8,6 +8,7 @@ form the finite-horizon stand-in for a realizing sequence.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,8 +118,9 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FR
         raise InvalidInputError("horizon must be >= 2")
     if checkpoint_every is None:
         checkpoint_every = max(1, horizon // 1000)
-    if checkpoint_every < 1:
-        raise InvalidInputError("checkpoint_every must be a positive integer")
+    if not isinstance(checkpoint_every, numbers.Integral) or checkpoint_every < 1:
+        raise InvalidInputError(
+            f"checkpoint_every must be a positive integer, got {checkpoint_every!r}")
     window_start = _tail_start(horizon, tail_fraction)
 
     cp_ns, cp_logs = _checkpoint_logs(seq, horizon, checkpoint_every)

@@ -23,7 +23,7 @@ from .errors import (
     PropagationError,
     UnderflowError,
 )
-from .expressions import parse_expression
+from .expressions import _NUMBER, parse_expression
 from .linalg import SINGULAR_RTOL, spectral_norm
 
 UNIT_NORM_TOL = 1e-12
@@ -31,6 +31,8 @@ BLOCK_STEPS = 256  # steps of A(n) evaluated, scanned or propagated per batch
 _TINY = 1e-280  # a scaled column or product below this has lost its digits
 _LN2 = math.log(2.0)
 _NORMAL_MIN = np.finfo(float).tiny  # below this a double keeps fewer than 53 bits
+_DECIMAL = re.compile(rf"[+-]?(?:{_NUMBER.pattern})", re.ASCII)  # a spec or matrix-file number
+_DIGITS = re.compile("[0-9]+")  # a count: identity N, dimension, a matrix-file header
 
 
 class CoefficientSequence:
@@ -244,21 +246,19 @@ def _parse_shorthand(text):
     stripped = text.strip()
     if stripped.startswith("identity"):
         parts = stripped.split()
-        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+        if len(parts) != 2 or not _DIGITS.fullmatch(parts[1]) or int(parts[1]) < 1:
             raise ParseError(f"bad identity shorthand: {stripped!r}", 1, 1)
         return CoefficientSequence.constant(np.eye(int(parts[1])))
     if stripped.startswith("diag(") and stripped.endswith(")"):
         body = stripped[len("diag(") : -1]
-        return CoefficientSequence.constant(np.diag([_number(v, 1, 1) for v in body.split(",")]))
+        entries = [_number(v.strip(), 1, 1) for v in body.split(",")]
+        return CoefficientSequence.constant(np.diag(entries))
     return None
 
 
 def _number(text, lineno, column):
-    """The finite number ``text`` at ``column`` of spec line ``lineno``."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    """The finite signed decimal ``text`` at ``column`` of spec line ``lineno``."""
+    value = float(text) if _DECIMAL.fullmatch(text) else math.nan
     if not math.isfinite(value):
         raise ParseError(f"bad number {text!r}", lineno, column)
     return value
@@ -316,10 +316,9 @@ def parse_generator_spec(text):
     if "dimension" not in fields:
         raise ParseError("missing 'dimension' field", 1, 1)
     lineno, dim_text = fields["dimension"]
-    try:
-        s = int(dim_text)
-    except ValueError as exc:
-        raise ParseError(f"bad dimension {dim_text!r}", lineno, 1) from exc
+    if not _DIGITS.fullmatch(dim_text):
+        raise ParseError(f"bad dimension {dim_text!r}", lineno, 1)
+    s = int(dim_text)
     if s < 1:
         raise ParseError(f"dimension must be >= 1, got {s}", lineno, 1)
 
@@ -377,72 +376,44 @@ def parse_generator_spec(text):
 
 
 def read_matrix_sequence(path):
-    """Read a matrix sequence file: header 's count', then count s*s blocks.
+    """Read a matrix sequence file: header 's count', then count s*s blocks
+    of signed ASCII decimals separated by whitespace.
 
     Records are indexed from n=1; other origins are not supported.
     """
     with open(path) as fh:
-        text = fh.read()
-    data = _fast_records(text)
-    if data is None:
-        data = _token_records(path, text.split())
-    return CoefficientSequence.from_matrices(data)
-
-
-def _fast_records(text):
-    """The (count, s, s) records of a matrix file from one np.fromstring
-    call, or None wherever it might not agree with ``_token_records``:
-    an unreadable token (numpy >= 2 raises, numpy < 2 warns and returns
-    what it read so far), a bad header, a wrong count or a non-finite
-    value.  Where it returns records, each one has the bits float() gives
-    its token; numpy refuses tokens such as '1_000' that float() takes."""
-    head = text.split(None, 2)
-    try:
-        s, count, rest = int(head[0]), int(head[1]), head[2]
-    except (IndexError, ValueError):
-        return None
-    if s < 1 or count < 1:
-        return None
+        head = fh.read().split(None, 2)
+    if len(head) < 2:
+        raise ParseError(f"matrix sequence file {path!r} is too short", 1, 1)
+    if not all(map(_DIGITS.fullmatch, head[:2])) or min(map(int, head[:2])) < 1:
+        raise ParseError(f"bad header in {path!r}: needs positive 's count'", 1, 1)
+    s, count = int(head[0]), int(head[1])
+    rest = head[2] if len(head) > 2 else ""
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
+        warnings.simplefilter("error")  # numpy < 2 warns and stops at an unreadable value
         try:
             values = np.fromstring(rest, sep=" ")
         except (ValueError, Warning):
-            return None
-    if values.size != count * s * s or not np.isfinite(values).all():
-        return None
-    return values.reshape(count, s, s)
-
-
-def _token_records(path, tokens):
-    """The (count, s, s) records of a matrix file's whitespace tokens, one
-    float() per value, or a ParseError naming what is wrong."""
-    if len(tokens) < 2:
-        raise ParseError(f"matrix sequence file {path!r} is too short", 1, 1)
-    try:
-        s, count = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        s = count = 0
-    if s < 1 or count < 1:
-        raise ParseError(f"bad header in {path!r}: needs positive 's count'", 1, 1)
-    values = tokens[2:]
-    if len(values) != count * s * s:
-        raise ParseError(
-            f"{path!r}: expected {count * s * s} values, found {len(values)}", 1, 1
-        )
-    try:
-        data = np.array([float(v) for v in values]).reshape(count, s, s)
-    except ValueError as exc:
-        raise ParseError(f"{path!r}: {exc}", 1, 1) from exc
+            bad = next((tok for tok in rest.split() if not _DECIMAL.fullmatch(tok)), None)
+            if bad is not None:
+                raise ParseError(f"{path!r}: bad number {bad!r}", 1, 1) from None
+            sep = re.search(r"[^\S \t\n\r\f\v]", rest)  # whitespace numpy does not split at
+            raise ParseError(f"{path!r}: values are not whitespace-separated"
+                             + (f" (found {sep.group()!r})" if sep else ""), 1, 1) from None
+    if values.size != count * s * s:
+        raise ParseError(f"{path!r}: expected {count * s * s} values, found {values.size}", 1, 1)
+    data = values.reshape(count, s, s)
     finite = np.isfinite(data).all(axis=(1, 2))
     if not finite.all():
         record = int(np.argmin(finite)) + 1
         raise ParseError(f"{path!r}: record {record} has a non-finite value", 1, 1)
-    return data
+    return CoefficientSequence.from_matrices(data)
 
 
 def write_matrix_sequence(path, matrices):
     matrices = [np.asarray(m, dtype=float) for m in matrices]
+    if not matrices:
+        raise InvalidInputError("empty matrix sequence")
     s = matrices[0].shape[0]
     with open(path, "w") as fh:
         fh.write(f"{s} {len(matrices)}\n")

@@ -8,6 +8,7 @@ from ltvlab import (
     BudgetError,
     CoefficientSequence,
     FSSRecord,
+    InvalidInputError,
     PreconditionError,
     SingularMatrixError,
     TrajectoryLog,
@@ -58,8 +59,20 @@ def test_solve_mu_identity_density():
     # orthogonal FSS of diag(1,2): g = 1 everywhere, so mu = zeta
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 4000)
     mu = solve_mu(fss, 0, 0.02, 1.0, math.pi / 2)
-    assert mu == pytest.approx(0.02, abs=1e-6)
+    assert mu == 0.02
     assert solve_mu(fss, 0, 0.0, 1.0, math.pi / 2) == 0.0
+
+
+def test_solver_refuses_a_bad_rho_hat_or_mu():
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 500)
+    for rho_hat in (0.0, -0.5, math.nan):
+        with pytest.raises(InvalidInputError, match="rho_hat"):
+            solve_mu(fss, 0, 0.01, rho_hat, 0.5)
+    for mu in (-0.01, math.nan):
+        with pytest.raises(InvalidInputError, match="mu"):
+            lambda_mu(fss, 0, mu, 0.5)
+    with pytest.raises(InvalidInputError, match="zeta"):
+        solve_mu(fss, 0, math.nan, 0.5, 0.5)
 
 
 def test_solve_mu_bracket_sin_log():
@@ -129,6 +142,15 @@ def test_execute_plan_shifts_spectrum():
     assert outcome.r_norm_sup == pytest.approx(math.exp(0.01) - 1, abs=1e-8)
     assert outcome.r_norm_sup <= outcome.norm_budget
     assert outcome.agreement_residual < 1e-9
+
+
+def test_execute_plan_shift_on_diag12_is_the_closed_form():
+    # g = 1 on the standard basis, so mu_0 = zeta = 0.02 exactly and the
+    # perturbed tail-max of (k - 1)/k * (lambda + 0.01) is taken at k = H
+    horizon = 2000
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), horizon)
+    outcome = execute_plan(fss.seq, fss, build_plan(fss, [0.01, -0.01]))
+    assert abs(outcome.achieved_shifts[0] - 0.01 * (1 - 1 / horizon)) <= 1e-15
 
 
 def test_execute_plan_zero_shift_is_identity():
@@ -317,8 +339,8 @@ def per_call_lambda_mu(fss, i, mu, gamma, sigma, tail_fraction):
     return float(boosted[profile.ks >= start].max())
 
 
-def per_call_solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
-    """The bisection of solve_mu with every lambda_mu evaluated from scratch."""
+def per_call_bisection(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
+    """The former bisection of solve_mu, every lambda_mu evaluated from scratch."""
     if zeta == 0.0:
         return 0.0
     target = per_call_lambda_mu(fss, i, 0.0, gamma, sigma, tail_fraction) + zeta
@@ -335,6 +357,21 @@ def per_call_solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def per_call_closed_form(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
+    """The root of lambda_mu = lambda_hat + zeta as the smallest crossing of
+    the lines f_i(k) + mu g_i(k) with the target, from scratch."""
+    if zeta == 0.0:
+        return 0.0
+    profile = exponent_profile(fss.trajectories[i], sigma)
+    start = max(1, math.ceil(profile.ks[-1] * (1.0 - tail_fraction)))
+    f = profile.values[profile.ks >= start]
+    g = per_call_densities(fss, i, gamma, sigma)[profile.ks >= start]
+    target = float(f.max()) + zeta
+    if float((f + zeta / rho_hat * g).max()) < target - 1e-6 or not (g > 0).any():
+        return "bracket"
+    return float(((target - f[g > 0]) / g[g > 0]).min())
 
 
 def per_call_scan(fss, i, gamma_grid, sigma, tail_fraction):
@@ -362,7 +399,7 @@ def solver_cases():
     ]
 
 
-def test_solve_mu_is_bit_identical_to_the_per_call_bisection():
+def test_solve_mu_is_the_closed_form_root_and_keeps_the_bisection_brackets():
     for fss in solver_cases():
         for i in range(fss.dimension):
             for gamma, sigma, tail in ((0.3, 1, 0.5), (math.acos(0.9), 1, 1.0), (0.7, 3, 0.25)):
@@ -374,7 +411,15 @@ def test_solve_mu_is_bit_identical_to_the_per_call_bisection():
                         mu = solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail)
                     except BracketError:
                         mu = "bracket"
-                    assert mu == per_call_solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail)
+                    assert mu == per_call_closed_form(fss, i, zeta, rho_hat, gamma, sigma, tail)
+                    bisected = per_call_bisection(fss, i, zeta, rho_hat, gamma, sigma, tail)
+                    assert (mu == "bracket") == (bisected == "bracket")
+                    if mu == "bracket":
+                        continue
+                    target = lambda_mu(fss, i, 0.0, gamma, sigma, tail) + zeta
+                    boosted = lambda_mu(fss, i, mu, gamma, sigma, tail)
+                    assert abs(boosted - target) <= 2 * math.ulp(target)
+                    assert abs(boosted - lambda_mu(fss, i, bisected, gamma, sigma, tail)) <= 1e-9
 
 
 def test_broken_away_scan_matches_the_per_gamma_scan():

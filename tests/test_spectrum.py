@@ -6,6 +6,7 @@ import pytest
 
 from ltvlab import (
     CoefficientSequence,
+    InvalidInputError,
     PropagationError,
     exponent_profile,
     incompressibility_test,
@@ -67,6 +68,13 @@ def test_spectrum_estimate_diag_1_2():
     est = spectrum_estimate(geometric_diag([1.0, 2.0]), 10_000)
     assert np.abs(est.exponents - [0.0, math.log(2)]).max() < 1e-3
     assert [count for _, count in est.multiplicities] == [1, 1]
+
+
+def test_spectrum_estimate_refuses_a_non_integer_checkpoint_step():
+    # (n - 1) % 2.5 == 0 would checkpoint at n = 1, 6, 11, 16
+    for every in (2.5, 2.0, 0, math.nan):
+        with pytest.raises(InvalidInputError, match="checkpoint_every"):
+            spectrum_estimate(geometric_diag([1.0, 2.0]), 20, checkpoint_every=every)
 
 
 def test_spectrum_estimate_multiplicity_grouping():

@@ -27,8 +27,7 @@ from ltvlab import (
 from ltvlab.errors import UnderflowError
 from ltvlab.presets import SIN_LOG_SPEC, geometric_diag
 from ltvlab.spectrum import _compound, _unit_part, _volume_logs
-from ltvlab.system import (_TINY, _block_states, _fast_records, _running_products,
-                           _token_records)
+from ltvlab.system import _TINY, _block_states, _running_products
 
 
 def test_constant_sequence():
@@ -115,9 +114,22 @@ def test_formula_errors_point_into_the_spec(spec, line, column):
         ("dimension: 2\nkind: constant\n\nentries:\n  1 0 0\n", "or 2 diagonal", 4, 1),
         ("dimension: 2\nkind: constant\nentries:\n  1 0\n  0,  x2\n", "'x2'", 5, 7),
         ("dimension: 2\nkind: constant\nentries: 1; 2 0; nan\n", "'nan'", 3, 18),
+        # numbers are signed ASCII decimals and counts ASCII digits, though
+        # float() and int() take these
+        ("dimension: 2\nkind: constant\nentries: 1 1_0\n", "bad number '1_0'", 3, 12),
+        ("dimension: 2\nkind: constant\nentries:\n  1 0\n  0 \u0662\n", "'\u0662'", 5, 5),
+        ("diag(1_000,2)", "bad number '1_000'", 1, 1),
+        ("diag(\u0661,2)", "bad number '\u0661'", 1, 1),
+        ("identity \u0663", "bad identity shorthand: 'identity \u0663'", 1, 1),
+        ("identity 1_0", "bad identity shorthand", 1, 1),
+        ("dimension: \u0662\nkind: constant\nentries: 1 2\n", "bad dimension '\u0662'", 1, 1),
+        ("dimension: 1_0\nkind: constant\nentries: 1\n", "bad dimension '1_0'", 1, 1),
     ],
     ids=["kind", "file-path", "diagonal-count", "dense-count", "constant-count",
-         "constant-number", "constant-non-finite"],
+         "constant-number", "constant-non-finite", "constant-underscore",
+         "constant-arabic-digit", "diag-underscore", "diag-arabic-digit",
+         "identity-arabic-digit", "identity-underscore", "dimension-arabic-digit",
+         "dimension-underscore"],
 )
 def test_spec_errors_point_at_their_line(spec, message, line, column):
     with pytest.raises(ParseError, match=message) as info:
@@ -158,9 +170,9 @@ def test_matrix_sequence_round_trip_is_bit_exact(data, s, count):
 
 
 # tokens on which np.fromstring and float() may differ, each with 1.5 as a
-# second value: float() takes the first three and numpy refuses them,
-# numpy reads 'nan(123)' and float() refuses it, both refuse the next two,
-# both take the two overflows, and the rest must round as float() does
+# second value: float() takes the first three and the decimal grammar does
+# not, numpy reads 'nan(123)' and float() refuses it, both refuse the next
+# two, both take the two overflows, and the rest must round as float() does
 PARSE_CASES = {
     "underscore": "1 2\n1_000 1.5\n",
     "arabic-digits": "1 2\n\u0661\u0662 1.5\n",
@@ -176,39 +188,62 @@ PARSE_CASES = {
         f"{v:.17g}" for v in np.random.default_rng(0).normal(size=63) * 10.0 ** np.arange(-31, 32)
     ) + "\n",
 }
-FAST_PATH_CASES = {"smallest-subnormal", "below-normal", "repr-17-digits"}
+PARSE_ERRORS = {  # what the ParseError names where the file is refused
+    "underscore": "bad number '1_000'",
+    "arabic-digits": "bad number '\u0661\u0662'",
+    "no-break-space": r"not whitespace-separated \(found '\\xa0'\)",
+    "nan-payload": "record 1 has a non-finite value",
+    "hex": "bad number '0x10'",
+    "trailing-letter": "bad number '1e5x'",
+    "infinity": "record 1 has a non-finite value",
+    "overflow": "record 1 has a non-finite value",
+}
+FLOAT_ONLY_CASES = {"underscore", "arabic-digits", "no-break-space"}
 
 
-def _parse_outcome(parse, path):
+def _float_records(text):
+    """The values of a matrix file read token by token with float(), or None
+    where float() refuses a token or reads a non-finite value."""
     try:
-        return parse(path).view(np.uint64).tolist()
-    except ParseError as exc:
-        return str(exc)
+        values = np.array([float(v) for v in text.split()[2:]])
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 @pytest.mark.parametrize("case", sorted(PARSE_CASES))
 def test_matrix_file_parse_agrees_with_float_token_by_token(tmp_path, case):
     path = tmp_path / "seq.txt"
     path.write_text(PARSE_CASES[case], encoding="utf-8")
-    text = path.read_text(encoding="utf-8")
-    assert (_fast_records(text) is not None) == (case in FAST_PATH_CASES)
-    by_float = _parse_outcome(lambda p: _token_records(p, text.split()), path)
-    assert _parse_outcome(_all_records, path) == by_float
-
-
-def _all_records(path):
+    by_float = _float_records(PARSE_CASES[case])
+    assert (by_float is not None) == (case in FLOAT_ONLY_CASES or case not in PARSE_ERRORS)
+    if case in PARSE_ERRORS:
+        with pytest.raises(ParseError, match=PARSE_ERRORS[case]):
+            read_matrix_sequence(path)
+        return
     seq = read_matrix_sequence(path)
-    return seq.matrices(1, seq.count + 1)
+    records = seq.matrices(1, seq.count + 1)
+    assert records.ravel().view(np.uint64).tolist() == by_float.view(np.uint64).tolist()
 
 
-def test_matrix_file_parse_falls_back_where_numpy_warns(monkeypatch):
+def test_matrix_file_parse_refuses_where_numpy_warns(monkeypatch, tmp_path):
     # numpy < 2 warns on an unreadable token and returns what it read so far
     def partial_read(text, sep):
         warnings.warn("string or file could not be read to its end", DeprecationWarning)
         return np.array([1.0])
 
     monkeypatch.setattr(np, "fromstring", partial_read)
-    assert _fast_records("1 1\n1_0\n") is None
+    path = tmp_path / "seq.txt"
+    path.write_text("1 2\n1 1_0\n")
+    with pytest.raises(ParseError, match="bad number '1_0'"):
+        read_matrix_sequence(path)
+
+
+def test_write_matrix_sequence_refuses_an_empty_sequence(tmp_path):
+    path = tmp_path / "seq.txt"
+    with pytest.raises(InvalidInputError, match="empty matrix sequence"):
+        write_matrix_sequence(path, [])
+    assert not path.exists()
 
 
 def test_from_matrices_takes_an_array_and_keeps_its_own_copy():
