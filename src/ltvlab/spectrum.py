@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
-from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _block_states, _max_abs,
-                     _propagation_blocks, _stored_steps)
+from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _block_states, _chunks, _max_abs,
+                     _propagation_blocks, _segment_scans, _stored_steps)
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -161,40 +161,47 @@ def _checkpoint_logs(seq, horizon, checkpoint_every):
 
 def _volume_logs(seq, horizon, checkpoint_every):
     """Checkpoint steps and column logs from the j-volumes of X(n), in one
-    pass that splits each block of A(n) exactly into 2**e(n) U(n) and carries
+    pass that splits each chunk of A(n) exactly into 2**e(n) U(n) and carries
     e_1 through every compound C_j(U(n)) with j < s; the s-volume's log is
-    the running sum of ln |det U(n)|.  The minors of U(n) stay in the normal
-    range; since C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log is
-    short by ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
+    the running sum of ln |det U(n)|, summed a segment at a time (one sum
+    over a chunk rounds differently).  The minors of U(n) stay normal; since
+    C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log is short by
+    ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
     """
     s = seq.dimension
     states = [(np.eye(math.comb(s, j))[:, :1], 0.0) for j in range(1, s)]
     e_sum = det_sum = 0
     cp_ns, cp_logs = [], []
-    for start in range(1, horizon, BLOCK_STEPS):
-        stop = min(start + BLOCK_STEPS, horizon)
+
+    def evaluate(start, stop):
         unit, exponents = _unit_part(seq.matrices(start, stop), start)
-        steps = np.arange(start + 1, stop + 1)  # x(n+1) follows A(n)
-        kept = _stored_steps(steps, horizon, checkpoint_every)
-        volumes = []
-        for j, (d, log_norm) in enumerate(states):
-            dirs, growth = _block_states(_compound(unit, j + 1, start), d, start)
-            logs = log_norm + growth[:, 0]
-            states[j] = dirs[-1], logs[-1]
-            volumes.append(logs[kept])
-        sign, log_det = np.linalg.slogdet(unit)
-        _raise_on_underflow(sign != 0.0, log_det < math.log(_NORMAL_MIN), start, "a minor of")
-        if not sign.all():  # a singular A(n) collapses the s-volume
-            n = start + int(np.argmin(sign != 0.0))
-            raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
-        det_sums = det_sum + np.cumsum(log_det)
-        det_sum = det_sums[-1]
-        volumes.append(det_sums[kept])
-        e_sums = e_sum + np.cumsum(exponents)
-        e_sum = e_sums[-1]
-        cp_ns.append(steps[kept])
-        cp_logs.append(np.diff(np.column_stack(volumes), axis=1, prepend=0.0)
-                       + _LN2 * e_sums[kept, None])
+        return exponents, [_compound(unit, j, start) for j in range(1, s)], np.linalg.slogdet(unit)
+
+    for first, (chunk_exps, compounds, (signs, log_dets)) in _chunks(evaluate, 1, horizon):
+        scans = [_segment_scans(c, first) for c in compounds]
+        for start in range(first, first + len(signs), BLOCK_STEPS):
+            at = slice(start - first, start - first + BLOCK_STEPS)
+            sign, log_det, exponents = signs[at], log_dets[at], chunk_exps[at]
+            steps = np.arange(start + 1, start + len(sign) + 1)  # x(n+1) follows A(n)
+            kept = _stored_steps(steps, horizon, checkpoint_every)
+            volumes = []
+            for j, ((d, log_norm), (_, segment, scan)) in enumerate(zip(states, map(next, scans))):
+                dirs, growth = _block_states(segment, d, start, scan)
+                logs = log_norm + growth[:, 0]
+                states[j] = dirs[-1], logs[-1]
+                volumes.append(logs[kept])
+            _raise_on_underflow(sign != 0.0, log_det < math.log(_NORMAL_MIN), start, "a minor of")
+            if not sign.all():  # a singular A(n) collapses the s-volume
+                n = start + int(np.argmin(sign != 0.0))
+                raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
+            det_sums = det_sum + np.cumsum(log_det)
+            det_sum = det_sums[-1]
+            volumes.append(det_sums[kept])
+            e_sums = e_sum + np.cumsum(exponents)
+            e_sum = e_sums[-1]
+            cp_ns.append(steps[kept])
+            cp_logs.append(np.diff(np.column_stack(volumes), axis=1, prepend=0.0)
+                           + _LN2 * e_sums[kept, None])
     return np.concatenate(cp_ns), np.concatenate(cp_logs)
 
 
@@ -246,8 +253,7 @@ def _qr_logs(seq, horizon, checkpoint_every):
     basis = np.eye(s)
     logs = np.zeros(s)
     cp_ns, cp_logs = [], []
-    for start in range(1, horizon, BLOCK_STEPS):
-        block = seq.matrices(start, min(start + BLOCK_STEPS, horizon))
+    for start, block in _chunks(seq.matrices, 1, horizon):
         for n, a in enumerate(block, start):
             basis = a @ basis
             q, r = np.linalg.qr(basis)

@@ -27,7 +27,8 @@ from .expressions import _NUMBER, parse_expression
 from .linalg import SINGULAR_RTOL, spectral_norm
 
 UNIT_NORM_TOL = 1e-12
-BLOCK_STEPS = 256  # steps of A(n) evaluated, scanned or propagated per batch
+BLOCK_STEPS = 256  # steps per scan segment: the running products of one batch of steps
+CHUNK_STEPS = 16 * BLOCK_STEPS  # steps of A(n) evaluated at once, scanned in segments
 _TINY = 1e-280  # a scaled column or product below this has lost its digits
 _LN2 = math.log(2.0)
 _NORMAL_MIN = np.finfo(float).tiny  # below this a double keeps fewer than 53 bits
@@ -215,10 +216,8 @@ class CoefficientSequence:
         if self._bound is not None and horizon <= self._bound_horizon:
             return self._bound
         bound = self._bound if self._bound is not None else 1.0
-        for start in range(self._bound_horizon + 1, horizon + 1, BLOCK_STEPS):
-            sv, singular = _singular_values(
-                self.matrices(start, min(start + BLOCK_STEPS, horizon + 1)), start
-            )
+        for start, mats in _chunks(self.matrices, self._bound_horizon + 1, horizon + 1):
+            sv, singular = _singular_values(mats, start)
             if singular is not None:
                 raise NotLyapunovSequenceError(
                     f"A({singular}) is singular to tolerance; not a Lyapunov sequence",
@@ -248,7 +247,10 @@ def _parse_shorthand(text):
         parts = stripped.split()
         if len(parts) != 2 or not _DIGITS.fullmatch(parts[1]) or int(parts[1]) < 1:
             raise ParseError(f"bad identity shorthand: {stripped!r}", 1, 1)
-        return CoefficientSequence.constant(np.eye(int(parts[1])))
+        try:  # np.eye and constant's copy each ask for an N x N array
+            return CoefficientSequence.constant(np.eye(int(parts[1])))
+        except (MemoryError, ValueError):  # numpy refuses a request it cannot hold at once
+            raise ParseError(f"{stripped!r} is too large to hold in memory", 1, 1) from None
     if stripped.startswith("diag(") and stripped.endswith(")"):
         body = stripped[len("diag(") : -1]
         entries = [_number(v.strip(), 1, 1) for v in body.split(",")]
@@ -475,12 +477,14 @@ def propagate(seq, x0, horizon, store_every=1):
     from one pass over the coefficients.  Stores step 1, every
     ``store_every``-th step after it, and the final step.
 
-    The steps are taken a block of BLOCK_STEPS at a time: the running
-    products A(j)...A(start) of a block, each scaled by a power of two,
-    are applied to the columns at once.  A block where a column or a
-    product loses its digits to underflow is taken in halves; a single
-    step that maps a column to zero raises PropagationError, and one that
-    maps it below the normal double range raises UnderflowError.
+    A(n) is evaluated CHUNK_STEPS steps at a time, and the steps are taken
+    a segment of BLOCK_STEPS at a time: the running products A(j)...A(start)
+    of a segment, each scaled by a power of two and all full segments of a
+    chunk scanned in one batched call, are applied to the columns at once.
+    A segment where a column or a product loses its digits to underflow is
+    taken in halves; a single step that maps a column to zero raises
+    PropagationError, and one that maps it below the normal double range
+    raises UnderflowError.
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
@@ -525,8 +529,8 @@ def _propagation_blocks(seq, cols, horizon):
 
     Yields (steps, dirs, log_norms): the steps of a block, and the unit
     directions (k, s, m) and accumulated log-norms (k, m) of the columns
-    there.  The first block is step 1 alone; each later one holds up to
-    BLOCK_STEPS steps.  ``propagate`` stores from these blocks, and a
+    there.  The first block is step 1 alone; each later one is a segment
+    of up to BLOCK_STEPS steps.  ``propagate`` stores from these blocks, and a
     caller that reads only log-norms folds over them one block at a time.
     A zero or non-finite column raises InvalidInputError, and a collapse
     raises as in ``propagate``.
@@ -535,12 +539,37 @@ def _propagation_blocks(seq, cols, horizon):
     if not np.all(np.isfinite(log_norm)):
         raise InvalidInputError("initial vector must be nonzero and finite")
     yield np.array([1]), d[None], log_norm[None]
-    for start in range(1, horizon, BLOCK_STEPS):
-        stop = min(start + BLOCK_STEPS, horizon)
-        dirs, growth = _block_states(seq.matrices(start, stop), d, start)
-        logs = log_norm + growth
-        yield np.arange(start + 1, stop + 1), dirs, logs  # x(n+1) follows A(n)
-        d, log_norm = dirs[-1], logs[-1]
+    for start, mats in _chunks(seq.matrices, 1, horizon):
+        for n0, segment, scan in _segment_scans(mats, start):
+            dirs, growth = _block_states(segment, d, n0, scan)
+            logs = log_norm + growth
+            yield np.arange(n0 + 1, n0 + len(segment) + 1), dirs, logs  # x(n+1) follows A(n)
+            d, log_norm = dirs[-1], logs[-1]
+
+
+def _chunks(evaluate, first, stop):
+    """(start, evaluate(start, end)) over steps first, ..., stop - 1,
+    CHUNK_STEPS at a time; a chunk whose evaluation raises is walked again
+    BLOCK_STEPS at a time, so the faults of its earlier segments come first."""
+    for start in range(first, stop, CHUNK_STEPS):
+        end = min(start + CHUNK_STEPS, stop)
+        try:
+            yield start, evaluate(start, end)
+        except Exception:  # from evaluate, met again at its own segment; close() is no Exception
+            for seg in range(start, end, BLOCK_STEPS):
+                yield seg, evaluate(seg, min(seg + BLOCK_STEPS, end))
+
+
+def _segment_scans(mats, n0):
+    """(first step, segment, its running products) for each BLOCK_STEPS
+    segment of the chunk ``mats`` = A(n0), ...; the full segments are
+    scanned in one batched call, and a short tail segment alone."""
+    full = len(mats) - len(mats) % BLOCK_STEPS
+    scans = full and _running_products(mats[:full].reshape(-1, BLOCK_STEPS, *mats.shape[1:]))
+    for lo in range(0, len(mats), BLOCK_STEPS):
+        segment = mats[lo : lo + BLOCK_STEPS]
+        scan = [a[lo // BLOCK_STEPS] for a in scans] if lo < full else _running_products(segment)
+        yield n0 + lo, segment, scan
 
 
 def _unit_columns(y):
@@ -554,23 +583,24 @@ def _unit_columns(y):
 
 
 def _running_products(mats):
-    """Prefix products P_j = A_j ... A_1 of a (k, s, s) block, in log2(k)
-    batched matmuls (Hillis-Steele scan).  Each P_j is stored scaled by
-    2**-e_j to max-abs in [0.5, 1).  Returns (P, e, lost), where lost_j
-    flags a product whose scaled entries cancelled below _TINY."""
-    k = len(mats)
+    """Prefix products P_j = A_j ... A_1 of a (..., k, s, s) stack along
+    axis -3, each leading index an independent segment, in log2(k) batched
+    matmuls (Hillis-Steele scan).  Each P_j is stored scaled by 2**-e_j to
+    max-abs in [0.5, 1).  Returns (P, e, lost), where lost_j flags a
+    product whose scaled entries cancelled below _TINY."""
+    k, s = mats.shape[-3:-1]
     with np.errstate(all="ignore"):
-        _, exps = np.frexp(_max_abs(mats.reshape(k, -1)))
-        prods = np.ldexp(mats, -exps[:, None, None])
-        lost = np.zeros(k, dtype=bool)
+        _, exps = np.frexp(_max_abs(mats.reshape(-1, s * s)).reshape(mats.shape[:-2]))
+        prods = np.ldexp(mats, -exps[..., None, None])
+        lost = np.zeros(exps.shape, dtype=bool)
         offset = 1
         while offset < k:
-            raw = prods[offset:] @ prods[:-offset]
-            top = _max_abs(raw.reshape(k - offset, -1))
+            raw = prods[..., offset:, :, :] @ prods[..., :-offset, :, :]
+            top = _max_abs(raw.reshape(-1, s * s)).reshape(raw.shape[:-2])
             _, shift = np.frexp(top)
-            np.ldexp(raw, -shift[:, None, None], out=prods[offset:])
-            exps[offset:] += exps[:-offset] + shift
-            lost[offset:] |= lost[:-offset] | ~(top >= _TINY)
+            np.ldexp(raw, -shift[..., None, None], out=prods[..., offset:, :, :])
+            exps[..., offset:] += exps[..., :-offset] + shift
+            lost[..., offset:] |= lost[..., :-offset] | ~(top >= _TINY)
             offset *= 2
     return prods, exps, lost
 
@@ -710,9 +740,8 @@ def additive_to_multiplicative(seq, q_seq, check_horizon=0):
 def _check_nonsingular(block_fn, horizon, name):
     """InadmissiblePerturbationError at the first n <= horizon where the
     matrix block_fn gives is singular to tolerance."""
-    horizon = int(horizon)
-    for start in range(1, horizon + 1, BLOCK_STEPS):
-        _, singular = _singular_values(block_fn(start, min(start + BLOCK_STEPS, horizon + 1)), start)
+    for start, mats in _chunks(block_fn, 1, int(horizon) + 1):
+        _, singular = _singular_values(mats, start)
         if singular is not None:
             raise InadmissiblePerturbationError(
                 f"{name.format(n=singular)} is singular to tolerance"

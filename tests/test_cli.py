@@ -397,6 +397,16 @@ def test_horizon_too_large_to_hold_exit_code(tmp_path, capsys):
     assert "'horizon'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("size", ["1000000000", "10000000000"])
+def test_identity_too_large_to_hold_is_a_system_error(tmp_path, capsys, size):
+    # a MemoryError and a ValueError from numpy, both before any allocation
+    cfg = write_config(tmp_path, "cfg.json", {"system": f"identity {size}", "horizon": 200})
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'identity {size}' is too large to hold in memory" in err
+    assert "'horizon'" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--horizon", "0")])
 def test_bad_integer_option_exit_code(tmp_path, capsys, option, value):
     cfg = write_config(tmp_path, "cfg.json",

@@ -442,3 +442,31 @@ def test_execute_plan_reports_a_collapsed_projection_as_such():
     with pytest.raises(SingularMatrixError) as info:
         execute_plan(seq, bad, plan)
     assert info.value.index == 40
+
+
+def test_execute_plan_raises_the_earlier_of_two_faults_in_one_chunk():
+    # A(300) R(300) maps the perturbed solutions to zero at n = 301, and x_1
+    # falls into the span of x_2 and x_3 at n = 3000, a projection collapse;
+    # both lie in the first chunk of A(n) R(n), whose evaluation stops at
+    # n = 3000, so the chunk is walked again a segment at a time
+    seq, fss, plan = plan_cases(5000)[1]
+    trajectories = [
+        TrajectoryLog(t.indices, t.directions.copy(), t.log_norms) for t in fss.trajectories
+    ]
+    trajectories[0].directions[2999] = trajectories[1].directions[2999]
+    bad = FSSRecord(seq, trajectories, fss.initial_vectors)
+    assert (plan.gamma_flags[2999] & (plan.mu > 0))[0]
+
+    def block_fn(start, stop):
+        mats = seq.matrices(start, stop).copy()
+        mats[np.arange(start, stop) == 300] = 0.0
+        return mats
+
+    broken = CoefficientSequence(3, block_fn)
+    with pytest.raises(PreconditionError) as info:
+        execute_plan(broken, bad, plan)
+    assert str(info.value) == "perturbed propagation collapsed at n=301 (max |x|=0.0)"
+    assert info.value.exit_code == 4
+    with pytest.raises(SingularMatrixError) as info:  # the later fault alone
+        execute_plan(seq, bad, plan)
+    assert info.value.index == 3000 and info.value.exit_code == 3

@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from ltvlab import (
     CoefficientSequence,
     FSSRecord,
+    InadmissiblePerturbationError,
     InvalidInputError,
     NotLyapunovSequenceError,
     ParseError,
     PropagationError,
     additive_to_multiplicative,
+    build_plan,
+    execute_plan,
     incompressibility_test,
     parse_generator_spec,
     propagate,
@@ -26,8 +29,8 @@ from ltvlab import (
 )
 from ltvlab.errors import UnderflowError
 from ltvlab.presets import SIN_LOG_SPEC, geometric_diag
-from ltvlab.spectrum import _compound, _unit_part, _volume_logs
-from ltvlab.system import _TINY, _block_states, _running_products
+from ltvlab.spectrum import _compound, _qr_logs, _unit_part, _volume_logs
+from ltvlab.system import BLOCK_STEPS, _TINY, _block_states, _running_products
 
 
 def test_constant_sequence():
@@ -124,12 +127,16 @@ def test_formula_errors_point_into_the_spec(spec, line, column):
         ("identity 1_0", "bad identity shorthand", 1, 1),
         ("dimension: \u0662\nkind: constant\nentries: 1 2\n", "bad dimension '\u0662'", 1, 1),
         ("dimension: 1_0\nkind: constant\nentries: 1\n", "bad dimension '1_0'", 1, 1),
+        # numpy refuses these N x N requests at once (6.94 EiB, and past the
+        # largest array size), so nothing is allocated
+        ("identity 1000000000", "'identity 1000000000' is too large to hold in memory", 1, 1),
+        ("identity 10000000000", "'identity 10000000000' is too large to hold in memory", 1, 1),
     ],
     ids=["kind", "file-path", "diagonal-count", "dense-count", "constant-count",
          "constant-number", "constant-non-finite", "constant-underscore",
          "constant-arabic-digit", "diag-underscore", "diag-arabic-digit",
          "identity-arabic-digit", "identity-underscore", "dimension-arabic-digit",
-         "dimension-underscore"],
+         "dimension-underscore", "identity-past-memory", "identity-past-array-size"],
 )
 def test_spec_errors_point_at_their_line(spec, message, line, column):
     with pytest.raises(ParseError, match=message) as info:
@@ -621,15 +628,36 @@ def test_the_scan_matches_its_first_form_bit_for_bit(monkeypatch, s, k):
                 patch.setattr("ltvlab.system._running_products", first_form_scan)
                 patch.setattr("ltvlab.system._max_abs", lambda a: np.abs(a).max(axis=1))
                 assert fast == scan_outcome(_block_states, block, d, 7)
+    # the three blocks as independent segments of one (3, k, s, s) batch
+    batch = _running_products(np.stack([mats, zero, shrink]))
+    for i, block in enumerate((mats, zero, shrink)):
+        segment = scan_outcome(lambda: tuple(a[i] for a in batch))
+        assert segment == scan_outcome(_running_products, block)
+
+
+@pytest.mark.parametrize("segments", [1, 2, 7, 40])
+@pytest.mark.parametrize("s", [2, 3])
+def test_a_batched_scan_equals_its_segments_scanned_alone(s, segments):
+    rng = np.random.default_rng(100 * s + segments)
+    mats = rng.normal(size=(segments, BLOCK_STEPS, s, s)) * 2.0 ** rng.integers(
+        -300, 300, size=(segments, BLOCK_STEPS, 1, 1))
+    mats[segments // 2, BLOCK_STEPS // 3] = 0.0
+    batch = _running_products(mats)
+    assert [a.shape for a in batch] == [mats.shape, mats.shape[:2], mats.shape[:2]]
+    for i, segment in enumerate(mats):
+        assert scan_outcome(lambda: tuple(a[i] for a in batch)) == scan_outcome(
+            _running_products, segment)
 
 
 def test_a_halved_block_scans_each_step_once(monkeypatch):
     # on sin-log at H = 1e4 the volume and incompressibility passes each halve
-    # 10 of their 40 blocks, and a halved block scans only its second half anew
+    # 10 of their 40 segments, and a halved segment scans only its second half
+    # anew; the 3 chunks take 4 batched scans (the last chunk's tail alone)
     seq = parse_generator_spec(SIN_LOG_SPEC)
-    sizes = []
-    monkeypatch.setattr("ltvlab.system._running_products",
-                        lambda mats: sizes.append(len(mats)) or _running_products(mats))
+    sizes = []  # the matrices each call scans: the product of its leading dimensions
+    monkeypatch.setattr(
+        "ltvlab.system._running_products",
+        lambda mats: sizes.append(math.prod(mats.shape[:-2])) or _running_products(mats))
 
     def scans(fn, *args):
         sizes.clear()
@@ -639,8 +667,80 @@ def test_a_halved_block_scans_each_step_once(monkeypatch):
     _, volume_scans = scans(spectrum_estimate, seq, 10_000)
     fss, fss_scans = scans(FSSRecord.from_initial_vectors, seq, [[1.0, 1.0], [0.0, 1.0]], 10_000)
     _, test_scans = scans(incompressibility_test, fss)
-    assert volume_scans == test_scans == (50, 11_279)
-    assert fss_scans == (40, 9_999)
+    assert volume_scans == test_scans == (14, 11_279)
+    assert fss_scans == (4, 9_999)
+
+
+def chunked_outcomes(horizon):
+    """Raw bytes (or the error) of every pass over A(n) at ``horizon``: sin-log
+    through propagate, the spectrum and incompressibility_test, a seeded 3-d
+    system through the spectrum's volume (compound) and QR passes, and
+    diag(1,2) through execute_plan."""
+    def raw(fn):
+        try:
+            value = fn()
+        except Exception as exc:  # noqa: BLE001 - the same error is part of the outcome
+            return repr(exc)
+        values = value if isinstance(value, (list, tuple)) else [value]
+        return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in values]
+
+    sin_log = parse_generator_spec(SIN_LOG_SPEC)
+    tri = CoefficientSequence.from_matrices(
+        np.eye(3) + 0.5 * np.random.default_rng(2).normal(size=(horizon, 3, 3)))
+    diag = geometric_diag([1.0, 2.0])
+    out = [raw(lambda: [x for t in propagate(sin_log, np.array([[1.0, 0.0], [1.0, 1.0]]), horizon)
+                        for x in (t.directions, t.log_norms)]),
+           raw(lambda: spectrum_estimate(sin_log, horizon).exponents),
+           raw(lambda: _volume_logs(tri, horizon, 1)),
+           raw(lambda: _qr_logs(tri, horizon, 1)),
+           raw(lambda: list(vars(incompressibility_test(FSSRecord.from_initial_vectors(
+               sin_log, [[1.0, 1.0], [0.0, 1.0]], horizon))).values())),
+           raw(lambda: tri.lyapunov_bound(horizon))]
+    fss = FSSRecord.from_initial_vectors(diag, np.eye(2), horizon)
+    plan = build_plan(fss, [0.01, -0.01])
+    out.append(raw(lambda: list(vars(execute_plan(diag, fss, plan)).values())))
+    return out
+
+
+@pytest.mark.parametrize("horizon", [2, 257, 4096, 4097, 4098, 8195])
+def test_chunks_give_the_bytes_of_one_segment_at_a_time(monkeypatch, horizon):
+    chunked = chunked_outcomes(horizon)
+    monkeypatch.setattr("ltvlab.system.CHUNK_STEPS", BLOCK_STEPS)
+    assert chunked == chunked_outcomes(horizon)
+
+
+def two_faults(s):
+    """A system of identities but for A(300), which maps e_1 to zero, and a
+    non-finite A(3000): both in the first chunk of A(n)."""
+    def block_fn(start, stop):
+        mats = np.repeat(np.eye(s)[None], stop - start, axis=0)
+        ns = np.arange(start, stop)
+        mats[ns == 300, 0, 0] = 0.0
+        mats[ns == 3000] = np.nan
+        return mats
+
+    return CoefficientSequence(s, block_fn)
+
+
+def test_faults_in_one_chunk_are_raised_in_step_order():
+    # the first chunk's evaluation stops at A(3000); it is walked again a
+    # segment at a time, so the earlier fault at n = 300 is the one raised
+    seq = two_faults(2)
+    collapse = r"^propagation collapsed at n=301 \(max \|x\|=0\.0\)$"
+    with pytest.raises(PropagationError, match=collapse):
+        propagate(seq, [1.0, 0.0], 5000)
+    with pytest.raises(PropagationError, match=collapse):
+        spectrum_estimate(seq, 5000)
+    with pytest.raises(PropagationError, match=r"^basis collapsed at n=301$"):
+        spectrum_estimate(two_faults(5), 5000)  # s = 5 takes the QR pass
+    with pytest.raises(NotLyapunovSequenceError, match=r"^A\(300\) is singular"):
+        seq.lyapunov_bound(5000)
+    zero = CoefficientSequence.constant(np.zeros((2, 2)))
+    with pytest.raises(InadmissiblePerturbationError, match=r"^A\(300\) \+ Q\(300\) is singular"):
+        additive_to_multiplicative(seq, zero, check_horizon=5000)
+    # with the collapse gone, the non-finite A(3000) is met
+    with pytest.raises(PropagationError, match=r"^coefficient A\(n\) is not finite at n=3000$"):
+        propagate(seq, [0.0, 1.0], 5000)
 
 
 # --- compound blocks of the spectrum's volume pass ----------------------
