@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
-from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _block_states, _chunks, _max_abs,
-                     _propagation_blocks, _segment_scans, _stored_steps)
+from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _chunk_states, _chunks, _max_abs,
+                     _propagation_blocks, _stored_steps)
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -162,14 +162,15 @@ def _checkpoint_logs(seq, horizon, checkpoint_every):
 def _volume_logs(seq, horizon, checkpoint_every):
     """Checkpoint steps and column logs from the j-volumes of X(n), in one
     pass that splits each chunk of A(n) exactly into 2**e(n) U(n) and carries
-    e_1 through every compound C_j(U(n)) with j < s; the s-volume's log is
-    the running sum of ln |det U(n)|, summed a segment at a time (one sum
-    over a chunk rounds differently).  The minors of U(n) stay normal; since
-    C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log is short by
-    ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
+    e_1 through every compound C_j(U(n)) with j < s (by ``_chunk_states``,
+    exactly in log form where U(n) and so C_j(U(n)) are diagonal); the
+    s-volume's log is the running sum of ln |det U(n)|, summed a segment at
+    a time (one sum over a chunk rounds differently).  The minors of U(n)
+    stay normal; since C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log
+    is short by ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
     """
     s = seq.dimension
-    states = [(np.eye(math.comb(s, j))[:, :1], 0.0) for j in range(1, s)]
+    states = [(np.eye(math.comb(s, j))[:, :1], 0.0, None) for j in range(1, s)]
     e_sum = det_sum = 0
     cp_ns, cp_logs = [], []
 
@@ -178,18 +179,15 @@ def _volume_logs(seq, horizon, checkpoint_every):
         return exponents, [_compound(unit, j, start) for j in range(1, s)], np.linalg.slogdet(unit)
 
     for first, (chunk_exps, compounds, (signs, log_dets)) in _chunks(evaluate, 1, horizon):
-        scans = [_segment_scans(c, first) for c in compounds]
+        passes = [_chunk_states(c, first, state) for c, state in zip(compounds, states)]
         for start in range(first, first + len(signs), BLOCK_STEPS):
             at = slice(start - first, start - first + BLOCK_STEPS)
             sign, log_det, exponents = signs[at], log_dets[at], chunk_exps[at]
             steps = np.arange(start + 1, start + len(sign) + 1)  # x(n+1) follows A(n)
             kept = _stored_steps(steps, horizon, checkpoint_every)
             volumes = []
-            for j, ((d, log_norm), (_, segment, scan)) in enumerate(zip(states, map(next, scans))):
-                dirs, growth = _block_states(segment, d, start, scan)
-                logs = log_norm + growth[:, 0]
-                states[j] = dirs[-1], logs[-1]
-                volumes.append(logs[kept])
+            for j, (_, _, logs, states[j]) in enumerate(map(next, passes)):
+                volumes.append(logs[kept, 0])
             _raise_on_underflow(sign != 0.0, log_det < math.log(_NORMAL_MIN), start, "a minor of")
             if not sign.all():  # a singular A(n) collapses the s-volume
                 n = start + int(np.argmin(sign != 0.0))
@@ -208,13 +206,14 @@ def _volume_logs(seq, horizon, checkpoint_every):
 def _unit_part(mats, start):
     """Split a block A(start), ... exactly into A(n) = 2**e(n) U(n), with
     max |U(n)| in [1, 2) (a zero matrix keeps e(n) = 0).  Returns U and the
-    integers e(n).  A nonzero entry of U(n) below the normal range (A(n)
-    conditioned past about 1e308) raises UnderflowError.
+    integers e(n).  A nonzero entry of A(n) that falls below the normal range
+    in U(n), or to zero (A(n) conditioned past about 1e308), raises
+    UnderflowError.
     """
     top = _max_abs(mats.reshape(len(mats), -1))
     exponents = np.where(top > 0.0, np.frexp(top)[1] - 1, 0)
     unit = np.ldexp(mats, -exponents[:, None, None])
-    _raise_on_underflow(unit != 0.0, np.abs(unit) < _NORMAL_MIN, start, "an entry of")
+    _raise_on_underflow(mats != 0.0, np.abs(unit) < _NORMAL_MIN, start, "an entry of")
     return unit, exponents
 
 

@@ -484,7 +484,8 @@ def propagate(seq, x0, horizon, store_every=1):
     A segment where a column or a product loses its digits to underflow is
     taken in halves; a single step that maps a column to zero raises
     PropagationError, and one that maps it below the normal double range
-    raises UnderflowError.
+    raises UnderflowError.  A chunk whose A(n) are all diagonal, with
+    entries normal or zero, is taken exactly in log form instead.
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
@@ -539,12 +540,57 @@ def _propagation_blocks(seq, cols, horizon):
     if not np.all(np.isfinite(log_norm)):
         raise InvalidInputError("initial vector must be nonzero and finite")
     yield np.array([1]), d[None], log_norm[None]
+    state = d, log_norm, None
     for start, mats in _chunks(seq.matrices, 1, horizon):
-        for n0, segment, scan in _segment_scans(mats, start):
-            dirs, growth = _block_states(segment, d, n0, scan)
+        for steps, dirs, logs, state in _chunk_states(mats, start, state):
+            yield steps, dirs, logs
+
+
+def _chunk_states(mats, n0, state):
+    """The columns of ``state`` carried through the chunk ``mats`` = A(n0),
+    ..., a BLOCK_STEPS segment at a time: yields (steps, dirs, log_norms) of
+    each segment as ``_propagation_blocks`` does, and the state after it.
+
+    A state is (d, log_norm, exact): unit columns, their log-norms, and,
+    after a diagonal chunk, exact = (signs, logs) of every component of the
+    columns (None after a scan).  A chunk whose A(n) are all diagonal with
+    entries normal or zero extends those logs by running sums of ln |a_ii|
+    over each segment, so no part of a column is lost below the resolution
+    of its direction, and a column emptied by a zero entry raises
+    PropagationError; any other chunk takes the scaled-product scan.
+    """
+    d, log_norm, exact = state
+    diagonal = np.diagonal(mats, axis1=1, axis2=2)
+    if np.count_nonzero(mats) != np.count_nonzero(diagonal) or not np.all(
+            (diagonal == 0.0) | (np.abs(diagonal) >= _NORMAL_MIN)):
+        for n, segment, scan in _segment_scans(mats, n0):
+            dirs, growth = _block_states(segment, d, n, scan)
             logs = log_norm + growth
-            yield np.arange(n0 + 1, n0 + len(segment) + 1), dirs, logs  # x(n+1) follows A(n)
             d, log_norm = dirs[-1], logs[-1]
+            steps = np.arange(n + 1, n + len(segment) + 1)  # x(n+1) follows A(n)
+            yield steps, dirs, logs, (d, log_norm, None)
+        return
+    with np.errstate(divide="ignore"):
+        ln_a = np.log(np.abs(diagonal))
+        sign, ln_x = exact or (np.sign(d), np.log(np.abs(d)) + log_norm)
+    for lo in range(0, len(mats), BLOCK_STEPS):
+        y = ln_x + np.cumsum(ln_a[lo : lo + BLOCK_STEPS], axis=0)[:, :, None]  # (k, s, m)
+        top = y.max(axis=1)
+        if np.isneginf(top).any():
+            n = n0 + lo + int(np.argmax(np.isneginf(top).any(axis=1)))
+            raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
+        signs = np.cumprod(np.sign(diagonal[lo : lo + BLOCK_STEPS]), axis=0)[:, :, None]
+        exact = sign * signs[-1], y[-1].copy()
+        y -= top[:, None]  # in place, so that many columns hold one (k, s, m) array
+        np.exp(y, out=y)
+        norms = np.sqrt(np.einsum("ksm,ksm->km", y, y))
+        y *= sign
+        y *= signs
+        y /= norms[:, None]
+        logs = np.log(norms, out=norms)
+        logs += top
+        sign, ln_x = exact
+        yield np.arange(n0 + lo + 1, n0 + lo + len(y) + 1), y, logs, (y[-1], logs[-1], exact)
 
 
 def _chunks(evaluate, first, stop):

@@ -384,6 +384,33 @@ def test_whole_number_config_field_above_2_53(tmp_path, seed):
     assert json.loads((tmp_path / "o" / "spectrum.json").read_text())["params"]["seed"] == seed
 
 
+def test_a_diagonal_system_past_the_scan_s_range_runs(tmp_path):
+    # diag(1e-200, 1e200): every column loses 1e-400 a step of its e_1 part
+    # against its e_2 part, which the log form of a diagonal system keeps
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1e-200,1e200)", "horizon": 3000,
+                                              "shifts": [0.01, -0.01]})
+    for command in ("spectrum", "splitness", "perturb"):
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    ns = np.arange(2, 3001)
+    ns = ns[(((ns - 1) % 3 == 0) | (ns == 3000)) & (ns >= 1500)]  # checkpoints in the tail window
+    expected = [((ns - 1) / ns * math.log(a)).max() for a in (1e-200, 1e200)]
+    exponents = json.loads((tmp_path / "o" / "spectrum.json").read_text())["exponents"]
+    assert exponents == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("system, codes, message", [
+    ("diag(1e-320,1)", (EXIT_OK, EXIT_NUMERICAL, EXIT_NUMERICAL), "n=2 (max |x|=5e-321)"),
+    ("diag(0,2)", (EXIT_NUMERICAL,) * 3, "n=2 (max |x|=0.0)"),
+])
+def test_a_subnormal_or_zero_diagonal_entry_exit_code(tmp_path, capsys, system, codes, message):
+    cfg = write_config(tmp_path, "cfg.json", {"system": system, "horizon": 3000,
+                                              "shifts": [0.01, -0.01]})
+    for command, code in zip(("spectrum", "splitness", "perturb"), codes):
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert code == EXIT_OK or f"propagation collapsed at {message}" in err
+
+
 def test_sigma_up_to_the_horizon(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 200, "sigma": 200})
     assert main(["splitness", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK

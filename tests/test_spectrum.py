@@ -18,6 +18,7 @@ from ltvlab.errors import UnderflowError
 from ltvlab.presets import (
     SIN_LOG_SPEC,
     geometric_diag,
+    sin_log_system,
     sin_log_witness_fss,
     standard_basis_fss,
 )
@@ -128,6 +129,16 @@ def test_incompressibility_sin_log_witness():
     assert verdict.status == "NOT-NORMAL"
     assert np.allclose(verdict.witness, [1.0, -1.0])
     assert verdict.witness_exponent <= 1.1
+
+
+def test_the_sin_log_standard_basis_is_normal_at_3e4():
+    # a diagonal system's standard basis is normal at every horizon, since
+    # |c_1 x_1 e_1 + c_2 x_2 e_2| >= max |c_i x_i|; the (1, 1) combination
+    # needs its x_1 part, which falls to about e^-12,000 of x_2 near
+    # n = 5,650 and dominates again from n = 12,391
+    verdict = incompressibility_test(standard_basis_fss(sin_log_system(), 30_000))
+    assert verdict.status == "NORMAL-UP-TO-HORIZON"
+    assert verdict.witness is None
 
 
 def test_incompressibility_deterministic_given_seed():

@@ -116,6 +116,15 @@ def test_sigma_invariance_sin_log():
         assert v0.status == v1.status == "yes"
 
 
+def test_witness_angles_are_right_angles_once_x_1_dominates_again():
+    # from n = 12,400 the (1, 1) member of sin-log's witness FSS is
+    # x_1-dominated: its direction is (1, x_2/x_1), at pi/2 to 1e-10 from
+    # the line of the (0, 1) member, though x_1 fell to about e^-12,000 of
+    # x_2 near n = 5,650
+    phi = sin_log_witness_fss(30_000).angle_profile()[:, 0]
+    assert np.abs(phi[12_399:] - math.pi / 2).max() <= 1e-9
+
+
 def test_gamma_grid_shape():
     assert GAMMA_GRID[0] == pytest.approx(math.pi / 2)
     assert len(GAMMA_GRID) == 8

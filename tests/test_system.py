@@ -15,6 +15,7 @@ from ltvlab import (
     InvalidInputError,
     NotLyapunovSequenceError,
     ParseError,
+    PreconditionError,
     PropagationError,
     additive_to_multiplicative,
     build_plan,
@@ -649,15 +650,24 @@ def test_a_batched_scan_equals_its_segments_scanned_alone(s, segments):
             _running_products, segment)
 
 
-def test_a_halved_block_scans_each_step_once(monkeypatch):
-    # on sin-log at H = 1e4 the volume and incompressibility passes each halve
-    # 10 of their 40 segments, and a halved segment scans only its second half
-    # anew; the 3 chunks take 4 batched scans (the last chunk's tail alone)
-    seq = parse_generator_spec(SIN_LOG_SPEC)
-    sizes = []  # the matrices each call scans: the product of its leading dimensions
+def counted_scans(monkeypatch):
+    """The matrices each ``_running_products`` call scans (the product of its
+    leading dimensions), appended as it runs."""
+    sizes = []
     monkeypatch.setattr(
         "ltvlab.system._running_products",
         lambda mats: sizes.append(math.prod(mats.shape[:-2])) or _running_products(mats))
+    return sizes
+
+
+def test_a_halved_block_scans_each_step_once(monkeypatch):
+    # sin-log with A(n)_12 = 1, which is not diagonal and so takes the scan: at
+    # H = 1e4 the volume and incompressibility passes each halve 10 of their 40
+    # segments, and a halved segment scans only its second half anew; the 3
+    # chunks take 4 batched scans (the last chunk's tail alone)
+    a_11, a_22 = (line.strip() for line in SIN_LOG_SPEC.splitlines()[-2:])
+    seq = parse_generator_spec(f"dimension: 2\nkind: dense\nentries:\n  {a_11}; 1\n  0; {a_22}\n")
+    sizes = counted_scans(monkeypatch)
 
     def scans(fn, *args):
         sizes.clear()
@@ -741,6 +751,68 @@ def test_faults_in_one_chunk_are_raised_in_step_order():
     # with the collapse gone, the non-finite A(3000) is met
     with pytest.raises(PropagationError, match=r"^coefficient A\(n\) is not finite at n=3000$"):
         propagate(seq, [0.0, 1.0], 5000)
+
+
+# --- diagonal chunks, carried in log form ---------------------------------
+
+
+def test_diagonal_chunks_carry_the_signs(monkeypatch):
+    seq = geometric_diag([-0.5, 3.0])
+    sizes = counted_scans(monkeypatch)
+    starts = np.array([[1.0, 0.0], [1.0, 1.0]])  # columns (1, 1) and (0, 1)
+    logs = propagate(seq, starts, 700)
+    assert sizes == []
+    for j in range(2):
+        assert_matches_reference(logs[j], seq, starts[:, j], 700)
+    # x(n) = ((-0.5)**(n-1), 3**(n-1)); the first part is representable to n = 300
+    ns = np.arange(1, 301)
+    assert np.array_equal(np.sign(logs[0].directions[:300, 0]), (-1.0) ** (ns - 1))
+    e_1 = propagate(seq, [1.0, 0.0], 700)
+    assert np.array_equal(e_1.directions[:, 0], (-1.0) ** (e_1.indices - 1))
+    assert e_1.log_norms == pytest.approx((e_1.indices - 1) * math.log(0.5), rel=1e-13)
+
+
+def switching_system(diagonal_first):
+    """diag(-0.5, 3) on the steps of the first two chunks of A(n), n <= 8192,
+    and seeded dense matrices after them; or dense first and diagonal after."""
+    dense = np.eye(2) + 0.3 * np.random.default_rng(8).normal(size=(9000, 2, 2))
+    return CoefficientSequence.from_function(
+        2, lambda n: np.diag([-0.5, 3.0]) if (n <= 8192) == diagonal_first else dense[n - 1])
+
+
+@pytest.mark.parametrize("diagonal_first, scanned", [(True, 699), (False, 8192)])
+def test_a_route_switch_at_a_chunk_boundary_matches_the_per_step_loop(
+        monkeypatch, diagonal_first, scanned):
+    seq = switching_system(diagonal_first)
+    sizes = counted_scans(monkeypatch)
+    starts = np.array([[1.0, 0.0], [1.0, 1.0]])
+    logs = propagate(seq, starts, 8892)
+    assert sum(sizes) == scanned  # the dense steps alone are scanned
+    for j in range(2):
+        assert_matches_reference(logs[j], seq, starts[:, j], 8892)
+
+
+def test_a_zero_diagonal_entry_collapses_every_pass():
+    # A(300) = diag(0, 2) empties e_1, on the route of a diagonal chunk
+    mats = np.repeat(np.diag([1.0, 2.0])[None], 400, axis=0)
+    mats[299, 0, 0] = 0.0
+    seq = CoefficientSequence.from_matrices(mats)
+    collapse = r"propagation collapsed at n=301 \(max \|x\|=0\.0\)$"
+    with pytest.raises(PropagationError, match="^" + collapse):
+        propagate(seq, np.eye(2), 400)
+    with pytest.raises(PropagationError, match="^" + collapse):
+        spectrum_estimate(seq, 400)
+    fss = FSSRecord.from_initial_vectors(geometric_diag([1.0, 2.0]), np.eye(2), 400)
+    with pytest.raises(PreconditionError, match="^perturbed " + collapse):
+        execute_plan(seq, fss, build_plan(fss, [0.01, -0.01]))
+
+
+def test_a_subnormal_diagonal_entry_takes_the_scan(monkeypatch):
+    seq = geometric_diag([1e-320, 1.0])
+    sizes = counted_scans(monkeypatch)
+    with pytest.raises(UnderflowError, match=r"^propagation collapsed at n=2 \(max \|x\|=5e-321\)$"):
+        propagate(seq, [1.0, 0.0], 3)
+    assert sizes == [2]
 
 
 # --- compound blocks of the spectrum's volume pass ----------------------
