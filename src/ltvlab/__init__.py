@@ -37,7 +37,6 @@ from .perturb import (
     synthesis_constants,
 )
 from .spectrum import (
-    ExponentProfile,
     IncompressibilityVerdict,
     SpectrumEstimate,
     exponent_profile,

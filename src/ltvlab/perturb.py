@@ -30,12 +30,13 @@ from .errors import (
 from .linalg import project_out, spectral_norm
 from .spectrum import (
     TAIL_FRACTION,
+    _tail_start,
     exponent_profile,
     incompressibility_test,
+    limsup_estimate,
     spectrum_estimate,
-    tail_window,
 )
-from .splitness import RHO_THRESHOLD, broken_away_scan, gamma_statistics
+from .splitness import RHO_THRESHOLD, _check_gamma, broken_away_scan, gamma_statistics
 from .system import CoefficientSequence, _propagation_blocks
 
 MU_BRACKET_TOL = 1e-6
@@ -58,8 +59,7 @@ class SynthesisConstants:
 def synthesis_constants(gamma, rho, s, r=0.5, delta1=None):
     """Evaluate the synthesis constants for given angle threshold and
     density floor.  Default delta1 is the midpoint-in-log ln(L1+1)/2."""
-    if not 0.0 < gamma <= math.pi / 2:
-        raise InvalidInputError(f"gamma must be in (0, pi/2], got {gamma}")
+    _check_gamma(gamma)
     if not 0.0 < rho <= 1.0:
         raise InvalidInputError(f"rho must be in (0, 1], got {rho}")
     if s < 1:
@@ -94,9 +94,9 @@ def lambda_mu(fss, i, mu, gamma, sigma=1, tail_fraction=TAIL_FRACTION):
 def _tail_lines(fss, i, gamma, sigma, tail_fraction):
     """The exponent profile f_i(k) and the gamma densities g_i(k) >= 0 on
     the tail window: lambda_mu is the maximum of the lines f_i + mu g_i."""
-    profile = exponent_profile(fss.trajectories[i], sigma)
-    window = tail_window(profile.ks, tail_fraction)
-    return profile.values[window], gamma_statistics(fss, i, gamma, sigma).densities[window]
+    ks, values = exponent_profile(fss.trajectories[i], sigma)
+    window = ks >= _tail_start(ks[-1], tail_fraction)
+    return values[window], gamma_statistics(fss, i, gamma, sigma).densities[window]
 
 
 def solve_mu(fss, i, zeta, rho_hat, gamma, sigma=1, tail_fraction=TAIL_FRACTION):
@@ -331,7 +331,7 @@ def execute_plan(seq, fss, plan):
     )
 
     ks = np.arange(1, horizon + 1)
-    perturbed_exponents = (sim_logs / ks[:, None])[tail_window(ks, TAIL_FRACTION)].max(axis=0)
+    perturbed_exponents = limsup_estimate(ks, sim_logs / ks[:, None])[0]
 
     base_exponents = np.array([v.lambda_hat for v in plan.calibration.verdicts])
     return PerturbationOutcome(
@@ -361,6 +361,9 @@ def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
     ||R - I|| stays below epsilon, where alpha is half the largest gap
     between the FSS exponents and that estimate.
     """
+    if len(epsilon_grid) == 0 or not all(0.0 < eps < math.inf for eps in epsilon_grid):
+        raise InvalidInputError(f"epsilon_grid must be non-empty, each epsilon finite and > 0, "
+                                f"got {epsilon_grid}")
     calibration = calibrate(fss)
     verdict = incompressibility_test(fss, trials=trials, seed=seed)
     if verdict.is_normal:
@@ -426,6 +429,8 @@ def openness_experiment(seq, fss, target_spectrum, epsilon):
     s = fss.dimension
     if target.shape != (s,):
         raise InvalidInputError(f"expected {s} target exponents, got {target.shape}")
+    if not 0.0 < epsilon < math.inf:
+        raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
 
     calibration = calibrate(fss)
     lams = np.array([v.lambda_hat for v in calibration.verdicts])

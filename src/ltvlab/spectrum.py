@@ -26,15 +26,6 @@ COMBINATION_GAP_TOL = 0.1
 
 
 @dataclass(frozen=True)
-class ExponentProfile:
-    """Growth profile f(k; sigma) = ln||x(k*sigma)|| / (k*sigma)."""
-
-    sigma: int
-    ks: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectrumEstimate:
     exponents: np.ndarray  # nondecreasing, length s
     multiplicities: list  # (value, count) pairs, values increasing
@@ -43,9 +34,10 @@ class SpectrumEstimate:
 
 
 def exponent_profile(traj, sigma=1):
-    """Profile of a TrajectoryLog along the multiples of sigma."""
+    """Growth profile f(k; sigma) = ln||x(k*sigma)|| / (k*sigma) of a
+    TrajectoryLog: the arrays (ks, values) with ks = 1, 2, ..."""
     ns, pos = _sigma_positions(traj, sigma)
-    return ExponentProfile(int(sigma), np.arange(1, len(ns) + 1), traj.log_norms[pos] / ns)
+    return np.arange(1, len(ns) + 1), traj.log_norms[pos] / ns
 
 
 def _sigma_positions(traj, sigma):
@@ -66,27 +58,25 @@ def _sigma_positions(traj, sigma):
     return ns, pos
 
 
-def limsup_estimate(profile, tail_fraction=TAIL_FRACTION):
-    """Tail-max exponent estimate and the indices realizing it.
+def limsup_estimate(ks, values, tail_fraction=TAIL_FRACTION):
+    """Tail-max estimate of each column of ``values`` (1-d, or (K, m) with
+    rows at the increasing indices ``ks``) over the final ``tail_fraction``
+    of the ks, and the ks of the window within REALIZE_TOL of it.
 
-    Returns (lambda_hat, the increasing k's of the window within
-    REALIZE_TOL of it).
+    Returns (lambda_hat, realizing ks) for 1-d values and, for (K, m)
+    values, the (m,) tail-maxes and a list of m realizing arrays.
     """
-    mask = tail_window(profile.ks, tail_fraction)
-    window = profile.values[mask]
-    lam = float(window.max())
-    return lam, profile.ks[mask][window >= lam - REALIZE_TOL]
-
-
-def tail_window(ks, tail_fraction):
-    """Mask of the profile indices ``ks`` that fall in the final
-    ``tail_fraction`` of the horizon, the window of every tail-max."""
     if len(ks) == 0:
         raise InvalidInputError("empty profile")
     mask = ks >= _tail_start(ks[-1], tail_fraction)
-    if not mask.any():
+    if not mask.any():  # ks that end below 1
         raise InvalidInputError("empty tail window")
-    return mask
+    window_ks, window = ks[mask], values[mask]
+    top = window.max(axis=0)
+    realizing = window >= top - REALIZE_TOL
+    if np.ndim(values) == 1:
+        return float(top), window_ks[realizing]
+    return top, [window_ks[column] for column in realizing.T]
 
 
 def _tail_start(last, tail_fraction):
@@ -112,7 +102,6 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FR
     re-orthonormalizing every step (the compounds grow as C(s, s/2), so
     volumes lose from s = 5 on).
     """
-    s = seq.dimension
     horizon = int(horizon)
     if horizon < 2:
         raise InvalidInputError("horizon must be >= 2")
@@ -121,18 +110,10 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FR
     if not isinstance(checkpoint_every, numbers.Integral) or checkpoint_every < 1:
         raise InvalidInputError(
             f"checkpoint_every must be a positive integer, got {checkpoint_every!r}")
-    window_start = _tail_start(horizon, tail_fraction)
+    _tail_start(horizon, tail_fraction)  # a bad fraction is refused before the pass
 
     cp_ns, cp_logs = _checkpoint_logs(seq, horizon, checkpoint_every)
-    cp_vals = cp_logs / cp_ns[:, None]  # (num checkpoints, s)
-    mask = cp_ns >= window_start  # the horizon is always a checkpoint
-    window_ns = cp_ns[mask]
-    window = cp_vals[mask]
-
-    per_column = window.max(axis=0)
-    realizing = [
-        window_ns[window[:, j] >= per_column[j] - REALIZE_TOL] for j in range(s)
-    ]
+    per_column, realizing = limsup_estimate(cp_ns, cp_logs / cp_ns[:, None], tail_fraction)
     order = np.argsort(per_column, kind="stable")
     exponents = per_column[order]
     realizing = [realizing[j] for j in order]
@@ -313,14 +294,13 @@ def incompressibility_test(fss, trials=64, seed=0):
     in that order.  A candidate whose propagation collapses therefore
     raises even when an earlier candidate is a witness.
     """
+    if not trials >= 0:
+        raise InvalidInputError(f"trials must be >= 0, got {trials}")
     trajectories = fss.trajectories
     s = len(trajectories)
     horizon = fss.horizon
 
-    member_exps = np.empty(s)
-    for j, traj in enumerate(trajectories):
-        lam, _ = limsup_estimate(exponent_profile(traj, 1))
-        member_exps[j] = lam
+    member_exps = np.array([limsup_estimate(*exponent_profile(traj))[0] for traj in trajectories])
 
     candidates = []
     if s <= 3:

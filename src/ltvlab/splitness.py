@@ -107,13 +107,7 @@ class FSSRecord:
         """
         if self._cosines is not None:
             return self._cosines
-        if self.dimension == 2:
-            dirs = self.direction_stack()
-            dots = np.abs(np.einsum("ki,ki->k", dirs[:, :, 0], dirs[:, :, 1]))
-            cosines = np.column_stack([dots, dots])
-        else:
-            cosines = self._member_profile(cosine_to_subspace, 1.0)
-        self._cosines = np.clip(cosines, 0.0, 1.0)
+        self._cosines = np.clip(self._member_profile(cosine_to_subspace, 1.0), 0.0, 1.0)
         return self._cosines
 
 
@@ -142,8 +136,16 @@ class GammaStatistics:
     densities: np.ndarray  # g(k; sigma) = N(k)/k, in [0, 1]
 
 
+def _check_gamma(*grid):
+    """InvalidInputError unless ``grid`` holds gammas, each in (0, pi/2]."""
+    if not grid or not all(0.0 < gamma <= math.pi / 2 for gamma in grid):
+        raise InvalidInputError(
+            f"gamma must be in (0, pi/2], got {', '.join(map(str, grid)) or 'none'}")
+
+
 def gamma_statistics(fss, i, gamma, sigma=1):
     """Membership flags, counts and densities of the gamma angle set."""
+    _check_gamma(gamma)
     sigma = int(sigma)
     flags, counts, densities = _gamma_set(_member_angles(fss, i, sigma), gamma)
     return GammaStatistics(float(gamma), sigma, flags, counts, densities)
@@ -187,12 +189,12 @@ def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
     with the largest rho_hat, preferring larger gamma on ties, and is
     "yes" when that rho_hat reaches RHO_THRESHOLD.
     """
+    _check_gamma(*gamma_grid)
     sigma = int(sigma)
-    profile = exponent_profile(fss.trajectories[i], sigma)
-    lam, ks = limsup_estimate(profile)
+    lam, ks = limsup_estimate(*exponent_profile(fss.trajectories[i], sigma))
     if len(ks) == 0:
         return BrokenAwayVerdict(
-            i, sigma, None, None, None, float(lam), "inconclusive", fss.horizon
+            i, sigma, None, None, None, lam, "inconclusive", fss.horizon
         )
     angles = _member_angles(fss, i, sigma)
     best_gamma, best_rho = None, -1.0
@@ -202,7 +204,7 @@ def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
             best_gamma, best_rho = float(gamma), rho
     status = "yes" if best_rho >= RHO_THRESHOLD else "no"
     return BrokenAwayVerdict(
-        i, sigma, best_gamma, ks, best_rho, float(lam), status, fss.horizon
+        i, sigma, best_gamma, ks, best_rho, lam, status, fss.horizon
     )
 
 

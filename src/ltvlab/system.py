@@ -63,19 +63,11 @@ class CoefficientSequence:
 
     @classmethod
     def diagonal_formulas(cls, expressions):
-        """Diagonal A(n) from s formulas; a callable entry must accept an
-        array of n."""
-        exprs = [e if callable(e) else parse_expression(e) for e in expressions]
-        s = len(exprs)
-
-        def block_fn(start, stop):
-            ns = np.arange(start, stop)
-            out = np.zeros((len(ns), s, s))
-            for i, e in enumerate(exprs):
-                out[:, i, i] = e(ns)
-            return out
-
-        return cls(s, block_fn)
+        """Diagonal A(n) from s formulas, the dense table with "0" off the
+        diagonal; a callable entry must accept an array of n."""
+        exprs = list(expressions)
+        return cls.dense_formulas([[e if i == j else "0" for j in range(len(exprs))]
+                                   for i, e in enumerate(exprs)])
 
     @classmethod
     def dense_formulas(cls, rows):

@@ -17,6 +17,8 @@ from ltvlab import (
     calibrate,
     execute_plan,
     exponent_profile,
+    gamma_statistics,
+    incompressibility_test,
     instability_experiment,
     lambda_mu,
     openness_experiment,
@@ -73,6 +75,49 @@ def test_solver_refuses_a_bad_rho_hat_or_mu():
             lambda_mu(fss, 0, mu, 0.5)
     with pytest.raises(InvalidInputError, match="zeta"):
         solve_mu(fss, 0, math.nan, 0.5, 0.5)
+
+
+def diag12_fss():
+    seq = geometric_diag([1.0, 2.0])
+    return seq, standard_basis_fss(seq, 500)
+
+
+def sin_log_fss():  # splitted and not normal, so the instability experiment runs
+    seq = sin_log_system()
+    return seq, sin_log_witness_fss(2000, seq)
+
+
+BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its message)
+    "gamma_statistics-nan-gamma":
+        (diag12_fss, lambda seq, fss: gamma_statistics(fss, 0, math.nan), "gamma"),
+    "lambda_mu-nan-gamma":
+        (diag12_fss, lambda seq, fss: lambda_mu(fss, 0, 0.1, math.nan), "gamma"),
+    "broken_away_scan-empty-grid":
+        (diag12_fss, lambda seq, fss: broken_away_scan(fss, 0, gamma_grid=()), "gamma"),
+    "broken_away_scan-nan-grid":
+        (diag12_fss, lambda seq, fss: broken_away_scan(fss, 0, gamma_grid=(math.nan,)), "gamma"),
+    "openness_experiment-nan-epsilon":
+        (diag12_fss, lambda seq, fss: openness_experiment(seq, fss, [0.0, math.log(2)], math.nan),
+         "epsilon"),
+    "openness_experiment-negative-epsilon":
+        (diag12_fss, lambda seq, fss: openness_experiment(seq, fss, [0.0, math.log(2)], -1.0),
+         "epsilon"),
+    "instability_experiment-empty-grid":
+        (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, []), "epsilon"),
+    "instability_experiment-negative-epsilon":
+        (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, [-1.0]), "epsilon"),
+    "incompressibility_test-negative-trials":
+        (diag12_fss, lambda seq, fss: incompressibility_test(fss, trials=-3), "trials"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LIBRARY_INPUTS))
+def test_library_calls_refuse_what_the_cli_refuses(name):
+    # gamma in (0, pi/2], a non-empty grid, epsilon finite and > 0, trials >= 0
+    make, call, word = BAD_LIBRARY_INPUTS[name]
+    seq, fss = make()
+    with pytest.raises(InvalidInputError, match=word):
+        call(seq, fss)
 
 
 def test_solve_mu_bracket_sin_log():
@@ -333,10 +378,10 @@ def per_call_densities(fss, i, gamma, sigma):
 
 def per_call_lambda_mu(fss, i, mu, gamma, sigma, tail_fraction):
     """Tail-max of f_i + mu g_i, with the profile and densities evaluated on every call."""
-    profile = exponent_profile(fss.trajectories[i], sigma)
-    boosted = profile.values + mu * per_call_densities(fss, i, gamma, sigma)
-    start = max(1, math.ceil(profile.ks[-1] * (1.0 - tail_fraction)))
-    return float(boosted[profile.ks >= start].max())
+    ks, values = exponent_profile(fss.trajectories[i], sigma)
+    boosted = values + mu * per_call_densities(fss, i, gamma, sigma)
+    start = max(1, math.ceil(ks[-1] * (1.0 - tail_fraction)))
+    return float(boosted[ks >= start].max())
 
 
 def per_call_bisection(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
@@ -364,10 +409,10 @@ def per_call_closed_form(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
     the lines f_i(k) + mu g_i(k) with the target, from scratch."""
     if zeta == 0.0:
         return 0.0
-    profile = exponent_profile(fss.trajectories[i], sigma)
-    start = max(1, math.ceil(profile.ks[-1] * (1.0 - tail_fraction)))
-    f = profile.values[profile.ks >= start]
-    g = per_call_densities(fss, i, gamma, sigma)[profile.ks >= start]
+    ks, values = exponent_profile(fss.trajectories[i], sigma)
+    start = max(1, math.ceil(ks[-1] * (1.0 - tail_fraction)))
+    f = values[ks >= start]
+    g = per_call_densities(fss, i, gamma, sigma)[ks >= start]
     target = float(f.max()) + zeta
     if float((f + zeta / rho_hat * g).max()) < target - 1e-6 or not (g > 0).any():
         return "bracket"
@@ -376,11 +421,11 @@ def per_call_closed_form(fss, i, zeta, rho_hat, gamma, sigma, tail_fraction):
 
 def per_call_scan(fss, i, gamma_grid, sigma, tail_fraction):
     """(gamma, rho_hat, status) of broken_away_scan, densities recomputed per gamma."""
-    profile = exponent_profile(fss.trajectories[i], sigma)
-    start = max(1, math.ceil(profile.ks[-1] * (1.0 - tail_fraction)))
-    window = profile.ks >= start
-    lam = profile.values[window].max()
-    ks = profile.ks[window][profile.values[window] >= lam - 1e-2]
+    profile_ks, values = exponent_profile(fss.trajectories[i], sigma)
+    start = max(1, math.ceil(profile_ks[-1] * (1.0 - tail_fraction)))
+    window = profile_ks >= start
+    lam = values[window].max()
+    ks = profile_ks[window][values[window] >= lam - 1e-2]
     best_gamma, best_rho = None, -1.0
     for gamma in sorted(gamma_grid, reverse=True):
         rho = float(per_call_densities(fss, i, gamma, sigma)[ks - 1].min())

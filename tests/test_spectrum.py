@@ -36,10 +36,10 @@ from ltvlab.system import _propagation_blocks, parse_generator_spec
 def test_exponent_profile_constant_growth():
     seq = geometric_diag([1.0, 3.0])
     traj = propagate(seq, [0.0, 1.0], 1000)
-    profile = exponent_profile(traj)
+    ks, values = exponent_profile(traj)
     # f(k) = (k-1) ln 3 / k -> ln 3
-    assert profile.values[-1] == pytest.approx(999 * math.log(3) / 1000)
-    lam, realizing = limsup_estimate(profile)
+    assert values[-1] == pytest.approx(999 * math.log(3) / 1000)
+    lam, realizing = limsup_estimate(ks, values)
     assert lam == pytest.approx(math.log(3), abs=2e-3)
     assert len(realizing) > 0
     assert realizing[-1] == 1000
@@ -48,21 +48,59 @@ def test_exponent_profile_constant_growth():
 def test_exponent_profile_sigma_subsampling():
     seq = geometric_diag([2.0, 1.0])
     traj = propagate(seq, [1.0, 0.0], 100)
-    p1 = exponent_profile(traj, 1)
-    p5 = exponent_profile(traj, 5)
-    assert len(p5.ks) == 20
-    assert p5.values[3] == pytest.approx(p1.values[19])
+    _, values1 = exponent_profile(traj, 1)
+    ks5, values5 = exponent_profile(traj, 5)
+    assert len(ks5) == 20
+    assert values5[3] == pytest.approx(values1[19])
 
 
 def test_limsup_estimate_tail_rules():
     seq = geometric_diag([2.0])
     traj = propagate(seq, [1.0], 200)
     profile = exponent_profile(traj)
-    lam_half, _ = limsup_estimate(profile, tail_fraction=0.5)
-    lam_full, _ = limsup_estimate(profile, tail_fraction=1.0)
+    lam_half, _ = limsup_estimate(*profile, tail_fraction=0.5)
+    lam_full, _ = limsup_estimate(*profile, tail_fraction=1.0)
     assert lam_half == pytest.approx(math.log(2), abs=1e-2)
     # full window includes the small early values but the max is unchanged
     assert lam_full == pytest.approx(lam_half)
+
+
+def test_limsup_estimate_refuses_an_empty_profile_or_a_bad_fraction():
+    ks, values = exponent_profile(propagate(geometric_diag([2.0]), [1.0], 50))
+    with pytest.raises(InvalidInputError, match="empty profile"):
+        limsup_estimate(ks[:0], values[:0])
+    with pytest.raises(InvalidInputError, match="empty tail window"):
+        limsup_estimate(ks - ks[-1], values)
+    for fraction in (math.nan, 0.0, -0.5, 1.5):
+        with pytest.raises(InvalidInputError, match="tail_fraction"):
+            limsup_estimate(ks, values, tail_fraction=fraction)
+
+
+def test_limsup_estimate_takes_each_column_of_a_stack():
+    seq = geometric_diag([1.0, 2.0])
+    trajectories = [propagate(seq, x0, 300) for x0 in ([1.0, 0.0], [1.0, 1.0])]
+    ks = exponent_profile(trajectories[0])[0]
+    stack = np.column_stack([exponent_profile(traj)[1] for traj in trajectories])
+    lams, realizing = limsup_estimate(ks, stack, tail_fraction=0.25)
+    for j, traj in enumerate(trajectories):
+        lam, ks_j = limsup_estimate(*exponent_profile(traj), tail_fraction=0.25)
+        assert lams[j] == lam and np.array_equal(realizing[j], ks_j)
+
+
+def test_spectrum_estimate_refuses_a_bad_fraction_before_it_reads_a():
+    calls = []
+
+    def block_fn(start, stop):
+        calls.append((start, stop))
+        return np.broadcast_to(np.eye(2), (stop - start, 2, 2))
+
+    seq = CoefficientSequence(2, block_fn)
+    for fraction in (math.nan, 0.0, 1.5):
+        with pytest.raises(InvalidInputError, match="tail_fraction"):
+            spectrum_estimate(seq, 100, tail_fraction=fraction)
+    assert calls == []
+    spectrum_estimate(seq, 100)
+    assert calls
 
 
 def test_spectrum_estimate_diag_1_2():
@@ -158,7 +196,7 @@ def per_candidate_incompressibility(fss, trials=64, seed=0, gap_tol=0.1):
     s = fss.dimension
     horizon = fss.horizon
     member_exps = np.array(
-        [limsup_estimate(exponent_profile(traj))[0] for traj in fss.trajectories]
+        [limsup_estimate(*exponent_profile(traj))[0] for traj in fss.trajectories]
     )
     candidates = [np.array(c, dtype=float) for c in itertools.product((0, 1, -1), repeat=s)
                   if any(c) and next(v for v in c if v) > 0] if s <= 3 else []
@@ -168,7 +206,7 @@ def per_candidate_incompressibility(fss, trials=64, seed=0, gap_tol=0.1):
         candidates.append(c / np.linalg.norm(c))
     initials = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
     for c in candidates:
-        lam, _ = limsup_estimate(exponent_profile(propagate(fss.seq, initials @ c, horizon)))
+        lam, _ = limsup_estimate(*exponent_profile(propagate(fss.seq, initials @ c, horizon)))
         support_max = member_exps[np.abs(c) > 0.0].max()
         if lam < support_max - gap_tol:
             return "NOT-NORMAL", c, lam, support_max
