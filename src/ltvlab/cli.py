@@ -28,6 +28,7 @@ from .splitness import GAMMA_GRID, FSSRecord, _initial_basis, gamma_statistics, 
 from .system import CoefficientSequence, parse_generator_spec
 
 SCHEMA_VERSION = 1
+_CSV_BLOCK_ROWS = 4096  # rows of a column-built CSV formatted and written at a time
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,23 +173,80 @@ def _load(args):
     return seq, opts, params
 
 
-def _report(args, name, payload, csv_rows=None, csv_header=None, csv_format=None):
-    """Write the JSON payload and, when rows are given, a CSV with CRLF line
-    ends; each row is formatted by ``csv_format``, a %-format with one
-    field per column (default %s for every column)."""
+def _fixed_point(x):
+    """Round-half-even of the exact x * 10**9 (x >= 0), as %.9f: Dekker's product
+    (10**9 has 21 bits) gives the error of p = x * 1e9, to settle a p on a half."""
+    p = x * 1e9
+    hi = x * 134217729.0 - (x * 134217729.0 - x)  # x to 26 bits
+    err = (hi * 1e9 - p) + (x - hi) * 1e9
+    r = np.rint(p)
+    half = p - r
+    return r + np.where((np.abs(half) == 0.5) & (half * err > 0.0), 2.0 * half, 0.0)
+
+
+def _csv_field(v, neg, least, sep):
+    """Bytes (slots, rows) of a sign, the digits of the whole numbers
+    v < 2**52 (at least ``least``) and ``sep``, and which to write."""
+    width = max(len(str(int(v.max(initial=0)))), least)
+    q = np.floor(v / 10.0 ** np.arange(width, -1, -1)[:, None])  # exact below 2**52
+    chars = np.empty((1 + width + len(sep), len(v)), np.uint8)
+    chars[0], chars[width + 1:] = ord("-"), np.frombuffer(sep, np.uint8)[:, None]
+    chars[1:width + 1] = q[1:] - 10.0 * q[:-1] + ord("0")
+    keep = np.ones(chars.shape, bool)
+    keep[0], keep[1:width + 1 - least] = neg, q[1:width + 1 - least] > 0.0  # no leading 0
+    return chars, keep
+
+
+def _csv_blocks(header, columns):
+    """A CSV as bytes blocks: the header, then _CSV_BLOCK_ROWS rows of the 1-d columns
+    at a time, byte for byte as %.9f for a float column and %d for any other;
+    a magnitude (times 10**9 for a float) not below 2**52 is refused."""
+    yield (",".join(header) + "\r\n").encode()
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        fields = []
+        for i, column in enumerate(columns):
+            x = np.asarray(column[start:start + _CSV_BLOCK_ROWS])
+            sep = b"\r\n" if i == len(columns) - 1 else b","
+            v = np.abs(x) * 1e9 if x.dtype.kind == "f" else np.abs(x.astype(float))
+            if not np.all(v < 2.0**52):  # NaN fails too
+                raise InvalidInputError("a CSV value is not finite or too large to write exactly")
+            if x.dtype.kind != "f":
+                fields.append(_csv_field(v, x < 0, 1, sep))
+                continue
+            v = _fixed_point(np.abs(x))
+            whole = np.floor(v / 1e9)  # the integer part, a point, then 9 digits
+            fields += [_csv_field(whole, np.signbit(x), 1, b"."),
+                       _csv_field(v - 1e9 * whole, False, 9, sep)]
+        chars, keep = (np.concatenate(parts) for parts in zip(*fields))
+        yield chars.T[keep.T].tobytes()
+
+
+def _csv_table(header, rows):
+    """A small table's CSV as one bytes block, each cell as %s."""
+    return ["".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]).encode()]
+
+
+def _make_out_dir(out_dir):
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file there or above it, or no permission
+        raise ParseError(f"--out-dir {str(out_dir)!r} cannot be a directory: "
+                         f"{exc.strerror or exc}") from exc
+
+
+def _report(args, name, payload, csv=None):
+    """Write the JSON payload and, when given, the CSV: bytes blocks with
+    CRLF line ends, one write each."""
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **payload}
     if args.format in ("json", "both"):
         path = out_dir / f"{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
-    if csv_rows is not None and args.format in ("csv", "both"):
+    if csv is not None and args.format in ("csv", "both"):
         path = out_dir / f"{name}.csv"
-        line = (csv_format or ",".join(["%s"] * len(csv_header))) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(csv_header) + "\r\n")
-            fh.writelines(line % tuple(row) for row in csv_rows)
+        with open(path, "wb") as fh:
+            fh.writelines(csv)
         print(f"wrote {path}")
     return payload
 
@@ -210,7 +268,8 @@ def cmd_spectrum(args):
         "multiplicities": estimate.multiplicities,
         "horizon": estimate.horizon,
     }
-    _report(args, "spectrum", payload, rows, ("exponent", "multiplicity", "realizing_count"))
+    _report(args, "spectrum", payload,
+            _csv_table(("exponent", "multiplicity", "realizing_count"), rows))
     print("spectrum:", " ".join(f"{v:.6f} (x{c})" for v, c in estimate.multiplicities))
     return EXIT_OK
 
@@ -220,25 +279,14 @@ def cmd_splitness(args):
     fss, sigma, gamma_grid = opts["fss"], opts["sigma"], opts["gamma_grid"]
     report = splitness_report(fss, gamma_grid, sigma)
 
-    angles = fss.angle_profile()
-    s = fss.dimension
     stats = []
     for v in report.verdicts:
         gamma = v.gamma if v.gamma is not None else min(gamma_grid)
         stats.append(gamma_statistics(fss, v.solution_index, gamma, sigma))
     ns = sigma * np.arange(1, len(stats[0].member_flags) + 1)
-    rows = np.column_stack(
-        [ns, angles[ns - 1]]
-        + [st.member_flags for st in stats]
-        + [st.densities for st in stats]
-    ).tolist()
-    row_format = ",".join(["%d"] + ["%.9f"] * s + ["%d"] * s + ["%.9f"] * s)
-    header = (
-        ["n"]
-        + [f"phi_{i + 1}" for i in range(s)]
-        + [f"flag_{i + 1}" for i in range(s)]
-        + [f"g_{i + 1}" for i in range(s)]
-    )
+    columns = [ns, *fss.angle_profile()[ns - 1].T, *(st.member_flags for st in stats),
+               *(st.densities for st in stats)]
+    header = ["n", *(f"{c}_{i + 1}" for c in ("phi", "flag", "g") for i in range(fss.dimension))]
     payload = {
         "params": {**params, "sigma": sigma},
         "splitted": report.splitted,
@@ -253,7 +301,7 @@ def cmd_splitness(args):
             for v in report.verdicts
         ],
     }
-    _report(args, "splitness", payload, rows, header, row_format)
+    _report(args, "splitness", payload, _csv_blocks(header, columns))
     print(f"splitted: {report.splitted}")
     for v in report.verdicts:
         print(
@@ -319,8 +367,8 @@ def cmd_instability(args):
         for row in result["rows"]
     ]
     payload = {"params": params, **result}
-    _report(args, "instability", payload, rows,
-            ("epsilon", "r_norm_sup", "distance_to_base", "status"))
+    _report(args, "instability", payload,
+            _csv_table(("epsilon", "r_norm_sup", "distance_to_base", "status"), rows))
     for row in result["rows"]:
         print(
             f"epsilon={row['epsilon']:g}: ||R-I||={row['r_norm_sup']:.4g}, "
@@ -339,7 +387,7 @@ def cmd_sinln(args):
         ("max", result["max_value"], result["argmax"]),
         ("min", result["min_value"], result["argmin"]),
     ]
-    _report(args, "sinln", payload, rows, ("kind", "value", "n"))
+    _report(args, "sinln", payload, _csv_table(("kind", "value", "n"), rows))
     print(
         f"sin(ln n) over n<= {args.max_n}: max {result['max_value']:.9f} at "
         f"n={result['argmax']}, min {result['min_value']:.9f} at n={result['argmin']}"
@@ -452,6 +500,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "out_dir"):  # made first, so a bad one exits before any work
+            _make_out_dir(args.out_dir)
         return args.fn(args)
     except (LtvLabError, FloatingPointError, np.linalg.LinAlgError) as exc:
         code = getattr(exc, "exit_code", EXIT_NUMERICAL)

@@ -117,10 +117,17 @@ def _subspace_inputs(p, basis, name):
         raise InvalidInputError("p has non-finite entries")
     if not np.all(np.isfinite(b)):
         raise InvalidInputError("basis has non-finite entries")
-    norm_p = np.linalg.norm(p, axis=-1)
+    norm_p = np.sqrt(_dot(p, p))
     if np.any(norm_p == 0.0):
         raise InvalidInputError(f"{name} requires a nonzero vector")
     return p, b, norm_p, stacked
+
+
+def _dot(a, b):
+    """Sum over the last axis of a * b, one entry at a time from the first:
+    a whole-stack operation per entry, where a reduction over a short last
+    axis is slow."""
+    return sum(a[..., i] * b[..., i] for i in range(a.shape[-1]))
 
 
 def _per_entry(values, full_rank, stacked):
@@ -155,8 +162,18 @@ def cosine_to_subspace(p, basis):
     same scalar and stacked forms as ``angle_to_subspace``.
     """
     p, b, norm_p, stacked = _subspace_inputs(p, basis, "cosine_to_subspace")
-    coef, _, full_rank = project_out(p, b)
-    cosines = np.clip(np.linalg.norm(coef, axis=-1) / norm_p, 0.0, 1.0)
+    if b.shape[-1] == 1:  # the normalized dot product, b scaled as in project_out
+        col = b[..., 0]
+        _, exps = np.frexp(np.max([np.abs(col[..., i]) for i in range(col.shape[-1])], axis=0))
+        unit = np.ldexp(col, -exps[..., None])
+        norm = np.sqrt(_dot(unit, unit))
+        length = np.ldexp(norm, exps)
+        full_rank = length > SINGULAR_RTOL * np.maximum(length, 1.0)
+        projected = np.abs(_dot(unit, p)) / np.where(norm > 0.0, norm, np.inf)
+    else:
+        coef, _, full_rank = project_out(p, b)
+        projected = np.linalg.norm(coef, axis=-1)
+    cosines = np.clip(projected / norm_p, 0.0, 1.0)
     return _per_entry(cosines, full_rank, stacked)
 
 

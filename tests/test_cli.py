@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ltvlab import ParseError, read_matrix_sequence, write_matrix_sequence
+from ltvlab import InvalidInputError, ParseError, read_matrix_sequence, write_matrix_sequence
 from ltvlab.cli import (
+    _CSV_BLOCK_ROWS,
     _FIELDS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
+    _csv_blocks,
     main,
 )
 
@@ -78,30 +80,112 @@ def test_splitness_command(tmp_path, capsys):
     assert "splitted: True" in capsys.readouterr().out
 
 
-def test_splitness_csv_has_nine_decimals_and_crlf_line_ends(tmp_path):
-    from ltvlab.splitness import FSSRecord, gamma_statistics, splitness_report
+# an orthogonal Q: its solutions keep their angles, none collapses
+ROTATION_3D = ("dimension: 3\nkind: dense\nentries:\n"
+               "  2/3; -2/3; 1/3\n  2/3; 1/3; -2/3\n  1/3; 2/3; 2/3\n")
+
+
+@pytest.mark.parametrize("system, vectors, horizon, sigma", [
+    pytest.param(SIN_LOG_SYSTEM, [[1, 1], [0, 1]], 600, 3, id="sin-log"),
+    # 4,100 rows: past the first block of rows the CSV writer formats at once
+    pytest.param(ROTATION_3D, [[1, 0.2, 0.3], [0.1, 1, 0.5], [0.4, -0.6, 1]], 8200, 2,
+                 id="rotation-3d"),
+])
+def test_splitness_csv_has_nine_decimals_and_crlf_line_ends(tmp_path, system, vectors,
+                                                            horizon, sigma):
+    from ltvlab.splitness import GAMMA_GRID, FSSRecord, gamma_statistics, splitness_report
     from ltvlab.system import parse_generator_spec
 
-    fields = {"system": SIN_LOG_SYSTEM, "horizon": 600, "initial_vectors": [[1, 1], [0, 1]],
-              "sigma": 3}
+    fields = {"system": system, "horizon": horizon, "initial_vectors": vectors, "sigma": sigma}
     out = tmp_path / "out"
     assert main(["splitness", "--config", write_config(tmp_path, "cfg.json", fields),
                  "--out-dir", str(out)]) == EXIT_OK
     # the same table through csv.writer, one formatted cell at a time
-    fss = FSSRecord.from_initial_vectors(parse_generator_spec(SIN_LOG_SYSTEM), [[1, 1], [0, 1]],
-                                         600)
-    report = splitness_report(fss, sigma=3)
-    stats = [gamma_statistics(fss, v.solution_index, v.gamma, 3) for v in report.verdicts]
+    fss = FSSRecord.from_initial_vectors(parse_generator_spec(system), vectors, horizon)
+    report = splitness_report(fss, sigma=sigma)
+    stats = [gamma_statistics(fss, v.solution_index,
+                              min(GAMMA_GRID) if v.gamma is None else v.gamma, sigma)
+             for v in report.verdicts]
     angles = fss.angle_profile()
+    s = len(vectors)
     expected = io.StringIO()
     writer = csv.writer(expected)
-    writer.writerow(["n", "phi_1", "phi_2", "flag_1", "flag_2", "g_1", "g_2"])
-    for k in range(200):
-        n = 3 * (k + 1)
-        writer.writerow([n, *(f"{angles[n - 1, i]:.9f}" for i in range(2)),
+    writer.writerow(["n", *(f"{c}_{i + 1}" for c in ("phi", "flag", "g") for i in range(s))])
+    for k in range(horizon // sigma):
+        n = sigma * (k + 1)
+        writer.writerow([n, *(f"{angles[n - 1, i]:.9f}" for i in range(s)),
                          *(int(st.member_flags[k]) for st in stats),
                          *(f"{st.densities[k]:.9f}" for st in stats)])
     assert (out / "splitness.csv").read_bytes() == expected.getvalue().encode()
+
+
+def csv_lines(columns):
+    header, *rows = b"".join(_csv_blocks(["a", "b"], columns)).decode().split("\r\n")
+    assert header == "a,b" and rows[-1] == ""
+    return rows[:-1]
+
+
+def percent_lines(columns):
+    formats = ["%d" if np.asarray(c).dtype.kind in "biu" else "%.9f" for c in columns]
+    return [",".join(f % v for f, v in zip(formats, row))
+            for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
+# below 2**52 / 10**9, the largest |x| whose x * 10**9 the formatter takes
+FIXED_LIMIT = float(np.nextafter(2.0**52 / 1e9, 0.0))
+
+
+def half_way_values(count=9):
+    """x = k * 2**-52 in [1, 2) with k * 5**9 = 2**42 + t (mod 2**43): x * 10**9
+    is t * 2**-43 off a half, which the double nearest x * 1e9 rounds onto."""
+    inverse = pow(5**9, -1, 2**43)
+    values = []
+    for t in [t for t in range(-count, count + 1) if t]:
+        k = (2**42 + t) * inverse % 2**43 + 700 * 2**43
+        values.append(k * 2.0**-52)
+    return values
+
+
+def test_csv_columns_match_percent_formats_on_fixed_cases():
+    ties = np.arange(-2048, 2049) / 1024.0
+    floats = np.concatenate([
+        [0.0, -0.0, math.pi / 2, 1.0, -1.0, FIXED_LIMIT, -FIXED_LIMIT, 5e-324, -1e-300],
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), half_way_values(),
+    ])
+    ints = np.resize(np.array([0, 7, -7, 10, 2**52 - 1, -(2**52 - 1)]), floats.size)
+    flags = np.arange(floats.size) % 3 == 0
+    columns = [ints, floats, flags, floats[::-1]]
+    assert csv_lines(columns) == percent_lines(columns)
+    assert csv_lines([np.array([1]), np.array([1.0005514405])]) == ["1,1.000551441"]
+    # a block boundary: each row is written once and in order
+    n = np.arange(1, 2 * _CSV_BLOCK_ROWS + 3)
+    assert csv_lines([n, n / 7.0]) == percent_lines([n, n / 7.0])
+
+
+def test_csv_columns_refuse_values_outside_the_exact_range():
+    for bad in (np.nan, np.inf, -np.inf, 2.0**52 / 1e9):
+        with pytest.raises(InvalidInputError):
+            csv_lines([np.array([1, 2]), np.array([0.5, bad])])
+    for bad in (2**52, -(2**52), np.iinfo(np.int64).min):
+        with pytest.raises(InvalidInputError):
+            csv_lines([np.array([1, bad])])
+
+
+FIXED_FLOATS = st.one_of(
+    st.floats(-FIXED_LIMIT, FIXED_LIMIT),
+    st.floats(-10.0, 10.0),
+    st.integers(-2**20, 2**20).map(lambda k: k / 1024.0),
+    st.sampled_from(half_way_values()),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-(2**52) + 1, 2**52 - 1), FIXED_FLOATS, st.booleans(),
+                          FIXED_FLOATS), min_size=1, max_size=40))
+def test_csv_columns_match_percent_formats(rows):
+    ints, floats, flags, more = (np.array(c) for c in zip(*rows))
+    columns = [ints, floats, flags, more]
+    assert csv_lines(columns) == percent_lines(columns)
 
 
 def test_perturb_command(tmp_path):
@@ -246,6 +330,29 @@ def test_format_json_only(tmp_path):
     assert code == EXIT_OK
     assert (out / "spectrum.json").exists()
     assert not (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "splitness", "perturb", "assign",
+                                     "instability", "sinln"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_dir_that_cannot_be_a_directory_exit_code(tmp_path, capsys, monkeypatch, command,
+                                                      below):
+    def refuse(*args):
+        raise AssertionError("the system was read before the output directory was checked")
+
+    monkeypatch.setattr("ltvlab.cli.parse_generator_spec", refuse)
+    monkeypatch.setattr("ltvlab.cli.sin_log_extrema", refuse)
+    blocker = tmp_path / "a file"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    fields, _ = VALID_CONFIGS.get(command, ({}, None))
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", **fields})
+    argv = ["sinln", "--max-n", "100"] if command == "sinln" else [command, "--config", cfg]
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out-dir ") and str(out) in err
+    assert err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def file_system(tmp_path, count, bad_value=None):

@@ -154,6 +154,25 @@ def test_stacked_angle_and_cosine_match_scalar_calls():
                     angle_to_subspace(p[j], basis[j])
 
 
+def test_one_column_cosine_matches_the_projection_form():
+    # the k = 1 route against |Q^T p| / |p| of project_out, at scales from
+    # 2**-400 to 2**400 and with zero columns
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3, 5):
+        p = rng.normal(size=(600, dim)) * 2.0 ** rng.integers(-400, 400, size=(600, 1))
+        basis = rng.normal(size=(600, dim, 1)) * 2.0 ** rng.integers(-400, 400, size=(600, 1, 1))
+        basis[::50] = 0.0
+        coef, _, full_rank = project_out(p, basis)
+        expected = np.clip(np.abs(coef[:, 0]) / np.linalg.norm(p, axis=-1), 0.0, 1.0)
+        cosines = cosine_to_subspace(p, basis)
+        assert np.array_equal(np.isnan(cosines), ~full_rank)
+        assert not full_rank[::50].any() and full_rank.sum() > 250
+        assert np.abs(cosines - expected)[full_rank].max() <= 1e-15
+        for j in range(0, 600, 37):
+            if full_rank[j]:
+                assert cosine_to_subspace(p[j], basis[j]) == cosines[j]
+
+
 def test_stacked_angle_keeps_accuracy_at_both_ends():
     eps = 1e-9
     p = np.array([[1.0, 0.0, eps], [eps, 0.0, 1.0]])

@@ -43,6 +43,19 @@ def test_angle_profile_matches_closed_form_sin_log():
     assert np.abs(fss.cos_angle_profile()[:, 0] - expected).max() < 1e-10
 
 
+def test_sin_log_cosines_keep_their_digits_where_they_are_tiny():
+    # cos phi_1 on the witness FSS falls to 1e-218 near n = 200; the
+    # one-column cosine keeps it to relative 1e-11 wherever it is a normal
+    # double (a cosine through Gram-Schmidt read 0 at 260 of those steps)
+    fss = sin_log_witness_fss(10_000)
+    a = fss.indices * np.sin(np.log(fss.indices))
+    expected = np.exp(-0.5 * np.logaddexp(0.0, -6.0 * a))
+    held = expected > 1e-290
+    cosines = fss.cos_angle_profile()
+    rel = np.abs(cosines[held] - expected[held, None]) / expected[held, None]
+    assert rel.max() <= 1e-11
+
+
 def test_angle_profile_three_dimensional():
     seq = geometric_diag([1.0, 2.0, 3.0])
     fss = standard_basis_fss(seq, 50)
