@@ -140,10 +140,11 @@ def _read_system(config):
 
 
 def _load(args):
-    """The system, the checked config fields and the params to echo of a
-    config-driven command.  It reads horizon, seed and ``args.fields``, with
-    --horizon and --seed over the config's values, and for a command that
-    reads initial_vectors it builds the FSS as opts["fss"]."""
+    """The system, the checked config fields and the params to echo (the
+    config with the resolved horizon, seed and sigma) of a config-driven
+    command.  It reads horizon, seed and ``args.fields``, with --horizon and
+    --seed over the config's values, and for a command that reads
+    initial_vectors it builds the FSS as opts["fss"]."""
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -168,7 +169,7 @@ def _load(args):
         vectors = opts["initial_vectors"]
         opts["fss"] = FSSRecord.from_initial_vectors(
             seq, np.eye(seq.dimension) if vectors is None else vectors, opts["horizon"])
-    params = {**config, "horizon": opts["horizon"], "seed": opts["seed"],
+    params = {**config, **{key: opts[key] for key in ("horizon", "seed", "sigma") if key in opts},
               "format": args.format, "out_dir": str(args.out_dir)}
     return seq, opts, params
 
@@ -254,8 +255,17 @@ def _report(args, name, payload, csv=None):
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_spectrum(args):
+def _run(args):
+    """A config command: its ``args.cmd(seq, opts)`` returns (payload, CSV
+    blocks or None, summary lines), written as reports and printed here."""
     seq, opts, params = _load(args)
+    payload, csv, lines = args.cmd(seq, opts)
+    _report(args, args.command, {"params": params, **payload}, csv)
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def cmd_spectrum(seq, opts):
     estimate = spectrum_estimate(seq, opts["horizon"], checkpoint_every=opts["checkpoint_every"],
                                  tail_fraction=opts["tail_fraction"])
     rows = [
@@ -263,19 +273,15 @@ def cmd_spectrum(args):
         for value, count in estimate.multiplicities
     ]
     payload = {
-        "params": params,
         "exponents": estimate.exponents.tolist(),
         "multiplicities": estimate.multiplicities,
         "horizon": estimate.horizon,
     }
-    _report(args, "spectrum", payload,
-            _csv_table(("exponent", "multiplicity", "realizing_count"), rows))
-    print("spectrum:", " ".join(f"{v:.6f} (x{c})" for v, c in estimate.multiplicities))
-    return EXIT_OK
+    return payload, _csv_table(("exponent", "multiplicity", "realizing_count"), rows), [
+        "spectrum: " + " ".join(f"{v:.6f} (x{c})" for v, c in estimate.multiplicities)]
 
 
-def cmd_splitness(args):
-    _, opts, params = _load(args)
+def cmd_splitness(seq, opts):
     fss, sigma, gamma_grid = opts["fss"], opts["sigma"], opts["gamma_grid"]
     report = splitness_report(fss, gamma_grid, sigma)
 
@@ -288,7 +294,6 @@ def cmd_splitness(args):
                *(st.densities for st in stats)]
     header = ["n", *(f"{c}_{i + 1}" for c in ("phi", "flag", "g") for i in range(fss.dimension))]
     payload = {
-        "params": {**params, "sigma": sigma},
         "splitted": report.splitted,
         "verdicts": [
             {
@@ -301,22 +306,18 @@ def cmd_splitness(args):
             for v in report.verdicts
         ],
     }
-    _report(args, "splitness", payload, _csv_blocks(header, columns))
-    print(f"splitted: {report.splitted}")
-    for v in report.verdicts:
-        print(
-            f"  solution {v.solution_index}: {v.status}"
-            + ("" if v.rho_hat is None else f" (gamma={v.gamma:.4f}, rho={v.rho_hat:.4f})")
-        )
-    return EXIT_OK
+    lines = [f"splitted: {report.splitted}"] + [
+        f"  solution {v.solution_index}: {v.status}"
+        + ("" if v.rho_hat is None else f" (gamma={v.gamma:.4f}, rho={v.rho_hat:.4f})")
+        for v in report.verdicts
+    ]
+    return payload, _csv_blocks(header, columns), lines
 
 
-def cmd_perturb(args):
-    seq, opts, params = _load(args)
+def cmd_perturb(seq, opts):
     plan = build_plan(opts["fss"], opts["shifts"])
     outcome = execute_plan(seq, opts["fss"], plan)
     payload = {
-        "params": params,
         "constants": {
             "gamma": plan.constants.gamma,
             "rho": plan.constants.rho,
@@ -333,49 +334,33 @@ def cmd_perturb(args):
         "norm_budget": outcome.norm_budget,
         "agreement_residual": outcome.agreement_residual,
     }
-    _report(args, "perturb", payload)
-    print(
+    return payload, None, [
         f"perturbed exponents: {outcome.perturbed_exponents.tolist()} "
         f"(||R-I|| = {outcome.r_norm_sup:.6g} <= budget {outcome.norm_budget:.6g})"
-    )
-    return EXIT_OK
+    ]
 
 
-def cmd_assign(args):
-    seq, opts, params = _load(args)
+def cmd_assign(seq, opts):
     result = openness_experiment(seq, opts["fss"], opts["target_spectrum"], opts["epsilon"])
-    payload = {"params": params, **result}
-    _report(args, "assign", payload)
-    print(
+    return result, None, [
         f"assigned spectrum {result['achieved_exponents']} "
         f"(error {result['assignment_error']:.3e}, ||R-I|| = {result['r_norm_sup']:.6g})"
-    )
-    return EXIT_OK
+    ]
 
 
-def cmd_instability(args):
-    seq, opts, params = _load(args)
+def cmd_instability(seq, opts):
     result = instability_experiment(seq, opts["fss"], opts["epsilon_grid"],
                                     trials=opts["trials"], seed=opts["seed"])
     rows = [
-        (
-            row["epsilon"],
-            row["r_norm_sup"],
-            row["distance_to_base"],
-            "SUCCESS" if row["success"] else "FAIL",
-        )
+        (row["epsilon"], row["r_norm_sup"], row["distance_to_base"],
+         "SUCCESS" if row["success"] else "FAIL")
         for row in result["rows"]
     ]
-    payload = {"params": params, **result}
-    _report(args, "instability", payload,
-            _csv_table(("epsilon", "r_norm_sup", "distance_to_base", "status"), rows))
-    for row in result["rows"]:
-        print(
-            f"epsilon={row['epsilon']:g}: ||R-I||={row['r_norm_sup']:.4g}, "
-            f"distance={row['distance_to_base']:.4g} -> "
-            + ("SUCCESS" if row["success"] else "FAIL")
-        )
-    return EXIT_OK
+    lines = [
+        f"epsilon={eps:g}: ||R-I||={r_norm:.4g}, distance={distance:.4g} -> {status}"
+        for eps, r_norm, distance, status in rows
+    ]
+    return result, _csv_table(("epsilon", "r_norm_sup", "distance_to_base", "status"), rows), lines
 
 
 def cmd_sinln(args):
@@ -484,7 +469,7 @@ def build_parser():
         p.add_argument("--horizon", type=int, default=None, help="override the config horizon")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         _add_output(p)
-        p.set_defaults(fn=fn, fields=fields)
+        p.set_defaults(fn=_run, cmd=fn, fields=fields)
 
     p = sub.add_parser("sinln", help="extrema scan of sin(ln n)")
     p.add_argument("--max-n", type=int, required=True)

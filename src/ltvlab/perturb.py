@@ -212,11 +212,7 @@ def build_plan(fss, xi_shifts, calibration=None):
         ]
     )
 
-    horizon = fss.horizon
-    angles = fss.angle_profile()
-    if len(fss.indices) != horizon:
-        raise InvalidInputError("plan construction needs an FSS stored at every step")
-    flags = angles >= calibration.gamma  # (horizon, s)
+    flags = fss.angle_profile() >= calibration.gamma  # (horizon, s)
     schedule = eta + mu[None, :] * flags
 
     worst = np.abs(schedule).max()
@@ -227,7 +223,7 @@ def build_plan(fss, xi_shifts, calibration=None):
 
     return PerturbationPlan(
         xi, eta, zeta, mu, calibration.gamma, flags, schedule,
-        float(np.abs(xi).max()), constants, calibration, horizon,
+        float(np.abs(xi).max()), constants, calibration, fss.horizon,
     )
 
 
@@ -251,7 +247,7 @@ def perturbation_at(plan, fss, n):
     steps = np.asarray(n, dtype=np.int64)
     ns = np.atleast_1d(steps)
     s = fss.dimension
-    dirs = fss.direction_stack(ns)  # KeyError for a step the FSS did not store
+    dirs = fss.direction_stack(ns)  # KeyError for a step outside 1..horizon
     active = plan.gamma_flags[ns - 1] & (plan.mu > 0.0)  # (k, s); mu_i = 0 adds nothing
     result = np.repeat(np.eye(s)[None], len(ns), axis=0)
     for i in np.flatnonzero(active.any(axis=0)):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
 from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _chunk_states, _chunks, _max_abs,
-                     _propagation_blocks, _stored_steps)
+                     _propagation_blocks)
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -36,26 +36,19 @@ class SpectrumEstimate:
 def exponent_profile(traj, sigma=1):
     """Growth profile f(k; sigma) = ln||x(k*sigma)|| / (k*sigma) of a
     TrajectoryLog: the arrays (ks, values) with ks = 1, 2, ..."""
-    ns, pos = _sigma_positions(traj, sigma)
-    return np.arange(1, len(ns) + 1), traj.log_norms[pos] / ns
+    ns = _sigma_steps(traj, sigma)
+    return np.arange(1, len(ns) + 1), traj.log_norms[ns - 1] / ns
 
 
-def _sigma_positions(traj, sigma):
-    """The steps k*sigma to the horizon of ``traj`` and their stored positions."""
-    sigma = int(sigma)
-    if sigma < 1:
-        raise InvalidInputError("sigma must be a positive integer")
+def _sigma_steps(traj, sigma):
+    """The steps k*sigma to the horizon of ``traj``; sigma must be an
+    integer (a bool or a whole float is refused, not truncated)."""
+    if not isinstance(sigma, numbers.Integral) or isinstance(sigma, bool) or sigma < 1:
+        raise InvalidInputError(f"sigma must be a positive integer, got {sigma!r}")
     kmax = traj.horizon // sigma
     if kmax < 1:
         raise InvalidInputError("trajectory does not cover one sigma step")
-    ns = sigma * np.arange(1, kmax + 1)
-    pos = np.searchsorted(traj.indices, ns)
-    if not np.array_equal(traj.indices[pos], ns):
-        raise InvalidInputError(
-            "trajectory is not stored at every multiple of sigma; "
-            "propagate with store_every=1"
-        )
-    return ns, pos
+    return sigma * np.arange(1, kmax + 1)
 
 
 def limsup_estimate(ks, values, tail_fraction=TAIL_FRACTION):
@@ -129,6 +122,12 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FR
     return SpectrumEstimate(exponents, groups, realizing, horizon)
 
 
+def _checkpoints(steps, horizon, checkpoint_every):
+    """Mask of the checkpoint ``steps``: step 1, every ``checkpoint_every``-th
+    step after it, and the horizon."""
+    return ((steps - 1) % checkpoint_every == 0) | (steps == horizon)
+
+
 def _checkpoint_logs(seq, horizon, checkpoint_every):
     """Checkpoint steps n = 1 + k * checkpoint_every (and the horizon) and
     the column logs ln r_jj(n) there, (num checkpoints, s)."""
@@ -165,7 +164,7 @@ def _volume_logs(seq, horizon, checkpoint_every):
             at = slice(start - first, start - first + BLOCK_STEPS)
             sign, log_det, exponents = signs[at], log_dets[at], chunk_exps[at]
             steps = np.arange(start + 1, start + len(sign) + 1)  # x(n+1) follows A(n)
-            kept = _stored_steps(steps, horizon, checkpoint_every)
+            kept = _checkpoints(steps, horizon, checkpoint_every)
             volumes = []
             for j, (_, _, logs, states[j]) in enumerate(map(next, passes)):
                 volumes.append(logs[kept, 0])
@@ -245,7 +244,7 @@ def _qr_logs(seq, horizon, checkpoint_every):
                 raise PropagationError(f"basis collapsed at n={n + 1}")
             logs += np.log(diag)
             basis = q
-            if _stored_steps(n + 1, horizon, checkpoint_every):
+            if _checkpoints(n + 1, horizon, checkpoint_every):
                 cp_ns.append(n + 1)
                 cp_logs.append(logs.copy())
     return np.asarray(cp_ns), np.asarray(cp_logs)

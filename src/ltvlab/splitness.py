@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NotLyapunovSequenceError
 from .linalg import SINGULAR_RTOL, angle_to_subspace, cosine_to_subspace
-from .spectrum import _sigma_positions, exponent_profile, limsup_estimate
+from .spectrum import _sigma_steps, exponent_profile, limsup_estimate
 from .system import CoefficientSequence, TrajectoryLog, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
@@ -35,19 +35,17 @@ class FSSRecord:
                 f"an FSS of a {seq.dimension}-dimensional system needs "
                 f"{seq.dimension} solutions, got {s}"
             )
-        base = self.trajectories[0].indices
-        for traj in self.trajectories[1:]:
-            if not np.array_equal(traj.indices, base):
-                raise InvalidInputError("trajectories must share stored step indices")
+        if len({traj.horizon for traj in self.trajectories}) != 1:
+            raise InvalidInputError("trajectories must share one horizon")
         self._angles = None
         self._cosines = None
 
     @classmethod
-    def from_initial_vectors(cls, seq, vectors, horizon, store_every=1):
+    def from_initial_vectors(cls, seq, vectors, horizon):
         """The FSS propagated from ``vectors``, one initial vector per row;
         they are checked before the propagation."""
         vectors = _initial_basis(seq, vectors)
-        return cls(seq, propagate(seq, vectors.T, horizon, store_every), vectors)
+        return cls(seq, propagate(seq, vectors.T, horizon), vectors)
 
     @property
     def dimension(self):
@@ -57,33 +55,29 @@ class FSSRecord:
     def horizon(self):
         return self.trajectories[0].horizon
 
-    @property
-    def indices(self):
-        return self.trajectories[0].indices
-
     def direction_stack(self, ns=None):
         """Unit directions with one column per solution, shape (steps, s, s),
-        at every stored step or at the steps ``ns`` (KeyError if not stored)."""
+        at every step or at the steps ``ns`` (KeyError outside 1..horizon)."""
         pos = slice(None) if ns is None else self.trajectories[0].positions(ns)
         return np.stack([traj.directions[pos] for traj in self.trajectories], axis=2)
 
     def _member_profile(self, to_others, collapsed_value):
         """to_others(x_i, the others' columns) for every member over all
-        stored steps, one stacked call per member.  A step where some
-        member's complement basis collapsed warns once and gets
-        ``collapsed_value`` for that member."""
+        steps, one stacked call per member.  A step where some member's
+        complement basis collapsed warns once and gets ``collapsed_value``
+        for that member."""
         dirs = self.direction_stack()
         values = np.column_stack(
             [to_others(dirs[:, :, i], np.delete(dirs, i, axis=2)) for i in range(self.dimension)]
         )
         collapsed = np.isnan(values)
-        for n in self.indices[collapsed.any(axis=1)]:
+        for n in np.flatnonzero(collapsed.any(axis=1)) + 1:
             warnings.warn(f"angle basis numerically collapsed at n={n}", RuntimeWarning)
         values[collapsed] = collapsed_value
         return values
 
     def angle_profile(self):
-        """phi_i(n) for every stored n, shape (steps, s); scale-free."""
+        """phi_i(n) for every n, row n - 1, shape (horizon, s); scale-free."""
         if self._angles is not None:
             return self._angles
         if self.dimension == 2:
@@ -146,14 +140,15 @@ def _check_gamma(*grid):
 def gamma_statistics(fss, i, gamma, sigma=1):
     """Membership flags, counts and densities of the gamma angle set."""
     _check_gamma(gamma)
-    sigma = int(sigma)
     flags, counts, densities = _gamma_set(_member_angles(fss, i, sigma), gamma)
     return GammaStatistics(float(gamma), sigma, flags, counts, densities)
 
 
 def _member_angles(fss, i, sigma):
-    """phi_i(k * sigma) for every k * sigma within the horizon."""
-    return fss.angle_profile()[_sigma_positions(fss.trajectories[0], sigma)[1], i]
+    """phi_i(k * sigma) for every k * sigma within the horizon; a bad sigma
+    is refused before the angles are computed."""
+    ns = _sigma_steps(fss.trajectories[0], sigma)
+    return fss.angle_profile()[ns - 1, i]
 
 
 def _gamma_set(angles, gamma):
@@ -190,7 +185,6 @@ def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
     "yes" when that rho_hat reaches RHO_THRESHOLD.
     """
     _check_gamma(*gamma_grid)
-    sigma = int(sigma)
     lam, ks = limsup_estimate(*exponent_profile(fss.trajectories[i], sigma))
     if len(ks) == 0:
         return BrokenAwayVerdict(
@@ -249,11 +243,10 @@ def apply_lyapunov_transformation(seq, fss, transform):
 
     new_seq = CoefficientSequence(seq.dimension, block_fn)
     ls = transform.matrices(1, fss.horizon + 1)
-    ys = ls[fss.indices - 1] @ fss.direction_stack()  # (steps, s, members)
+    ys = ls @ fss.direction_stack()  # (horizon, s, members)
     norms = np.linalg.norm(ys, axis=1)
     new_trajs = [
-        TrajectoryLog(fss.indices.copy(), ys[:, :, i] / norms[:, i, None],
-                      traj.log_norms + np.log(norms[:, i]))
+        TrajectoryLog(ys[:, :, i] / norms[:, i, None], traj.log_norms + np.log(norms[:, i]))
         for i, traj in enumerate(fss.trajectories)
     ]
     return new_seq, FSSRecord(new_seq, new_trajs, fss.initial_vectors @ ls[0].T)

@@ -420,54 +420,47 @@ def write_matrix_sequence(path, matrices):
 
 
 class TrajectoryLog:
-    """A solution stored as (index, unit direction, accumulated log-norm).
+    """A solution stored as a unit direction and an accumulated log-norm
+    at every step n = 1, ..., horizon, step n in row n - 1.
 
-    The actual solution value at a stored index n is
-    exp(log_norm) * direction.  Directions are renormalized every
-    propagation step, so log-norm magnitudes up to ~1e7 are safe.
+    The actual solution value at step n is exp(log_norm) * direction.
+    Directions are renormalized every propagation step, so log-norm
+    magnitudes up to ~1e7 are safe.
     """
 
-    def __init__(self, indices, directions, log_norms):
-        self.indices = np.asarray(indices, dtype=np.int64)
+    def __init__(self, directions, log_norms):
         self.directions = np.asarray(directions, dtype=float)
         self.log_norms = np.asarray(log_norms, dtype=float)
         self.dimension = self.directions.shape[1]
 
-    def __len__(self):
-        return len(self.indices)
-
     @property
     def horizon(self):
-        return int(self.indices[-1])
+        return len(self.log_norms)
 
     def positions(self, ns):
-        """Storage positions of the steps ``ns``; KeyError for a step not stored."""
+        """Rows of the steps ``ns``; KeyError for a step outside 1, ..., horizon."""
         ns = np.asarray(ns)
-        pos = np.searchsorted(self.indices, ns)
-        stored = self.indices[np.minimum(pos, len(self.indices) - 1)] == ns
-        if not np.all(stored):
-            missing = np.ravel(ns)[np.argmin(np.ravel(stored))]
-            raise KeyError(f"step n={missing} is not stored in this trajectory")
-        return pos
+        outside = (ns < 1) | (ns > self.horizon)
+        if np.any(outside):
+            missing = np.ravel(ns)[np.argmax(np.ravel(outside))]
+            raise KeyError(f"step n={missing} is outside this trajectory's steps 1..{self.horizon}")
+        return ns - 1
 
     def direction_at(self, n):
         return self.directions[self.positions(n)]
-
-    def log_norm_at(self, n):
-        return float(self.log_norms[self.positions(n)])
 
     def value_at(self, n):
         i = self.positions(n)
         return math.exp(self.log_norms[i]) * self.directions[i]
 
 
-def propagate(seq, x0, horizon, store_every=1):
+def propagate(seq, x0, horizon):
     """Propagate x(n+1) = A(n) x(n) from x(1) = x0 in log-scaled form.
 
     ``x0`` is one vector, which gives one TrajectoryLog, or an (s, m)
     array of m initial columns, which gives a list of m TrajectoryLogs
-    from one pass over the coefficients.  Stores step 1, every
-    ``store_every``-th step after it, and the final step.
+    from one pass over the coefficients.  Every step 1, ..., horizon is
+    stored.
 
     A(n) is evaluated CHUNK_STEPS steps at a time, and the steps are taken
     a segment of BLOCK_STEPS at a time: the running products A(j)...A(start)
@@ -490,29 +483,16 @@ def propagate(seq, x0, horizon, store_every=1):
     horizon = int(horizon)
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    store_every = int(store_every)
-    if store_every < 1:
-        raise InvalidInputError("store_every must be >= 1")
 
-    indices = np.arange(1, horizon + 1, store_every)
-    if indices[-1] != horizon:
-        indices = np.append(indices, horizon)
     m = cols.shape[1]
-    directions = np.empty((m, len(indices), seq.dimension))
-    log_norms = np.empty((m, len(indices)))
+    directions = np.empty((m, horizon, seq.dimension))
+    log_norms = np.empty((m, horizon))
     for steps, dirs, logs in _propagation_blocks(seq, cols, horizon):
-        kept = _stored_steps(steps, horizon, store_every)
-        pos = np.searchsorted(indices, steps[kept])
-        directions[:, pos] = dirs[kept].transpose(2, 0, 1)
-        log_norms[:, pos] = logs[kept].T
-    logs = [TrajectoryLog(indices, directions[j], log_norms[j]) for j in range(m)]
+        rows = slice(steps[0] - 1, steps[-1])  # a block's steps are contiguous
+        directions[:, rows] = dirs.transpose(2, 0, 1)
+        log_norms[:, rows] = logs.T
+    logs = [TrajectoryLog(directions[j], log_norms[j]) for j in range(m)]
     return logs[0] if single else logs
-
-
-def _stored_steps(steps, horizon, store_every):
-    """Mask of the ``steps`` that ``propagate`` stores: step 1, every
-    ``store_every``-th step after it, and the horizon."""
-    return ((steps - 1) % store_every == 0) | (steps == horizon)
 
 
 def _propagation_blocks(seq, cols, horizon):
@@ -523,7 +503,7 @@ def _propagation_blocks(seq, cols, horizon):
     Yields (steps, dirs, log_norms): the steps of a block, and the unit
     directions (k, s, m) and accumulated log-norms (k, m) of the columns
     there.  The first block is step 1 alone; each later one is a segment
-    of up to BLOCK_STEPS steps.  ``propagate`` stores from these blocks, and a
+    of up to BLOCK_STEPS steps.  ``propagate`` stores these blocks, and a
     caller that reads only log-norms folds over them one block at a time.
     A zero or non-finite column raises InvalidInputError, and a collapse
     raises as in ``propagate``.

@@ -68,7 +68,7 @@ def test_criterion_2_sin_log_angle_closed_form(sin_log_fss):
     start = time.perf_counter()
     computed = sin_log_fss.cos_angle_profile()[:, 0]
     elapsed = time.perf_counter() - start
-    ns = sin_log_fss.indices.astype(float)
+    ns = np.arange(1, sin_log_fss.horizon + 1).astype(float)
     with np.errstate(over="ignore"):
         expected = (1.0 + np.exp(-6.0 * ns * np.sin(np.log(ns)))) ** -0.5
     err = float(np.abs(computed - expected).max())

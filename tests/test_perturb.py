@@ -24,6 +24,7 @@ from ltvlab import (
     openness_experiment,
     perturbation_at,
     solve_mu,
+    splitness_report,
     synthesis_constants,
 )
 from ltvlab.presets import (
@@ -108,6 +109,17 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
         (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, [-1.0]), "epsilon"),
     "incompressibility_test-negative-trials":
         (diag12_fss, lambda seq, fss: incompressibility_test(fss, trials=-3), "trials"),
+    # a sigma that is not an integer type is refused, not truncated
+    "exponent_profile-fractional-sigma":
+        (diag12_fss, lambda seq, fss: exponent_profile(fss.trajectories[0], 2.5), "sigma"),
+    "exponent_profile-whole-float-sigma":
+        (diag12_fss, lambda seq, fss: exponent_profile(fss.trajectories[0], 2.0), "sigma"),
+    "gamma_statistics-fractional-sigma":
+        (diag12_fss, lambda seq, fss: gamma_statistics(fss, 0, 0.5, sigma=2.7), "sigma"),
+    "broken_away_scan-fractional-sigma":
+        (diag12_fss, lambda seq, fss: broken_away_scan(fss, 0, sigma=1.9), "sigma"),
+    "splitness_report-bool-sigma":
+        (diag12_fss, lambda seq, fss: splitness_report(fss, sigma=True), "sigma"),
 }
 
 
@@ -311,8 +323,9 @@ def test_perturbation_at_stacks_the_per_step_matrices():
         for n in ns:
             assert np.abs(stacked[n - 1] - perturbation_at(plan, fss, n)).max() <= 1e-15
         assert np.array_equal(perturbation_at(plan, fss, ns[::-7]), stacked[::-7])
-        with pytest.raises(KeyError):
-            perturbation_at(plan, fss, [3, 301])
+        for outside in ([3, 301], [0, 3], -1):  # row -1 would read the last step
+            with pytest.raises(KeyError):
+                perturbation_at(plan, fss, outside)
 
 
 def test_execute_plan_matches_the_per_step_recurrence():
@@ -333,7 +346,7 @@ def test_execute_plan_matches_the_per_step_recurrence():
 def test_perturbation_at_rejects_a_collapsed_projection():
     seq, fss, plan = plan_cases(300)[1]
     trajectories = [
-        TrajectoryLog(t.indices, t.directions.copy(), t.log_norms) for t in fss.trajectories
+        TrajectoryLog(t.directions.copy(), t.log_norms) for t in fss.trajectories
     ]
     # at step 40 x_1 falls into the span of x_2 and x_3
     trajectories[0].directions[39] = trajectories[1].directions[39]
@@ -372,7 +385,7 @@ def test_execute_plan_on_entries_near_1e150():
 def per_call_densities(fss, i, gamma, sigma):
     """g_i(k; sigma) for every k, from the stored angles."""
     ns = sigma * np.arange(1, fss.horizon // sigma + 1)
-    flags = fss.angle_profile()[np.searchsorted(fss.indices, ns), i] >= gamma
+    flags = fss.angle_profile()[np.searchsorted(np.arange(1, fss.horizon + 1), ns), i] >= gamma
     return np.cumsum(flags) / np.arange(1, len(ns) + 1)
 
 
@@ -480,7 +493,7 @@ def test_broken_away_scan_matches_the_per_gamma_scan():
 def test_execute_plan_reports_a_collapsed_projection_as_such():
     seq, fss, plan = plan_cases(300)[1]
     trajectories = [
-        TrajectoryLog(t.indices, t.directions.copy(), t.log_norms) for t in fss.trajectories
+        TrajectoryLog(t.directions.copy(), t.log_norms) for t in fss.trajectories
     ]
     trajectories[0].directions[39] = trajectories[1].directions[39]
     bad = FSSRecord(seq, trajectories, fss.initial_vectors)
@@ -496,7 +509,7 @@ def test_execute_plan_raises_the_earlier_of_two_faults_in_one_chunk():
     # n = 3000, so the chunk is walked again a segment at a time
     seq, fss, plan = plan_cases(5000)[1]
     trajectories = [
-        TrajectoryLog(t.indices, t.directions.copy(), t.log_norms) for t in fss.trajectories
+        TrajectoryLog(t.directions.copy(), t.log_norms) for t in fss.trajectories
     ]
     trajectories[0].directions[2999] = trajectories[1].directions[2999]
     bad = FSSRecord(seq, trajectories, fss.initial_vectors)

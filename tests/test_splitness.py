@@ -37,7 +37,7 @@ def test_angle_profile_orthogonal_diag():
 
 def test_angle_profile_matches_closed_form_sin_log():
     fss = sin_log_witness_fss(2000)
-    ns = fss.indices.astype(float)
+    ns = np.arange(1, fss.horizon + 1).astype(float)
     with np.errstate(over="ignore"):
         expected = (1.0 + np.exp(-6.0 * ns * np.sin(np.log(ns)))) ** -0.5
     assert np.abs(fss.cos_angle_profile()[:, 0] - expected).max() < 1e-10
@@ -48,7 +48,8 @@ def test_sin_log_cosines_keep_their_digits_where_they_are_tiny():
     # one-column cosine keeps it to relative 1e-11 wherever it is a normal
     # double (a cosine through Gram-Schmidt read 0 at 260 of those steps)
     fss = sin_log_witness_fss(10_000)
-    a = fss.indices * np.sin(np.log(fss.indices))
+    ns = np.arange(1, fss.horizon + 1)
+    a = ns * np.sin(np.log(ns))
     expected = np.exp(-0.5 * np.logaddexp(0.0, -6.0 * a))
     held = expected > 1e-290
     cosines = fss.cos_angle_profile()
@@ -81,15 +82,17 @@ def test_gamma_statistics_sigma_subsampling():
     s4 = gamma_statistics(fss, 0, 0.3, sigma=4)
     assert len(s4.member_flags) == 500
     assert np.array_equal(s4.member_flags, s1.member_flags[3::4])
+    # a numpy integer is an integer sigma
+    assert np.array_equal(gamma_statistics(fss, 0, 0.3, sigma=np.int64(4)).member_flags,
+                          s4.member_flags)
 
 
-def test_gamma_statistics_needs_every_sigma_step_stored():
-    # stored at steps 1, 8, 15, ..., 43 and 50 only, so phi(2) is not there
-    seq = CoefficientSequence.constant(np.array([[1.0, 1.0], [0.0, 2.0]]))
-    fss = FSSRecord.from_initial_vectors(seq, np.eye(2), 50, store_every=7)
-    for sigma in (1, 7):
-        with pytest.raises(InvalidInputError, match="not stored at every multiple of sigma"):
-            gamma_statistics(fss, 0, 0.3, sigma)
+def test_fss_members_must_share_one_horizon():
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 50)
+    short = fss.trajectories[1]
+    members = [fss.trajectories[0], TrajectoryLog(short.directions[:49], short.log_norms[:49])]
+    with pytest.raises(InvalidInputError, match="horizon"):
+        FSSRecord(fss.seq, members, fss.initial_vectors)
 
 
 def test_broken_away_orthogonal_solutions():
@@ -176,12 +179,12 @@ def rotation(theta):
 
 
 def test_lyapunov_transformation_matches_the_per_step_map():
-    # L(n) is the rotation by sin n; the FSS stores every 7th step, and the
-    # horizon crosses a block boundary of the transformed system
+    # L(n) is the rotation by sin n, and the horizon crosses a block
+    # boundary of the transformed system
     rng = np.random.default_rng(4)
     horizon = 300
     seq = CoefficientSequence.from_matrices(np.eye(2) + 0.3 * rng.normal(size=(horizon, 2, 2)))
-    fss = FSSRecord.from_initial_vectors(seq, [[1.0, 1.0], [0.0, 1.0]], horizon, store_every=7)
+    fss = FSSRecord.from_initial_vectors(seq, [[1.0, 1.0], [0.0, 1.0]], horizon)
     transform = CoefficientSequence.from_function(2, lambda n: rotation(math.sin(n)))
     new_seq, new_fss = apply_lyapunov_transformation(seq, fss, transform)
     l_at = transform.matrix_at
@@ -189,8 +192,8 @@ def test_lyapunov_transformation_matches_the_per_step_map():
         expected = l_at(n + 1) @ seq.matrix_at(n) @ np.linalg.inv(l_at(n))
         assert np.allclose(new_seq.matrix_at(n), expected, rtol=1e-12, atol=1e-14)
     for traj, new in zip(fss.trajectories, new_fss.trajectories):
-        assert np.array_equal(new.indices, traj.indices)
-        for k, n in enumerate(traj.indices):
+        assert new.horizon == traj.horizon == horizon
+        for k, n in enumerate(np.arange(1, horizon + 1)):
             y = l_at(n) @ traj.directions[k]
             assert np.allclose(new.directions[k], y / np.linalg.norm(y), rtol=0, atol=1e-14)
             assert new.log_norms[k] == pytest.approx(
@@ -273,7 +276,7 @@ def test_angle_profiles_match_a_per_step_loop(s):
     fss = triangular_fss(s, 300, seed=s)
     angles, cosines = fss.angle_profile(), fss.cos_angle_profile()
     assert angles.shape == cosines.shape == (300, s)
-    for k, n in enumerate(fss.indices):
+    for k, n in enumerate(np.arange(1, fss.horizon + 1)):
         dirs = np.column_stack([t.direction_at(n) for t in fss.trajectories])
         for i in range(s):
             others = np.delete(dirs, i, axis=1)
@@ -291,7 +294,7 @@ def test_collapsed_basis_warns_once_per_step():
         dirs[[3, 6]] = [1.0, 0.0, 0.0]
         if i == 1:
             dirs[8] = [1.0, 0.0, 0.0]
-        trajectories.append(TrajectoryLog(traj.indices, dirs, traj.log_norms))
+        trajectories.append(TrajectoryLog(dirs, traj.log_norms))
     bad = FSSRecord(fss.seq, trajectories, fss.initial_vectors)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -295,16 +295,20 @@ def test_propagate_log_scaled_growth():
     # 2^n growth held as log-norm, direction stays put
     seq = geometric_diag([1.0, 2.0])
     traj = propagate(seq, [0.0, 1.0], 101)
-    assert traj.log_norm_at(101) == pytest.approx(100 * math.log(2))
+    assert traj.log_norms[100] == pytest.approx(100 * math.log(2))
     assert np.allclose(traj.direction_at(101), [0.0, 1.0])
     assert traj.value_at(3)[1] == pytest.approx(4.0)
+    # step n is row n - 1, so step 0 would silently read the last row
+    for outside in (lambda: traj.direction_at(0), lambda: traj.value_at(102)):
+        with pytest.raises(KeyError):
+            outside()
 
 
 def test_propagate_huge_horizon_no_overflow():
     seq = geometric_diag([1.0, 2.0])
-    traj = propagate(seq, [1.0, 1.0], 5001, store_every=100)
+    traj = propagate(seq, [1.0, 1.0], 5001)
     assert np.isfinite(traj.log_norms).all()
-    assert traj.log_norm_at(5001) == pytest.approx(5000 * math.log(2), rel=1e-9)
+    assert traj.log_norms[5000] == pytest.approx(5000 * math.log(2), rel=1e-9)
 
 
 def test_propagate_rejects_zero_start():
@@ -460,7 +464,7 @@ def per_step_propagate(seq, x0, horizon):
 
 def assert_matches_reference(traj, seq, x0, horizon, tol=1e-12):
     dirs, logs = per_step_propagate(seq, x0, horizon)
-    ns = traj.indices
+    ns = np.arange(1, traj.horizon + 1)
     assert ns[0] == 1 and ns[-1] == horizon
     rel = np.abs(traj.log_norms - logs[ns - 1]) / np.maximum(1.0, np.abs(logs[ns - 1]))
     assert rel.max() <= tol
@@ -524,19 +528,14 @@ def test_propagate_matches_the_per_step_loop_on_dense_systems(tmp_path, s, seed)
     for j in range(s):
         assert_matches_reference(logs[j], seq, starts[:, j], horizon)
     assert_matches_reference(propagate(seq, starts[:, 0], horizon), seq, starts[:, 0], horizon)
-    sparse = propagate(seq, starts, horizon, store_every=7)
-    assert list(sparse[0].indices[:3]) == [1, 8, 15] and sparse[0].indices[-1] == horizon
-    for j in range(s):
-        assert_matches_reference(sparse[j], seq, starts[:, j], horizon)
 
 
 def test_propagate_matches_the_per_step_loop_on_sin_log():
     seq = parse_generator_spec(SIN_LOG_SPEC)
     starts = np.array([[1.0, 0.0], [1.0, 1.0]])  # columns (1, 1) and (0, 1)
-    for store_every in (1, 7):
-        logs = propagate(seq, starts, 3000, store_every)
-        for j in range(2):
-            assert_matches_reference(logs[j], seq, starts[:, j], 3000)
+    logs = propagate(seq, starts, 3000)
+    for j in range(2):
+        assert_matches_reference(logs[j], seq, starts[:, j], 3000)
 
 
 def test_propagate_splits_a_block_that_underflows():
@@ -546,7 +545,7 @@ def test_propagate_splits_a_block_that_underflows():
     logs = propagate(seq, starts, 600)
     for j in range(2):
         assert_matches_reference(logs[j], seq, starts[:, j], 600)
-    assert logs[1].log_norm_at(600) == pytest.approx(599 * math.log(1e-3), rel=1e-13)
+    assert logs[1].log_norms[599] == pytest.approx(599 * math.log(1e-3), rel=1e-13)
     assert_matches_reference(propagate(seq, [1.0, 1.0], 600), seq, [1.0, 1.0], 600)
 
 
@@ -558,20 +557,20 @@ def test_propagate_reports_a_collapse_inside_a_block():
         propagate(seq, [1.0, 0.0], 400)
     with pytest.raises(PropagationError, match="n=301"):
         propagate(seq, np.eye(2), 400)
-    assert propagate(seq, [0.0, 1.0], 400).log_norm_at(400) == 0.0
+    assert propagate(seq, [0.0, 1.0], 400).log_norms[399] == 0.0
 
 
 def test_propagate_scales_before_taking_norms():
     # |x(n)| passes 1e154 at n = 2, where a plain sum of squares overflows
     traj = propagate(geometric_diag([1e160, 1.0]), [1.0, 1.0], 100)
-    assert traj.log_norm_at(100) == pytest.approx(99 * math.log(1e160), rel=1e-14)
+    assert traj.log_norms[99] == pytest.approx(99 * math.log(1e160), rel=1e-14)
     assert np.allclose(traj.direction_at(100), [1.0, 0.0])
 
 
 def test_propagate_scales_a_shrinking_column_before_taking_its_norm():
     # x(2) = (1e-200, 0), whose plain sum of squares underflows to zero
     traj = propagate(geometric_diag([1e-200, 1.0]), [1.0, 0.0], 100)
-    assert traj.log_norm_at(100) == pytest.approx(99 * math.log(1e-200), rel=1e-14)
+    assert traj.log_norms[99] == pytest.approx(99 * math.log(1e-200), rel=1e-14)
     assert np.array_equal(traj.direction_at(100), [1.0, 0.0])
     # x(2) = (0, 1e-310) is subnormal: too few digits left to go on
     with pytest.raises(UnderflowError, match="n=2"):
@@ -768,8 +767,9 @@ def test_diagonal_chunks_carry_the_signs(monkeypatch):
     ns = np.arange(1, 301)
     assert np.array_equal(np.sign(logs[0].directions[:300, 0]), (-1.0) ** (ns - 1))
     e_1 = propagate(seq, [1.0, 0.0], 700)
-    assert np.array_equal(e_1.directions[:, 0], (-1.0) ** (e_1.indices - 1))
-    assert e_1.log_norms == pytest.approx((e_1.indices - 1) * math.log(0.5), rel=1e-13)
+    ns = np.arange(1, 701)
+    assert np.array_equal(e_1.directions[:, 0], (-1.0) ** (ns - 1))
+    assert e_1.log_norms == pytest.approx((ns - 1) * math.log(0.5), rel=1e-13)
 
 
 def switching_system(diagonal_first):
@@ -854,7 +854,7 @@ def test_compound_volumes_are_the_products_of_the_qr_diagonal():
     r = np.abs(np.diag(np.linalg.qr(x)[1]))
     for j in (1, 2, 3):
         traj = propagate(compound_sequence(seq, j), np.eye(math.comb(3, j))[0], 9)
-        assert traj.log_norm_at(9) == pytest.approx(np.log(r[:j]).sum(), abs=1e-12)
+        assert traj.log_norms[8] == pytest.approx(np.log(r[:j]).sum(), abs=1e-12)
 
 
 def test_compound_keeps_the_checks_of_the_sequence():
