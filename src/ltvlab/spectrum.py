@@ -41,14 +41,19 @@ def exponent_profile(traj, sigma=1):
 
 
 def _sigma_steps(traj, sigma):
-    """The steps k*sigma to the horizon of ``traj``; sigma must be an
-    integer (a bool or a whole float is refused, not truncated)."""
-    if not isinstance(sigma, numbers.Integral) or isinstance(sigma, bool) or sigma < 1:
-        raise InvalidInputError(f"sigma must be a positive integer, got {sigma!r}")
+    """The steps k*sigma to the horizon of ``traj``; sigma is an integer >= 1."""
+    _check_integer("sigma", sigma, 1)
     kmax = traj.horizon // sigma
     if kmax < 1:
         raise InvalidInputError("trajectory does not cover one sigma step")
     return sigma * np.arange(1, kmax + 1)
+
+
+def _check_integer(name, value, minimum):
+    """Refuse a ``value`` that is not an integer >= ``minimum``: a bool or a
+    whole float is refused, not truncated, and a numpy integer is taken."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def limsup_estimate(ks, values, tail_fraction=TAIL_FRACTION):
@@ -100,9 +105,7 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FR
         raise InvalidInputError("horizon must be >= 2")
     if checkpoint_every is None:
         checkpoint_every = max(1, horizon // 1000)
-    if not isinstance(checkpoint_every, numbers.Integral) or checkpoint_every < 1:
-        raise InvalidInputError(
-            f"checkpoint_every must be a positive integer, got {checkpoint_every!r}")
+    _check_integer("checkpoint_every", checkpoint_every, 1)
     _tail_start(horizon, tail_fraction)  # a bad fraction is refused before the pass
 
     cp_ns, cp_logs = _checkpoint_logs(seq, horizon, checkpoint_every)
@@ -286,15 +289,18 @@ def incompressibility_test(fss, trials=64, seed=0):
     combination whose estimated exponent falls more than
     COMBINATION_GAP_TOL below the largest exponent among its supported
     members.  For dimension <= 3 all deterministic sign patterns are
-    checked before random unit-sphere draws.
+    checked before random unit-sphere draws.  ``trials`` and ``seed`` are
+    integers >= 0.
 
     All candidates are propagated in one pass, which keeps only a running
     tail-max per candidate; the witness is the first violating candidate
-    in that order.  A candidate whose propagation collapses therefore
-    raises even when an earlier candidate is a witness.
+    in that order.  A tail-max only grows, so a candidate is dropped from
+    the pass once it reaches its bound, and the pass stops, NORMAL, when
+    none is left.  A candidate whose propagation collapses raises unless it
+    was dropped before, even when an earlier candidate is a witness.
     """
-    if not trials >= 0:
-        raise InvalidInputError(f"trials must be >= 0, got {trials}")
+    _check_integer("trials", trials, 0)
+    _check_integer("seed", seed, 0)
     trajectories = fss.trajectories
     s = len(trajectories)
     horizon = fss.horizon
@@ -305,7 +311,7 @@ def incompressibility_test(fss, trials=64, seed=0):
     if s <= 3:
         candidates.extend(_sign_patterns(s))
     rng = np.random.default_rng(seed)
-    for _ in range(int(trials)):
+    for _ in range(trials):
         c = rng.normal(size=s)
         norm = np.linalg.norm(c)
         if norm == 0.0:
@@ -315,21 +321,29 @@ def incompressibility_test(fss, trials=64, seed=0):
     initials = np.column_stack([traj.value_at(1) for traj in trajectories])
     # a numerically degenerate combination of initials is skipped
     live = [c for c in candidates if np.linalg.norm(initials @ c) != 0.0]
+    support = np.array([member_exps[np.abs(c) > 0.0].max() for c in live])
+    tail_max = np.full(len(live), -np.inf)
+    carried = np.arange(len(live))  # the candidates still below their bounds
     if live:
         window_start = _tail_start(horizon, TAIL_FRACTION)
-        tail_max = np.full(len(live), -np.inf)
         cols = np.column_stack([initials @ c for c in live])
-        for steps, _, log_norms in _propagation_blocks(fss.seq, cols, horizon):
+        blocks = _propagation_blocks(fss.seq, cols, horizon, window_start)
+        keep = None
+        while carried.size:
+            try:
+                steps, _, log_norms = blocks.send(keep)
+            except StopIteration:
+                break
             window = steps >= window_start
             if window.any():
                 values = log_norms[window] / steps[window, None]
-                tail_max = np.maximum(tail_max, values.max(axis=0))
-        for c, lam in zip(live, tail_max):
-            support_max = float(member_exps[np.abs(c) > 0.0].max())
-            if lam < support_max - COMBINATION_GAP_TOL:
-                return IncompressibilityVerdict(
-                    "NOT-NORMAL", c.copy(), float(lam), support_max, horizon, member_exps
-                )
+                tail_max[carried] = np.maximum(tail_max[carried], values.max(axis=0))
+            keep = tail_max[carried] < support[carried] - COMBINATION_GAP_TOL
+            carried = carried[keep]
+    if carried.size:  # the first candidate that stayed below its bound to the horizon
+        j = carried[0]
+        return IncompressibilityVerdict("NOT-NORMAL", live[j].copy(), float(tail_max[j]),
+                                        float(support[j]), horizon, member_exps)
     return IncompressibilityVerdict(
         "NORMAL-UP-TO-HORIZON", None, None, None, horizon, member_exps
     )

@@ -431,6 +431,11 @@ class TrajectoryLog:
     def __init__(self, directions, log_norms):
         self.directions = np.asarray(directions, dtype=float)
         self.log_norms = np.asarray(log_norms, dtype=float)
+        if self.directions.ndim != 2 or self.log_norms.ndim != 1 or (
+                len(self.directions) != len(self.log_norms)):
+            raise InvalidInputError(
+                f"a trajectory needs (horizon, s) directions and (horizon,) log-norms, "
+                f"got {self.directions.shape} and {self.log_norms.shape}")
         self.dimension = self.directions.shape[1]
 
     @property
@@ -495,7 +500,7 @@ def propagate(seq, x0, horizon):
     return logs[0] if single else logs
 
 
-def _propagation_blocks(seq, cols, horizon):
+def _propagation_blocks(seq, cols, horizon, read_from=1):
     """The propagation of the (s, m) columns ``cols`` from step 1 to
     ``horizon`` (>= 1), one block at a time; only the last state is carried
     from a block to the next.
@@ -503,25 +508,45 @@ def _propagation_blocks(seq, cols, horizon):
     Yields (steps, dirs, log_norms): the steps of a block, and the unit
     directions (k, s, m) and accumulated log-norms (k, m) of the columns
     there.  The first block is step 1 alone; each later one is a segment
-    of up to BLOCK_STEPS steps.  ``propagate`` stores these blocks, and a
+    of up to BLOCK_STEPS steps, but a segment of a diagonal chunk that ends
+    before step ``read_from`` yields its last step alone.  After a block the
+    caller may send a boolean keep-mask over its columns: the columns it
+    clears are dropped from the carried state, and later blocks hold only
+    the kept ones.  ``propagate`` stores every block and sends no mask; a
     caller that reads only log-norms folds over them one block at a time.
-    A zero or non-finite column raises InvalidInputError, and a collapse
-    raises as in ``propagate``.
+    A zero or non-finite column raises InvalidInputError, and a collapse of
+    a carried column raises as in ``propagate``.
     """
     d, log_norm = _unit_columns(cols)
     if not np.all(np.isfinite(log_norm)):
         raise InvalidInputError("initial vector must be nonzero and finite")
-    yield np.array([1]), d[None], log_norm[None]
+    keep = yield np.array([1]), d[None], log_norm[None]
     state = d, log_norm, None
     for start, mats in _chunks(seq.matrices, 1, horizon):
-        for steps, dirs, logs, state in _chunk_states(mats, start, state):
-            yield steps, dirs, logs
+        chunk = _chunk_states(mats, start, _kept(state, keep), read_from)
+        keep = None
+        for _ in range(0, len(mats), BLOCK_STEPS):  # one block per segment
+            steps, dirs, logs, state = chunk.send(keep)
+            keep = yield steps, dirs, logs
+        chunk.close()  # free its arrays before the next chunk is evaluated
 
 
-def _chunk_states(mats, n0, state):
+def _kept(state, keep):
+    """The state (d, log_norm, exact) of the columns ``keep`` flags, all of
+    them when ``keep`` is None; the arrays stay C-ordered (a boolean index
+    on the last axis would give F-ordered ones, which slow every later step)."""
+    if keep is None:
+        return state
+    d, log_norm, exact = state
+    exact = exact and tuple(a.compress(keep, axis=1) for a in exact)
+    return d.compress(keep, axis=1), log_norm.compress(keep), exact
+
+
+def _chunk_states(mats, n0, state, read_from=1):
     """The columns of ``state`` carried through the chunk ``mats`` = A(n0),
     ..., a BLOCK_STEPS segment at a time: yields (steps, dirs, log_norms) of
-    each segment as ``_propagation_blocks`` does, and the state after it.
+    each segment as ``_propagation_blocks`` does, and the state after it;
+    a keep-mask sent after a segment applies to the state carried on.
 
     A state is (d, log_norm, exact): unit columns, their log-norms, and,
     after a diagonal chunk, exact = (signs, logs) of every component of the
@@ -529,7 +554,8 @@ def _chunk_states(mats, n0, state):
     entries normal or zero extends those logs by running sums of ln |a_ii|
     over each segment, so no part of a column is lost below the resolution
     of its direction, and a column emptied by a zero entry raises
-    PropagationError; any other chunk takes the scaled-product scan.
+    PropagationError; a segment that ends before step ``read_from`` forms
+    its last step alone.  Any other chunk takes the scaled-product scan.
     """
     d, log_norm, exact = state
     diagonal = np.diagonal(mats, axis1=1, axis2=2)
@@ -538,20 +564,23 @@ def _chunk_states(mats, n0, state):
         for n, segment, scan in _segment_scans(mats, n0):
             dirs, growth = _block_states(segment, d, n, scan)
             logs = log_norm + growth
-            d, log_norm = dirs[-1], logs[-1]
             steps = np.arange(n + 1, n + len(segment) + 1)  # x(n+1) follows A(n)
-            yield steps, dirs, logs, (d, log_norm, None)
+            state = dirs[-1], logs[-1], None
+            keep = yield steps, dirs, logs, state
+            d, log_norm, _ = _kept(state, keep)
         return
     with np.errstate(divide="ignore"):
         ln_a = np.log(np.abs(diagonal))
         sign, ln_x = exact or (np.sign(d), np.log(np.abs(d)) + log_norm)
     for lo in range(0, len(mats), BLOCK_STEPS):
-        y = ln_x + np.cumsum(ln_a[lo : lo + BLOCK_STEPS], axis=0)[:, :, None]  # (k, s, m)
+        sums = np.cumsum(ln_a[lo : lo + BLOCK_STEPS], axis=0)[:, :, None]  # (k, s, 1)
+        end = n0 + lo + len(sums)  # the segment's last step
+        y = ln_x + (sums[-1:] if end < read_from else sums)  # (k, s, m), or its last row
         top = y.max(axis=1)
-        if np.isneginf(top).any():
-            n = n0 + lo + int(np.argmax(np.isneginf(top).any(axis=1)))
+        if np.isneginf(top[-1]).any():  # a collapsed column stays at -inf to the segment end
+            n = n0 + lo + int(np.argmax(np.isneginf((ln_x + sums).max(axis=1)).any(axis=1)))
             raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
-        signs = np.cumprod(np.sign(diagonal[lo : lo + BLOCK_STEPS]), axis=0)[:, :, None]
+        signs = np.cumprod(np.sign(diagonal[lo : lo + BLOCK_STEPS]), axis=0)[-len(y):, :, None]
         exact = sign * signs[-1], y[-1].copy()
         y -= top[:, None]  # in place, so that many columns hold one (k, s, m) array
         np.exp(y, out=y)
@@ -561,8 +590,9 @@ def _chunk_states(mats, n0, state):
         y /= norms[:, None]
         logs = np.log(norms, out=norms)
         logs += top
-        sign, ln_x = exact
-        yield np.arange(n0 + lo + 1, n0 + lo + len(y) + 1), y, logs, (y[-1], logs[-1], exact)
+        state = y[-1], logs[-1], exact
+        keep = yield np.arange(end - len(y) + 1, end + 1), y, logs, state
+        _, _, (sign, ln_x) = _kept(state, keep)
 
 
 def _chunks(evaluate, first, stop):

@@ -109,6 +109,20 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
         (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, [-1.0]), "epsilon"),
     "incompressibility_test-negative-trials":
         (diag12_fss, lambda seq, fss: incompressibility_test(fss, trials=-3), "trials"),
+    # trials and seed are integers >= 0: a float or a bool is refused, not truncated
+    "incompressibility_test-fractional-trials":
+        (diag12_fss, lambda seq, fss: incompressibility_test(fss, trials=2.5), "trials"),
+    "incompressibility_test-bool-trials":
+        (diag12_fss, lambda seq, fss: incompressibility_test(fss, trials=True), "trials"),
+    "incompressibility_test-fractional-seed":
+        (diag12_fss, lambda seq, fss: incompressibility_test(fss, seed=2.5), "seed"),
+    "incompressibility_test-negative-seed":
+        (diag12_fss, lambda seq, fss: incompressibility_test(fss, seed=-1), "seed"),
+    "instability_experiment-fractional-trials":
+        (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, [0.1], trials=2.5),
+         "trials"),
+    "instability_experiment-negative-seed":
+        (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, [0.1], seed=-1), "seed"),
     # a sigma that is not an integer type is refused, not truncated
     "exponent_profile-fractional-sigma":
         (diag12_fss, lambda seq, fss: exponent_profile(fss.trajectories[0], 2.5), "sigma"),
@@ -125,7 +139,7 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
 
 @pytest.mark.parametrize("name", sorted(BAD_LIBRARY_INPUTS))
 def test_library_calls_refuse_what_the_cli_refuses(name):
-    # gamma in (0, pi/2], a non-empty grid, epsilon finite and > 0, trials >= 0
+    # gamma in (0, pi/2], a non-empty grid, epsilon finite and > 0, integer trials and seed >= 0
     make, call, word = BAD_LIBRARY_INPUTS[name]
     seq, fss = make()
     with pytest.raises(InvalidInputError, match=word):

@@ -27,10 +27,11 @@ from ltvlab.spectrum import (
     TAIL_FRACTION,
     VOLUME_MAX_DIMENSION,
     _qr_logs,
+    _tail_start,
     _volume_logs,
 )
 from ltvlab.splitness import FSSRecord
-from ltvlab.system import _propagation_blocks, parse_generator_spec
+from ltvlab.system import CHUNK_STEPS, _propagation_blocks, parse_generator_spec
 
 
 def test_exponent_profile_constant_growth():
@@ -241,6 +242,17 @@ INCOMPRESSIBILITY_CASES = {
         ),
         5,
     ),
+    # dense A(n), so the scan: every candidate reaches its bound in the window
+    "rotated-diag-1-2-normal": (lambda: standard_basis_fss(rotated_diag_1_2(), 2000), 0),
+    # upper-triangular, so the scan, and e_1 stays exact: of the members
+    # (1, 1) and (0, 1), only the witness (1, -1), which is e_1 with exponent
+    # 0, stays below its bound to the horizon, carried alone
+    "triangular-2d-cancellation": (
+        lambda: FSSRecord.from_initial_vectors(
+            CoefficientSequence.constant([[1.0, 1.0], [0.0, 2.0]]), [[1.0, 1.0], [0.0, 1.0]], 2000
+        ),
+        0,
+    ),
 }
 
 
@@ -257,6 +269,114 @@ def test_incompressibility_matches_the_per_candidate_reference(name):
         assert np.array_equal(verdict.witness, witness)
         assert abs(verdict.witness_exponent - lam) <= 1e-12
         assert verdict.support_exponent == support_max
+
+
+def recording(seq):
+    """``seq`` with every step it is asked for appended to a list."""
+    requested = []
+
+    def block_fn(start, stop):
+        requested.extend(range(start, stop))
+        return seq.matrices(start, stop)
+
+    return CoefficientSequence(seq.dimension, block_fn), requested
+
+
+def test_a_normal_pass_stops_when_every_candidate_reaches_its_bound():
+    # every candidate of diag(1,2)'s standard basis reaches its bound in the
+    # first segment of the window [1e4, 2e4], so A(n) is read to the end of
+    # that segment's chunk, n = 12,288, and no further
+    horizon = 20_000
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), horizon)
+    seq, requested = recording(fss.seq)
+    verdict = incompressibility_test(FSSRecord(seq, fss.trajectories, fss.initial_vectors))
+    assert verdict.status == per_candidate_incompressibility(fss)[0] == "NORMAL-UP-TO-HORIZON"
+    assert np.array_equal(verdict.member_exponents, incompressibility_test(fss).member_exponents)
+    assert requested == list(range(1, max(requested) + 1))
+    assert max(requested) == 3 * CHUNK_STEPS < horizon - 1
+
+
+def chunk_mix():
+    """diag(0.5, 3) but for the dense A(n) of the second CHUNK_STEPS chunk:
+    a diagonal, a dense and a diagonal chunk, and a short diagonal tail."""
+    def block_fn(start, stop):
+        ns = np.arange(start, stop)
+        mats = np.zeros((len(ns), 2, 2))
+        mats[:, 0, 0], mats[:, 1, 1] = 0.5 * np.cos(ns), 3.0 + np.sin(ns)
+        dense = (ns > CHUNK_STEPS) & (ns <= 2 * CHUNK_STEPS)
+        mats[dense, 0, 1] = 0.25
+        return mats
+
+    return CoefficientSequence(2, block_fn)
+
+
+@pytest.mark.parametrize("system", ["sin-log", "chunk-mix"])
+def test_a_fold_reads_the_bytes_of_a_full_pass_from_its_first_step(system):
+    # a diagonal segment that ends before read_from yields its last step
+    # alone, the same bytes as there in a full pass; every segment from
+    # read_from on is the full pass's
+    seq = parse_generator_spec(SIN_LOG_SPEC) if system == "sin-log" else chunk_mix()
+    horizon = 3 * CHUNK_STEPS + 1000
+    cols = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -2.0]])
+    full = {int(block[0][-1]): block for block in _propagation_blocks(seq, cols, horizon)}
+    for read_from in (1, _tail_start(horizon, TAIL_FRACTION), CHUNK_STEPS + 1000,
+                      2 * CHUNK_STEPS + 1000):
+        for steps, dirs, logs in _propagation_blocks(seq, cols, horizon, read_from):
+            want = full[int(steps[-1])]
+            end = want[0][-1]
+            if want[0][0] > 1 and end < read_from and seq.matrix_at(end - 1)[0, 1] == 0.0:
+                want = [a[-1:] for a in want]  # a diagonal segment that ends before read_from
+            assert all(map(np.array_equal, (steps, dirs, logs), want))
+
+
+def test_a_keep_mask_drops_columns_from_the_next_block_on():
+    seq = chunk_mix()
+    horizon = 3 * CHUNK_STEPS + 1000
+    cols = np.array([[1.0, 0.0, 1.0, 2.0, -1.0], [0.0, 1.0, -2.0, 1.0, 3.0]])
+    full = list(_propagation_blocks(seq, cols, horizon))
+    blocks = _propagation_blocks(seq, cols, horizon)
+    kept = np.arange(5)
+    for i, want in enumerate(full):
+        steps, dirs, logs = blocks.send(None if i == 0 else keep)
+        assert np.array_equal(steps, want[0])
+        assert np.array_equal(dirs, want[1][:, :, kept]) and np.array_equal(logs, want[2][:, kept])
+        keep = np.ones(len(kept), dtype=bool)
+        # block i > 0 is segment i of the run: drop after the first chunk's last
+        # segment, inside the dense chunk and inside the diagonal chunk after it
+        if i in (16, 20, 40):
+            keep[1] = False
+        kept = kept[keep]
+    assert list(kept) == [0, 4]
+
+
+def zero_at(step):
+    """diag(2, 1) but for a zero first entry at n = ``step``: a column on e_1
+    collapses at step + 1."""
+    def block_fn(start, stop):
+        mats = np.repeat(np.diag([2.0, 1.0])[None], stop - start, axis=0)
+        mats[np.arange(start, stop) == step, 0, 0] = 0.0
+        return mats
+
+    return CoefficientSequence(2, block_fn)
+
+
+def test_a_candidate_collapsed_before_the_window_raises_at_its_step():
+    # members (1, 1) and (1, -1) keep their e_2 part; the candidate (1, 1)
+    # starts on e_1 and collapses at n = 301, inside a segment that ends
+    # before the window at 1000 and is carried as its last step alone
+    fss = FSSRecord.from_initial_vectors(zero_at(300), [[1.0, 1.0], [1.0, -1.0]], 2000)
+    with pytest.raises(PropagationError, match=r"^propagation collapsed at n=301 \(max"):
+        incompressibility_test(fss)
+
+
+def test_a_candidate_dropped_before_its_collapse_does_not_raise():
+    # the candidate (1, 1) reaches its bound ln 2 - 0.1 in the window's first
+    # segment, so its collapse at n = 1901 is never met; (1, -1) is e_2, the witness
+    fss = FSSRecord.from_initial_vectors(zero_at(1900), [[1.0, 1.0], [1.0, -1.0]], 2000)
+    with pytest.raises(PropagationError, match="n=1901"):
+        per_candidate_incompressibility(fss)
+    verdict = incompressibility_test(fss)
+    assert verdict.status == "NOT-NORMAL" and list(verdict.witness) == [1.0, -1.0]
 
 
 # --- spectrum_estimate against a per-step QR reference ---------------------

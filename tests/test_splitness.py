@@ -95,6 +95,19 @@ def test_fss_members_must_share_one_horizon():
         FSSRecord(fss.seq, members, fss.initial_vectors)
 
 
+@pytest.mark.parametrize("directions, log_norms", [
+    (np.zeros((3, 2)), np.zeros(5)),
+    (np.zeros((5, 2)), np.zeros(3)),
+    (np.zeros(5), np.zeros(5)),
+    (np.zeros((5, 2, 1)), np.zeros(5)),
+    (np.zeros((5, 2)), np.zeros((5, 1))),
+], ids=["fewer-directions", "fewer-log-norms", "1-d-directions", "3-d-directions",
+        "2-d-log-norms"])
+def test_a_trajectory_needs_one_direction_and_log_norm_per_step(directions, log_norms):
+    with pytest.raises(InvalidInputError, match="trajectory"):
+        TrajectoryLog(directions, log_norms)
+
+
 def test_broken_away_orthogonal_solutions():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 2000)
     verdict = broken_away_scan(fss, 0)
