@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import ParseError
 
-_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# a float with a point, a float with an exponent, an integer: as in Python, not 05 but 00
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|[1-9]\d*|0+")
 _BAD_CHARACTER = re.compile(r"[^\t -~]|#")  # a line break, non-ASCII, a comment
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _FUNCTIONS = {"sin": "_sin", "cos": "_cos", "ln": "_log", "exp": "_exp", "pow": "_pow"}

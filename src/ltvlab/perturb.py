@@ -2,9 +2,9 @@
 shift each Lyapunov exponent of a splitted FSS by a prescribed amount.
 
 The construction follows the angle-density machinery: from a common angle
-threshold gamma and a measured density floor rho it derives the constants
+threshold gamma, a measured density floor rho and r = SYNTHESIS_R it derives
 
-    L1 = r * sin(gamma) / s,   delta1 in (0, ln(L1 + 1)),   L = L1 / delta1,
+    L1 = r * sin(gamma) / s,   delta1 = ln(L1 + 1) / 2,   L = L1 / delta1,
     delta = delta1 * rho / 3,  beta = L * s * (1 + 2/rho) / sin(gamma),
 
 solves for the per-solution boosts mu_i, and builds R(n) as a combination
@@ -40,6 +40,7 @@ from .splitness import RHO_THRESHOLD, _check_gamma, broken_away_scan, gamma_stat
 from .system import CoefficientSequence, _propagation_blocks
 
 MU_BRACKET_TOL = 1e-6
+SYNTHESIS_R = 0.5  # the constant r: the proof keeps ||R(n) - I|| below it
 DISTINCT_EXPONENT_GAP = 1e-6  # estimates this close count as equal in openness_experiment
 
 
@@ -56,22 +57,19 @@ class SynthesisConstants:
     beta: float
 
 
-def synthesis_constants(gamma, rho, s, r=0.5, delta1=None):
+def synthesis_constants(gamma, rho, s):
     """Evaluate the synthesis constants for given angle threshold and
-    density floor.  Default delta1 is the midpoint-in-log ln(L1+1)/2."""
+    density floor; delta1 is the midpoint-in-log ln(L1+1)/2."""
     _check_gamma(gamma)
     if not 0.0 < rho <= 1.0:
         raise InvalidInputError(f"rho must be in (0, 1], got {rho}")
     if s < 1:
         raise InvalidInputError(f"dimension must be >= 1, got {s}")
-    if not 0.0 < r < 1.0:
-        raise InvalidInputError(f"r must be in (0, 1), got {r}")
+    r = SYNTHESIS_R
     l1 = r * math.sin(gamma) / s
-    cap = math.log(l1 + 1.0)
-    if delta1 is None:
-        delta1 = cap / 2.0
-    if not 0.0 < delta1 < cap:
-        raise InvalidInputError(f"delta1 must be in (0, {cap}), got {delta1}")
+    delta1 = math.log(l1 + 1.0) / 2.0
+    if not delta1 > 0.0:  # ln(L1 + 1) rounds to 0 for a gamma near 0
+        raise InvalidInputError(f"gamma = {gamma} leaves no room for delta1")
     lipschitz = l1 / delta1
     delta = delta1 * rho / 3.0
     beta = lipschitz * s * (1.0 + 2.0 / rho) / math.sin(gamma)
@@ -135,9 +133,7 @@ def solve_mu(fss, i, zeta, rho_hat, gamma, sigma=1, tail_fraction=TAIL_FRACTION)
 @dataclass(frozen=True)
 class Calibration:
     verdicts: list
-    gamma: float
-    rho_hat: float
-    constants: SynthesisConstants
+    constants: SynthesisConstants  # its gamma and rho are the common ones
 
 
 def calibrate(fss):
@@ -156,27 +152,20 @@ def calibrate(fss):
         )
     gamma = min(v.gamma for v in verdicts)
     rho_hat = max(RHO_THRESHOLD, min(v.rho_hat for v in verdicts))
-    constants = synthesis_constants(gamma, rho_hat, fss.dimension)
-    return Calibration(verdicts, gamma, rho_hat, constants)
+    return Calibration(verdicts, synthesis_constants(gamma, rho_hat, fss.dimension))
 
 
 @dataclass(frozen=True)
 class PerturbationPlan:
     target_shifts: np.ndarray  # xi_i
     eta: float
-    zeta: np.ndarray
     mu: np.ndarray
-    gamma: float
-    gamma_flags: np.ndarray  # (horizon, s): n in Gamma_i
-    schedule: np.ndarray  # (horizon, s): s_i(n)
-    epsilon: float  # max |xi_i|
+    gamma_flags: np.ndarray  # (horizon, s): n in Gamma_i, so s_i(n) = eta + mu_i * flag
     constants: SynthesisConstants
-    calibration: Calibration
-    horizon: int
 
     @property
     def norm_budget(self):
-        return self.constants.beta * self.epsilon
+        return self.constants.beta * float(np.abs(self.target_shifts).max())
 
 
 def build_plan(fss, xi_shifts, calibration=None):
@@ -190,9 +179,7 @@ def build_plan(fss, xi_shifts, calibration=None):
     s = fss.dimension
     if xi.shape != (s,):
         raise InvalidInputError(f"expected {s} shifts, got shape {xi.shape}")
-    if calibration is None:
-        calibration = calibrate(fss)
-    constants = calibration.constants
+    constants = (calibration or calibrate(fss)).constants
     over = np.abs(xi) > constants.delta
     if over.any():
         idx = int(np.argmax(over))
@@ -206,25 +193,16 @@ def build_plan(fss, xi_shifts, calibration=None):
     eta = float(xi.min())
     zeta = xi - eta
     mu = np.array(
-        [
-            solve_mu(fss, i, float(zeta[i]), calibration.rho_hat, calibration.gamma)
-            for i in range(s)
-        ]
+        [solve_mu(fss, i, float(zeta[i]), constants.rho, constants.gamma) for i in range(s)]
     )
 
-    flags = fss.angle_profile() >= calibration.gamma  # (horizon, s)
-    schedule = eta + mu[None, :] * flags
-
-    worst = np.abs(schedule).max()
+    flags = fss.angle_profile() >= constants.gamma  # (horizon, s)
+    worst = np.abs(eta + mu[None, :] * flags).max()
     if worst > constants.delta1 + 1e-12:
         raise BracketError(
             f"schedule magnitude {worst:.6g} exceeds delta1 = {constants.delta1:.6g}"
         )
-
-    return PerturbationPlan(
-        xi, eta, zeta, mu, calibration.gamma, flags, schedule,
-        float(np.abs(xi).max()), constants, calibration, fss.horizon,
-    )
+    return PerturbationPlan(xi, eta, mu, flags, constants)
 
 
 # --- the perturbation matrices ------------------------------------------
@@ -275,15 +253,12 @@ def perturbation_at(plan, fss, n):
 
 @dataclass(frozen=True)
 class PerturbationOutcome:
-    target_shifts: np.ndarray
     base_exponents: np.ndarray
     perturbed_exponents: np.ndarray
     achieved_shifts: np.ndarray
     r_norm_sup: float
-    norm_budget: float  # beta * epsilon
-    r_cap: float  # the constant r; the proof guarantees ||R - I|| < r
+    norm_budget: float  # beta * max|xi_i|
     agreement_residual: float  # closed form vs simulation, relative log-norm
-    horizon: int
     perturbed_log_norms: np.ndarray  # (horizon, s)
 
 
@@ -299,7 +274,7 @@ def execute_plan(seq, fss, plan):
     not finite) raises PreconditionError naming the step.
     """
     s = fss.dimension
-    horizon = plan.horizon
+    horizon = len(plan.gamma_flags)
     eye = np.eye(s)
     r_norm_sup = 0.0
 
@@ -320,7 +295,8 @@ def execute_plan(seq, fss, plan):
         raise PreconditionError(f"perturbed {exc}") from exc
 
     base_logs = np.column_stack([traj.log_norms[:horizon] for traj in fss.trajectories])
-    cum = np.vstack([np.zeros(s), np.cumsum(plan.schedule[: horizon - 1], axis=0)])
+    schedule = plan.eta + plan.mu[None, :] * plan.gamma_flags[: horizon - 1]  # s_i(n)
+    cum = np.vstack([np.zeros(s), np.cumsum(schedule, axis=0)])
     closed_logs = base_logs + cum
     agreement = float(
         np.max(np.abs(sim_logs - closed_logs) / np.maximum(1.0, np.abs(closed_logs)))
@@ -328,18 +304,14 @@ def execute_plan(seq, fss, plan):
 
     ks = np.arange(1, horizon + 1)
     perturbed_exponents = limsup_estimate(ks, sim_logs / ks[:, None])[0]
-
-    base_exponents = np.array([v.lambda_hat for v in plan.calibration.verdicts])
+    base_exponents = limsup_estimate(ks, base_logs / ks[:, None])[0]
     return PerturbationOutcome(
-        plan.target_shifts,
         base_exponents,
         perturbed_exponents,
         perturbed_exponents - base_exponents,
         r_norm_sup,
         plan.norm_budget,
-        plan.constants.r,
         agreement,
-        horizon,
         sim_logs,
     )
 
@@ -430,15 +402,10 @@ def openness_experiment(seq, fss, target_spectrum, epsilon):
 
     calibration = calibrate(fss)
     lams = np.array([v.lambda_hat for v in calibration.verdicts])
-    if s > 1:
-        gaps = np.abs(np.subtract.outer(lams, lams))[~np.eye(s, dtype=bool)]
-        if gaps.min() <= DISTINCT_EXPONENT_GAP:
-            raise PreconditionError(
-                "openness experiment needs pairwise distinct exponent estimates"
-            )
-        eta = float(np.min(np.diff(np.sort(lams)))) / 3.0
-    else:
-        eta = math.inf
+    smallest_gap = float(np.diff(np.sort(lams)).min(initial=math.inf))  # inf for s = 1
+    if smallest_gap <= DISTINCT_EXPONENT_GAP:
+        raise PreconditionError("openness experiment needs pairwise distinct exponent estimates")
+    eta = smallest_gap / 3.0
 
     beta = calibration.constants.beta
     delta = calibration.constants.delta
@@ -465,8 +432,6 @@ def openness_experiment(seq, fss, target_spectrum, epsilon):
         "r_norm_sup": outcome.r_norm_sup,
         "epsilon": float(epsilon),
         "within_epsilon": outcome.r_norm_sup < float(epsilon),
-        "pairwise_distinct": bool(
-            s == 1 or np.min(np.abs(np.diff(np.sort(achieved)))) > 0.0
-        ),
+        "pairwise_distinct": bool(np.diff(np.sort(achieved)).min(initial=math.inf) > 0.0),
         "agreement_residual": outcome.agreement_residual,
     }

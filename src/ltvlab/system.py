@@ -26,7 +26,6 @@ from .errors import (
 from .expressions import _NUMBER, parse_expression
 from .linalg import SINGULAR_RTOL, spectral_norm
 
-UNIT_NORM_TOL = 1e-12
 BLOCK_STEPS = 256  # steps per scan segment: the running products of one batch of steps
 CHUNK_STEPS = 16 * BLOCK_STEPS  # steps of A(n) evaluated at once, scanned in segments
 _TINY = 1e-280  # a scaled column or product below this has lost its digits

@@ -247,6 +247,21 @@ def test_assign_precondition_exit_code(tmp_path):
     assert code == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize(
+    "system, targets, expected",
+    [("diag(2)", [0.7], EXIT_OK), ("diag(2,2)", [0.7, 0.7], EXIT_PRECONDITION)],
+    ids=["one-dimensional", "equal-exponents"],
+)
+def test_assign_exit_code_by_exponent_gaps(tmp_path, system, targets, expected):
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {"system": system, "horizon": 2000, "target_spectrum": targets, "epsilon": 1.0},
+    )
+    code = main(["assign", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code == expected
+
+
 def test_instability_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -52,10 +52,12 @@ def test_synthesis_constants_validation():
         synthesis_constants(0.0, 1.0, 2)
     with pytest.raises(Exception):
         synthesis_constants(math.pi / 2, 0.0, 2)
-    with pytest.raises(Exception):
-        synthesis_constants(math.pi / 2, 1.0, 2, r=1.5)
-    with pytest.raises(Exception):
-        synthesis_constants(math.pi / 2, 1.0, 2, delta1=10.0)
+
+
+def test_synthesis_constants_refuse_a_gamma_too_small_for_delta1():
+    # sin(gamma) * r / s below the double spacing at 1 makes ln(L1 + 1) zero
+    with pytest.raises(InvalidInputError, match="delta1"):
+        synthesis_constants(1e-17, 1.0, 2)
 
 
 def test_solve_mu_identity_density():
@@ -158,7 +160,7 @@ def test_solve_mu_bracket_sin_log():
     base = lambda_mu(fss, 0, 0.0, math.acos(0.9), tail_fraction=1.0)
     boosted = lambda_mu(fss, 0, mu, math.acos(0.9), tail_fraction=1.0)
     assert boosted - base == pytest.approx(zeta, abs=1e-6)
-    assert cal.rho_hat > 0.05
+    assert cal.constants.rho > 0.05
 
 
 def test_calibrate_rejects_non_splitted():
@@ -184,7 +186,7 @@ def test_plan_eigenvector_property():
         r_mat = perturbation_at(plan, fss, n)
         for i, traj in enumerate(fss.trajectories):
             d = traj.direction_at(n)
-            expected = math.exp(plan.schedule[n - 1][i]) * d
+            expected = math.exp(plan.eta + plan.mu[i] * plan.gamma_flags[n - 1][i]) * d
             assert np.abs(r_mat @ d - expected).max() < 1e-12
 
 
@@ -280,6 +282,23 @@ def test_openness_identity_for_exact_targets():
     assert result["r_norm_sup"] == 0.0
 
 
+def test_openness_on_a_one_dimensional_system():
+    # one exponent has no gap to its neighbours, so eta is infinite
+    seq = geometric_diag([2.0])
+    fss = standard_basis_fss(seq, 2000)
+    result = openness_experiment(seq, fss, [math.log(2) + 0.01], 1.0)
+    assert result["eta"] == math.inf
+    assert result["pairwise_distinct"]
+    assert result["assignment_error"] <= 1e-3
+
+
+def test_openness_refuses_equal_exponents():
+    seq = geometric_diag([2.0, 2.0])
+    fss = standard_basis_fss(seq, 2000)
+    with pytest.raises(PreconditionError, match="pairwise distinct"):
+        openness_experiment(seq, fss, [0.7, 0.7], 1.0)
+
+
 def test_openness_rejects_far_targets():
     seq = geometric_diag([1.0, 2.0])
     fss = standard_basis_fss(seq, 3000)
@@ -316,7 +335,7 @@ def per_step_execution(seq, fss, plan):
     log_norms = np.log(np.linalg.norm(dirs, axis=0))
     dirs = dirs / np.exp(log_norms)
     logs, r_norm_sup = [log_norms], 0.0
-    for n in range(1, plan.horizon):
+    for n in range(1, len(plan.gamma_flags)):
         r_mat = perturbation_at(plan, fss, n)
         r_norm_sup = max(r_norm_sup, np.linalg.norm(r_mat - eye, 2))
         dirs = seq.matrix_at(n) @ r_mat @ dirs
@@ -350,7 +369,8 @@ def test_execute_plan_matches_the_per_step_recurrence():
         assert rel.max() <= 1e-13
         assert outcome.r_norm_sup == pytest.approx(r_norm_sup, rel=1e-13)
         base = np.column_stack([t.log_norms for t in fss.trajectories])
-        cum = np.vstack([np.zeros(fss.dimension), np.cumsum(plan.schedule[:-1], axis=0)])
+        schedule = plan.eta + plan.mu * plan.gamma_flags
+        cum = np.vstack([np.zeros(fss.dimension), np.cumsum(schedule[:-1], axis=0)])
         closed = base + cum
         agreement = np.max(np.abs(logs - closed) / np.maximum(1.0, np.abs(closed)))
         assert outcome.agreement_residual == pytest.approx(agreement, rel=1e-6, abs=1e-14)

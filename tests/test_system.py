@@ -124,6 +124,10 @@ def test_formula_errors_point_into_the_spec(spec, line, column):
         ("dimension: 2\nkind: constant\nentries:\n  1 0\n  0 \u0662\n", "'\u0662'", 5, 5),
         ("diag(1_000,2)", "bad number '1_000'", 1, 1),
         ("diag(\u0661,2)", "bad number '\u0661'", 1, 1),
+        # an integer with a leading zero is refused, as in a formula
+        ("diag(05,2)", "bad number '05'", 1, 1),
+        ("dimension: 2\nkind: constant\nentries:\n  1 0\n  0 05\n", "bad number '05'", 5, 5),
+        ("dimension: 2\nkind: diagonal\nentries:\n  1\n  05\n", "leading zeros", 5, 3),
         ("identity \u0663", "bad identity shorthand: 'identity \u0663'", 1, 1),
         ("identity 1_0", "bad identity shorthand", 1, 1),
         ("dimension: \u0662\nkind: constant\nentries: 1 2\n", "bad dimension '\u0662'", 1, 1),
@@ -136,6 +140,7 @@ def test_formula_errors_point_into_the_spec(spec, line, column):
     ids=["kind", "file-path", "diagonal-count", "dense-count", "constant-count",
          "constant-number", "constant-non-finite", "constant-underscore",
          "constant-arabic-digit", "diag-underscore", "diag-arabic-digit",
+         "diag-leading-zero", "constant-leading-zero", "diagonal-leading-zero",
          "identity-arabic-digit", "identity-underscore", "dimension-arabic-digit",
          "dimension-underscore", "identity-past-memory", "identity-past-array-size"],
 )
@@ -143,6 +148,13 @@ def test_spec_errors_point_at_their_line(spec, message, line, column):
     with pytest.raises(ParseError, match=message) as info:
         parse_generator_spec(spec)
     assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_spec_numbers_read_as_python_reads_them():
+    seq = parse_generator_spec("diag(0,00,05.5,05e1,-0.5)")
+    assert np.diag(seq.matrix_at(1)).tolist() == [0.0, 0.0, 5.5, 50.0, -0.5]
+    seq = parse_generator_spec("dimension: 2\nkind: constant\nentries: 00 05.\n")
+    assert np.diag(seq.matrix_at(1)).tolist() == [0.0, 5.0]
 
 
 def test_matrix_sequence_round_trip(tmp_path):
@@ -188,6 +200,7 @@ PARSE_CASES = {
     "nan-payload": "1 2\nnan(123) 1.5\n",
     "hex": "1 2\n0x10 1.5\n",
     "trailing-letter": "1 2\n1e5x 1.5\n",
+    "leading-zero": "1 2\n05 1.5\n",  # numpy reads it, though a spec refuses it
     "infinity": "1 2\ninfinity 1.5\n",
     "overflow": "1 2\n1e400 1.5\n",
     "smallest-subnormal": "1 2\n5e-324 1.5\n",
