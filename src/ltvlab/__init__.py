@@ -47,7 +47,6 @@ from .spectrum import (
 from .splitness import (
     BrokenAwayVerdict,
     FSSRecord,
-    GammaStatistics,
     SplitnessReport,
     apply_lyapunov_transformation,
     broken_away_scan,

@@ -114,7 +114,6 @@ _FIELDS = {  # config field -> (check, default); a default of None also accepts 
     "horizon": (_horizon, 10_000),
     "seed": (partial(_integer, minimum=0), 0),
     "checkpoint_every": (partial(_integer, minimum=1), None),
-    "tail_fraction": (partial(_in_range, high=1.0), 0.5),
     "sigma": (partial(_integer, minimum=1), 1),
     "gamma_grid": (partial(_in_range, high=math.pi / 2, ndim=1), GAMMA_GRID),
     "initial_vectors": (_basis, None),  # None: the standard basis
@@ -237,12 +236,17 @@ def _make_out_dir(out_dir):
 
 def _report(args, name, payload, csv=None):
     """Write the JSON payload and, when given, the CSV: bytes blocks with
-    CRLF line ends, one write each."""
+    CRLF line ends, one write each.  A payload with a NaN or an infinity,
+    which JSON has no token for, raises InvalidInputError (exit 3)."""
     out_dir = Path(args.out_dir)
     payload = {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **payload}
     if args.format in ("json", "both"):
         path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise InvalidInputError(f"the {name}.json report cannot be written: {exc}") from exc
+        path.write_text(text + "\n")
         print(f"wrote {path}")
     if csv is not None and args.format in ("csv", "both"):
         path = out_dir / f"{name}.csv"
@@ -266,16 +270,16 @@ def _run(args):
 
 
 def cmd_spectrum(seq, opts):
-    estimate = spectrum_estimate(seq, opts["horizon"], checkpoint_every=opts["checkpoint_every"],
-                                 tail_fraction=opts["tail_fraction"])
-    rows = [
-        (value, count, sum(len(r) for r in estimate.realizing_indices))
-        for value, count in estimate.multiplicities
-    ]
+    estimate = spectrum_estimate(seq, opts["horizon"], checkpoint_every=opts["checkpoint_every"])
+    rows, slot = [], 0
+    for value, count in estimate.multiplicities:  # a group's slots follow the previous group's
+        realizing = estimate.realizing_indices[slot:slot + count]
+        rows.append((value, count, sum(len(r) for r in realizing)))
+        slot += count
     payload = {
         "exponents": estimate.exponents.tolist(),
         "multiplicities": estimate.multiplicities,
-        "horizon": estimate.horizon,
+        "horizon": opts["horizon"],
     }
     return payload, _csv_table(("exponent", "multiplicity", "realizing_count"), rows), [
         "spectrum: " + " ".join(f"{v:.6f} (x{c})" for v, c in estimate.multiplicities)]
@@ -289,9 +293,9 @@ def cmd_splitness(seq, opts):
     for v in report.verdicts:
         gamma = v.gamma if v.gamma is not None else min(gamma_grid)
         stats.append(gamma_statistics(fss, v.solution_index, gamma, sigma))
-    ns = sigma * np.arange(1, len(stats[0].member_flags) + 1)
-    columns = [ns, *fss.angle_profile()[ns - 1].T, *(st.member_flags for st in stats),
-               *(st.densities for st in stats)]
+    flags, densities = zip(*stats)
+    ns = sigma * np.arange(1, len(flags[0]) + 1)
+    columns = [ns, *fss.angle_profile()[ns - 1].T, *flags, *densities]
     header = ["n", *(f"{c}_{i + 1}" for c in ("phi", "flag", "g") for i in range(fss.dimension))]
     payload = {
         "splitted": report.splitted,
@@ -342,6 +346,8 @@ def cmd_perturb(seq, opts):
 
 def cmd_assign(seq, opts):
     result = openness_experiment(seq, opts["fss"], opts["target_spectrum"], opts["epsilon"])
+    if result["eta"] == math.inf:  # one exponent: no gap, and inf is not JSON
+        result["eta"] = None
     return result, None, [
         f"assigned spectrum {result['achieved_exponents']} "
         f"(error {result['assignment_error']:.3e}, ||R-I|| = {result['r_norm_sup']:.6g})"
@@ -453,7 +459,7 @@ def build_parser():
 
     commands = {  # name -> (function, help, the config fields it reads besides horizon and seed)
         "spectrum": (cmd_spectrum, "estimate the Lyapunov spectrum",
-                     ("checkpoint_every", "tail_fraction")),
+                     ("checkpoint_every",)),
         "splitness": (cmd_splitness, "angle statistics and broken-away verdicts",
                       ("sigma", "gamma_grid", "initial_vectors")),
         "perturb": (cmd_perturb, "synthesize and execute a spectrum-shift plan",

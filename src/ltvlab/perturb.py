@@ -29,7 +29,6 @@ from .errors import (
 )
 from .linalg import project_out, spectral_norm
 from .spectrum import (
-    TAIL_FRACTION,
     _tail_start,
     exponent_profile,
     incompressibility_test,
@@ -81,23 +80,23 @@ def synthesis_constants(gamma, rho, s):
 # --- exponent-boost solver ---------------------------------------------
 
 
-def lambda_mu(fss, i, mu, gamma, sigma=1, tail_fraction=TAIL_FRACTION):
-    """Tail-max estimate of limsup_k (f_i(k) + mu * g_i(k))."""
+def lambda_mu(fss, i, mu, gamma):
+    """Tail-max estimate of limsup_k (f_i(k) + mu * g_i(k)), sigma = 1."""
     if not mu >= 0.0:
         raise InvalidInputError(f"mu must be >= 0, got {mu}")
-    values, densities = _tail_lines(fss, i, gamma, sigma, tail_fraction)
+    values, densities = _tail_lines(fss, i, gamma)
     return float((values + mu * densities).max())
 
 
-def _tail_lines(fss, i, gamma, sigma, tail_fraction):
+def _tail_lines(fss, i, gamma):
     """The exponent profile f_i(k) and the gamma densities g_i(k) >= 0 on
     the tail window: lambda_mu is the maximum of the lines f_i + mu g_i."""
-    ks, values = exponent_profile(fss.trajectories[i], sigma)
-    window = ks >= _tail_start(ks[-1], tail_fraction)
-    return values[window], gamma_statistics(fss, i, gamma, sigma).densities[window]
+    ks, values = exponent_profile(fss.trajectories[i])
+    start = np.searchsorted(ks, _tail_start(ks[-1]))
+    return values[start:], gamma_statistics(fss, i, gamma)[1][start:]
 
 
-def solve_mu(fss, i, zeta, rho_hat, gamma, sigma=1, tail_fraction=TAIL_FRACTION):
+def solve_mu(fss, i, zeta, rho_hat, gamma):
     """Solve lambda_mu(mu) = lambda_hat + zeta in closed form.
 
     lambda_mu is a maximum of lines f_i(k) + mu g_i(k) with g_i(k) >= 0,
@@ -112,7 +111,7 @@ def solve_mu(fss, i, zeta, rho_hat, gamma, sigma=1, tail_fraction=TAIL_FRACTION)
         raise InvalidInputError(f"rho_hat must be > 0, got {rho_hat}")
     if zeta == 0.0:
         return 0.0
-    values, densities = _tail_lines(fss, i, gamma, sigma, tail_fraction)
+    values, densities = _tail_lines(fss, i, gamma)
     lam0 = float(values.max())
     target = lam0 + zeta
     hi = zeta / rho_hat
@@ -357,7 +356,7 @@ def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
         # shifts of size eps / beta keep ||R - I|| below eps itself
         budget = min(float(eps) / beta, delta)
         clamped = float(eps) / beta > delta
-        xi = np.linspace(-budget, budget, s) if s > 1 else np.array([budget])
+        xi = np.linspace(-budget, budget, s)
         outcome = execute_plan(seq, fss, build_plan(fss, xi, calibration))
         perturbed = np.sort(outcome.perturbed_exponents)
         distance = float(np.max(np.abs(perturbed - base_spectrum.exponents)))

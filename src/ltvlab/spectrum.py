@@ -2,14 +2,15 @@
 
 All limsup constructs are replaced by tail-max estimators: the maximum of
 the growth profile f(k) = ln||x(k*sigma)|| / (k*sigma) over the final
-fraction of the horizon.  Indices attaining that maximum (to tolerance)
-form the finite-horizon stand-in for a realizing sequence.
+TAIL_FRACTION of the horizon, the one window of every estimator.  Indices
+attaining that maximum (to tolerance) form the finite-horizon stand-in for
+a realizing sequence.
 """
 
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ class SpectrumEstimate:
     exponents: np.ndarray  # nondecreasing, length s
     multiplicities: list  # (value, count) pairs, values increasing
     realizing_indices: list  # per exponent slot, checkpoint n's
-    horizon: int
 
 
 def exponent_profile(traj, sigma=1):
@@ -56,20 +56,20 @@ def _check_integer(name, value, minimum):
         raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def limsup_estimate(ks, values, tail_fraction=TAIL_FRACTION):
+def limsup_estimate(ks, values):
     """Tail-max estimate of each column of ``values`` (1-d, or (K, m) with
-    rows at the increasing indices ``ks``) over the final ``tail_fraction``
-    of the ks, and the ks of the window within REALIZE_TOL of it.
+    rows at the increasing indices ``ks``) over the tail window of the ks,
+    and the ks of the window within REALIZE_TOL of it.
 
     Returns (lambda_hat, realizing ks) for 1-d values and, for (K, m)
     values, the (m,) tail-maxes and a list of m realizing arrays.
     """
     if len(ks) == 0:
         raise InvalidInputError("empty profile")
-    mask = ks >= _tail_start(ks[-1], tail_fraction)
-    if not mask.any():  # ks that end below 1
+    start = np.searchsorted(ks, _tail_start(ks[-1]))
+    if start == len(ks):  # ks that end below 1
         raise InvalidInputError("empty tail window")
-    window_ks, window = ks[mask], values[mask]
+    window_ks, window = ks[start:], values[start:]
     top = window.max(axis=0)
     realizing = window >= top - REALIZE_TOL
     if np.ndim(values) == 1:
@@ -77,14 +77,13 @@ def limsup_estimate(ks, values, tail_fraction=TAIL_FRACTION):
     return top, [window_ks[column] for column in realizing.T]
 
 
-def _tail_start(last, tail_fraction):
-    """First index of the tail window of a profile that ends at ``last``."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise InvalidInputError("tail_fraction must be in (0, 1]")
-    return max(1, int(math.ceil(last * (1.0 - tail_fraction))))
+def _tail_start(last):
+    """First index of the tail window, the final TAIL_FRACTION of a profile
+    that ends at ``last``: the one window of every tail-max estimate."""
+    return max(1, int(math.ceil(last * (1.0 - TAIL_FRACTION))))
 
 
-def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FRACTION):
+def spectrum_estimate(seq, horizon, checkpoint_every=None):
     """Lyapunov spectrum estimate by the discrete QR method.
 
     With X(n) = A(n-1) ... A(1) = Q(n) R(n), column j of the estimate at
@@ -106,10 +105,9 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FR
     if checkpoint_every is None:
         checkpoint_every = max(1, horizon // 1000)
     _check_integer("checkpoint_every", checkpoint_every, 1)
-    _tail_start(horizon, tail_fraction)  # a bad fraction is refused before the pass
 
     cp_ns, cp_logs = _checkpoint_logs(seq, horizon, checkpoint_every)
-    per_column, realizing = limsup_estimate(cp_ns, cp_logs / cp_ns[:, None], tail_fraction)
+    per_column, realizing = limsup_estimate(cp_ns, cp_logs / cp_ns[:, None])
     order = np.argsort(per_column, kind="stable")
     exponents = per_column[order]
     realizing = [realizing[j] for j in order]
@@ -122,7 +120,7 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None, tail_fraction=TAIL_FR
         else:
             groups.append((float(lam), 1))
 
-    return SpectrumEstimate(exponents, groups, realizing, horizon)
+    return SpectrumEstimate(exponents, groups, realizing)
 
 
 def _checkpoints(steps, horizon, checkpoint_every):
@@ -262,8 +260,7 @@ class IncompressibilityVerdict:
     witness: np.ndarray | None
     witness_exponent: float | None
     support_exponent: float | None
-    horizon: int
-    member_exponents: np.ndarray = field(default=None)
+    member_exponents: np.ndarray
 
     @property
     def is_normal(self):
@@ -325,7 +322,7 @@ def incompressibility_test(fss, trials=64, seed=0):
     tail_max = np.full(len(live), -np.inf)
     carried = np.arange(len(live))  # the candidates still below their bounds
     if live:
-        window_start = _tail_start(horizon, TAIL_FRACTION)
+        window_start = _tail_start(horizon)
         cols = np.column_stack([initials @ c for c in live])
         blocks = _propagation_blocks(fss.seq, cols, horizon, window_start)
         keep = None
@@ -343,7 +340,5 @@ def incompressibility_test(fss, trials=64, seed=0):
     if carried.size:  # the first candidate that stayed below its bound to the horizon
         j = carried[0]
         return IncompressibilityVerdict("NOT-NORMAL", live[j].copy(), float(tail_max[j]),
-                                        float(support[j]), horizon, member_exps)
-    return IncompressibilityVerdict(
-        "NORMAL-UP-TO-HORIZON", None, None, None, horizon, member_exps
-    )
+                                        float(support[j]), member_exps)
+    return IncompressibilityVerdict("NORMAL-UP-TO-HORIZON", None, None, None, member_exps)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError, NotLyapunovSequenceError
 from .linalg import SINGULAR_RTOL, angle_to_subspace, cosine_to_subspace
 from .spectrum import _sigma_steps, exponent_profile, limsup_estimate
-from .system import CoefficientSequence, TrajectoryLog, propagate
+from .system import CoefficientSequence, TrajectoryLog, _singular_values, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
 RHO_THRESHOLD = 0.05
@@ -121,15 +121,6 @@ def _initial_basis(seq, vectors):
     return vectors
 
 
-@dataclass(frozen=True)
-class GammaStatistics:
-    gamma: float
-    sigma: int
-    member_flags: np.ndarray  # flags[j-1]: phi_i(j*sigma) >= gamma
-    counts: np.ndarray  # N(k; sigma), nondecreasing
-    densities: np.ndarray  # g(k; sigma) = N(k)/k, in [0, 1]
-
-
 def _check_gamma(*grid):
     """InvalidInputError unless ``grid`` holds gammas, each in (0, pi/2]."""
     if not grid or not all(0.0 < gamma <= math.pi / 2 for gamma in grid):
@@ -138,10 +129,11 @@ def _check_gamma(*grid):
 
 
 def gamma_statistics(fss, i, gamma, sigma=1):
-    """Membership flags, counts and densities of the gamma angle set."""
+    """The gamma angle set of solution i: the arrays (flags, densities), with
+    flags[k-1] = phi_i(k*sigma) >= gamma and densities[k-1] = g(k; sigma) =
+    N(k)/k in [0, 1], N(k) the count of flags up to k."""
     _check_gamma(gamma)
-    flags, counts, densities = _gamma_set(_member_angles(fss, i, sigma), gamma)
-    return GammaStatistics(float(gamma), sigma, flags, counts, densities)
+    return _gamma_set(_member_angles(fss, i, sigma), gamma)
 
 
 def _member_angles(fss, i, sigma):
@@ -152,27 +144,20 @@ def _member_angles(fss, i, sigma):
 
 
 def _gamma_set(angles, gamma):
-    """Flags phi >= gamma along ``angles``, their running counts N(k) and
-    the densities N(k) / k."""
+    """Flags phi >= gamma along ``angles`` and the densities N(k) / k of
+    their running counts N(k)."""
     flags = angles >= gamma
-    counts = np.cumsum(flags)
-    return flags, counts, counts / np.arange(1, len(flags) + 1)
+    return flags, np.cumsum(flags) / np.arange(1, len(flags) + 1)
 
 
 @dataclass(frozen=True)
 class BrokenAwayVerdict:
     solution_index: int
-    sigma: int
     gamma: float | None
     realizing_ks: np.ndarray | None
     rho_hat: float | None
     lambda_hat: float | None
     status: str  # "yes" | "no" | "inconclusive"
-    horizon: int
-
-    @property
-    def is_broken_away(self):
-        return self.status == "yes"
 
 
 def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
@@ -187,27 +172,21 @@ def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
     _check_gamma(*gamma_grid)
     lam, ks = limsup_estimate(*exponent_profile(fss.trajectories[i], sigma))
     if len(ks) == 0:
-        return BrokenAwayVerdict(
-            i, sigma, None, None, None, lam, "inconclusive", fss.horizon
-        )
+        return BrokenAwayVerdict(i, None, None, None, lam, "inconclusive")
     angles = _member_angles(fss, i, sigma)
     best_gamma, best_rho = None, -1.0
     for gamma in sorted(gamma_grid, reverse=True):
-        rho = float(_gamma_set(angles, gamma)[2][ks - 1].min())
+        rho = float(_gamma_set(angles, gamma)[1][ks - 1].min())
         if rho > best_rho + 1e-12:
             best_gamma, best_rho = float(gamma), rho
     status = "yes" if best_rho >= RHO_THRESHOLD else "no"
-    return BrokenAwayVerdict(
-        i, sigma, best_gamma, ks, best_rho, lam, status, fss.horizon
-    )
+    return BrokenAwayVerdict(i, best_gamma, ks, best_rho, lam, status)
 
 
 @dataclass(frozen=True)
 class SplitnessReport:
     verdicts: list
     splitted: bool | None  # None when some verdict is inconclusive
-    sigma: int
-    horizon: int
 
 
 def splitness_report(fss, gamma_grid=GAMMA_GRID, sigma=1):
@@ -220,30 +199,29 @@ def splitness_report(fss, gamma_grid=GAMMA_GRID, sigma=1):
         splitted = None
     else:
         splitted = True
-    return SplitnessReport(verdicts, splitted, sigma, fss.horizon)
+    return SplitnessReport(verdicts, splitted)
 
 
 def apply_lyapunov_transformation(seq, fss, transform):
     """Transformed system B(n) = L(n+1) A(n) L(n)^-1 and FSS y_i = L(n) x_i
     under the coordinate change L(n), a CoefficientSequence.
 
-    L is checked as a Lyapunov sequence up to the step after the horizon,
-    and each block of B(n) checks the L(n) it reads past that; a singular
-    L(n) raises NotLyapunovSequenceError naming n.  Returns (transformed
-    sequence, transformed FSSRecord).
+    L is checked up to the step after the horizon, and each block of B(n)
+    checks the L(n) it reads; a singular L(n) raises NotLyapunovSequenceError
+    naming n.  Returns (transformed sequence, transformed FSSRecord).
     """
     if transform.dimension != seq.dimension:
         raise InvalidInputError("transformation dimension mismatch")
-    _check_lyapunov(transform, fss.horizon + 1)
+    ls = transform.matrices(1, fss.horizon + 2)  # L(1), ..., L(H + 1)
+    _check_lyapunov(ls, 1)
 
     def block_fn(start, stop):
-        _check_lyapunov(transform, stop)  # cached: each L(n) is scanned once
         ls = transform.matrices(start, stop + 1)
+        _check_lyapunov(ls, start)
         return ls[1:] @ seq.matrices(start, stop) @ np.linalg.inv(ls[:-1])
 
     new_seq = CoefficientSequence(seq.dimension, block_fn)
-    ls = transform.matrices(1, fss.horizon + 1)
-    ys = ls @ fss.direction_stack()  # (horizon, s, members)
+    ys = ls[:-1] @ fss.direction_stack()  # (horizon, s, members)
     norms = np.linalg.norm(ys, axis=1)
     new_trajs = [
         TrajectoryLog(ys[:, :, i] / norms[:, i, None], traj.log_norms + np.log(norms[:, i]))
@@ -252,12 +230,12 @@ def apply_lyapunov_transformation(seq, fss, transform):
     return new_seq, FSSRecord(new_seq, new_trajs, fss.initial_vectors @ ls[0].T)
 
 
-def _check_lyapunov(transform, horizon):
-    """``transform.lyapunov_bound(horizon)``, with a singular step named as L(n)."""
-    try:
-        transform.lyapunov_bound(horizon)
-    except NotLyapunovSequenceError as exc:
+def _check_lyapunov(ls, start):
+    """NotLyapunovSequenceError naming the first L(n) of the block L(start), ...
+    that is singular to tolerance, if there is one."""
+    singular = _singular_values(ls, start)[1]
+    if singular is not None:
         raise NotLyapunovSequenceError(
-            f"L({exc.index}) is singular to tolerance; not a Lyapunov transformation",
-            index=exc.index,
-        ) from exc
+            f"L({singular}) is singular to tolerance; not a Lyapunov transformation",
+            index=singular,
+        )

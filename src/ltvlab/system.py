@@ -45,8 +45,6 @@ class CoefficientSequence:
     def __init__(self, dimension, block_fn):
         self.dimension = int(dimension)
         self._block_fn = block_fn
-        self._bound = None
-        self._bound_horizon = 0
 
     # --- constructors -------------------------------------------------
 
@@ -198,16 +196,13 @@ class CoefficientSequence:
     def lyapunov_bound(self, horizon):
         """max over n <= horizon of max(||A(n)||, ||A(n)^-1||); always >= 1.
 
-        The true bound runs over all n; this one is horizon-stamped and
-        cached for the largest horizon scanned so far.
+        The true bound runs over all n; this one is horizon-stamped.
         """
         horizon = int(horizon)
         if horizon < 1:
             raise InvalidInputError("horizon must be >= 1")
-        if self._bound is not None and horizon <= self._bound_horizon:
-            return self._bound
-        bound = self._bound if self._bound is not None else 1.0
-        for start, mats in _chunks(self.matrices, self._bound_horizon + 1, horizon + 1):
+        bound = 1.0
+        for start, mats in _chunks(self.matrices, 1, horizon + 1):
             sv, singular = _singular_values(mats, start)
             if singular is not None:
                 raise NotLyapunovSequenceError(
@@ -215,8 +210,6 @@ class CoefficientSequence:
                     index=singular,
                 )
             bound = max(bound, float(sv[:, 0].max()), float((1.0 / sv[:, -1]).max()))
-        self._bound = bound
-        self._bound_horizon = horizon
         return bound
 
 
@@ -435,7 +428,6 @@ class TrajectoryLog:
             raise InvalidInputError(
                 f"a trajectory needs (horizon, s) directions and (horizon,) log-norms, "
                 f"got {self.directions.shape} and {self.log_norms.shape}")
-        self.dimension = self.directions.shape[1]
 
     @property
     def horizon(self):

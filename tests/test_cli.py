@@ -105,7 +105,7 @@ def test_splitness_csv_has_nine_decimals_and_crlf_line_ends(tmp_path, system, ve
     report = splitness_report(fss, sigma=sigma)
     stats = [gamma_statistics(fss, v.solution_index,
                               min(GAMMA_GRID) if v.gamma is None else v.gamma, sigma)
-             for v in report.verdicts]
+             for v in report.verdicts]  # (flags, densities) per member
     angles = fss.angle_profile()
     s = len(vectors)
     expected = io.StringIO()
@@ -114,8 +114,8 @@ def test_splitness_csv_has_nine_decimals_and_crlf_line_ends(tmp_path, system, ve
     for k in range(horizon // sigma):
         n = sigma * (k + 1)
         writer.writerow([n, *(f"{angles[n - 1, i]:.9f}" for i in range(s)),
-                         *(int(st.member_flags[k]) for st in stats),
-                         *(f"{st.densities[k]:.9f}" for st in stats)])
+                         *(int(flags[k]) for flags, _ in stats),
+                         *(f"{densities[k]:.9f}" for _, densities in stats)])
     assert (out / "splitness.csv").read_bytes() == expected.getvalue().encode()
 
 
@@ -260,6 +260,47 @@ def test_assign_exit_code_by_exponent_gaps(tmp_path, system, targets, expected):
     )
     code = main(["assign", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert code == expected
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: NaN, Infinity and -Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_assign_on_one_exponent_writes_a_strict_json_report(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(2)", "horizon": 2000,
+                                              "target_spectrum": [0.7], "epsilon": 1.0})
+    assert main(["assign", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    payload = strict_json((tmp_path / "o" / "assign.json").read_text())
+    assert payload["eta"] is None  # one exponent has no gap
+    assert abs(payload["achieved_exponents"][0] - 0.7) <= 1e-3
+
+
+def test_a_report_value_that_is_not_json_exits_3_naming_the_report(tmp_path, capsys,
+                                                                   monkeypatch):
+    def openness_experiment(seq, fss, target, epsilon):
+        return {"eta": 0.1, "achieved_exponents": [0.7], "assignment_error": math.nan,
+                "r_norm_sup": 0.0}
+
+    monkeypatch.setattr("ltvlab.cli.openness_experiment", openness_experiment)
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(2)", "horizon": 200,
+                                              "target_spectrum": [0.7], "epsilon": 1.0})
+    assert main(["assign", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the assign.json report") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "assign.json").exists()
+
+
+def test_spectrum_csv_counts_the_realizing_checkpoints_of_each_group(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {"system": "diag(1,2)", "horizon": 2000,
+                                              "checkpoint_every": 1})
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    rows = (tmp_path / "o" / "spectrum.csv").read_text().splitlines()
+    assert rows[0] == "exponent,multiplicity,realizing_count"
+    # each exponent of diag(1,2) is realized at every checkpoint n = 1000, ..., 2000
+    assert [row.split(",")[1:] for row in rows[1:]] == [["1", "1001"], ["1", "1001"]]
 
 
 def test_instability_command(tmp_path, capsys):
@@ -421,8 +462,8 @@ def test_non_numeric_matrix_file_exit_code(tmp_path):
         ("assign", {"target_spectrum": [0.0, "x"], "epsilon": 0.2}),
         ("assign", {"target_spectrum": [0.01, 0.68], "epsilon": "big"}),
         ("instability", {"epsilon_grid": ["0.1x"]}),
-        ("spectrum", {"tail_fraction": "0.5"}),
-        ("spectrum", {"tail_fraction": True}),
+        ("spectrum", {"checkpoint_every": "10"}),
+        ("spectrum", {"checkpoint_every": True}),
         ("perturb", {"shifts": ["0.01", "-0.01"]}),
     ],
 )
@@ -571,9 +612,9 @@ def test_bad_integer_option_exit_code(tmp_path, capsys, option, value):
         ("splitness", {"gamma_grid": []}, "gamma_grid"),
         ("splitness", {"gamma_grid": [float("nan")]}, "gamma_grid"),
         ("splitness", {"gamma_grid": [0.5, 2.0]}, "gamma_grid"),
-        ("spectrum", {"tail_fraction": float("nan")}, "tail_fraction"),
-        ("spectrum", {"tail_fraction": 5}, "tail_fraction"),
-        ("spectrum", {"tail_fraction": -1}, "tail_fraction"),
+        ("spectrum", {"checkpoint_every": float("nan")}, "checkpoint_every"),
+        ("spectrum", {"checkpoint_every": 2.5}, "checkpoint_every"),
+        ("spectrum", {"checkpoint_every": [10]}, "checkpoint_every"),
         ("perturb", {"shifts": [0.01, -0.01], "initial_vectors": [[1, 0], ["x", 1]]},
          "initial_vectors"),
         ("perturb", {"shifts": [0.01, -0.01], "initial_vectors": [[1, 0], [1]]},
@@ -667,10 +708,6 @@ BAD_VALUES = {  # field -> (commands that read it, values it must refuse)
     "horizon": (list(VALID_CONFIGS), st.one_of(_NOT_AN_INTEGER, st.integers(max_value=1))),
     "checkpoint_every": (["spectrum"], st.one_of(_NOT_AN_INTEGER, st.integers(max_value=0))),
     "sigma": (["splitness"], st.one_of(_NOT_AN_INTEGER, st.integers(max_value=0))),
-    "tail_fraction": (["spectrum"], st.one_of(
-        _NOT_A_NUMBER, _NOT_POSITIVE, st.floats(min_value=1.0, exclude_min=True),
-        st.lists(st.floats(0.1, 1.0), min_size=1, max_size=2),
-    )),
     "gamma_grid": (["splitness"], st.one_of(
         _NOT_A_NUMBER, st.floats(0.1, 1.5),
         st.tuples(_GOOD_GAMMAS, _BAD_GAMMA).map(lambda t: t[0] + [t[1]]),

@@ -149,16 +149,16 @@ def test_library_calls_refuse_what_the_cli_refuses(name):
 
 
 def test_solve_mu_bracket_sin_log():
-    # with the full-window tail the exponent estimate is realized near
-    # k=2576 where the density floor is 0.19, so mu lands in
-    # [zeta, zeta/0.19]
+    # the density floor rho measured along the realizing indices of the
+    # tail window brackets mu in [zeta, zeta/rho]
     fss = sin_log_witness_fss(10_000)
     cal = calibrate(fss)
+    rho = cal.constants.rho
     zeta = 0.01
-    mu = solve_mu(fss, 0, zeta, 0.19, math.acos(0.9), tail_fraction=1.0)
-    assert zeta <= mu <= zeta / 0.19 + 1e-9
-    base = lambda_mu(fss, 0, 0.0, math.acos(0.9), tail_fraction=1.0)
-    boosted = lambda_mu(fss, 0, mu, math.acos(0.9), tail_fraction=1.0)
+    mu = solve_mu(fss, 0, zeta, rho, math.acos(0.9))
+    assert zeta <= mu <= zeta / rho + 1e-9
+    base = lambda_mu(fss, 0, 0.0, math.acos(0.9))
+    boosted = lambda_mu(fss, 0, mu, math.acos(0.9))
     assert boosted - base == pytest.approx(zeta, abs=1e-6)
     assert cal.constants.rho > 0.05
 
@@ -492,15 +492,16 @@ def solver_cases():
 
 
 def test_solve_mu_is_the_closed_form_root_and_keeps_the_bisection_brackets():
+    sigma, tail = 1, TAIL_FRACTION
     for fss in solver_cases():
         for i in range(fss.dimension):
-            for gamma, sigma, tail in ((0.3, 1, 0.5), (math.acos(0.9), 1, 1.0), (0.7, 3, 0.25)):
+            for gamma in (0.3, math.acos(0.9), 0.7):
                 for mu in (0.0, 0.013, 0.2):
-                    assert lambda_mu(fss, i, mu, gamma, sigma, tail) == per_call_lambda_mu(
+                    assert lambda_mu(fss, i, mu, gamma) == per_call_lambda_mu(
                         fss, i, mu, gamma, sigma, tail)
                 for zeta, rho_hat in ((0.0, 0.5), (0.004, 0.5), (0.02, 0.19), (0.05, 1.0)):
                     try:
-                        mu = solve_mu(fss, i, zeta, rho_hat, gamma, sigma, tail)
+                        mu = solve_mu(fss, i, zeta, rho_hat, gamma)
                     except BracketError:
                         mu = "bracket"
                     assert mu == per_call_closed_form(fss, i, zeta, rho_hat, gamma, sigma, tail)
@@ -508,10 +509,10 @@ def test_solve_mu_is_the_closed_form_root_and_keeps_the_bisection_brackets():
                     assert (mu == "bracket") == (bisected == "bracket")
                     if mu == "bracket":
                         continue
-                    target = lambda_mu(fss, i, 0.0, gamma, sigma, tail) + zeta
-                    boosted = lambda_mu(fss, i, mu, gamma, sigma, tail)
+                    target = lambda_mu(fss, i, 0.0, gamma) + zeta
+                    boosted = lambda_mu(fss, i, mu, gamma)
                     assert abs(boosted - target) <= 2 * math.ulp(target)
-                    assert abs(boosted - lambda_mu(fss, i, bisected, gamma, sigma, tail)) <= 1e-9
+                    assert abs(boosted - lambda_mu(fss, i, bisected, gamma)) <= 1e-9
 
 
 def test_broken_away_scan_matches_the_per_gamma_scan():

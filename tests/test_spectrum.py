@@ -59,11 +59,8 @@ def test_limsup_estimate_tail_rules():
     seq = geometric_diag([2.0])
     traj = propagate(seq, [1.0], 200)
     profile = exponent_profile(traj)
-    lam_half, _ = limsup_estimate(*profile, tail_fraction=0.5)
-    lam_full, _ = limsup_estimate(*profile, tail_fraction=1.0)
+    lam_half, _ = limsup_estimate(*profile)
     assert lam_half == pytest.approx(math.log(2), abs=1e-2)
-    # full window includes the small early values but the max is unchanged
-    assert lam_full == pytest.approx(lam_half)
 
 
 def test_limsup_estimate_refuses_an_empty_profile_or_a_bad_fraction():
@@ -72,9 +69,6 @@ def test_limsup_estimate_refuses_an_empty_profile_or_a_bad_fraction():
         limsup_estimate(ks[:0], values[:0])
     with pytest.raises(InvalidInputError, match="empty tail window"):
         limsup_estimate(ks - ks[-1], values)
-    for fraction in (math.nan, 0.0, -0.5, 1.5):
-        with pytest.raises(InvalidInputError, match="tail_fraction"):
-            limsup_estimate(ks, values, tail_fraction=fraction)
 
 
 def test_limsup_estimate_takes_each_column_of_a_stack():
@@ -82,26 +76,10 @@ def test_limsup_estimate_takes_each_column_of_a_stack():
     trajectories = [propagate(seq, x0, 300) for x0 in ([1.0, 0.0], [1.0, 1.0])]
     ks = exponent_profile(trajectories[0])[0]
     stack = np.column_stack([exponent_profile(traj)[1] for traj in trajectories])
-    lams, realizing = limsup_estimate(ks, stack, tail_fraction=0.25)
+    lams, realizing = limsup_estimate(ks, stack)
     for j, traj in enumerate(trajectories):
-        lam, ks_j = limsup_estimate(*exponent_profile(traj), tail_fraction=0.25)
+        lam, ks_j = limsup_estimate(*exponent_profile(traj))
         assert lams[j] == lam and np.array_equal(realizing[j], ks_j)
-
-
-def test_spectrum_estimate_refuses_a_bad_fraction_before_it_reads_a():
-    calls = []
-
-    def block_fn(start, stop):
-        calls.append((start, stop))
-        return np.broadcast_to(np.eye(2), (stop - start, 2, 2))
-
-    seq = CoefficientSequence(2, block_fn)
-    for fraction in (math.nan, 0.0, 1.5):
-        with pytest.raises(InvalidInputError, match="tail_fraction"):
-            spectrum_estimate(seq, 100, tail_fraction=fraction)
-    assert calls == []
-    spectrum_estimate(seq, 100)
-    assert calls
 
 
 def test_spectrum_estimate_diag_1_2():
@@ -319,7 +297,7 @@ def test_a_fold_reads_the_bytes_of_a_full_pass_from_its_first_step(system):
     horizon = 3 * CHUNK_STEPS + 1000
     cols = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -2.0]])
     full = {int(block[0][-1]): block for block in _propagation_blocks(seq, cols, horizon)}
-    for read_from in (1, _tail_start(horizon, TAIL_FRACTION), CHUNK_STEPS + 1000,
+    for read_from in (1, _tail_start(horizon), CHUNK_STEPS + 1000,
                       2 * CHUNK_STEPS + 1000):
         for steps, dirs, logs in _propagation_blocks(seq, cols, horizon, read_from):
             want = full[int(steps[-1])]

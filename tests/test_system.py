@@ -293,8 +293,16 @@ def test_file_backed_via_generator_spec(tmp_path):
 def test_lyapunov_bound_diag():
     seq = geometric_diag([0.5, 2.0])
     assert seq.lyapunov_bound(100) == pytest.approx(2.0)
-    # cached value is reused for smaller horizons
     assert seq.lyapunov_bound(10) == pytest.approx(2.0)
+
+
+def test_lyapunov_bound_reads_only_the_steps_up_to_its_horizon():
+    # A(n) = I up to n = 10 and diag(1, 5) after: a bound scanned to 100
+    # does not answer for the horizon 10
+    seq = CoefficientSequence.from_function(2, lambda n: np.diag([1.0, 1.0 if n <= 10 else 5.0]))
+    assert seq.lyapunov_bound(10) == 1.0
+    assert seq.lyapunov_bound(100) == pytest.approx(5.0)
+    assert seq.lyapunov_bound(10) == 1.0
 
 
 def test_lyapunov_bound_rejects_singular():
