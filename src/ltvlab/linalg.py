@@ -36,15 +36,28 @@ def spectral_norm(m):
         raise InvalidInputError(f"expected a matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix has non-finite entries")
-    stack = m[None] if m.ndim == 2 else m  # one route, so a matrix equals its stack entry
-    _, exps = np.frexp(np.abs(stack).max(axis=(-2, -1), initial=0.0))
-    unit = np.ldexp(stack, -exps[..., None, None])
+    if m.size == 0:  # no rows or no columns: the zero map, or an empty stack
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
+    stack = m.reshape(-1, *m.shape[-2:])  # one route, so a matrix equals its stack entry
+    _, exps = np.frexp(_max_abs(stack.reshape(len(stack), -1)))
+    unit = np.ldexp(stack, -exps[:, None, None])
     if unit.shape[-2] < unit.shape[-1]:
         unit = np.swapaxes(unit, -1, -2)
-    gram = np.swapaxes(unit, -1, -2) @ unit
+    gram = np.ascontiguousarray(np.swapaxes(unit, -1, -2)) @ unit
     top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
     norms = np.ldexp(top, exps)
-    return float(norms[0]) if m.ndim == 2 else norms
+    return float(norms[0]) if m.ndim == 2 else norms.reshape(m.shape[:-2])
+
+
+def _max_abs(stack):
+    """np.abs(stack).max(axis=1) of a (k, n, ...) stack, bit for bit, taken
+    over a contiguous copy with axis 1 in front: numpy then compares whole
+    rows of k at once, not one short run per entry of the stack.  The copy
+    comes from ``swapaxes``, a C call; ``np.moveaxis`` gives the same layout
+    but costs microseconds of Python per call, and this runs once per scan
+    round, once per block and once per ``spectral_norm`` call."""
+    lead = stack.swapaxes(0, 1).copy()
+    return np.abs(lead, out=lead).max(axis=0)
 
 
 def project_out(p, basis):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
-from .system import (_LN2, _NORMAL_MIN, BLOCK_STEPS, _chunk_states, _chunks, _max_abs,
-                     _propagation_blocks)
+from .linalg import _max_abs
+from .system import _LN2, _NORMAL_MIN, BLOCK_STEPS, _chunk_states, _chunks, _propagation_blocks
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes

@@ -24,7 +24,7 @@ from .errors import (
     UnderflowError,
 )
 from .expressions import _NUMBER, parse_expression
-from .linalg import SINGULAR_RTOL, spectral_norm
+from .linalg import SINGULAR_RTOL, _max_abs, spectral_norm
 
 BLOCK_STEPS = 256  # steps per scan segment: the running products of one batch of steps
 CHUNK_STEPS = 16 * BLOCK_STEPS  # steps of A(n) evaluated at once, scanned in segments
@@ -541,12 +541,13 @@ def _chunk_states(mats, n0, state, read_from=1):
 
     A state is (d, log_norm, exact): unit columns, their log-norms, and,
     after a diagonal chunk, exact = (signs, logs) of every component of the
-    columns (None after a scan).  A chunk whose A(n) are all diagonal with
-    entries normal or zero extends those logs by running sums of ln |a_ii|
-    over each segment, so no part of a column is lost below the resolution
-    of its direction, and a column emptied by a zero entry raises
-    PropagationError; a segment that ends before step ``read_from`` forms
-    its last step alone.  Any other chunk takes the scaled-product scan.
+    columns, each (s, m, 1) (None after a scan).  A chunk whose A(n) are
+    all diagonal with entries normal or zero extends those logs by running
+    sums of ln |a_ii| over each segment, so no part of a column is lost
+    below the resolution of its direction, and a column emptied by a zero
+    entry raises PropagationError; a segment that ends before step
+    ``read_from`` forms its last step alone.  Any other chunk takes the
+    scaled-product scan.
     """
     d, log_norm, exact = state
     diagonal = np.diagonal(mats, axis1=1, axis2=2)
@@ -562,27 +563,28 @@ def _chunk_states(mats, n0, state, read_from=1):
         return
     with np.errstate(divide="ignore"):
         ln_a = np.log(np.abs(diagonal))
-        sign, ln_x = exact or (np.sign(d), np.log(np.abs(d)) + log_norm)
-    for lo in range(0, len(mats), BLOCK_STEPS):
-        sums = np.cumsum(ln_a[lo : lo + BLOCK_STEPS], axis=0)[:, :, None]  # (k, s, 1)
-        end = n0 + lo + len(sums)  # the segment's last step
-        y = ln_x + (sums[-1:] if end < read_from else sums)  # (k, s, m), or its last row
-        top = y.max(axis=1)
-        if np.isneginf(top[-1]).any():  # a collapsed column stays at -inf to the segment end
-            n = n0 + lo + int(np.argmax(np.isneginf((ln_x + sums).max(axis=1)).any(axis=1)))
+        sign, ln_x = exact or (np.sign(d)[..., None], (np.log(np.abs(d)) + log_norm)[..., None])
+    for lo in range(0, len(mats), BLOCK_STEPS):  # (s, m, k) blocks: every sweep runs along k
+        sums = np.cumsum(ln_a[lo : lo + BLOCK_STEPS], axis=0).T[:, None]  # (s, 1, k)
+        end = n0 + lo + sums.shape[-1]  # the segment's last step
+        y = ln_x + (sums[..., -1:] if end < read_from else sums)  # (s, m, k), or its last step
+        top = y.max(axis=0)
+        if np.isneginf(top[:, -1]).any():  # a collapsed column stays at -inf to the segment end
+            n = n0 + lo + int(np.argmax(np.isneginf((ln_x + sums).max(axis=0)).any(axis=0)))
             raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
-        signs = np.cumprod(np.sign(diagonal[lo : lo + BLOCK_STEPS]), axis=0)[-len(y):, :, None]
-        exact = sign * signs[-1], y[-1].copy()
-        y -= top[:, None]  # in place, so that many columns hold one (k, s, m) array
+        k = y.shape[-1]
+        signs = np.cumprod(np.sign(diagonal[lo : lo + BLOCK_STEPS]), axis=0)[-k:].T[:, None]
+        exact = sign * signs[..., -1:], y[..., -1:].copy()
+        y -= top  # in place, so that many columns hold one (s, m, k) array
         np.exp(y, out=y)
-        norms = np.sqrt(np.einsum("ksm,ksm->km", y, y))
+        norms = np.sqrt((y * y).sum(axis=0))  # the squares added in order, whatever m is
         y *= sign
         y *= signs
-        y /= norms[:, None]
+        y /= norms
         logs = np.log(norms, out=norms)
         logs += top
-        state = y[-1], logs[-1], exact
-        keep = yield np.arange(end - len(y) + 1, end + 1), y, logs, state
+        state = y[..., -1].copy(), logs[:, -1], exact  # a strided d takes another BLAS path
+        keep = yield np.arange(end - k + 1, end + 1), y.transpose(2, 0, 1), logs.T, state
         _, _, (sign, ln_x) = _kept(state, keep)
 
 
@@ -642,17 +644,6 @@ def _running_products(mats):
             lost[..., offset:] |= lost[..., :-offset] | ~(top >= _TINY)
             offset *= 2
     return prods, exps, lost
-
-
-def _max_abs(stack):
-    """np.abs(stack).max(axis=1) of a (k, n, ...) stack, bit for bit, taken
-    over a contiguous copy with axis 1 in front: numpy then compares whole
-    rows of k at once, not one short run per entry of the stack.  The copy
-    comes from ``swapaxes``, a C call; ``np.moveaxis`` gives the same layout
-    but costs microseconds of Python per call, and this runs once per scan
-    round and once per block."""
-    lead = stack.swapaxes(0, 1).copy()
-    return np.abs(lead, out=lead).max(axis=0)
 
 
 def _block_states(mats, d, n0, scan=None):

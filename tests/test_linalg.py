@@ -203,6 +203,43 @@ def test_spectral_norm_of_a_stack():
         spectral_norm(np.full((2, 2, 2), np.nan))
 
 
+def test_spectral_norm_of_a_matrix_with_no_rows_or_columns_is_zero():
+    assert spectral_norm(np.zeros((3, 0))) == 0.0
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
+    assert np.array_equal(spectral_norm(np.zeros((2, 3, 0))), np.zeros(2))
+    assert np.array_equal(spectral_norm(np.zeros((4, 0, 0, 2))), np.zeros((4, 0)))
+    assert spectral_norm(np.zeros((0, 2, 2))).shape == (0,)
+
+
+def _first_form_spectral_norm(m):
+    """spectral_norm with its maxima and Gram product in their first form:
+    the reference for its bits."""
+    stack = m[None] if m.ndim == 2 else m
+    _, exps = np.frexp(np.abs(stack).max(axis=(-2, -1), initial=0.0))
+    unit = np.ldexp(stack, -exps[..., None, None])
+    if unit.shape[-2] < unit.shape[-1]:
+        unit = np.swapaxes(unit, -1, -2)
+    gram = np.swapaxes(unit, -1, -2) @ unit
+    top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    norms = np.ldexp(top, exps)
+    return float(norms[0]) if m.ndim == 2 else norms
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3), (3, 2), (1, 1)])
+def test_spectral_norm_keeps_the_bits_of_its_first_form(shape):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    stack = rng.normal(size=(2000,) + shape) * 2.0 ** rng.integers(-300, 301, size=(2000, 1, 1))
+    stack[::7] = 0.0
+    stack[3::11] = -0.0
+    stack[5::13, 0] = -0.0
+    norms = spectral_norm(stack)
+    assert np.array_equal(norms, _first_form_spectral_norm(stack))
+    for m in stack[:40]:
+        assert spectral_norm(m) == _first_form_spectral_norm(m)
+    four_d = stack[:60].reshape((3, 20) + shape)
+    assert np.array_equal(spectral_norm(four_d), _first_form_spectral_norm(four_d))
+
+
 def _qr_project_out(p, basis):
     """project_out by one batched Householder QR: the reference form."""
     q, r = np.linalg.qr(basis)

@@ -793,6 +793,21 @@ def test_diagonal_chunks_carry_the_signs(monkeypatch):
     assert e_1.log_norms == pytest.approx((ns - 1) * math.log(0.5), rel=1e-13)
 
 
+def test_a_diagonal_column_carried_alone_keeps_its_bits():
+    # the squares of a component are added in order, so a column's norm does
+    # not depend on how many columns ride with it, at any s
+    rng = np.random.default_rng(0)
+    mats = np.zeros((5000, 3, 3))
+    mats[:, range(3), range(3)] = rng.uniform(0.5, 2.0, size=(5000, 3)) * rng.choice(
+        [-1.0, 1.0], size=(5000, 3))
+    seq = CoefficientSequence.from_matrices(mats)
+    x, y = rng.normal(size=3), rng.normal(size=3)
+    alone = propagate(seq, x, 4000)
+    stacked = propagate(seq, np.column_stack([x, y]), 4000)[0]
+    assert np.array_equal(alone.log_norms, stacked.log_norms)
+    assert np.array_equal(alone.directions, stacked.directions)
+
+
 def switching_system(diagonal_first):
     """diag(-0.5, 3) on the steps of the first two chunks of A(n), n <= 8192,
     and seeded dense matrices after them; or dense first and diagonal after."""
