@@ -2,7 +2,9 @@
 own ``sys.exit(main())``: the tests that call ``main()`` never reach that
 path.  Each case runs the module in process by ``runpy`` with its own
 working directory, where the configs below are written; one case runs it
-in a real subprocess.
+in a real subprocess.  An in-process warning never reaches the captured
+stderr, so the warnings a case raises are recorded and counted as the
+stderr lines a real run would print.
 """
 
 import json
@@ -10,6 +12,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -120,15 +123,19 @@ def _check_outcome(code, stderr, want, out_dir):
             json.loads(report.read_text(), parse_constant=_refuse_constant)
 
 
-@pytest.mark.filterwarnings("ignore:'ltvlab.cli' found in sys.modules:RuntimeWarning")
 @pytest.mark.parametrize("command, config, want", CASES,
                          ids=[f"{c.split()[0]}-{f}-{w}" for c, f, w in CASES])
 def test_exit_code_through_the_module(workdir, monkeypatch, capsys, command, config, want):
     argv = _argv(command, config)
     monkeypatch.setattr(sys, "argv", ["ltvlab", *argv])
-    with pytest.raises(SystemExit) as exit_info:
+    with warnings.catch_warnings(record=True) as warned, pytest.raises(SystemExit) as exit_info:
+        warnings.simplefilter("default")
+        # runpy's own notice that the test already imported ltvlab.cli
+        warnings.filterwarnings("ignore", "'ltvlab.cli' found in sys.modules", RuntimeWarning)
         runpy.run_module("ltvlab.cli", run_name="__main__")
-    _check_outcome(exit_info.value.code, capsys.readouterr().err, want, workdir / "out")
+    stderr = capsys.readouterr().err + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line) for w in warned)
+    _check_outcome(exit_info.value.code, stderr, want, workdir / "out")
     if want == 0 and argv[0] != "selftest":
         assert list((workdir / "out").glob("*.json"))
 
