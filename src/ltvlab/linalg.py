@@ -13,6 +13,7 @@ from .errors import InvalidInputError, SingularMatrixError
 # A matrix counts as singular when its smallest singular value falls below
 # this fraction of the largest one.
 SINGULAR_RTOL = 1e-12
+_EPS = 2.0**-53  # LAPACK's unit roundoff, DLAMCH('E')
 
 
 def _as_vector(v, name="vector"):
@@ -29,7 +30,8 @@ def spectral_norm(m):
 
     Each matrix is scaled by the power of two of its largest entry (exact,
     so no square overflows or underflows), and the norm is the square root
-    of the top eigenvalue of the smaller Gram matrix, M^T M or M M^T.
+    of the top eigenvalue of the smaller Gram matrix, M^T M or M M^T: by
+    ``_top_eigenvalue_2x2`` for a 2 x 2 one, and by ``eigvalsh`` otherwise.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2:
@@ -44,9 +46,29 @@ def spectral_norm(m):
     if unit.shape[-2] < unit.shape[-1]:
         unit = np.swapaxes(unit, -1, -2)
     gram = np.ascontiguousarray(np.swapaxes(unit, -1, -2)) @ unit
-    top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-    norms = np.ldexp(top, exps)
+    eig = _top_eigenvalue_2x2(gram) if gram.shape[-1] == 2 else np.linalg.eigvalsh(gram)[..., -1]
+    norms = np.ldexp(np.sqrt(np.maximum(eig, 0.0)), exps)
     return float(norms[0]) if m.ndim == 2 else norms.reshape(m.shape[:-2])
+
+
+def _top_eigenvalue_2x2(gram):
+    """``eigvalsh(gram)[:, -1]`` of ``spectral_norm``'s (k, 2, 2) Gram stack, bit
+    for bit, by LAPACK's own steps (LAPACK Users' Guide, 3rd ed., 1999): dsyevd
+    neither scales nor reduces such a matrix, and DSTERF keeps (a, c) where b
+    passes a split test, else takes DLAE2's roots of a, sqrt(b**2), c."""
+    a, b, c = gram[:, 0, 0], gram[:, 1, 0], gram[:, 1, 1]  # dsyevd reads the lower triangle
+    with np.errstate(all="ignore"):  # np.where also evaluates the branches it drops
+        b2 = b * b
+        split = (np.abs(b) <= np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * _EPS) | (
+            b2 <= _EPS * _EPS * np.abs(a * c))
+        rte = np.sqrt(b2)
+        adf, ab = np.abs(a - c), np.abs(rte + rte)
+        rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) ** 2),
+                      np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) ** 2), ab * np.sqrt(2.0)))
+        rt1 = 0.5 * ((a + c) + rt)  # a + c > 0 where b does not split
+        first = np.abs(a) > np.abs(c)
+        rt2 = (np.where(first, a, c) / rt1) * np.where(first, c, a) - (rte / rt1) * rte
+    return np.where(split, np.maximum(a, c), np.maximum(rt1, rt2))
 
 
 def _max_abs(stack):

@@ -161,14 +161,19 @@ def _volume_logs(seq, horizon, checkpoint_every):
 
     for first, (chunk_exps, compounds, (signs, log_dets)) in _chunks(evaluate, 1, horizon):
         passes = [_chunk_states(c, first, state) for c, state in zip(compounds, states)]
+        held = [None] * len(passes)  # each pass's block of whole segments that holds this one
         for start in range(first, first + len(signs), BLOCK_STEPS):
             at = slice(start - first, start - first + BLOCK_STEPS)
             sign, log_det, exponents = signs[at], log_dets[at], chunk_exps[at]
             steps = np.arange(start + 1, start + len(sign) + 1)  # x(n+1) follows A(n)
             kept = _checkpoints(steps, horizon, checkpoint_every)
             volumes = []
-            for j, (_, _, logs, states[j]) in enumerate(map(next, passes)):
-                volumes.append(logs[kept, 0])
+            for j, chunk in enumerate(passes):  # the passes aligned by step
+                if held[j] is None or held[j][0][-1] < steps[-1]:
+                    held[j] = next(chunk)
+                    states[j] = held[j][3]
+                block_steps, _, logs, _ = held[j]
+                volumes.append(logs[steps[0] - block_steps[0] :][: len(steps)][kept, 0])
             _raise_on_underflow(sign != 0.0, log_det < math.log(_NORMAL_MIN), start, "a minor of")
             if not sign.all():  # a singular A(n) collapses the s-volume
                 n = start + int(np.argmin(sign != 0.0))
@@ -211,8 +216,9 @@ def _compound(mats, j, start):
     if j == 1:
         return mats
     subsets = np.array(list(itertools.combinations(range(mats.shape[1]), j)))
-    rows, cols = subsets[:, None, :, None], subsets[None, :, None, :]
-    sign, logdet = np.linalg.slogdet(mats[:, rows, cols])
+    sign, logdet = np.empty((2, len(mats), len(subsets), len(subsets)))
+    for r, rows in enumerate(subsets):  # one row subset at a time: a (k, C, j, j) copy
+        sign[:, r], logdet[:, r] = np.linalg.slogdet(mats[:, rows[:, None], subsets[:, None, :]])
     _raise_on_underflow(sign != 0.0, logdet < math.log(_NORMAL_MIN), start, "a minor of")
     return sign * np.exp(logdet)
 
@@ -292,8 +298,8 @@ def incompressibility_test(fss, trials=64, seed=0):
     All candidates are propagated in one pass, which keeps only a running
     tail-max per candidate; the witness is the first violating candidate
     in that order.  A tail-max only grows, so a candidate is dropped from
-    the pass once it reaches its bound, and the pass stops, NORMAL, when
-    none is left.  A candidate whose propagation collapses raises unless it
+    the pass at the end of the block (of ``_propagation_blocks``) where it
+    reaches its bound, and the pass stops, NORMAL, when none is left.  A candidate whose propagation collapses raises unless it
     was dropped before, even when an earlier candidate is a witness.
     """
     _check_integer("trials", trials, 0)

@@ -463,10 +463,12 @@ def propagate(seq, x0, horizon):
     of a segment, each scaled by a power of two and all full segments of a
     chunk scanned in one batched call, are applied to the columns at once.
     A segment where a column or a product loses its digits to underflow is
-    taken in halves; a single step that maps a column to zero raises
-    PropagationError, and one that maps it below the normal double range
-    raises UnderflowError.  A chunk whose A(n) are all diagonal, with
-    entries normal or zero, is taken exactly in log form instead.
+    taken in halves; a single step takes a column's image under the
+    column's own power of two where A(n) scaled by its largest entry would
+    round it below the normal range, and raises PropagationError where the
+    image is zero and UnderflowError where it is subnormal.  A chunk whose
+    A(n) are all diagonal, with entries normal or zero, is taken exactly in
+    log form instead, in blocks of whole segments (see ``_chunk_states``).
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
@@ -499,14 +501,15 @@ def _propagation_blocks(seq, cols, horizon, read_from=1):
     Yields (steps, dirs, log_norms): the steps of a block, and the unit
     directions (k, s, m) and accumulated log-norms (k, m) of the columns
     there.  The first block is step 1 alone; each later one is a segment
-    of up to BLOCK_STEPS steps, but a segment of a diagonal chunk that ends
-    before step ``read_from`` yields its last step alone.  After a block the
-    caller may send a boolean keep-mask over its columns: the columns it
-    clears are dropped from the carried state, and later blocks hold only
-    the kept ones.  ``propagate`` stores every block and sends no mask; a
-    caller that reads only log-norms folds over them one block at a time.
-    A zero or non-finite column raises InvalidInputError, and a collapse of
-    a carried column raises as in ``propagate``.
+    of up to BLOCK_STEPS steps, or on a diagonal chunk the blocks of
+    ``_chunk_states``: whole segments, where one that ends before step
+    ``read_from`` gives its last step alone.  After a block the caller may
+    send a boolean keep-mask over its columns: the columns it clears are
+    dropped from the carried state, and later blocks hold only the kept
+    ones.  ``propagate`` stores every block and sends no mask; a caller
+    that reads only log-norms folds over them one block at a time.  A zero
+    or non-finite column raises InvalidInputError, and a collapse of a
+    carried column raises as in ``propagate``.
     """
     d, log_norm = _unit_columns(cols)
     if not np.all(np.isfinite(log_norm)):
@@ -515,11 +518,9 @@ def _propagation_blocks(seq, cols, horizon, read_from=1):
     state = d, log_norm, None
     for start, mats in _chunks(seq.matrices, 1, horizon):
         chunk = _chunk_states(mats, start, _kept(state, keep), read_from)
-        keep = None
-        for _ in range(0, len(mats), BLOCK_STEPS):  # one block per segment
-            steps, dirs, logs, state = chunk.send(keep)
+        keep = None  # the mask sent after a block goes on to the chunk
+        for steps, dirs, logs, state in iter(lambda: chunk.send(keep), None):
             keep = yield steps, dirs, logs
-        chunk.close()  # free its arrays before the next chunk is evaluated
 
 
 def _kept(state, keep):
@@ -535,24 +536,29 @@ def _kept(state, keep):
 
 def _chunk_states(mats, n0, state, read_from=1):
     """The columns of ``state`` carried through the chunk ``mats`` = A(n0),
-    ..., a BLOCK_STEPS segment at a time: yields (steps, dirs, log_norms) of
-    each segment as ``_propagation_blocks`` does, and the state after it;
-    a keep-mask sent after a segment applies to the state carried on.
+    ...: yields (steps, dirs, log_norms) of each block as
+    ``_propagation_blocks`` does, and the state after it; a keep-mask sent
+    after a block applies to the state carried on.
 
     A state is (d, log_norm, exact): unit columns, their log-norms, and,
     after a diagonal chunk, exact = (signs, logs) of every component of the
     columns, each (s, m, 1) (None after a scan).  A chunk whose A(n) are
     all diagonal with entries normal or zero extends those logs by running
-    sums of ln |a_ii| over each segment, so no part of a column is lost
-    below the resolution of its direction, and a column emptied by a zero
-    entry raises PropagationError; a segment that ends before step
-    ``read_from`` forms its last step alone.  Any other chunk takes the
-    scaled-product scan.
+    sums of ln |a_ii| that restart at every BLOCK_STEPS segment, so no part
+    of a column is lost below the resolution of its direction.  Its blocks
+    are whole segments up to the chunk, holding at most s * CHUNK_STEPS
+    column-steps (a segment that ends before step ``read_from`` holds its
+    last step alone), and a block ends before a segment where a column is
+    emptied by a zero entry, which then raises PropagationError alone.
+    Any other chunk takes the scaled-product scan, a segment per block.
     """
     d, log_norm, exact = state
-    diagonal = np.diagonal(mats, axis1=1, axis2=2)
-    if np.count_nonzero(mats) != np.count_nonzero(diagonal) or not np.all(
-            (diagonal == 0.0) | (np.abs(diagonal) >= _NORMAL_MIN)):
+    k, s = mats.shape[:2]
+    diagonal = np.ascontiguousarray(np.diagonal(mats, axis1=1, axis2=2).T)  # (s, k)
+    size = np.abs(diagonal)
+    # row-major, the entries after each a_ii up to the next one are those off the diagonal
+    off_diagonal = mats.reshape(k, -1)[:, 1:].reshape(k, s - 1, s + 1)[:, :, :s]
+    if off_diagonal.any() or ((size > 0.0) & (size < _NORMAL_MIN)).any():
         for n, segment, scan in _segment_scans(mats, n0):
             dirs, growth = _block_states(segment, d, n, scan)
             logs = log_norm + growth
@@ -561,31 +567,53 @@ def _chunk_states(mats, n0, state, read_from=1):
             keep = yield steps, dirs, logs, state
             d, log_norm, _ = _kept(state, keep)
         return
+    ends = np.append(np.arange(BLOCK_STEPS, k, BLOCK_STEPS), k) - 1  # each segment's last position
+    ln_a = np.zeros((s, len(ends) * BLOCK_STEPS))  # whole segments; every sweep runs along k
     with np.errstate(divide="ignore"):
-        ln_a = np.log(np.abs(diagonal))
+        np.log(size, out=ln_a[:, :k])
         sign, ln_x = exact or (np.sign(d)[..., None], (np.log(np.abs(d)) + log_norm)[..., None])
-    for lo in range(0, len(mats), BLOCK_STEPS):  # (s, m, k) blocks: every sweep runs along k
-        sums = np.cumsum(ln_a[lo : lo + BLOCK_STEPS], axis=0).T[:, None]  # (s, 1, k)
-        end = n0 + lo + sums.shape[-1]  # the segment's last step
-        y = ln_x + (sums[..., -1:] if end < read_from else sums)  # (s, m, k), or its last step
-        top = y.max(axis=0)
-        if np.isneginf(top[:, -1]).any():  # a collapsed column stays at -inf to the segment end
-            n = n0 + lo + int(np.argmax(np.isneginf((ln_x + sums).max(axis=0)).any(axis=0)))
+    # the running sums of ln |a_ii| restart at every segment
+    sums = np.cumsum(ln_a.reshape(s, -1, BLOCK_STEPS), axis=2).reshape(s, -1)
+    skip = int(np.searchsorted(n0 + ends, read_from - 1))  # segments that end before read_from
+    read = np.concatenate([ends[:skip], np.arange(skip * BLOCK_STEPS, k)])  # their last steps alone
+    bounds = np.searchsorted(read, np.append(np.arange(0, k, BLOCK_STEPS), k))  # segments in read
+    read_sums = np.take(sums, read, axis=1)[:, None]
+    # the sign products carry across segments, for a product of signs is exact
+    read_signs = np.take(np.cumprod(np.sign(diagonal), axis=1), read, axis=1)[:, None]
+    first = 0
+    while first < len(ends):  # a block: whole segments, at most s * CHUNK_STEPS column-steps
+        m = ln_x.shape[1]
+        stop = first + max(1, int(np.searchsorted(bounds[first + 1 :] - bounds[first],
+                                                  s * CHUNK_STEPS // m, side="right")))
+        # the logs at the segment starts, each the last one plus its segment's sum, (s, m, 1 + g)
+        end_sums = np.take(sums, ends[first:stop], axis=1)[:, None]
+        starts = np.cumsum(np.concatenate(
+            [ln_x, np.broadcast_to(end_sums, (s, m, stop - first))], axis=2), axis=2)
+        dead = np.isneginf(starts[..., 1:].max(axis=0)).any(axis=0)  # a column collapsed
+        if dead[0]:  # a collapsed column stays at -inf to the segment end
+            column = ln_x + sums[:, None, first * BLOCK_STEPS : ends[first] + 1]
+            n = n0 + first * BLOCK_STEPS + np.argmax(np.isneginf(column.max(axis=0)).any(axis=0))
             raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
-        k = y.shape[-1]
-        signs = np.cumprod(np.sign(diagonal[lo : lo + BLOCK_STEPS]), axis=0)[-k:].T[:, None]
-        exact = sign * signs[..., -1:], y[..., -1:].copy()
+        if dead.any():  # the block ends before the segment where a column collapses
+            stop = first + int(np.argmax(dead))
+        at = slice(bounds[first], bounds[stop])
+        y = np.repeat(starts[..., : stop - first], np.diff(bounds[first : stop + 1]), axis=2)
+        y += read_sums[..., at]  # (s, m, k)
+        top = y.max(axis=0)
+        exact = sign * read_signs[..., at.stop - 1, None], starts[..., stop - first, None]
         y -= top  # in place, so that many columns hold one (s, m, k) array
         np.exp(y, out=y)
         norms = np.sqrt((y * y).sum(axis=0))  # the squares added in order, whatever m is
         y *= sign
-        y *= signs
+        y *= read_signs[..., at]
         y /= norms
         logs = np.log(norms, out=norms)
         logs += top
         state = y[..., -1].copy(), logs[:, -1], exact  # a strided d takes another BLAS path
-        keep = yield np.arange(end - k + 1, end + 1), y.transpose(2, 0, 1), logs.T, state
-        _, _, (sign, ln_x) = _kept(state, keep)
+        keep = yield n0 + read[at] + 1, y.transpose(2, 0, 1), logs.T, state
+        _, _, (_, ln_x) = _kept(state, keep)
+        sign = sign if keep is None else sign.compress(keep, axis=1)  # at the chunk's start
+        first = stop
 
 
 def _chunks(evaluate, first, stop):
@@ -657,6 +685,7 @@ def _block_states(mats, d, n0, scan=None):
     half is scanned anew."""
     prods, exps, lost = _running_products(mats) if scan is None else scan
     y = prods @ d
+    scale = exps[:, None]  # (k, 1): the power of two each image is taken under
     with np.errstate(all="ignore"):
         top = _max_abs(y)  # (k, m)
         if len(mats) > 1:
@@ -671,8 +700,16 @@ def _block_states(mats, d, n0, scan=None):
                     [growth1, growth2 + growth1[-1]]
                 )
         elif not (top >= _NORMAL_MIN).all():
-            error = UnderflowError if (top > 0.0).all() else PropagationError
-            raise error(f"propagation collapsed at n={n0 + 1} (max |x|={float(top.min())})")
+            # A(n) scaled by its largest entry can round an image to zero that
+            # is normal: take each column's image under its own power of two
+            terms = mats[0][:, :, None] * d  # (s, s, m) products a_ij d_j, none overflows
+            scale = np.frexp(np.abs(terms).max(axis=(0, 1)))[1][None]  # (1, m)
+            y = np.ldexp(terms, -scale).sum(axis=1)[None]
+            image = np.ldexp(_max_abs(y), scale)
+            if not (image >= _NORMAL_MIN).all():
+                error = UnderflowError if (image > 0.0).all() else PropagationError
+                raise error(f"propagation collapsed at n={n0 + 1} (max |x|={float(top.min())})")
+            top = _max_abs(y)
         # scale each column by a power of two so its sum of squares cannot underflow;
         # in place, so that a block of many columns holds one (k, s, m) array
         shift = np.frexp(top)[1]
@@ -680,7 +717,7 @@ def _block_states(mats, d, n0, scan=None):
         norms = np.sqrt(np.einsum("ksm,ksm->km", y, y))
         y /= norms[:, None, :]
         growth = np.log(norms, out=norms)
-        growth += (exps[:, None] + shift) * _LN2
+        growth += (scale + shift) * _LN2
         return y, growth
 
 

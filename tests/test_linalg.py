@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ltvlab import (
     oblique_projections,
     spectral_norm,
 )
-from ltvlab.linalg import SINGULAR_RTOL, project_out
+from ltvlab.linalg import SINGULAR_RTOL, _top_eigenvalue_2x2, project_out
 
 
 def test_spectral_norm_known_values():
@@ -238,6 +239,53 @@ def test_spectral_norm_keeps_the_bits_of_its_first_form(shape):
         assert spectral_norm(m) == _first_form_spectral_norm(m)
     four_d = stack[:60].reshape((3, 20) + shape)
     assert np.array_equal(spectral_norm(four_d), _first_form_spectral_norm(four_d))
+
+
+def _eigvalsh_top(gram):
+    return np.linalg.eigvalsh(gram)[..., -1]
+
+
+def _gram_stack(a, b, c):
+    """(k, 2, 2) symmetric matrices [[a, b], [b, c]]."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+
+
+def test_a_2x2_spectral_norm_gives_the_bits_of_eigvalsh():
+    """The 2 x 2 Gram matrices take LAPACK's own steps, with no warning.
+
+    This pins reference LAPACK (dsyevd, DSTERF, DLAE2), which numpy's
+    OpenBLAS wheels ship; a numpy built on another LAPACK may round the
+    top eigenvalue otherwise."""
+    rng = np.random.default_rng(22)
+    eps = 2.0**-53
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # random stacks of every shape whose Gram matrix is 2 x 2, and their
+        # entries scaled by 2**-300 and 2**300
+        for shape in [(2, 2), (2, 3), (3, 2), (2, 7)]:
+            stack = rng.normal(size=(20_000,) + shape)
+            stack[::9, :, 1] = stack[::9, :, 0] * 3.0  # rank one
+            stack[1::9] = 0.0
+            stack[2::9, :, 0] = 0.0
+            for scale in (1.0, 2.0**-300, 2.0**300):
+                assert np.array_equal(spectral_norm(stack * scale),
+                                      _first_form_spectral_norm(stack * scale))
+            for m in stack[:30]:  # a single matrix against its stack entry
+                assert spectral_norm(m) == spectral_norm(m[None])[0] == _first_form_spectral_norm(m)
+        # Gram matrices as spectral_norm forms them: a zero off-diagonal,
+        # a = c, and off-diagonals within a few ulps of each DSTERF split
+        # threshold, |b| <= sqrt|a| sqrt|c| eps and b**2 <= eps**2 |a c|
+        a = rng.uniform(0.25, 2.0, size=500)
+        c = np.concatenate([rng.uniform(0.25, 2.0, size=250), a[250:]])
+        ulps = 1.0 + 2.0**-52 * np.arange(-6, 7)[:, None]
+        for b in (0.0 * a, np.sqrt(a) * np.sqrt(c) * eps * ulps, np.sqrt(eps * eps * a * c) * ulps,
+                  rng.uniform(-1.0, 1.0, size=500) * np.sqrt(a * c), np.sqrt(a * c)):
+            gram = _gram_stack(a, b, c).reshape(-1, 2, 2)
+            assert np.array_equal(_top_eigenvalue_2x2(gram), _eigvalsh_top(gram))
+        gram = _gram_stack(np.zeros(3), np.zeros(3), np.zeros(3))
+        assert np.array_equal(_top_eigenvalue_2x2(gram), np.zeros(3))
+        assert np.array_equal(spectral_norm(np.zeros((4, 2, 2))), np.zeros(4))
 
 
 def _qr_project_out(p, basis):

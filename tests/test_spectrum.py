@@ -31,7 +31,7 @@ from ltvlab.spectrum import (
     _volume_logs,
 )
 from ltvlab.splitness import FSSRecord
-from ltvlab.system import CHUNK_STEPS, _propagation_blocks, parse_generator_spec
+from ltvlab.system import BLOCK_STEPS, CHUNK_STEPS, _propagation_blocks, parse_generator_spec
 
 
 def test_exponent_profile_constant_growth():
@@ -288,6 +288,11 @@ def chunk_mix():
     return CoefficientSequence(2, block_fn)
 
 
+def concatenated(blocks):
+    """The steps, directions and log-norms of ``_propagation_blocks``, all blocks in one."""
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
 @pytest.mark.parametrize("system", ["sin-log", "chunk-mix"])
 def test_a_fold_reads_the_bytes_of_a_full_pass_from_its_first_step(system):
     # a diagonal segment that ends before read_from yields its last step
@@ -296,35 +301,47 @@ def test_a_fold_reads_the_bytes_of_a_full_pass_from_its_first_step(system):
     seq = parse_generator_spec(SIN_LOG_SPEC) if system == "sin-log" else chunk_mix()
     horizon = 3 * CHUNK_STEPS + 1000
     cols = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -2.0]])
-    full = {int(block[0][-1]): block for block in _propagation_blocks(seq, cols, horizon)}
+    full_steps, full_dirs, full_logs = concatenated(_propagation_blocks(seq, cols, horizon))
+    assert np.array_equal(full_steps, np.arange(1, horizon + 1))
     for read_from in (1, _tail_start(horizon), CHUNK_STEPS + 1000,
                       2 * CHUNK_STEPS + 1000):
-        for steps, dirs, logs in _propagation_blocks(seq, cols, horizon, read_from):
-            want = full[int(steps[-1])]
-            end = want[0][-1]
-            if want[0][0] > 1 and end < read_from and seq.matrix_at(end - 1)[0, 1] == 0.0:
-                want = [a[-1:] for a in want]  # a diagonal segment that ends before read_from
-            assert all(map(np.array_equal, (steps, dirs, logs), want))
+        want = [np.array([1])]
+        for lo in range(1, horizon, BLOCK_STEPS):  # the segment A(lo), ..., A(end - 1)
+            end = min(lo + BLOCK_STEPS, horizon)
+            diagonal = seq.matrix_at(end - 1)[0, 1] == 0.0
+            want.append(np.arange(end, end + 1) if diagonal and end < read_from
+                        else np.arange(lo + 1, end + 1))
+        steps, dirs, logs = concatenated(_propagation_blocks(seq, cols, horizon, read_from))
+        assert np.array_equal(steps, np.concatenate(want))
+        assert np.array_equal(dirs, full_dirs[steps - 1])
+        assert np.array_equal(logs, full_logs[steps - 1])
 
 
 def test_a_keep_mask_drops_columns_from_the_next_block_on():
     seq = chunk_mix()
     horizon = 3 * CHUNK_STEPS + 1000
     cols = np.array([[1.0, 0.0, 1.0, 2.0, -1.0], [0.0, 1.0, -2.0, 1.0, 3.0]])
-    full = list(_propagation_blocks(seq, cols, horizon))
+    full_steps, full_dirs, full_logs = concatenated(_propagation_blocks(seq, cols, horizon))
     blocks = _propagation_blocks(seq, cols, horizon)
-    kept = np.arange(5)
-    for i, want in enumerate(full):
-        steps, dirs, logs = blocks.send(None if i == 0 else keep)
-        assert np.array_equal(steps, want[0])
-        assert np.array_equal(dirs, want[1][:, :, kept]) and np.array_equal(logs, want[2][:, kept])
+    # drop after the block that ends the first chunk, one inside the dense
+    # chunk and one inside the diagonal chunk after it
+    drops = [CHUNK_STEPS + 1, CHUNK_STEPS + 1000, 2 * CHUNK_STEPS + 2000]
+    kept, keep, read = np.arange(5), None, []
+    while True:
+        try:
+            steps, dirs, logs = blocks.send(keep)
+        except StopIteration:
+            break
+        read.append(steps)
+        assert np.array_equal(dirs, full_dirs[steps - 1][:, :, kept])
+        assert np.array_equal(logs, full_logs[steps - 1][:, kept])
         keep = np.ones(len(kept), dtype=bool)
-        # block i > 0 is segment i of the run: drop after the first chunk's last
-        # segment, inside the dense chunk and inside the diagonal chunk after it
-        if i in (16, 20, 40):
+        if drops and steps[-1] >= drops[0]:
+            drops.pop(0)
             keep[1] = False
         kept = kept[keep]
-    assert list(kept) == [0, 4]
+    assert np.array_equal(np.concatenate(read), full_steps)
+    assert not drops and list(kept) == [0, 4]
 
 
 def zero_at(step):

@@ -31,7 +31,14 @@ from ltvlab import (
 from ltvlab.errors import UnderflowError
 from ltvlab.presets import SIN_LOG_SPEC, geometric_diag
 from ltvlab.spectrum import _compound, _qr_logs, _unit_part, _volume_logs
-from ltvlab.system import BLOCK_STEPS, _TINY, _block_states, _running_products
+from ltvlab.system import (
+    BLOCK_STEPS,
+    _TINY,
+    _block_states,
+    _kept,
+    _running_products,
+    _segment_scans,
+)
 
 
 def test_constant_sequence():
@@ -598,6 +605,25 @@ def test_propagate_scales_a_shrinking_column_before_taking_its_norm():
         propagate(geometric_diag([1.0, 1e-310]), [0.0, 1.0], 3)
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 1e-160])
+def test_a_step_that_spans_past_the_double_range_keeps_a_normal_image(tiny):
+    # A(n) scaled by its largest entry 1/tiny maps e_1 to tiny**2 (zero, or
+    # subnormal), though the image tiny * e_1 itself is normal
+    seq = CoefficientSequence.constant([[tiny, 1.0], [0.0, 1.0 / tiny]])
+    traj = propagate(seq, [1.0, 0.0], 600)
+    ns = np.arange(1, 601)
+    assert traj.log_norms == pytest.approx((ns - 1) * math.log(tiny), rel=1e-12, abs=0.0)
+    assert np.array_equal(traj.directions, np.tile([1.0, 0.0], (600, 1)))
+    both = propagate(seq, np.array([[1.0, 1.0], [0.0, 1.0]]), 600)
+    assert np.array_equal(both[0].log_norms, traj.log_norms)
+    assert both[1].log_norms[-1] == pytest.approx(599 * -math.log(tiny), rel=1e-12)
+    # an image that is zero still collapses at its step
+    zero = CoefficientSequence.constant([[0.0, 1.0], [0.0, 1.0 / tiny]])
+    collapse = r"^propagation collapsed at n=2 \(max \|x\|=0\.0\)$"
+    with pytest.raises(PropagationError, match=collapse):
+        propagate(zero, [1.0, 0.0], 5)
+
+
 def first_form_scan(mats):
     """``_running_products`` as first written: each matrix's max over its own
     trailing axes, and nothing updated in place."""
@@ -808,6 +834,135 @@ def test_a_diagonal_column_carried_alone_keeps_its_bits():
     assert np.array_equal(alone.directions, stacked.directions)
 
 
+def per_segment_chunk_states(mats, n0, state, read_from=1):
+    """``_chunk_states`` in its per-segment form, the reference for the bits
+    of the diagonal route: each BLOCK_STEPS segment is its own block, its
+    running sums of ln |a_ii| start afresh, and its start is the last one's end."""
+    d, log_norm, exact = state
+    diagonal = np.diagonal(mats, axis1=1, axis2=2)
+    if np.count_nonzero(mats) != np.count_nonzero(diagonal) or not np.all(
+            (diagonal == 0.0) | (np.abs(diagonal) >= np.finfo(float).tiny)):
+        for n, segment, scan in _segment_scans(mats, n0):
+            dirs, growth = _block_states(segment, d, n, scan)
+            logs = log_norm + growth
+            state = dirs[-1], logs[-1], None
+            keep = yield np.arange(n + 1, n + len(segment) + 1), dirs, logs, state
+            d, log_norm, _ = _kept(state, keep)
+        return
+    with np.errstate(divide="ignore"):
+        ln_a = np.log(np.abs(diagonal))
+        sign, ln_x = exact or (np.sign(d)[..., None], (np.log(np.abs(d)) + log_norm)[..., None])
+    for lo in range(0, len(mats), BLOCK_STEPS):
+        sums = np.cumsum(ln_a[lo : lo + BLOCK_STEPS], axis=0).T[:, None]  # (s, 1, k)
+        end = n0 + lo + sums.shape[-1]  # the segment's last step
+        y = ln_x + (sums[..., -1:] if end < read_from else sums)
+        top = y.max(axis=0)
+        if np.isneginf(top[:, -1]).any():
+            n = n0 + lo + int(np.argmax(np.isneginf((ln_x + sums).max(axis=0)).any(axis=0)))
+            raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
+        k = y.shape[-1]
+        signs = np.cumprod(np.sign(diagonal[lo : lo + BLOCK_STEPS]), axis=0)[-k:].T[:, None]
+        exact = sign * signs[..., -1:], y[..., -1:].copy()
+        y -= top
+        np.exp(y, out=y)
+        norms = np.sqrt((y * y).sum(axis=0))
+        y *= sign
+        y *= signs
+        y /= norms
+        logs = np.log(norms, out=norms)
+        logs += top
+        state = y[..., -1].copy(), logs[:, -1], exact
+        keep = yield np.arange(end - k + 1, end + 1), y.transpose(2, 0, 1), logs.T, state
+        _, _, (sign, ln_x) = _kept(state, keep)
+
+
+def raw_outcome(fn):
+    """What ``fn()`` returns, arrays as their dtype, shape and bytes and
+    floats by repr at any depth, or the error it raises."""
+    def flat(value):
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, dict):
+            return flat(list(value.items()))
+        if isinstance(value, (list, tuple)):
+            return [flat(v) for v in value]
+        return repr(value)
+
+    try:
+        return flat(fn())
+    except Exception as exc:  # noqa: BLE001 - the same error is part of the outcome
+        return repr(exc)
+
+
+def signed_diagonal_file(s=3, count=3 * 4096 + 1000, seed=0):
+    """A file-backed s-d diagonal system with entries from +-[0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    mats = np.zeros((count, s, s))
+    mats[:, range(s), range(s)] = rng.uniform(0.5, 2.0, size=(count, s)) * rng.choice(
+        [-1.0, 1.0], size=(count, s))
+    return CoefficientSequence.from_matrices(mats)
+
+
+def zero_entry_system(both):
+    """diag(-0.5, -2) but for A(2000) = diag(-0.5, 0) and A(2500) =
+    diag(-0.5, -0.0), which empty e_2, and, when ``both``, A(3000) =
+    diag(0, -2), which empties e_1 too."""
+    mats = np.repeat(np.diag([-0.5, -2.0])[None], 3 * 4096 + 1000, axis=0)
+    mats[1999, 1, 1], mats[2499, 1, 1] = 0.0, -0.0
+    if both:
+        mats[2999, 0, 0] = 0.0
+    return CoefficientSequence.from_matrices(mats)
+
+
+ROUTE_SYSTEMS = {
+    "diag12": lambda: geometric_diag([1.0, 2.0]),
+    "sin-log": lambda: parse_generator_spec(SIN_LOG_SPEC),
+    "signed-3d-file": signed_diagonal_file,
+    "zero-entry": lambda: zero_entry_system(False),
+    "zero-entries": lambda: zero_entry_system(True),
+}
+
+
+def route_outcomes(seq, horizon):
+    """Raw outcomes of every pass that takes the diagonal route: propagate
+    with m = 1..5 columns (the first e_1), the spectrum at checkpoint_every
+    1, the verdict of incompressibility_test on a skew FSS and execute_plan."""
+    s = seq.dimension
+    cols = np.column_stack([np.eye(s)[:, 0], np.random.default_rng(s).normal(size=(s, 4))])
+
+    def verdict():
+        skew = np.eye(s) + np.eye(s, k=1)  # rows (1, 1, 0), (0, 1, 1), ...
+        v = incompressibility_test(FSSRecord.from_initial_vectors(seq, skew, horizon))
+        return v.status, v.witness, v.witness_exponent
+
+    def outcome():
+        fss = FSSRecord.from_initial_vectors(seq, np.eye(s), horizon)
+        return vars(execute_plan(seq, fss, build_plan(fss, [0.01, -0.01, 0.0][:s])))
+
+    return [*(raw_outcome(lambda m=m: [(t.directions, t.log_norms)
+                                       for t in propagate(seq, cols[:, :m], horizon)])
+              for m in range(1, 6)),
+            raw_outcome(lambda: vars(spectrum_estimate(seq, horizon, checkpoint_every=1))),
+            raw_outcome(verdict),
+            raw_outcome(outcome)]
+
+
+@pytest.mark.parametrize("horizon", [2, 256, 257, 4096, 4097, 3 * 4096 + 1000])
+@pytest.mark.parametrize("system", sorted(ROUTE_SYSTEMS))
+def test_the_diagonal_route_keeps_its_per_segment_bits(monkeypatch, system, horizon):
+    seq = ROUTE_SYSTEMS[system]()
+    outcomes = route_outcomes(seq, horizon)
+    monkeypatch.setattr("ltvlab.system._chunk_states", per_segment_chunk_states)
+    monkeypatch.setattr("ltvlab.spectrum._chunk_states", per_segment_chunk_states)
+    assert outcomes == route_outcomes(seq, horizon)
+    # e_1 is emptied by A(3000) when both entries are zeroed; the 2-volume,
+    # and the member e_2, by A(2000)
+    collapse = "PropagationError('propagation collapsed at n={} (max |x|=0.0)')"
+    if system.startswith("zero") and horizon > 3000:
+        assert outcomes[5] == outcomes[-1] == collapse.format(2001)
+        assert (outcomes[0] == collapse.format(3001)) == (system == "zero-entries")
+
+
 def switching_system(diagonal_first):
     """diag(-0.5, 3) on the steps of the first two chunks of A(n), n <= 8192,
     and seeded dense matrices after them; or dense first and diagonal after."""
@@ -872,6 +1027,25 @@ def test_compound_holds_the_minors_in_lexicographic_order():
     assert np.allclose(_compound(seq.matrices(1, 7), 4, 1)[:, 0, 0], np.linalg.det(seq.matrices(1, 7)))
     diag = _compound(np.diag([2.0, 3.0, 5.0])[None], 2, 1)[0]
     assert np.allclose(diag, np.diag([6.0, 10.0, 15.0]), rtol=1e-15, atol=0)
+
+
+def fancy_index_compound(mats, j):
+    """``_compound`` in its first form, every minor through one fancy-index
+    copy of shape (k, C, C, j, j): the reference for its bits."""
+    subsets = np.array(list(itertools.combinations(range(mats.shape[1]), j)))
+    sign, logdet = np.linalg.slogdet(mats[:, subsets[:, None, :, None], subsets[None, :, None, :]])
+    return sign * np.exp(logdet)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_compound_keeps_the_bits_of_the_fancy_index_form(s):
+    rng = np.random.default_rng(s)
+    mats = rng.normal(size=(4096, s, s)) * 2.0 ** rng.integers(-40, 40, size=(4096, s, 1))
+    mats[::5, 0] = 0.0  # singular minors
+    units, _ = _unit_part(mats, 1)
+    for j in range(2, s + 1):
+        assert scan_outcome(lambda: (_compound(units, j, 1),)) == scan_outcome(
+            lambda: (fancy_index_compound(units, j),))
 
 
 def compound_sequence(seq, j):
