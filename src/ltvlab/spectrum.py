@@ -299,8 +299,9 @@ def incompressibility_test(fss, trials=64, seed=0):
     tail-max per candidate; the witness is the first violating candidate
     in that order.  A tail-max only grows, so a candidate is dropped from
     the pass at the end of the block (of ``_propagation_blocks``) where it
-    reaches its bound, and the pass stops, NORMAL, when none is left.  A candidate whose propagation collapses raises unless it
-    was dropped before, even when an earlier candidate is a witness.
+    reaches its bound, and the pass stops, NORMAL, when none is left.  A
+    candidate whose propagation collapses raises unless it was dropped
+    before, even when an earlier candidate is a witness.
     """
     _check_integer("trials", trials, 0)
     _check_integer("seed", seed, 0)

@@ -465,8 +465,9 @@ def propagate(seq, x0, horizon):
     A segment where a column or a product loses its digits to underflow is
     taken in halves; a single step takes a column's image under the
     column's own power of two where A(n) scaled by its largest entry would
-    round it below the normal range, and raises PropagationError where the
-    image is zero and UnderflowError where it is subnormal.  A chunk whose
+    round it below the normal range (a segment whose first step does so
+    goes on a step at a time), and raises PropagationError where the image
+    is zero and UnderflowError where it is subnormal.  A chunk whose
     A(n) are all diagonal, with entries normal or zero, is taken exactly in
     log form instead, in blocks of whole segments (see ``_chunk_states``).
     """
@@ -590,12 +591,11 @@ def _chunk_states(mats, n0, state, read_from=1):
         starts = np.cumsum(np.concatenate(
             [ln_x, np.broadcast_to(end_sums, (s, m, stop - first))], axis=2), axis=2)
         dead = np.isneginf(starts[..., 1:].max(axis=0)).any(axis=0)  # a column collapsed
-        if dead[0]:  # a collapsed column stays at -inf to the segment end
+        stop = first + int(np.argmax(dead)) if dead.any() else stop  # the block ends before it
+        if stop == first:  # the segment raises alone: a collapsed column stays at -inf
             column = ln_x + sums[:, None, first * BLOCK_STEPS : ends[first] + 1]
             n = n0 + first * BLOCK_STEPS + np.argmax(np.isneginf(column.max(axis=0)).any(axis=0))
             raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
-        if dead.any():  # the block ends before the segment where a column collapses
-            stop = first + int(np.argmax(dead))
         at = slice(bounds[first], bounds[stop])
         y = np.repeat(starts[..., : stop - first], np.diff(bounds[first : stop + 1]), axis=2)
         y += read_sums[..., at]  # (s, m, k)
@@ -688,6 +688,16 @@ def _block_states(mats, d, n0, scan=None):
     scale = exps[:, None]  # (k, 1): the power of two each image is taken under
     with np.errstate(all="ignore"):
         top = _max_abs(y)  # (k, m)
+        if len(mats) > 1 and not (top[0] >= _NORMAL_MIN).all():
+            # the first step takes the single-step image below, and an A(n) that
+            # spans past the double range spans it again: no scan, a step at a time
+            steps = [_block_states(mats[:1], d, n0, (prods[:1], exps[:1], lost[:1]))]
+            scans = _running_products(mats[1:, None])  # the later steps' one-step scans
+            for j in range(1, len(mats)):
+                scan = [a[j - 1] for a in scans]
+                steps.append(_block_states(mats[j : j + 1], steps[-1][0][-1], n0 + j, scan))
+            dirs, growth = zip(*steps)
+            return np.concatenate(dirs), np.cumsum(np.concatenate(growth), axis=0)
         if len(mats) > 1:
             if (lost | ~(top >= _TINY).all(axis=1)).any():
                 del y, top  # free this block's states before the halves make theirs
@@ -708,7 +718,7 @@ def _block_states(mats, d, n0, scan=None):
             image = np.ldexp(_max_abs(y), scale)
             if not (image >= _NORMAL_MIN).all():
                 error = UnderflowError if (image > 0.0).all() else PropagationError
-                raise error(f"propagation collapsed at n={n0 + 1} (max |x|={float(top.min())})")
+                raise error(f"propagation collapsed at n={n0 + 1} (max |x|={float(image.min())})")
             top = _max_abs(y)
         # scale each column by a power of two so its sum of squares cannot underflow;
         # in place, so that a block of many columns holds one (k, s, m) array

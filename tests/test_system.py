@@ -606,11 +606,15 @@ def test_propagate_scales_a_shrinking_column_before_taking_its_norm():
 
 
 @pytest.mark.parametrize("tiny", [1e-200, 1e-160])
-def test_a_step_that_spans_past_the_double_range_keeps_a_normal_image(tiny):
+def test_a_step_that_spans_past_the_double_range_keeps_a_normal_image(monkeypatch, tiny):
     # A(n) scaled by its largest entry 1/tiny maps e_1 to tiny**2 (zero, or
     # subnormal), though the image tiny * e_1 itself is normal
     seq = CoefficientSequence.constant([[tiny, 1.0], [0.0, 1.0 / tiny]])
+    sizes = counted_scans(monkeypatch)
     traj = propagate(seq, [1.0, 0.0], 600)
+    # a segment whose first step needs that image goes a step at a time, its
+    # later A(n) scanned once more as one-step segments, and is not halved
+    assert sizes == [512, 255, 255, 87, 86]
     ns = np.arange(1, 601)
     assert traj.log_norms == pytest.approx((ns - 1) * math.log(tiny), rel=1e-12, abs=0.0)
     assert np.array_equal(traj.directions, np.tile([1.0, 0.0], (600, 1)))
@@ -622,6 +626,10 @@ def test_a_step_that_spans_past_the_double_range_keeps_a_normal_image(tiny):
     collapse = r"^propagation collapsed at n=2 \(max \|x\|=0\.0\)$"
     with pytest.raises(PropagationError, match=collapse):
         propagate(zero, [1.0, 0.0], 5)
+    # a subnormal image raises UnderflowError, and the message gives the image
+    subnormal = CoefficientSequence.constant([[1e-310, 1.0], [0.0, 1e300]])
+    with pytest.raises(UnderflowError, match=r"^propagation collapsed at n=2 \(max \|x\|=1e-310\)$"):
+        propagate(subnormal, [1.0, 0.0], 5)
 
 
 def first_form_scan(mats):
@@ -1001,7 +1009,7 @@ def test_a_zero_diagonal_entry_collapses_every_pass():
 def test_a_subnormal_diagonal_entry_takes_the_scan(monkeypatch):
     seq = geometric_diag([1e-320, 1.0])
     sizes = counted_scans(monkeypatch)
-    with pytest.raises(UnderflowError, match=r"^propagation collapsed at n=2 \(max \|x\|=5e-321\)$"):
+    with pytest.raises(UnderflowError, match=r"^propagation collapsed at n=2 \(max \|x\|=1e-320\)$"):
         propagate(seq, [1.0, 0.0], 3)
     assert sizes == [2]
 

@@ -1,6 +1,6 @@
 """Compare what ``python -m ltvlab.cli`` reports in two checkouts.
 
-Usage: python3 tools/compare_reports.py PARENT CHANGE [--workers N]
+Usage: python3 tools/compare_reports.py PARENT CHANGE
 
 Runs every config of the table in ``configs`` through the five config commands
 (spectrum, splitness, perturb, assign, instability) once in each checkout,
@@ -116,7 +116,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workers", type=int, default=2, help="runs at a time")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
@@ -127,7 +126,7 @@ def main(argv=None):
             (tmp / "inputs" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
         jobs = [(name, command, side) for name in table for command in COMMANDS
                 for side in checkouts]
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        with ThreadPoolExecutor(max_workers=2) as pool:  # two runs at a time
             results = dict(zip(jobs, pool.map(
                 lambda job: run(checkouts[job[2]], tmp / "inputs" / f"{job[0]}.json", job[1],
                                 tmp / job[2] / f"{job[0]}-{job[1]}"), jobs)))
