@@ -16,15 +16,6 @@ SINGULAR_RTOL = 1e-12
 _EPS = 2.0**-53  # LAPACK's unit roundoff, DLAMCH('E')
 
 
-def _as_vector(v, name="vector"):
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-d, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} has non-finite entries")
-    return v
-
-
 def spectral_norm(m):
     """Largest singular value of ``m``, or of each matrix in an (..., r, c) stack.
 
@@ -152,17 +143,10 @@ def _subspace_inputs(p, basis, name):
         raise InvalidInputError("p has non-finite entries")
     if not np.all(np.isfinite(b)):
         raise InvalidInputError("basis has non-finite entries")
-    norm_p = np.sqrt(_dot(p, p))
+    norm_p = np.linalg.norm(p, axis=-1)
     if np.any(norm_p == 0.0):
         raise InvalidInputError(f"{name} requires a nonzero vector")
     return p, b, norm_p, stacked
-
-
-def _dot(a, b):
-    """Sum over the last axis of a * b, one entry at a time from the first:
-    a whole-stack operation per entry, where a reduction over a short last
-    axis is slow."""
-    return sum(a[..., i] * b[..., i] for i in range(a.shape[-1]))
 
 
 def _per_entry(values, full_rank, stacked):
@@ -192,23 +176,14 @@ def angle_to_subspace(p, basis):
 def cosine_to_subspace(p, basis):
     """Cosine of the angle between ``p`` and the span of ``basis``.
 
-    Computed as the norm of the orthogonal projection coefficient, which
-    is accurate near pi/2 where the arcsin route loses digits.  Takes the
-    same scalar and stacked forms as ``angle_to_subspace``.
+    Computed as the norm of ``project_out``'s projection coefficients
+    ``Q^T p`` over |p|, which is accurate near pi/2 where the arcsin
+    route loses digits, at every basis width k.  Takes the same scalar
+    and stacked forms as ``angle_to_subspace``.
     """
     p, b, norm_p, stacked = _subspace_inputs(p, basis, "cosine_to_subspace")
-    if b.shape[-1] == 1:  # the normalized dot product, b scaled as in project_out
-        col = b[..., 0]
-        _, exps = np.frexp(np.max([np.abs(col[..., i]) for i in range(col.shape[-1])], axis=0))
-        unit = np.ldexp(col, -exps[..., None])
-        norm = np.sqrt(_dot(unit, unit))
-        length = np.ldexp(norm, exps)
-        full_rank = length > SINGULAR_RTOL * np.maximum(length, 1.0)
-        projected = np.abs(_dot(unit, p)) / np.where(norm > 0.0, norm, np.inf)
-    else:
-        coef, _, full_rank = project_out(p, b)
-        projected = np.linalg.norm(coef, axis=-1)
-    cosines = np.clip(projected / norm_p, 0.0, 1.0)
+    coef, _, full_rank = project_out(p, b)
+    cosines = np.clip(np.linalg.norm(coef, axis=-1) / norm_p, 0.0, 1.0)
     return _per_entry(cosines, full_rank, stacked)
 
 
@@ -219,10 +194,12 @@ def oblique_projections(columns):
     to the identity and are mutually annihilating.  Raises
     SingularMatrixError for a near-singular X.
     """
-    x = np.column_stack([_as_vector(c, "column") for c in columns])
+    x = np.array(columns, dtype=float).T  # column i is columns[i], so a 2-d column is refused
     s = x.shape[0]
     if x.shape != (s, s):
         raise InvalidInputError(f"need {s} columns of dimension {s}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("columns have non-finite entries")
     sv = np.linalg.svd(x, compute_uv=False)
     if sv[-1] <= SINGULAR_RTOL * sv[0]:
         raise SingularMatrixError(

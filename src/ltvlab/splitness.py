@@ -63,24 +63,24 @@ class FSSRecord:
 
     def _member_profile(self, to_others, collapsed_value):
         """to_others(x_i, the others' columns) for every member over all
-        steps, one stacked call per member.  A step where some member's
-        complement basis collapsed warns once and gets ``collapsed_value``
-        for that member."""
+        steps, one stacked call per member.  A member whose complement
+        basis collapsed at a step gets ``collapsed_value`` there, and a
+        profile with such steps warns once, with their count and the first."""
         dirs = self.direction_stack()
         values = np.column_stack(
             [to_others(dirs[:, :, i], np.delete(dirs, i, axis=2)) for i in range(self.dimension)]
         )
         collapsed = np.isnan(values)
-        for n in np.flatnonzero(collapsed.any(axis=1)) + 1:
-            warnings.warn(f"angle basis numerically collapsed at n={n}", RuntimeWarning)
+        steps = np.flatnonzero(collapsed.any(axis=1)) + 1
+        if len(steps):
+            warnings.warn(f"angle basis numerically collapsed at {len(steps)} steps "
+                          f"from n={steps[0]}", RuntimeWarning)
         values[collapsed] = collapsed_value
         return values
 
     def angle_profile(self):
         """phi_i(n) for every n, row n - 1, shape (horizon, s); scale-free."""
-        if self._angles is not None:
-            return self._angles
-        if self.dimension == 2:
+        if self._angles is None and self.dimension == 2:
             # angle of each direction to the other one's line, folded to
             # [0, pi/2]; arcsin of the residual is accurate near 0
             dirs = self.direction_stack()
@@ -89,19 +89,24 @@ class FSSRecord:
             sines = np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0)
             phi = np.arcsin(sines)
             self._angles = np.column_stack([phi, phi])
-        else:
+        elif self._angles is None:
             self._angles = self._member_profile(angle_to_subspace, 0.0)
         return self._angles
 
     def cos_angle_profile(self):
-        """cos phi_i(n) computed directly from the directions.
+        """cos phi_i(n) computed directly from the directions: at s = 2 the
+        |d_1 . d_2| of ``angle_profile``'s closed form, else by
+        ``cosine_to_subspace``.
 
         More accurate than cos(angle_profile()) when phi_i is close to
         pi/2, where the arcsin route amplifies rounding in the cosine.
         """
-        if self._cosines is not None:
-            return self._cosines
-        self._cosines = np.clip(self._member_profile(cosine_to_subspace, 1.0), 0.0, 1.0)
+        if self._cosines is None and self.dimension == 2:
+            dirs = self.direction_stack()
+            cos = np.clip(np.abs(np.einsum("ki,ki->k", dirs[:, :, 0], dirs[:, :, 1])), 0.0, 1.0)
+            self._cosines = np.column_stack([cos, cos])
+        elif self._cosines is None:
+            self._cosines = np.clip(self._member_profile(cosine_to_subspace, 1.0), 0.0, 1.0)
         return self._cosines
 
 

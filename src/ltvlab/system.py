@@ -88,23 +88,11 @@ class CoefficientSequence:
     @classmethod
     def from_matrices(cls, matrices):
         """File-backed style sequence over a finite list of matrices or a
-        (count, s, s) array (n=1..count).  Keeps its own read-only copy."""
-        if not isinstance(matrices, np.ndarray):
-            matrices = list(matrices)  # a generator would become a 0-d object array
-        try:
-            data = np.asarray(matrices)
-            if np.iscomplexobj(data):
-                raise TypeError("complex entries")
-            data = np.array(data, dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged, non-numeric or complex
-            raise InvalidInputError(f"matrix sequence is not a real (count, s, s) array: {exc}") from exc
-        if data.size == 0:
-            raise InvalidInputError("empty matrix sequence")
-        if data.ndim != 3 or data.shape[1] != data.shape[2]:
-            raise InvalidInputError("matrix sequence has inconsistent dimensions")
-        s = data.shape[1]
+        (count, s, s) array (n=1..count).  Keeps its own read-only copy;
+        refuses what ``_matrix_array`` refuses."""
+        data = _matrix_array(matrices)
         data.setflags(write=False)
-        count = len(data)
+        count, s = data.shape[:2]
 
         def block_fn(start, stop):
             if stop - 1 > count:
@@ -180,10 +168,9 @@ class CoefficientSequence:
                 f"coefficients for steps {start}..{stop - 1} have shape {mats.shape}, "
                 f"expected ({stop - start}, {s}, {s})"
             )
-        finite = np.isfinite(mats).all(axis=(1, 2))
-        if not finite.all():
-            n = start + int(np.argmin(finite))
-            raise PropagationError(f"coefficient A(n) is not finite at n={n}")
+        bad = _first_non_finite(mats)
+        if bad is not None:
+            raise PropagationError(f"coefficient A(n) is not finite at n={start + bad}")
         return mats
 
     def matrix_at(self, n):
@@ -389,23 +376,53 @@ def read_matrix_sequence(path):
     if values.size != count * s * s:
         raise ParseError(f"{path!r}: expected {count * s * s} values, found {values.size}", 1, 1)
     data = values.reshape(count, s, s)
-    finite = np.isfinite(data).all(axis=(1, 2))
-    if not finite.all():
-        record = int(np.argmin(finite)) + 1
-        raise ParseError(f"{path!r}: record {record} has a non-finite value", 1, 1)
+    bad = _first_non_finite(data)
+    if bad is not None:
+        raise ParseError(f"{path!r}: record {bad + 1} has a non-finite value", 1, 1)
     return CoefficientSequence.from_matrices(data)
 
 
 def write_matrix_sequence(path, matrices):
-    matrices = [np.asarray(m, dtype=float) for m in matrices]
-    if not matrices:
-        raise InvalidInputError("empty matrix sequence")
-    s = matrices[0].shape[0]
+    """Write ``matrices``, as ``from_matrices`` takes them, in the format that
+    ``read_matrix_sequence`` reads back bit for bit; what the reader would
+    refuse is refused first, by an InvalidInputError naming the record."""
+    data = _matrix_array(matrices)
+    bad = _first_non_finite(data)
+    if bad is not None:
+        raise InvalidInputError(f"{path!r}: record {bad + 1} has a non-finite value")
     with open(path, "w") as fh:
-        fh.write(f"{s} {len(matrices)}\n")
-        for m in matrices:
+        fh.write(f"{data.shape[1]} {len(data)}\n")
+        for m in data:
             for row in m:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def _matrix_array(matrices):
+    """``matrices``, an iterable of matrices or a (count, s, s) array, as a new
+    (count, s, s) float array.  InvalidInputError names the first record that
+    is not an s x s matrix of real numbers, s the row count of record 1."""
+    records = np.atleast_1d(matrices) if isinstance(matrices, np.ndarray) else list(matrices)
+    rows = None
+    # the records of a 3-d array share one shape and dtype, so record 1 speaks for all
+    for n, record in enumerate(records[:1] if getattr(records, "ndim", 0) == 3 else records, 1):
+        try:
+            m = np.asarray(record)
+        except ValueError:  # ragged rows
+            m = np.empty(())
+        if n == 1:
+            rows = len(m) if m.ndim else None
+        if m.shape != (rows, rows) or m.dtype.kind not in "biuf":
+            size = f"{rows} x {rows}" if n > 1 else "square"
+            raise InvalidInputError(f"matrix sequence record {n} is not a real {size} matrix")
+    if not rows:
+        raise InvalidInputError("empty matrix sequence")
+    return np.array(records, dtype=float)
+
+
+def _first_non_finite(mats):
+    """Index of the first matrix of a (k, s, s) stack with a non-finite entry, or None."""
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    return None if finite.all() else int(np.argmin(finite))
 
 
 # --- log-scaled propagation -------------------------------------------

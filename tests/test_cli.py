@@ -412,11 +412,12 @@ def test_out_dir_that_cannot_be_a_directory_exit_code(tmp_path, capsys, monkeypa
 
 
 def file_system(tmp_path, count, bad_value=None):
-    matrices = [np.diag([1.0, 2.0]) for _ in range(count)]
-    if bad_value is not None:
-        matrices[count // 2] = np.array([[1.0, bad_value], [0.0, 2.0]])
     path = tmp_path / "seq.txt"
-    write_matrix_sequence(path, matrices)
+    write_matrix_sequence(path, [np.diag([1.0, 2.0]) for _ in range(count)])
+    if bad_value is not None:  # the writer refuses it, so it goes in by hand
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1 + 2 * (count // 2)] = f"1.0 {bad_value!r}\n"  # row 1 of record count // 2 + 1
+        path.write_text("".join(lines))
     return path, f"dimension: 2\nkind: file\npath: {path}\n"
 
 

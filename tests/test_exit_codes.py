@@ -28,6 +28,12 @@ WITNESS_SYSTEM = (
     "  exp(2*((n+1)*sin(ln(n+1)) - n*sin(ln(n))))\n"
 )
 
+# x_2 and x_3 of this FSS both turn towards e_2, so x_1's complement basis
+# collapses at every step from n = 43 on
+COLLAPSING = {"system": "dimension: 3\nkind: diagonal\nentries:\n  1\n  2\n  exp(sin(n))\n",
+              "sigma": 2, "gamma_grid": [0.3, 1.1],
+              "initial_vectors": [[1, 0, 0], [1, 1, 0], [0, 1, 1]]}
+
 CONFIGS = {
     "perturb": {"system": "diag(1,2)", "horizon": 200, "shifts": [1, -1]},
     "seed": {"system": "diag(1,2)", "horizon": 200, "seed": 18446744073709551615},
@@ -52,6 +58,8 @@ CONFIGS = {
     "normal": {"system": "diag(1,2)", "horizon": 2000, "epsilon_grid": [0.1, 1.0]},
     "witness_2e4": {"system": WITNESS_SYSTEM, "horizon": 20000,
                     "initial_vectors": [[1, 1], [0, 1]], "epsilon_grid": [0.05, 0.5]},
+    "collapsing_3001": {**COLLAPSING, "horizon": 3001},
+    "collapsing_6001": {**COLLAPSING, "horizon": 6001},
 }
 
 # (command, config, expected exit code): a config names a file of CONFIGS,
@@ -123,21 +131,37 @@ def _check_outcome(code, stderr, want, out_dir):
             json.loads(report.read_text(), parse_constant=_refuse_constant)
 
 
-@pytest.mark.parametrize("command, config, want", CASES,
-                         ids=[f"{c.split()[0]}-{f}-{w}" for c, f, w in CASES])
-def test_exit_code_through_the_module(workdir, monkeypatch, capsys, command, config, want):
-    argv = _argv(command, config)
+def _run_module(monkeypatch, capsys, argv):
+    """Exit code and stderr of ``python -m ltvlab.cli argv``, run in process."""
     monkeypatch.setattr(sys, "argv", ["ltvlab", *argv])
     with warnings.catch_warnings(record=True) as warned, pytest.raises(SystemExit) as exit_info:
         warnings.simplefilter("default")
         # runpy's own notice that the test already imported ltvlab.cli
         warnings.filterwarnings("ignore", "'ltvlab.cli' found in sys.modules", RuntimeWarning)
         runpy.run_module("ltvlab.cli", run_name="__main__")
-    stderr = capsys.readouterr().err + "".join(
+    return exit_info.value.code, capsys.readouterr().err + "".join(
         warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line) for w in warned)
-    _check_outcome(exit_info.value.code, stderr, want, workdir / "out")
+
+
+@pytest.mark.parametrize("command, config, want", CASES,
+                         ids=[f"{c.split()[0]}-{f}-{w}" for c, f, w in CASES])
+def test_exit_code_through_the_module(workdir, monkeypatch, capsys, command, config, want):
+    argv = _argv(command, config)
+    code, stderr = _run_module(monkeypatch, capsys, argv)
+    _check_outcome(code, stderr, want, workdir / "out")
     if want == 0 and argv[0] != "selftest":
         assert list((workdir / "out").glob("*.json"))
+
+
+def test_stderr_of_a_collapsing_basis_does_not_grow_with_the_horizon(workdir, monkeypatch,
+                                                                     capsys):
+    # one warning for the whole profile, and its source line
+    counts = []
+    for config in ("collapsing_3001", "collapsing_6001"):
+        code, stderr = _run_module(monkeypatch, capsys, _argv("splitness", config))
+        _check_outcome(code, stderr, 0, workdir / "out")
+        counts.append(len(stderr.splitlines()))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_exit_code_through_a_subprocess(workdir):

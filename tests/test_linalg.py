@@ -156,8 +156,8 @@ def test_stacked_angle_and_cosine_match_scalar_calls():
 
 
 def test_one_column_cosine_matches_the_projection_form():
-    # the k = 1 route against |Q^T p| / |p| of project_out, at scales from
-    # 2**-400 to 2**400 and with zero columns
+    # at k = 1 the cosine is |Q^T p| / |p| of project_out, scalar and
+    # stacked alike, at scales from 2**-400 to 2**400 and with zero columns
     rng = np.random.default_rng(11)
     for dim in (1, 2, 3, 5):
         p = rng.normal(size=(600, dim)) * 2.0 ** rng.integers(-400, 400, size=(600, 1))

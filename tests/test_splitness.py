@@ -17,6 +17,7 @@ from ltvlab import (
     gamma_statistics,
     splitness_report,
 )
+from ltvlab import splitness
 from ltvlab.presets import geometric_diag, sin_log_witness_fss, standard_basis_fss
 from ltvlab.splitness import GAMMA_GRID
 
@@ -44,9 +45,8 @@ def test_angle_profile_matches_closed_form_sin_log():
 
 
 def test_sin_log_cosines_keep_their_digits_where_they_are_tiny():
-    # cos phi_1 on the witness FSS falls to 1e-218 near n = 200; the
-    # one-column cosine keeps it to relative 1e-11 wherever it is a normal
-    # double (a cosine through Gram-Schmidt read 0 at 260 of those steps)
+    # cos phi_1 on the witness FSS falls to 1e-218 near n = 200; |d_1 . d_2|
+    # keeps it to relative 1e-11 wherever it is a normal double
     fss = sin_log_witness_fss(10_000)
     ns = np.arange(1, fss.horizon + 1)
     a = ns * np.sin(np.log(ns))
@@ -55,6 +55,17 @@ def test_sin_log_cosines_keep_their_digits_where_they_are_tiny():
     cosines = fss.cos_angle_profile()
     rel = np.abs(cosines[held] - expected[held, None]) / expected[held, None]
     assert rel.max() <= 1e-11
+
+
+def test_two_dimensional_profiles_call_no_projection(monkeypatch):
+    # at s = 2 both profiles read the one dot product d_1 . d_2
+    def refuse(*args):
+        raise AssertionError("a 2-d profile called the projection kernel")
+
+    for name in ("angle_to_subspace", "cosine_to_subspace"):
+        monkeypatch.setattr(splitness, name, refuse)
+    fss = sin_log_witness_fss(500)
+    assert fss.angle_profile().shape == fss.cos_angle_profile().shape == (500, 2)
 
 
 def test_angle_profile_three_dimensional():
@@ -284,8 +295,11 @@ def triangular_fss(s, horizon, seed):
     return standard_basis_fss(seq, horizon)
 
 
-@pytest.mark.parametrize("s", [3, 4])
+@pytest.mark.parametrize("s", [2, 3, 4])
 def test_angle_profiles_match_a_per_step_loop(s):
+    # at s = 2 the profile's angle is arcsin of the closed form's residual and
+    # the loop's is arcsin of project_out's: two roundings of sin phi, which
+    # arcsin scales by 1 / cos phi, so the angles are held to 1e-14 / cos phi
     fss = triangular_fss(s, 300, seed=s)
     angles, cosines = fss.angle_profile(), fss.cos_angle_profile()
     assert angles.shape == cosines.shape == (300, s)
@@ -293,13 +307,15 @@ def test_angle_profiles_match_a_per_step_loop(s):
         dirs = np.column_stack([t.direction_at(n) for t in fss.trajectories])
         for i in range(s):
             others = np.delete(dirs, i, axis=1)
-            assert abs(angles[k, i] - angle_to_subspace(dirs[:, i], others)) <= 1e-14
+            angle = angle_to_subspace(dirs[:, i], others)
+            assert abs(angles[k, i] - angle) <= 1e-14 / (math.cos(angle) if s == 2 else 1.0)
             assert abs(cosines[k, i] - cosine_to_subspace(dirs[:, i], others)) <= 1e-14
 
 
-def test_collapsed_basis_warns_once_per_step():
+def test_collapsed_basis_warns_once_per_profile():
     # at steps 4 and 7 all three directions lie on one line, so every
-    # member's complement basis collapses; at step 9 only x_3's does
+    # member's complement basis collapses; at step 9 only x_3's does.
+    # Each profile warns once, with the count of those steps and the first
     fss = standard_basis_fss(geometric_diag([1.0, 2.0, 3.0]), 10)
     trajectories = []
     for i, traj in enumerate(fss.trajectories):
@@ -314,8 +330,7 @@ def test_collapsed_basis_warns_once_per_step():
         angles = bad.angle_profile()
         cosines = bad.cos_angle_profile()
     messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    per_profile = [f"angle basis numerically collapsed at n={n}" for n in (4, 7, 9)]
-    assert messages == per_profile * 2
+    assert messages == ["angle basis numerically collapsed at 3 steps from n=4"] * 2
     assert np.all(angles[[3, 6]] == 0.0) and np.all(cosines[[3, 6]] == 1.0)
     # x_1 = x_2 at step 9: angle 0 for both, and x_3 gets the collapsed value
     assert np.all(angles[8] == 0.0) and np.all(cosines[8] == 1.0)

@@ -274,6 +274,20 @@ def test_write_matrix_sequence_refuses_an_empty_sequence(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("matrices, record", [
+    ([np.eye(2), np.eye(3)], 2),
+    ([np.eye(2), np.zeros((2, 3))], 2),
+    ([np.zeros((2, 3))], 1),
+    ([np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])], 2),
+    ([np.array([1.0, 2.0])], 1),
+], ids=["sizes", "not-square", "not-square-first", "nan", "1-d"])
+def test_write_matrix_sequence_refuses_what_the_reader_refuses(tmp_path, matrices, record):
+    path = tmp_path / "seq.txt"
+    with pytest.raises(InvalidInputError, match=f"record {record} "):
+        write_matrix_sequence(path, matrices)
+    assert not path.exists()
+
+
 def test_from_matrices_takes_an_array_and_keeps_its_own_copy():
     mats = np.arange(12.0).reshape(3, 2, 2)
     seq = CoefficientSequence.from_matrices(mats)

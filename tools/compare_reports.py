@@ -6,8 +6,9 @@ Runs every config of the table in ``configs`` through the five config commands
 (spectrum, splitness, perturb, assign, instability) once in each checkout,
 with ``PYTHONPATH=<checkout>/src`` and a fresh working directory per run,
 and prints each run whose exit code, stdout, stderr or report bytes differ
-between the two.  Every config holds the fields of all five commands, so a
-command that refuses its config is compared by its exit code and message.
+between the two, with both stderr line counts where stderr differs.  Every
+config holds the fields of all five commands, so a command that refuses its
+config is compared by its exit code and message.
 Each checkout's own path, and the run's working directory, are replaced by
 placeholders in stdout and stderr before comparing, so a warning that names
 a source file compares equal.  Exits 1 when any run differs.  Standard
@@ -90,6 +91,11 @@ def configs(inputs):
                        "horizon": 5000, **_fields(2)},
         "diag-half-1-3-skew": {"system": "diag(0.5,1,3)", "horizon": 6000,
                                "initial_vectors": skew3, **_fields(3)},
+        # x_2 and x_3 both turn towards e_2: x_1's angle basis collapses from n = 43 on
+        "collapsing-3d": {"system": "dimension: 3\nkind: diagonal\nentries:\n  1\n  2\n"
+                                    "  exp(sin(n))\n",
+                          "horizon": 3001, "sigma": 2, "gamma_grid": [0.3, 1.1],
+                          "initial_vectors": [[1, 0, 0], [1, 1, 0], [0, 1, 1]], **_fields(3)},
     }
 
 
@@ -137,9 +143,11 @@ def main(argv=None):
             what = [part for part, a, b in zip(("exit code", "stdout", "stderr", "reports"),
                                                parent, change) if a != b]
             differ += bool(what)
+            lines = [len(side[2].splitlines()) for side in (parent, change)]
             print(f"{'DIFFERS' if what else 'same':8s} {name:22s} {command:12s} "
                   f"exit {parent[0]} -> {change[0]}"
                   + (f"  ({', '.join(what)})" if what else "")
+                  + (f"  stderr lines {lines[0]} -> {lines[1]}" if "stderr" in what else "")
                   + (f"  stderr: {parent[2].decode(errors='replace').splitlines()[-1][:90]}"
                      if parent[2] and not what else ""))
     runs = len(table) * len(COMMANDS)
