@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -489,19 +490,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run a command; its exit code.  A run that fails writes its labelled
+    line alone to stderr: the warnings raised on the way are held and shown
+    only when the run exits 0."""
     args = build_parser().parse_args(argv)
-    try:
-        if hasattr(args, "out_dir"):  # made first, so a bad one exits before any work
-            _make_out_dir(args.out_dir)
-        return args.fn(args)
-    except (LtvLabError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        code = getattr(exc, "exit_code", EXIT_NUMERICAL)
-        print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
-        return code
-    except MemoryError as exc:  # the arrays of a horizon too long for this machine
-        print(f"{_LABELS[EXIT_CONFIG]}: config field 'horizon' is too large to hold in memory: "
-              f"{exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            if hasattr(args, "out_dir"):  # made first, so a bad one exits before any work
+                _make_out_dir(args.out_dir)
+            code = args.fn(args)
+        except (LtvLabError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            code = getattr(exc, "exit_code", EXIT_NUMERICAL)
+            print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
+        except MemoryError as exc:  # the arrays of a horizon too long for this machine
+            code = EXIT_CONFIG
+            print(f"{_LABELS[code]}: config field 'horizon' is too large to hold in memory: "
+                  f"{exc}", file=sys.stderr)
+    if code == EXIT_OK:
+        for w in held:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

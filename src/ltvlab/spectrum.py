@@ -143,29 +143,27 @@ def _checkpoint_logs(seq, horizon, checkpoint_every):
 def _volume_logs(seq, horizon, checkpoint_every):
     """Checkpoint steps and column logs from the j-volumes of X(n), in one
     pass that splits each chunk of A(n) exactly into 2**e(n) U(n) and carries
-    e_1 through every compound C_j(U(n)) with j < s (by ``_chunk_states``,
-    exactly in log form where U(n) and so C_j(U(n)) are diagonal); the
-    s-volume's log is the running sum of ln |det U(n)|, summed a segment at
-    a time (one sum over a chunk rounds differently).  The minors of U(n)
-    stay normal; since C_j(U(n)) = 2**(-j e(n)) C_j(A(n)), every column log
-    is short by ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
+    e_1 through every compound C_j(U(n)), j = 1, ..., s (by ``_chunk_states``,
+    exactly in log form where C_j(U(n)) is diagonal, as the 1 x 1 C_s(U(n))
+    = det U(n) always is).  The minors of U(n) stay normal; since C_j(U(n))
+    = 2**(-j e(n)) C_j(A(n)), every column log is short by
+    ln 2 * (e(1) + ... + e(n-1)), a sum kept exactly in integers.
     """
     s = seq.dimension
-    states = [(np.eye(math.comb(s, j))[:, :1], 0.0, None) for j in range(1, s)]
-    e_sum = det_sum = 0
+    states = [(np.eye(math.comb(s, j))[:, :1], 0.0, None) for j in range(1, s + 1)]
+    e_sum = 0
     cp_ns, cp_logs = [], []
 
     def evaluate(start, stop):
         unit, exponents = _unit_part(seq.matrices(start, stop), start)
-        return exponents, [_compound(unit, j, start) for j in range(1, s)], np.linalg.slogdet(unit)
+        return exponents, [_compound(unit, j, start) for j in range(1, s + 1)]
 
-    for first, (chunk_exps, compounds, (signs, log_dets)) in _chunks(evaluate, 1, horizon):
+    for first, (chunk_exps, compounds) in _chunks(evaluate, 1, horizon):
         passes = [_chunk_states(c, first, state) for c, state in zip(compounds, states)]
         held = [None] * len(passes)  # each pass's block of whole segments that holds this one
-        for start in range(first, first + len(signs), BLOCK_STEPS):
-            at = slice(start - first, start - first + BLOCK_STEPS)
-            sign, log_det, exponents = signs[at], log_dets[at], chunk_exps[at]
-            steps = np.arange(start + 1, start + len(sign) + 1)  # x(n+1) follows A(n)
+        for start in range(first, first + len(chunk_exps), BLOCK_STEPS):
+            exponents = chunk_exps[start - first : start - first + BLOCK_STEPS]
+            steps = np.arange(start + 1, start + len(exponents) + 1)  # x(n+1) follows A(n)
             kept = _checkpoints(steps, horizon, checkpoint_every)
             volumes = []
             for j, chunk in enumerate(passes):  # the passes aligned by step
@@ -174,13 +172,6 @@ def _volume_logs(seq, horizon, checkpoint_every):
                     states[j] = held[j][3]
                 block_steps, _, logs, _ = held[j]
                 volumes.append(logs[steps[0] - block_steps[0] :][: len(steps)][kept, 0])
-            _raise_on_underflow(sign != 0.0, log_det < math.log(_NORMAL_MIN), start, "a minor of")
-            if not sign.all():  # a singular A(n) collapses the s-volume
-                n = start + int(np.argmin(sign != 0.0))
-                raise PropagationError(f"propagation collapsed at n={n + 1} (max |x|=0.0)")
-            det_sums = det_sum + np.cumsum(log_det)
-            det_sum = det_sums[-1]
-            volumes.append(det_sums[kept])
             e_sums = e_sum + np.cumsum(exponents)
             e_sum = e_sums[-1]
             cp_ns.append(steps[kept])

@@ -59,14 +59,6 @@ class CoefficientSequence:
         return cls(m.shape[0], lambda start, stop: np.broadcast_to(m, (stop - start, *m.shape)))
 
     @classmethod
-    def diagonal_formulas(cls, expressions):
-        """Diagonal A(n) from s formulas, the dense table with "0" off the
-        diagonal; a callable entry must accept an array of n."""
-        exprs = list(expressions)
-        return cls.dense_formulas([[e if i == j else "0" for j in range(len(exprs))]
-                                   for i, e in enumerate(exprs)])
-
-    @classmethod
     def dense_formulas(cls, rows):
         """Dense A(n) from an s x s table of formulas; a callable entry must
         accept an array of n."""
@@ -115,31 +107,6 @@ class CoefficientSequence:
             seq.dimension,
             lambda start, stop: seq.matrices(start, stop) @ rseq.matrices(start, stop),
         )
-
-    @classmethod
-    def from_function(cls, dimension, fn):
-        """Sequence from a callable ``fn(n)`` giving one matrix per step."""
-        s = int(dimension)
-
-        def block_fn(start, stop):
-            out = np.empty((stop - start, s, s))
-            for k, n in enumerate(range(start, stop)):
-                try:
-                    m = np.asarray(fn(n), dtype=float)
-                except InvalidInputError:
-                    raise
-                except (ValueError, ArithmeticError) as exc:
-                    raise PropagationError(
-                        f"coefficient evaluation failed at n={n}: {exc}"
-                    ) from exc
-                if m.shape != (s, s):
-                    raise InvalidInputError(
-                        f"coefficient at n={n} has shape {m.shape}, expected ({s}, {s})"
-                    )
-                out[k] = m
-            return out
-
-        return cls(s, block_fn)
 
     # --- access -------------------------------------------------------
 
@@ -334,7 +301,9 @@ def parse_generator_spec(text):
     if kind == "diagonal":
         if len(flat) != s:
             raise ParseError(f"diagonal kind needs {s} entries, got {len(flat)}", entries_line, 1)
-        return CoefficientSequence.diagonal_formulas([_formula(*entry) for entry in flat])
+        exprs = [_formula(*entry) for entry in flat]  # "0" off the diagonal keeps exact zeros
+        return CoefficientSequence.dense_formulas(
+            [[e if i == j else "0" for j in range(s)] for i, e in enumerate(exprs)])
 
     if kind == "dense":
         if len(flat) != s * s:

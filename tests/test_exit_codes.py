@@ -29,10 +29,12 @@ WITNESS_SYSTEM = (
 )
 
 # x_2 and x_3 of this FSS both turn towards e_2, so x_1's complement basis
-# collapses at every step from n = 43 on
+# collapses at every step from n = 43 on; perturb, assign and instability refuse it
 COLLAPSING = {"system": "dimension: 3\nkind: diagonal\nentries:\n  1\n  2\n  exp(sin(n))\n",
               "sigma": 2, "gamma_grid": [0.3, 1.1],
-              "initial_vectors": [[1, 0, 0], [1, 1, 0], [0, 1, 1]]}
+              "initial_vectors": [[1, 0, 0], [1, 1, 0], [0, 1, 1]],
+              "shifts": [0.01, -0.01, 0.0], "target_spectrum": [0.001, 0.694, 1.1],
+              "epsilon": 1.0, "epsilon_grid": [0.1, 1.0]}
 
 CONFIGS = {
     "perturb": {"system": "diag(1,2)", "horizon": 200, "shifts": [1, -1]},
@@ -93,6 +95,10 @@ CASES = [
     ("instability", "normal", 4),
     # at 2e4 every candidate on the witness FSS reaches its bound, so the pass stops early: normal
     ("instability", "witness_2e4", 4),
+    # a refused run writes its labelled line alone, not the collapse warning before it
+    ("perturb", "collapsing_3001", 4),
+    ("assign", "collapsing_3001", 4),
+    ("instability", "collapsing_3001", 4),
     ("sinln --max-n 100", None, 0),
     ("selftest", None, 0),
 ]

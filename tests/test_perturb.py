@@ -395,10 +395,12 @@ def test_perturbation_at_rejects_a_collapsed_projection():
 def test_execute_plan_rejects_a_collapsed_propagation():
     seq, fss, plan = plan_cases(300)[0]
 
-    def matrix_fn(n):
-        return np.zeros((2, 2)) if n == 7 else seq.matrix_at(n)
+    def block_fn(start, stop):
+        mats = seq.matrices(start, stop).copy()
+        mats[np.arange(start, stop) == 7] = 0.0
+        return mats
 
-    broken = CoefficientSequence.from_function(2, matrix_fn)
+    broken = CoefficientSequence(2, block_fn)
     with pytest.raises(PreconditionError, match="n=8"):
         execute_plan(broken, fss, plan)
 

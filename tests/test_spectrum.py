@@ -476,12 +476,12 @@ def test_spectrum_estimate_runs_the_per_step_qr_only_from_five_dimensions(no_qr_
         spectrum_estimate(random_dense(5, 200), 200)
 
 
-@pytest.mark.parametrize("s", [2, 3, 4, 5])  # the volume path and the per-step QR path
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])  # the volume path and the per-step QR path
 def test_spectrum_estimate_names_the_step_after_a_singular_matrix(s, request):
     if s <= VOLUME_MAX_DIMENSION:  # the volume path names the step itself, without a rerun
         request.getfixturevalue("no_qr_loop")
     # A(300) is singular; the kernel of the second misses e_1, so only the
-    # s-volume, ln |det U(n)|, sees it
+    # s-volume, e_1 carried under C_s(U(n)) = det U(n), sees it (at s = 1 the only pass)
     for diagonal in ([0.0] + [1.0] * (s - 1), [1.0] * (s - 1) + [0.0]):
         mats = np.repeat(np.eye(s)[None], 400, axis=0)
         mats[299] = np.diag(diagonal)

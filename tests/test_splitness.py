@@ -198,10 +198,6 @@ def test_lyapunov_transformation_bounds():
         assert CoefficientSequence.constant(np.diag(diag)).lyapunov_bound(10) == pytest.approx(bound)
 
 
-def rotation(theta):
-    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-
-
 def test_lyapunov_transformation_matches_the_per_step_map():
     # L(n) is the rotation by sin n, and the horizon crosses a block
     # boundary of the transformed system
@@ -209,7 +205,8 @@ def test_lyapunov_transformation_matches_the_per_step_map():
     horizon = 300
     seq = CoefficientSequence.from_matrices(np.eye(2) + 0.3 * rng.normal(size=(horizon, 2, 2)))
     fss = FSSRecord.from_initial_vectors(seq, [[1.0, 1.0], [0.0, 1.0]], horizon)
-    transform = CoefficientSequence.from_function(2, lambda n: rotation(math.sin(n)))
+    transform = CoefficientSequence.dense_formulas(
+        [["cos(sin(n))", "-sin(sin(n))"], ["sin(sin(n))", "cos(sin(n))"]])
     new_seq, new_fss = apply_lyapunov_transformation(seq, fss, transform)
     l_at = transform.matrix_at
     for n in (1, 2, 256, 257, 299):
@@ -226,12 +223,20 @@ def test_lyapunov_transformation_matches_the_per_step_map():
     assert np.allclose(new_fss.initial_vectors, [l_at(1) @ v for v in fss.initial_vectors])
 
 
+def identity_but_at(step, value):
+    """The 2 x 2 identity but for diag(1, ``value``) at n = ``step``."""
+    def block_fn(start, stop):
+        mats = np.repeat(np.eye(2)[None], stop - start, axis=0)
+        mats[np.arange(start, stop) == step, 1, 1] = value
+        return mats
+
+    return CoefficientSequence(2, block_fn)
+
+
 def test_singular_lyapunov_transformation_names_the_step():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10)
     for bad in (5, 11):  # a step of the FSS, and the step after the horizon
-        transform = CoefficientSequence.from_function(
-            2, lambda n, bad=bad: np.diag([1.0, 0.0 if n == bad else 1.0])
-        )
+        transform = identity_but_at(bad, 0.0)
         with pytest.raises(NotLyapunovSequenceError, match=f"L\\({bad}\\)") as info:
             apply_lyapunov_transformation(fss.seq, fss, transform)
         assert info.value.index == bad
@@ -241,9 +246,7 @@ def test_lyapunov_transformation_checks_the_steps_past_the_horizon():
     # B(11) and B(12) read L(12), which the up-front check up to H + 1 = 11 misses
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10)
     for small in (1e-300, 0.0):
-        transform = CoefficientSequence.from_function(
-            2, lambda n, small=small: np.diag([1.0, small if n == 12 else 1.0])
-        )
+        transform = identity_but_at(12, small)
         new_seq, _ = apply_lyapunov_transformation(fss.seq, fss, transform)
         for n in (11, 12):
             with pytest.raises(NotLyapunovSequenceError, match=r"L\(12\)") as info:

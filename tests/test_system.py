@@ -50,8 +50,14 @@ def test_constant_sequence():
         seq.matrix_at(0)
 
 
+def diagonal_spec(*formulas):
+    """The sequence of a ``kind: diagonal`` spec of ``formulas``."""
+    return parse_generator_spec(f"dimension: {len(formulas)}\nkind: diagonal\nentries:\n"
+                                + "".join(f"  {f}\n" for f in formulas))
+
+
 def test_diagonal_formula_sequence():
-    seq = CoefficientSequence.diagonal_formulas(["n", "2*n"])
+    seq = diagonal_spec("n", "2*n")
     assert np.array_equal(seq.matrix_at(3), np.diag([3.0, 6.0]))
 
 
@@ -196,6 +202,25 @@ def test_matrix_sequence_round_trip_is_bit_exact(data, s, count):
     assert np.array_equal(back.view(np.uint64), mats.view(np.uint64))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(["constant", "diagonal", "dense"]),
+       s=st.integers(1, 4))
+def test_generator_spec_round_trip_is_bit_exact(data, kind, s):
+    # a spec written with repr reads back every double it was written from
+    size = s if kind == "diagonal" else s * s
+    values = data.draw(st.lists(FLOATS, min_size=size, max_size=size))
+    if kind == "diagonal":  # one formula a line, and exact zeros off the diagonal
+        matrix, lines = np.diag(values), [repr(v) for v in values]
+    else:  # a row a line: numbers split by commas, formulas by semicolons
+        matrix = np.array(values).reshape(s, s)
+        sep = ", " if kind == "constant" else "; "
+        lines = [sep.join(map(repr, row)) for row in matrix.tolist()]
+    spec = f"dimension: {s}\nkind: {kind}\nentries:\n" + "".join(f"  {line}\n" for line in lines)
+    back = parse_generator_spec(spec).matrices(1, 4)
+    assert back.shape == (3, s, s)
+    assert (back.view(np.uint64) == matrix.view(np.uint64)).all()
+
+
 # tokens on which np.fromstring and float() may differ, each with 1.5 as a
 # second value: float() takes the first three and the decimal grammar does
 # not, numpy reads 'nan(123)' and float() refuses it, both refuse the next
@@ -320,14 +345,15 @@ def test_lyapunov_bound_diag():
 def test_lyapunov_bound_reads_only_the_steps_up_to_its_horizon():
     # A(n) = I up to n = 10 and diag(1, 5) after: a bound scanned to 100
     # does not answer for the horizon 10
-    seq = CoefficientSequence.from_function(2, lambda n: np.diag([1.0, 1.0 if n <= 10 else 5.0]))
+    seq = CoefficientSequence.from_matrices([np.diag([1.0, 1.0 if n <= 10 else 5.0])
+                                             for n in range(1, 101)])
     assert seq.lyapunov_bound(10) == 1.0
     assert seq.lyapunov_bound(100) == pytest.approx(5.0)
     assert seq.lyapunov_bound(10) == 1.0
 
 
 def test_lyapunov_bound_rejects_singular():
-    seq = CoefficientSequence.diagonal_formulas(["n - 3", "1"])
+    seq = diagonal_spec("n - 3", "1")
     with pytest.raises(NotLyapunovSequenceError) as info:
         seq.lyapunov_bound(5)
     assert info.value.index == 3
@@ -366,7 +392,7 @@ def test_propagate_collapse_detected():
 
 
 def test_transition_products_and_inverse():
-    seq = CoefficientSequence.diagonal_formulas(["n", "1"])
+    seq = diagonal_spec("n", "1")
     x = transition(seq, 4, 1)  # A(3) A(2) A(1)
     assert np.allclose(x.to_dense(), np.diag([6.0, 1.0]))
     assert transition(seq, 3, 3).to_dense() == pytest.approx(np.eye(2))
@@ -527,14 +553,14 @@ def test_matrices_stack_matrix_at_for_every_kind(tmp_path):
         [["1 + sin(n)", "0.5", "ln(n)"], ["n/10", "cos(n)", "exp(-n)"], ["0", "1", "pow(n, 0.5)"]]
     )
     fixed = 1.0 + rng.normal(size=(40, 3, 3))
-    callable_seq = CoefficientSequence.from_function(3, lambda n: fixed[n - 1])
+    callable_seq = CoefficientSequence(3, lambda start, stop: fixed[start - 1 : stop - 1])
     sequences = {
         "constant": CoefficientSequence.constant(np.arange(9.0).reshape(3, 3)),
-        "diagonal": CoefficientSequence.diagonal_formulas(["n", "exp(-n/7)", "2"]),
+        "diagonal": diagonal_spec("n", "exp(-n/7)", "2"),
         "dense": dense,
         "file-backed": file_seq,
         "product": CoefficientSequence.product(file_seq, dense),
-        "from_function": callable_seq,
+        "block function": callable_seq,
         "additive-to-multiplicative": additive_to_multiplicative(file_seq, callable_seq),
     }
     for name, seq in sequences.items():
@@ -552,7 +578,7 @@ def test_matrices_stack_matrix_at_for_every_kind(tmp_path):
 
 
 def test_matrices_name_the_first_non_finite_step():
-    seq = CoefficientSequence.diagonal_formulas(["1", "1/((n-5)*(n-9))"])
+    seq = diagonal_spec("1", "1/((n-5)*(n-9))")
     assert np.isfinite(seq.matrices(1, 5)).all()
     with pytest.raises(PropagationError, match="n=5"):
         seq.matrices(1, 20)
@@ -989,8 +1015,9 @@ def switching_system(diagonal_first):
     """diag(-0.5, 3) on the steps of the first two chunks of A(n), n <= 8192,
     and seeded dense matrices after them; or dense first and diagonal after."""
     dense = np.eye(2) + 0.3 * np.random.default_rng(8).normal(size=(9000, 2, 2))
-    return CoefficientSequence.from_function(
-        2, lambda n: np.diag([-0.5, 3.0]) if (n <= 8192) == diagonal_first else dense[n - 1])
+    diagonal = (np.arange(1, 9001) <= 8192) == diagonal_first
+    return CoefficientSequence.from_matrices(
+        np.where(diagonal[:, None, None], np.diag([-0.5, 3.0]), dense))
 
 
 @pytest.mark.parametrize("diagonal_first, scanned", [(True, 699), (False, 8192)])
@@ -1090,7 +1117,7 @@ def test_compound_volumes_are_the_products_of_the_qr_diagonal():
 
 
 def test_compound_keeps_the_checks_of_the_sequence():
-    seq = CoefficientSequence.diagonal_formulas(["1", "1/(n-5)", "2"])
+    seq = diagonal_spec("1", "1/(n-5)", "2")
     with pytest.raises(PropagationError, match="n=5"):
         _volume_logs(seq, 10, 1)
     file_seq = CoefficientSequence.from_matrices(np.ones((4, 3, 3)))
