@@ -211,7 +211,8 @@ _PROJECTION_DENOM_MIN = 1e-30  # w0 . d at or below this: direction collapsed
 
 def perturbation_at(plan, fss, n):
     """The matrix R(n) = sum_i P_n^i exp(s_i(n)), or the (k, s, s) stack
-    of them for an array of k steps.
+    of them for an array of k steps; InvalidInputError for a step that is
+    not an integer, KeyError for one outside 1, ..., horizon.
 
     Evaluated as exp(eta) * (I + sum over active i of (exp(mu_i) - 1) P_n^i),
     where only solutions with n in Gamma_i (hence a well-separated angle)
@@ -221,16 +222,23 @@ def perturbation_at(plan, fss, n):
     conditioned while that angle is bounded away from zero, however
     degenerate the rest of the basis is.
     """
-    steps = np.asarray(n, dtype=np.int64)
+    steps = np.asarray(n)
     ns = np.atleast_1d(steps)
+    pos = _as_slice(fss.trajectories[0].positions(ns))  # checks every step
+    dirs = [traj.directions[pos] for traj in fss.trajectories]  # member i's (k, s) rows
+    flags = plan.gamma_flags[pos]
     s = fss.dimension
-    dirs = fss.direction_stack(ns)  # KeyError for a step outside 1..horizon
-    active = plan.gamma_flags[ns - 1] & (plan.mu > 0.0)  # (k, s); mu_i = 0 adds nothing
-    result = np.repeat(np.eye(s)[None], len(ns), axis=0)
-    for i in np.flatnonzero(active.any(axis=0)):
-        rows = np.flatnonzero(active[:, i])
-        d = dirs[rows, :, i]
-        _, w0, _ = project_out(d, np.delete(dirs[rows], i, axis=2))
+    # entry (a, b) of every R(n) along one contiguous row of k, so the outer
+    # products below run along k and not along rows of s
+    result = np.repeat(np.eye(s)[:, :, None], len(ns), axis=2)
+    for i in np.flatnonzero(plan.mu > 0.0):  # mu_i = 0 adds nothing
+        rows = np.flatnonzero(flags[:, i])
+        if not len(rows):
+            continue
+        sel = _as_slice(rows)
+        d = dirs[i][sel]
+        others = np.stack([dirs[j][sel] for j in range(s) if j != i], axis=2)
+        _, w0, _ = project_out(d, others)
         denom = np.einsum("km,km->k", w0, d)  # equals ||w0||^2
         collapsed = denom <= _PROJECTION_DENOM_MIN
         if collapsed.any():
@@ -241,10 +249,18 @@ def perturbation_at(plan, fss, n):
                 smallest_singular_value=float(denom[k]),
                 index=int(ns[rows[k]]),
             )
-        covector = w0 / denom[:, None]
-        result[rows] += (math.exp(plan.mu[i]) - 1.0) * (d[:, :, None] * covector[:, None, :])
-    result *= math.exp(plan.eta)
+        covector = w0.T / denom
+        result[:, :, sel] += (math.exp(plan.mu[i]) - 1.0) * (d.T[:, None] * covector[None])
+    result = np.multiply(result.transpose(2, 0, 1), math.exp(plan.eta), order="C")
     return result[0] if steps.ndim == 0 else result
+
+
+def _as_slice(rows):
+    """Row indices ``rows`` as the slice that reads the same rows where they
+    run up one by one (a view, not a copy), else unchanged."""
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1 and (np.diff(rows) == 1).all():
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 # --- plan execution -------------------------------------------------------

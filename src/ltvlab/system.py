@@ -389,9 +389,11 @@ def _matrix_array(matrices):
 
 
 def _first_non_finite(mats):
-    """Index of the first matrix of a (k, s, s) stack with a non-finite entry, or None."""
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    return None if finite.all() else int(np.argmin(finite))
+    """Index of the first matrix of a (k, s, s) stack with a non-finite entry, or None.
+    One pass over the whole stack clears it; the per-matrix scan only names the step."""
+    if np.isfinite(mats).all():
+        return None
+    return int(np.argmin(np.isfinite(mats).all(axis=(1, 2))))
 
 
 # --- log-scaled propagation -------------------------------------------
@@ -420,8 +422,21 @@ class TrajectoryLog:
         return len(self.log_norms)
 
     def positions(self, ns):
-        """Rows of the steps ``ns``; KeyError for a step outside 1, ..., horizon."""
+        """Rows of the steps ``ns``, an integer or an array of them.
+
+        InvalidInputError for a step that is not an integer, a bool or a
+        whole float included (it is refused, not truncated); KeyError for a
+        step outside 1, ..., horizon.
+        """
         ns = np.asarray(ns)
+        if ns.size == 0:
+            ns = ns.astype(np.int64)
+        elif ns.dtype.kind not in "iu":
+            bad = [v for v in np.ravel(ns).tolist()
+                   if isinstance(v, bool) or not isinstance(v, int)]
+            raise InvalidInputError(  # ints alone make an object array past 64 bits
+                f"step n={bad[0]!r} is not an integer" if bad
+                else f"steps must be an integer array, got dtype {ns.dtype}")
         outside = (ns < 1) | (ns > self.horizon)
         if np.any(outside):
             missing = np.ravel(ns)[np.argmax(np.ravel(outside))]

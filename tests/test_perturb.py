@@ -27,6 +27,7 @@ from ltvlab import (
     splitness_report,
     synthesis_constants,
 )
+from ltvlab.linalg import project_out
 from ltvlab.presets import (
     geometric_diag,
     sin_log_system,
@@ -359,6 +360,124 @@ def test_perturbation_at_stacks_the_per_step_matrices():
         for outside in ([3, 301], [0, 3], -1):  # row -1 would read the last step
             with pytest.raises(KeyError):
                 perturbation_at(plan, fss, outside)
+
+
+def _first_form_perturbation_at(plan, fss, n):
+    """perturbation_at in its first form, a stacked (k, s, s) gather of the
+    directions, np.delete for each complement and a gather-add-scatter per
+    member: the reference for its bits."""
+    steps = np.asarray(n, dtype=np.int64)
+    ns = np.atleast_1d(steps)
+    s = fss.dimension
+    dirs = np.stack([traj.directions[ns - 1] for traj in fss.trajectories], axis=2)
+    active = plan.gamma_flags[ns - 1] & (plan.mu > 0.0)
+    result = np.repeat(np.eye(s)[None], len(ns), axis=0)
+    for i in np.flatnonzero(active.any(axis=0)):
+        rows = np.flatnonzero(active[:, i])
+        d = dirs[rows, :, i]
+        _, w0, _ = project_out(d, np.delete(dirs[rows], i, axis=2))
+        denom = np.einsum("km,km->k", w0, d)
+        collapsed = denom <= 1e-30
+        if collapsed.any():
+            k = int(np.argmax(collapsed))
+            raise SingularMatrixError(
+                f"projection direction {i} has collapsed onto the complement span "
+                f"at n={ns[rows[k]]}",
+                smallest_singular_value=float(denom[k]),
+                index=int(ns[rows[k]]),
+            )
+        covector = w0 / denom[:, None]
+        result[rows] += (math.exp(plan.mu[i]) - 1.0) * (d[:, :, None] * covector[:, None, :])
+    result *= math.exp(plan.eta)
+    return result[0] if steps.ndim == 0 else result
+
+
+def r_bit_case(name):
+    """(fss, plan) at horizon 1e4 with shifts (delta/2, -delta/3), or (delta/2, 0,
+    delta/4) in 3-d: diag(1, 2) with the standard basis, every row active; the
+    sin-log witness FSS, member 0 active on about 13% of steps 1..4096; and tri3,
+    whose zero shift leaves member 1 inactive."""
+    horizon = 10000
+    if name == "diag12":
+        fss, fractions = standard_basis_fss(geometric_diag([1.0, 2.0]), horizon), [1 / 2, -1 / 3]
+    elif name == "sin-log-witness":
+        fss, fractions = sin_log_witness_fss(horizon), [1 / 2, -1 / 3]
+    else:
+        fss, fractions = standard_basis_fss(tri3_system(horizon), horizon), [1 / 2, 0.0, 1 / 4]
+    delta = calibrate(fss).constants.delta
+    return fss, build_plan(fss, delta * np.array(fractions))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["diag12", "sin-log-witness", "tri3"])
+def test_perturbation_at_keeps_the_bits_of_its_first_form(name):
+    fss, plan = r_bit_case(name)
+    ns = np.arange(1, 4097)
+    active = (plan.gamma_flags[ns - 1] & (plan.mu > 0.0)).mean(axis=0)
+    if name == "sin-log-witness":
+        assert 0.1 < active[0] < 0.15 and active[1] == 0.0
+    else:  # member 1 has mu = 0; the others are active on every row
+        assert active.tolist() == {"diag12": [1.0, 0.0], "tri3": [1.0, 0.0, 1.0]}[name]
+    # [5, 7, 6, 8] spans four steps but is no run of them
+    for steps in (17, ns, ns[::-7], np.array([5, 7, 6, 8])):
+        assert_same_bits(np.asarray(perturbation_at(plan, fss, steps)),
+                         np.asarray(_first_form_perturbation_at(plan, fss, steps)))
+
+
+def test_perturbation_at_raises_for_a_collapse_on_active_rows_only():
+    seq = sin_log_system()
+    fss, plan = r_bit_case("sin-log-witness")
+    ns = np.arange(1, 4097)
+    active = plan.gamma_flags[ns - 1, 0] & (plan.mu[0] > 0.0)
+    inactive_row, active_row = int(np.argmin(active)), int(np.argmax(active[100:])) + 100
+    for row in (inactive_row, active_row):
+        trajectories = [TrajectoryLog(t.directions.copy(), t.log_norms) for t in fss.trajectories]
+        trajectories[0].directions[row] = trajectories[1].directions[row]  # x_1 on x_2's line
+        bad = FSSRecord(seq, trajectories, fss.initial_vectors)
+        if row == inactive_row:
+            assert_same_bits(perturbation_at(plan, bad, ns),
+                             _first_form_perturbation_at(plan, bad, ns))
+            continue
+        with pytest.raises(SingularMatrixError) as want:
+            _first_form_perturbation_at(plan, bad, ns)
+        with pytest.raises(SingularMatrixError) as got:
+            perturbation_at(plan, bad, ns)
+        assert got.value.index == want.value.index == row + 1
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("step", [2.7, [1.9, 3.2], True, 3.0])
+def test_a_step_that_is_not_an_integer_is_refused(step):
+    # refused, not truncated to the R(n) of another step
+    seq, fss = diag12_fss()
+    plan = build_plan(fss, [0.01, -0.01])
+    traj = fss.trajectories[0]
+    first = np.ravel(step)[0].item()
+    for call in (lambda: perturbation_at(plan, fss, step), lambda: traj.direction_at(step),
+                 lambda: traj.value_at(step)):
+        with pytest.raises(InvalidInputError, match=f"step n={first!r} is not an integer"):
+            call()
+
+
+def test_steps_may_be_numpy_integers_or_an_empty_list():
+    seq, fss = diag12_fss()
+    plan = build_plan(fss, [0.01, -0.01])
+    traj = fss.trajectories[0]
+    want = perturbation_at(plan, fss, [3, 4])
+    for steps in (np.array([3, 4], dtype=np.int32), np.array([3, 4], dtype=np.uint16)):
+        assert np.array_equal(perturbation_at(plan, fss, steps), want)
+    assert np.array_equal(perturbation_at(plan, fss, np.int64(4)), want[1])
+    assert np.array_equal(traj.direction_at(np.uint8(3)), traj.direction_at(3))
+    assert traj.value_at(np.int16(4))[0] == traj.value_at(4)[0]
+    assert perturbation_at(plan, fss, []).shape == (0, 2, 2)
+    with pytest.raises(KeyError):
+        perturbation_at(plan, fss, np.uint64(0))
+    with pytest.raises(InvalidInputError, match="integer array, got dtype object"):
+        perturbation_at(plan, fss, [3, 2**70])
 
 
 def test_execute_plan_matches_the_per_step_recurrence():

@@ -577,13 +577,35 @@ def test_matrices_stack_matrix_at_for_every_kind(tmp_path):
         file_seq.matrices(0, 3)
 
 
-def test_matrices_name_the_first_non_finite_step():
+def test_matrices_name_the_first_non_finite_step(tmp_path):
     seq = diagonal_spec("1", "1/((n-5)*(n-9))")
     assert np.isfinite(seq.matrices(1, 5)).all()
     with pytest.raises(PropagationError, match="n=5"):
         seq.matrices(1, 20)
     with pytest.raises(PropagationError, match="n=9"):
         seq.matrices(6, 20)
+    # one bad entry in a chunk: the last step of a chunk, off the diagonal at
+    # the first step of the next one, and step 1
+    for n, entry, value in [(4096, (0, 0), math.nan), (4097, (0, 1), math.inf),
+                            (1, (1, 1), -math.inf)]:
+        def block_fn(start, stop, n=n, entry=entry, value=value):
+            mats = np.repeat(np.eye(2)[None], stop - start, axis=0)
+            if start <= n < stop:
+                mats[(n - start,) + entry] = value
+            return mats
+
+        seq = CoefficientSequence(2, block_fn)
+        start = 1 + (n - 1) // 4096 * 4096
+        assert np.isfinite(seq.matrices(n + 1, n + 4097)).all()
+        for first, stop in ((start, start + 4096), (n, n + 1)):
+            with pytest.raises(PropagationError) as info:
+                seq.matrices(first, stop)
+            assert str(info.value) == f"coefficient A(n) is not finite at n={n}"
+    path = str(tmp_path / "seq.txt")
+    Path(path).write_text("2 3\n1 0\n0 1\n2 0\n0 2\n3 0\n0 nan\n")
+    with pytest.raises(ParseError) as info:
+        read_matrix_sequence(path)
+    assert str(info.value) == f"{path!r}: record 3 has a non-finite value (line 1, column 1)"
 
 
 @pytest.mark.parametrize("s, seed", [(3, 11), (4, 12)])

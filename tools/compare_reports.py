@@ -55,15 +55,30 @@ def _rotated_diag12():
         f"  {row[0]!r} {row[1]!r}\n" for row in a)
 
 
+def _write_matrix_file(path, matrices):
+    """A matrix-sequence file of ``matrices``, lists of rows, one line of entries per step."""
+    s = len(matrices[0])
+    with open(path, "w") as fh:
+        fh.write(f"{s} {len(matrices)}\n")
+        for m in matrices:
+            fh.write(" ".join(repr(v) for row in m for v in row) + "\n")
+    return f"dimension: {s}\nkind: file\npath: {path}\n"
+
+
 def _write_diagonal_file(path, diagonals):
     """A matrix-sequence file of diagonal matrices, one row of entries per step."""
     s = len(diagonals[0])
-    with open(path, "w") as fh:
-        fh.write(f"{s} {len(diagonals)}\n")
-        for entries in diagonals:
-            fh.write(" ".join(repr(entries[i] if i == j else 0.0)
-                              for i in range(s) for j in range(s)) + "\n")
-    return f"dimension: {s}\nkind: file\npath: {path}\n"
+    return _write_matrix_file(path, [[[d[i] if i == j else 0.0 for j in range(s)]
+                                      for i in range(s)] for d in diagonals])
+
+
+def _triangular(rng, count):
+    """``count`` upper-triangular 3 x 3 matrices: diagonal exp(lambda + 0.2 u) with
+    lambda = (-0.3, 0.2, 0.7) and u from U(-1, 1), strict upper entries from
+    U(-0.5, 0.5), so the standard basis is a splitted FSS with dense projections."""
+    return [[[math.exp((-0.3, 0.2, 0.7)[i] + 0.2 * rng.uniform(-1.0, 1.0)) if i == j
+              else rng.uniform(-0.5, 0.5) if j > i else 0.0 for j in range(3)]
+             for i in range(3)] for _ in range(count)]
 
 
 def configs(inputs):
@@ -91,6 +106,10 @@ def configs(inputs):
                        "horizon": 5000, **_fields(2)},
         "diag-half-1-3-skew": {"system": "diag(0.5,1,3)", "horizon": 6000,
                                "initial_vectors": skew3, **_fields(3)},
+        "triangular-3d-file": {"system": _write_matrix_file(inputs / "triangular.seq",
+                                                            _triangular(random.Random(1), 4000)),
+                               "horizon": 4000, **_fields(3), "shifts": [0.005, -0.004, 0.003],
+                               "target_spectrum": [-0.293, 0.197, 0.702]},
         # x_2 and x_3 both turn towards e_2: x_1's angle basis collapses from n = 43 on
         "collapsing-3d": {"system": "dimension: 3\nkind: diagonal\nentries:\n  1\n  2\n"
                                     "  exp(sin(n))\n",
