@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure,
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from .presets import geometric_diag, sin_log_extrema
 from .splitness import GAMMA_GRID, FSSRecord, _initial_basis, gamma_statistics, splitness_report
 from .system import CoefficientSequence, parse_generator_spec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _CSV_BLOCK_ROWS = 4096  # rows of a column-built CSV formatted and written at a time
 
 EXIT_OK = 0
@@ -235,6 +236,21 @@ def _make_out_dir(out_dir):
                          f"{exc.strerror or exc}") from exc
 
 
+def _fields(*results):
+    """The repr fields of dataclass results, side by side, by name."""
+    return {f.name: getattr(r, f.name) for r in results for f in dataclasses.fields(r) if f.repr}
+
+
+def _encode(value):
+    """A report value that JSON has no type for: a dataclass as its repr
+    fields, an array as a list and a numpy scalar as a number."""
+    if dataclasses.is_dataclass(value):
+        return _fields(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"a {type(value).__name__} cannot be written to a report")
+
+
 def _report(args, name, payload, csv=None):
     """Write the JSON payload and, when given, the CSV: bytes blocks with
     CRLF line ends, one write each.  A payload with a NaN or an infinity,
@@ -244,7 +260,7 @@ def _report(args, name, payload, csv=None):
     if args.format in ("json", "both"):
         path = out_dir / f"{name}.json"
         try:
-            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_encode)
         except ValueError as exc:
             raise InvalidInputError(f"the {name}.json report cannot be written: {exc}") from exc
         path.write_text(text + "\n")
@@ -254,18 +270,19 @@ def _report(args, name, payload, csv=None):
         with open(path, "wb") as fh:
             fh.writelines(csv)
         print(f"wrote {path}")
-    return payload
 
 
 # --- subcommands -----------------------------------------------------------
 
 
 def _run(args):
-    """A config command: its ``args.cmd(seq, opts)`` returns (payload, CSV
-    blocks or None, summary lines), written as reports and printed here."""
+    """A config command: its ``args.cmd(seq, opts)`` returns (a result or a
+    tuple of them, CSV blocks or None, summary lines); the report holds the
+    params and the results' repr fields side by side."""
     seq, opts, params = _load(args)
-    payload, csv, lines = args.cmd(seq, opts)
-    _report(args, args.command, {"params": params, **payload}, csv)
+    result, csv, lines = args.cmd(seq, opts)
+    results = result if isinstance(result, tuple) else (result,)
+    _report(args, args.command, {"params": params, **_fields(*results)}, csv)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -277,12 +294,7 @@ def cmd_spectrum(seq, opts):
         realizing = estimate.realizing_indices[slot:slot + count]
         rows.append((value, count, sum(len(r) for r in realizing)))
         slot += count
-    payload = {
-        "exponents": estimate.exponents.tolist(),
-        "multiplicities": estimate.multiplicities,
-        "horizon": opts["horizon"],
-    }
-    return payload, _csv_table(("exponent", "multiplicity", "realizing_count"), rows), [
+    return estimate, _csv_table(("exponent", "multiplicity", "realizing_count"), rows), [
         "spectrum: " + " ".join(f"{v:.6f} (x{c})" for v, c in estimate.multiplicities)]
 
 
@@ -298,48 +310,18 @@ def cmd_splitness(seq, opts):
     ns = sigma * np.arange(1, len(flags[0]) + 1)
     columns = [ns, *fss.angle_profile()[ns - 1].T, *flags, *densities]
     header = ["n", *(f"{c}_{i + 1}" for c in ("phi", "flag", "g") for i in range(fss.dimension))]
-    payload = {
-        "splitted": report.splitted,
-        "verdicts": [
-            {
-                "solution": v.solution_index,
-                "status": v.status,
-                "gamma": v.gamma,
-                "rho_hat": v.rho_hat,
-                "lambda_hat": v.lambda_hat,
-            }
-            for v in report.verdicts
-        ],
-    }
     lines = [f"splitted: {report.splitted}"] + [
         f"  solution {v.solution_index}: {v.status}"
         + ("" if v.rho_hat is None else f" (gamma={v.gamma:.4f}, rho={v.rho_hat:.4f})")
         for v in report.verdicts
     ]
-    return payload, _csv_blocks(header, columns), lines
+    return report, _csv_blocks(header, columns), lines
 
 
 def cmd_perturb(seq, opts):
     plan = build_plan(opts["fss"], opts["shifts"])
     outcome = execute_plan(seq, opts["fss"], plan)
-    payload = {
-        "constants": {
-            "gamma": plan.constants.gamma,
-            "rho": plan.constants.rho,
-            "r": plan.constants.r,
-            "delta1": plan.constants.delta1,
-            "delta": plan.constants.delta,
-            "beta": plan.constants.beta,
-        },
-        "targets": plan.target_shifts.tolist(),
-        "base_exponents": outcome.base_exponents.tolist(),
-        "perturbed_exponents": outcome.perturbed_exponents.tolist(),
-        "achieved_shifts": outcome.achieved_shifts.tolist(),
-        "r_norm_sup": outcome.r_norm_sup,
-        "norm_budget": outcome.norm_budget,
-        "agreement_residual": outcome.agreement_residual,
-    }
-    return payload, None, [
+    return (plan, outcome), None, [
         f"perturbed exponents: {outcome.perturbed_exponents.tolist()} "
         f"(||R-I|| = {outcome.r_norm_sup:.6g} <= budget {outcome.norm_budget:.6g})"
     ]
@@ -347,22 +329,17 @@ def cmd_perturb(seq, opts):
 
 def cmd_assign(seq, opts):
     result = openness_experiment(seq, opts["fss"], opts["target_spectrum"], opts["epsilon"])
-    if result["eta"] == math.inf:  # one exponent: no gap, and inf is not JSON
-        result["eta"] = None
     return result, None, [
-        f"assigned spectrum {result['achieved_exponents']} "
-        f"(error {result['assignment_error']:.3e}, ||R-I|| = {result['r_norm_sup']:.6g})"
+        f"assigned spectrum {result.achieved_exponents.tolist()} "
+        f"(error {result.assignment_error:.3e}, ||R-I|| = {result.r_norm_sup:.6g})"
     ]
 
 
 def cmd_instability(seq, opts):
     result = instability_experiment(seq, opts["fss"], opts["epsilon_grid"],
                                     trials=opts["trials"], seed=opts["seed"])
-    rows = [
-        (row["epsilon"], row["r_norm_sup"], row["distance_to_base"],
-         "SUCCESS" if row["success"] else "FAIL")
-        for row in result["rows"]
-    ]
+    rows = [(row.epsilon, row.r_norm_sup, row.distance_to_base,
+             "SUCCESS" if row.success else "FAIL") for row in result.rows]
     lines = [
         f"epsilon={eps:g}: ||R-I||={r_norm:.4g}, distance={distance:.4g} -> {status}"
         for eps, r_norm, distance, status in rows

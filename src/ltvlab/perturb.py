@@ -15,7 +15,7 @@ serves as the module's internal oracle.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,7 +159,8 @@ class PerturbationPlan:
     target_shifts: np.ndarray  # xi_i
     eta: float
     mu: np.ndarray
-    gamma_flags: np.ndarray  # (horizon, s): n in Gamma_i, so s_i(n) = eta + mu_i * flag
+    # (horizon, s): n in Gamma_i, so s_i(n) = eta + mu_i * flag
+    gamma_flags: np.ndarray = field(repr=False)
     constants: SynthesisConstants
 
     @property
@@ -274,7 +275,7 @@ class PerturbationOutcome:
     r_norm_sup: float
     norm_budget: float  # beta * max|xi_i|
     agreement_residual: float  # closed form vs simulation, relative log-norm
-    perturbed_log_norms: np.ndarray  # (horizon, s)
+    perturbed_log_norms: np.ndarray = field(repr=False)  # (horizon, s)
 
 
 def execute_plan(seq, fss, plan):
@@ -334,6 +335,30 @@ def execute_plan(seq, fss, plan):
 # --- experiments -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class InstabilityRow:
+    epsilon: float
+    shifts: np.ndarray
+    clamped_to_delta: bool
+    r_norm_sup: float
+    r_within_epsilon: bool
+    perturbed_spectrum: np.ndarray
+    distance_to_base: float
+    outside_alpha: bool
+    success: bool
+
+
+@dataclass(frozen=True)
+class InstabilityResult:
+    alpha: float
+    delta: float
+    beta: float
+    base_spectrum: np.ndarray
+    fss_exponents: np.ndarray
+    witness: np.ndarray | None
+    rows: list  # one InstabilityRow per epsilon
+
+
 def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
     """Drive spectrum jumps from a splitted non-normal FSS.
 
@@ -342,7 +367,10 @@ def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
     row means the perturbed spectrum estimate stays outside the
     alpha-neighborhood of the unperturbed spectrum estimate while
     ||R - I|| stays below epsilon, where alpha is half the largest gap
-    between the FSS exponents and that estimate.
+    between the FSS exponents and that estimate.  That perturbed
+    estimate, a row's ``perturbed_spectrum``, is the sorted member
+    exponents of the perturbed FSS, not a QR spectrum of the perturbed
+    system.
     """
     if len(epsilon_grid) == 0 or not all(0.0 < eps < math.inf for eps in epsilon_grid):
         raise InvalidInputError(f"epsilon_grid must be non-empty, each epsilon finite and > 0, "
@@ -369,36 +397,36 @@ def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
     beta = calibration.constants.beta
     rows = []
     for eps in epsilon_grid:
+        eps = float(eps)
         # shifts of size eps / beta keep ||R - I|| below eps itself
-        budget = min(float(eps) / beta, delta)
-        clamped = float(eps) / beta > delta
+        budget = min(eps / beta, delta)
         xi = np.linspace(-budget, budget, s)
         outcome = execute_plan(seq, fss, build_plan(fss, xi, calibration))
         perturbed = np.sort(outcome.perturbed_exponents)
         distance = float(np.max(np.abs(perturbed - base_spectrum.exponents)))
-        within_budget = outcome.r_norm_sup < float(eps)
-        rows.append(
-            {
-                "epsilon": float(eps),
-                "shifts": xi.tolist(),
-                "clamped_to_delta": clamped,
-                "r_norm_sup": outcome.r_norm_sup,
-                "r_within_epsilon": within_budget,
-                "perturbed_spectrum": perturbed.tolist(),
-                "distance_to_base": distance,
-                "outside_alpha": distance > alpha,
-                "success": distance > alpha and within_budget,
-            }
-        )
-    return {
-        "alpha": alpha,
-        "delta": delta,
-        "beta": calibration.constants.beta,
-        "base_spectrum": base_spectrum.exponents.tolist(),
-        "fss_exponents": fss_exponents.tolist(),
-        "witness": None if verdict.witness is None else verdict.witness.tolist(),
-        "rows": rows,
-    }
+        within_budget = outcome.r_norm_sup < eps
+        rows.append(InstabilityRow(eps, xi, eps / beta > delta, outcome.r_norm_sup,
+                                   within_budget, perturbed, distance, distance > alpha,
+                                   distance > alpha and within_budget))
+    return InstabilityResult(alpha, delta, beta, base_spectrum.exponents, fss_exponents,
+                             verdict.witness, rows)
+
+
+@dataclass(frozen=True)
+class OpennessResult:
+    gamma: float  # min(eta, epsilon / beta, delta): the assignable neighborhood
+    eta: float | None  # a third of the smallest exponent gap; None at s = 1, with no gap
+    beta: float
+    delta: float
+    targets: np.ndarray
+    base_exponents: np.ndarray
+    achieved_exponents: np.ndarray
+    assignment_error: float
+    r_norm_sup: float
+    epsilon: float
+    within_epsilon: bool
+    pairwise_distinct: bool
+    agreement_residual: float
 
 
 def openness_experiment(seq, fss, target_spectrum, epsilon):
@@ -414,6 +442,7 @@ def openness_experiment(seq, fss, target_spectrum, epsilon):
         raise InvalidInputError(f"expected {s} target exponents, got {target.shape}")
     if not 0.0 < epsilon < math.inf:
         raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
+    epsilon = float(epsilon)
 
     calibration = calibrate(fss)
     lams = np.array([v.lambda_hat for v in calibration.verdicts])
@@ -424,7 +453,7 @@ def openness_experiment(seq, fss, target_spectrum, epsilon):
 
     beta = calibration.constants.beta
     delta = calibration.constants.delta
-    gamma_open = min(eta, float(epsilon) / beta, delta)
+    gamma_open = min(eta, epsilon / beta, delta)
     xi = target - lams
     worst = float(np.abs(xi).max())
     if worst >= gamma_open:
@@ -435,18 +464,10 @@ def openness_experiment(seq, fss, target_spectrum, epsilon):
 
     outcome = execute_plan(seq, fss, build_plan(fss, xi, calibration))
     achieved = outcome.perturbed_exponents
-    return {
-        "gamma": gamma_open,
-        "eta": eta,
-        "beta": beta,
-        "delta": delta,
-        "targets": target.tolist(),
-        "base_exponents": lams.tolist(),
-        "achieved_exponents": achieved.tolist(),
-        "assignment_error": float(np.abs(achieved - target).max()),
-        "r_norm_sup": outcome.r_norm_sup,
-        "epsilon": float(epsilon),
-        "within_epsilon": outcome.r_norm_sup < float(epsilon),
-        "pairwise_distinct": bool(np.diff(np.sort(achieved)).min(initial=math.inf) > 0.0),
-        "agreement_residual": outcome.agreement_residual,
-    }
+    return OpennessResult(
+        gamma_open, eta if s > 1 else None, beta, delta, target, lams, achieved,
+        float(np.abs(achieved - target).max()), outcome.r_norm_sup, epsilon,
+        outcome.r_norm_sup < epsilon,
+        bool(np.diff(np.sort(achieved)).min(initial=math.inf) > 0.0),
+        outcome.agreement_residual,
+    )

@@ -10,7 +10,7 @@ a realizing sequence.
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ COMBINATION_GAP_TOL = 0.1
 class SpectrumEstimate:
     exponents: np.ndarray  # nondecreasing, length s
     multiplicities: list  # (value, count) pairs, values increasing
-    realizing_indices: list  # per exponent slot, checkpoint n's
+    realizing_indices: list = field(repr=False)  # per exponent slot, checkpoint n's
 
 
 def exponent_profile(traj, sigma=1):

@@ -9,7 +9,7 @@ the realizing indices of its exponent estimate.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,21 +55,18 @@ class FSSRecord:
     def horizon(self):
         return self.trajectories[0].horizon
 
-    def direction_stack(self, ns=None):
-        """Unit directions with one column per solution, shape (steps, s, s),
-        at every step or at the steps ``ns`` (KeyError outside 1..horizon)."""
-        pos = slice(None) if ns is None else self.trajectories[0].positions(ns)
-        return np.stack([traj.directions[pos] for traj in self.trajectories], axis=2)
-
     def _member_profile(self, to_others, collapsed_value):
         """to_others(x_i, the others' columns) for every member over all
-        steps, one stacked call per member.  A member whose complement
-        basis collapsed at a step gets ``collapsed_value`` there, and a
-        profile with such steps warns once, with their count and the first."""
-        dirs = self.direction_stack()
-        values = np.column_stack(
-            [to_others(dirs[:, :, i], np.delete(dirs, i, axis=2)) for i in range(self.dimension)]
-        )
+        steps, one stacked call per member on its own direction rows.  A
+        member whose complement basis collapsed at a step gets
+        ``collapsed_value`` there, and a profile with such steps warns once,
+        with their count and the first."""
+        dirs = [traj.directions for traj in self.trajectories]
+        values = np.empty((self.horizon, self.dimension))
+        for i, d in enumerate(dirs):
+            others = dirs[:i] + dirs[i + 1:]  # none at s = 1: an empty basis
+            values[:, i] = to_others(
+                d, np.stack(others, axis=2) if others else np.empty((*d.shape, 0)))
         collapsed = np.isnan(values)
         steps = np.flatnonzero(collapsed.any(axis=1)) + 1
         if len(steps):
@@ -83,9 +80,9 @@ class FSSRecord:
         if self._angles is None and self.dimension == 2:
             # angle of each direction to the other one's line, folded to
             # [0, pi/2]; arcsin of the residual is accurate near 0
-            dirs = self.direction_stack()
-            dots = np.einsum("ki,ki->k", dirs[:, :, 0], dirs[:, :, 1])
-            resid = dirs[:, :, 0] - dots[:, None] * dirs[:, :, 1]
+            d1, d2 = (traj.directions for traj in self.trajectories)
+            dots = np.einsum("ki,ki->k", d1, d2)
+            resid = d1 - dots[:, None] * d2
             sines = np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0)
             phi = np.arcsin(sines)
             self._angles = np.column_stack([phi, phi])
@@ -102,8 +99,8 @@ class FSSRecord:
         pi/2, where the arcsin route amplifies rounding in the cosine.
         """
         if self._cosines is None and self.dimension == 2:
-            dirs = self.direction_stack()
-            cos = np.clip(np.abs(np.einsum("ki,ki->k", dirs[:, :, 0], dirs[:, :, 1])), 0.0, 1.0)
+            d1, d2 = (traj.directions for traj in self.trajectories)
+            cos = np.clip(np.abs(np.einsum("ki,ki->k", d1, d2)), 0.0, 1.0)
             self._cosines = np.column_stack([cos, cos])
         elif self._cosines is None:
             self._cosines = np.clip(self._member_profile(cosine_to_subspace, 1.0), 0.0, 1.0)
@@ -159,7 +156,7 @@ def _gamma_set(angles, gamma):
 class BrokenAwayVerdict:
     solution_index: int
     gamma: float | None
-    realizing_ks: np.ndarray | None
+    realizing_ks: np.ndarray | None = field(repr=False)
     rho_hat: float | None
     lambda_hat: float | None
     status: str  # "yes" | "no" | "inconclusive"
@@ -226,12 +223,11 @@ def apply_lyapunov_transformation(seq, fss, transform):
         return ls[1:] @ seq.matrices(start, stop) @ np.linalg.inv(ls[:-1])
 
     new_seq = CoefficientSequence(seq.dimension, block_fn)
-    ys = ls[:-1] @ fss.direction_stack()  # (horizon, s, members)
-    norms = np.linalg.norm(ys, axis=1)
-    new_trajs = [
-        TrajectoryLog(ys[:, :, i] / norms[:, i, None], traj.log_norms + np.log(norms[:, i]))
-        for i, traj in enumerate(fss.trajectories)
-    ]
+    new_trajs = []
+    for traj in fss.trajectories:
+        y = (ls[:-1] @ traj.directions[:, :, None])[:, :, 0]  # L(n) x_i(n), row n - 1
+        norms = np.linalg.norm(y, axis=1)
+        new_trajs.append(TrajectoryLog(y / norms[:, None], traj.log_norms + np.log(norms)))
     return new_seq, FSSRecord(new_seq, new_trajs, fss.initial_vectors @ ls[0].T)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ltvlab import InvalidInputError, ParseError, read_matrix_sequence, write_matrix_sequence
+from ltvlab import (
+    InvalidInputError,
+    ParseError,
+    PerturbationOutcome,
+    PerturbationPlan,
+    SpectrumEstimate,
+    SplitnessReport,
+    perturb,
+    read_matrix_sequence,
+    write_matrix_sequence,
+)
 from ltvlab.cli import (
     _CSV_BLOCK_ROWS,
     _FIELDS,
@@ -43,7 +54,7 @@ def test_spectrum_command(tmp_path, capsys):
     code = main(["spectrum", "--config", cfg, "--out-dir", str(out)])
     assert code == EXIT_OK
     payload = json.loads((out / "spectrum.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert abs(payload["exponents"][0]) < 1e-3
     assert abs(payload["exponents"][1] - math.log(2)) < 1e-3
     assert (out / "spectrum.csv").exists()
@@ -58,7 +69,7 @@ def test_spectrum_horizon_override(tmp_path):
     )
     assert code == EXIT_OK
     payload = json.loads((out / "spectrum.json").read_text())
-    assert payload["horizon"] == 500
+    assert payload["params"]["horizon"] == 500
 
 
 def test_splitness_command(tmp_path, capsys):
@@ -281,8 +292,8 @@ def test_assign_on_one_exponent_writes_a_strict_json_report(tmp_path):
 def test_a_report_value_that_is_not_json_exits_3_naming_the_report(tmp_path, capsys,
                                                                    monkeypatch):
     def openness_experiment(seq, fss, target, epsilon):
-        return {"eta": 0.1, "achieved_exponents": [0.7], "assignment_error": math.nan,
-                "r_norm_sup": 0.0}
+        result = perturb.openness_experiment(seq, fss, target, epsilon)
+        return dataclasses.replace(result, assignment_error=math.nan)
 
     monkeypatch.setattr("ltvlab.cli.openness_experiment", openness_experiment)
     cfg = write_config(tmp_path, "cfg.json", {"system": "diag(2)", "horizon": 200,
@@ -291,6 +302,41 @@ def test_a_report_value_that_is_not_json_exits_3_naming_the_report(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: the assign.json report") and err.count("\n") == 1
     assert not (tmp_path / "o" / "assign.json").exists()
+
+
+REPORTED_RESULTS = {  # command -> the results whose repr fields its report holds
+    "spectrum": (SpectrumEstimate,),
+    "splitness": (SplitnessReport,),
+    "perturb": (PerturbationPlan, PerturbationOutcome),
+    "assign": (perturb.OpennessResult,),
+    "instability": (perturb.InstabilityResult,),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORTED_RESULTS))
+def test_a_report_holds_the_repr_fields_of_its_results(tmp_path, command):
+    config = {"system": "diag(1,2)", "horizon": 2000, "shifts": [0.01, -0.01],
+              "target_spectrum": [0.01, math.log(2) - 0.01], "epsilon": 0.2}
+    if command == "instability":  # needs a splitted, non-normal FSS
+        config = {"system": SIN_LOG_SYSTEM, "horizon": 5000, "initial_vectors": [[1, 1], [0, 1]],
+                  "epsilon_grid": [0.05]}
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    payload = strict_json((tmp_path / "o" / f"{command}.json").read_text())
+    fields = {f.name for cls in REPORTED_RESULTS[command] for f in dataclasses.fields(cls)
+              if f.repr}
+    assert set(payload) == {"schema_version", "tool_version", "params"} | fields
+    if command != "instability":  # no per-step array: no list is longer than s = 2
+        assert longest_list(payload) <= 2
+
+
+def longest_list(value):
+    """The length of the longest list anywhere in JSON ``value``, 0 for none."""
+    if isinstance(value, dict):
+        return max(map(longest_list, value.values()), default=0)
+    if isinstance(value, list):
+        return max([len(value), *map(longest_list, value)])
+    return 0
 
 
 def test_spectrum_csv_counts_the_realizing_checkpoints_of_each_group(tmp_path):

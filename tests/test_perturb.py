@@ -251,10 +251,10 @@ def test_instability_experiment_sin_log():
     seq = sin_log_system()
     fss = sin_log_witness_fss(10_000, seq)
     report = instability_experiment(seq, fss, [0.05, 0.01])
-    assert report["witness"] is not None
-    for row in report["rows"]:
-        assert row["r_norm_sup"] < row["epsilon"]
-        assert row["success"]
+    assert report.witness is not None
+    for row in report.rows:
+        assert row.r_norm_sup < row.epsilon
+        assert row.success
 
 
 def test_instability_requires_non_normal_fss():
@@ -268,10 +268,10 @@ def test_openness_assigns_nearby_spectrum():
     seq = geometric_diag([1.0, 2.0])
     fss = standard_basis_fss(seq, 10_000)
     result = openness_experiment(seq, fss, [0.01, math.log(2) - 0.01], 0.2)
-    assert result["assignment_error"] < 1e-3
-    assert result["r_norm_sup"] < 0.2
-    assert result["pairwise_distinct"]
-    assert result["agreement_residual"] < 1e-9
+    assert result.assignment_error < 1e-3
+    assert result.r_norm_sup < 0.2
+    assert result.pairwise_distinct
+    assert result.agreement_residual < 1e-9
 
 
 def test_openness_identity_for_exact_targets():
@@ -280,17 +280,17 @@ def test_openness_identity_for_exact_targets():
     cal = calibrate(fss)
     lams = [v.lambda_hat for v in cal.verdicts]
     result = openness_experiment(seq, fss, lams, 0.1)
-    assert result["r_norm_sup"] == 0.0
+    assert result.r_norm_sup == 0.0
 
 
 def test_openness_on_a_one_dimensional_system():
-    # one exponent has no gap to its neighbours, so eta is infinite
+    # one exponent has no gap to its neighbours, so there is no eta
     seq = geometric_diag([2.0])
     fss = standard_basis_fss(seq, 2000)
     result = openness_experiment(seq, fss, [math.log(2) + 0.01], 1.0)
-    assert result["eta"] == math.inf
-    assert result["pairwise_distinct"]
-    assert result["assignment_error"] <= 1e-3
+    assert result.eta is None
+    assert result.pairwise_distinct
+    assert result.assignment_error <= 1e-3
 
 
 def test_openness_refuses_equal_exponents():

@@ -6,9 +6,13 @@ Runs every config of the table in ``configs`` through the five config commands
 (spectrum, splitness, perturb, assign, instability) once in each checkout,
 with ``PYTHONPATH=<checkout>/src`` and a fresh working directory per run,
 and prints each run whose exit code, stdout, stderr or report bytes differ
-between the two, with both stderr line counts where stderr differs.  Every
-config holds the fields of all five commands, so a command that refuses its
-config is compared by its exit code and message.
+between the two, with both stderr line counts where stderr differs.  Where a
+JSON report differs, it also prints three key lists: keys only in PARENT,
+keys only in CHANGE and keys whose values differ.  A key is a path such as
+``constants.gamma``, with ``[]`` standing for every object of a list, as in
+``verdicts[].status``.  Every config holds the fields of all five commands,
+so a command that refuses its config is compared by its exit code and
+message.
 Each checkout's own path, and the run's working directory, are replaced by
 placeholders in stdout and stderr before comparing, so a warning that names
 a source file compares equal.  Exits 1 when any run differs.  Standard
@@ -137,6 +141,30 @@ def run(checkout, config_path, command, workdir):
     return proc.returncode, normalized(proc.stdout), normalized(proc.stderr), reports
 
 
+def _leaves(data, path=""):
+    """The leaf values of JSON ``data`` by key path, each path's values in
+    order; a list of objects is walked under ``path[]``, any other list is a leaf."""
+    if isinstance(data, dict):
+        items = [(f"{path}.{key}" if path else key, value) for key, value in data.items()]
+    elif isinstance(data, list) and data and all(isinstance(v, dict) for v in data):
+        items = [(f"{path}[]", value) for value in data]
+    else:
+        return {path: [data]}
+    leaves = {}
+    for key, value in items:
+        for leaf, values in _leaves(value, key).items():
+            leaves.setdefault(leaf, []).extend(values)
+    return leaves
+
+
+def key_lists(parent, change):
+    """Keys only in PARENT, keys only in CHANGE and keys whose values differ,
+    of two JSON reports given as bytes."""
+    a, b = _leaves(json.loads(parent)), _leaves(json.loads(change))
+    return (sorted(a.keys() - b.keys()), sorted(b.keys() - a.keys()),
+            sorted(key for key in a.keys() & b.keys() if a[key] != b[key]))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -169,6 +197,11 @@ def main(argv=None):
                   + (f"  stderr lines {lines[0]} -> {lines[1]}" if "stderr" in what else "")
                   + (f"  stderr: {parent[2].decode(errors='replace').splitlines()[-1][:90]}"
                      if parent[2] and not what else ""))
+            for file in sorted(parent[3].keys() & change[3].keys()):
+                if file.endswith(".json") and parent[3][file] != change[3][file]:
+                    for label, keys in zip(("only in PARENT", "only in CHANGE", "values differ"),
+                                           key_lists(parent[3][file], change[3][file])):
+                        print(f"{'':9s}{file} {label}: {', '.join(keys) or '-'}")
     runs = len(table) * len(COMMANDS)
     print(f"{runs} runs, {runs - differ} identical, {differ} differ")
     return 1 if differ else 0
