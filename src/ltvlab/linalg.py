@@ -11,9 +11,18 @@ import numpy as np
 from .errors import InvalidInputError, SingularMatrixError
 
 # A matrix counts as singular when its smallest singular value falls below
-# this fraction of the largest one.
+# this fraction of the largest one: the one rank rule, kept by _singular_values.
 SINGULAR_RTOL = 1e-12
 _EPS = 2.0**-53  # LAPACK's unit roundoff, DLAMCH('E')
+
+
+def _singular_values(mats, start=0):
+    """Singular values (k, s) of a stack of matrices for steps start, ...,
+    and the first of those steps whose matrix is singular to tolerance,
+    sigma_min <= SINGULAR_RTOL * sigma_max (None when there is none)."""
+    sv = np.linalg.svd(mats, compute_uv=False)
+    singular = sv[:, -1] <= SINGULAR_RTOL * sv[:, 0]
+    return sv, (start + int(np.argmax(singular)) if singular.any() else None)
 
 
 def spectral_norm(m):
@@ -200,11 +209,11 @@ def oblique_projections(columns):
         raise InvalidInputError(f"need {s} columns of dimension {s}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("columns have non-finite entries")
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * sv[0]:
+    sv, singular = _singular_values(x[None])
+    if singular is not None:
         raise SingularMatrixError(
-            f"column matrix singular to tolerance (sigma_min={sv[-1]:.3e})",
-            smallest_singular_value=float(sv[-1]),
+            f"column matrix singular to tolerance (sigma_min={sv[0, -1]:.3e})",
+            smallest_singular_value=float(sv[0, -1]),
         )
     xinv = np.linalg.solve(x, np.eye(s))
     return [np.outer(x[:, i], xinv[i, :]) for i in range(s)]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
 from .linalg import _max_abs
-from .system import _LN2, _NORMAL_MIN, BLOCK_STEPS, _chunk_states, _chunks, _propagation_blocks
+from .system import _LN2, _NORMAL_MIN, _chunk_states, _chunks, _propagation_blocks
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -160,23 +160,20 @@ def _volume_logs(seq, horizon, checkpoint_every):
 
     for first, (chunk_exps, compounds) in _chunks(evaluate, 1, horizon):
         passes = [_chunk_states(c, first, state) for c, state in zip(compounds, states)]
-        held = [None] * len(passes)  # each pass's block of whole segments that holds this one
-        for start in range(first, first + len(chunk_exps), BLOCK_STEPS):
-            exponents = chunk_exps[start - first : start - first + BLOCK_STEPS]
-            steps = np.arange(start + 1, start + len(exponents) + 1)  # x(n+1) follows A(n)
-            kept = _checkpoints(steps, horizon, checkpoint_every)
-            volumes = []
-            for j, chunk in enumerate(passes):  # the passes aligned by step
-                if held[j] is None or held[j][0][-1] < steps[-1]:
-                    held[j] = next(chunk)
-                    states[j] = held[j][3]
-                block_steps, _, logs, _ = held[j]
-                volumes.append(logs[steps[0] - block_steps[0] :][: len(steps)][kept, 0])
-            e_sums = e_sum + np.cumsum(exponents)
-            e_sum = e_sums[-1]
-            cp_ns.append(steps[kept])
-            cp_logs.append(np.diff(np.column_stack(volumes), axis=1, prepend=0.0)
-                           + _LN2 * e_sums[kept, None])
+        steps = np.arange(first + 1, first + len(chunk_exps) + 1)  # x(n+1) follows A(n)
+        reached = [first] * s  # the last step each pass has carried e_1 to
+        logs = [[] for _ in passes]
+        while min(reached) < steps[-1]:
+            j = reached.index(min(reached))  # furthest behind, so collapses raise in step order
+            block_steps, _, block_logs, states[j] = next(passes[j])
+            reached[j] = block_steps[-1]
+            logs[j].append(block_logs[:, 0])
+        kept = _checkpoints(steps, horizon, checkpoint_every)
+        e_sums = e_sum + np.cumsum(chunk_exps)
+        e_sum = e_sums[-1]
+        volumes = np.column_stack([np.concatenate(pass_logs)[kept] for pass_logs in logs])
+        cp_ns.append(steps[kept])
+        cp_logs.append(np.diff(volumes, axis=1, prepend=0.0) + _LN2 * e_sums[kept, None])
     return np.concatenate(cp_ns), np.concatenate(cp_logs)
 
 

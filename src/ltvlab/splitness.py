@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NotLyapunovSequenceError
-from .linalg import SINGULAR_RTOL, angle_to_subspace, cosine_to_subspace
+from .linalg import _singular_values, angle_to_subspace, cosine_to_subspace
 from .spectrum import _sigma_steps, exponent_profile, limsup_estimate
-from .system import CoefficientSequence, TrajectoryLog, _singular_values, propagate
+from .system import CoefficientSequence, TrajectoryLog, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
 RHO_THRESHOLD = 0.05
@@ -117,8 +117,7 @@ def _initial_basis(seq, vectors):
             f"an FSS of a {s}-dimensional system needs {s} finite initial vectors "
             f"of length {s}, got shape {vectors.shape}"
         )
-    sv = np.linalg.svd(vectors, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * sv[0]:
+    if _singular_values(vectors[None])[1] is not None:
         raise InvalidInputError("initial vectors are not linearly independent")
     return vectors
 

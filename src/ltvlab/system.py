@@ -24,7 +24,7 @@ from .errors import (
     UnderflowError,
 )
 from .expressions import _NUMBER, parse_expression
-from .linalg import SINGULAR_RTOL, _max_abs, spectral_norm
+from .linalg import _max_abs, _singular_values, spectral_norm
 
 BLOCK_STEPS = 256  # steps per scan segment: the running products of one batch of steps
 CHUNK_STEPS = 16 * BLOCK_STEPS  # steps of A(n) evaluated at once, scanned in segments
@@ -163,17 +163,8 @@ class CoefficientSequence:
                     f"A({singular}) is singular to tolerance; not a Lyapunov sequence",
                     index=singular,
                 )
-            bound = max(bound, float(sv[:, 0].max()), float((1.0 / sv[:, -1]).max()))
+            bound = max(bound, float(sv[:, 0].max()), 1.0 / float(sv[:, -1].min()))
         return bound
-
-
-def _singular_values(mats, start):
-    """Singular values (k, s) of a block of matrices for steps start, ...,
-    and the first of those steps whose matrix is singular to tolerance
-    (None when there is none)."""
-    sv = np.linalg.svd(mats, compute_uv=False)
-    singular = sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)
-    return sv, (start + int(np.argmax(singular)) if singular.any() else None)
 
 
 # --- generator spec parsing ------------------------------------------
@@ -780,8 +771,7 @@ def transition(seq, n, m):
         unit, extra = _scaled(prod)
         return ScaledMatrix(unit, extra + exp2 * _LN2)
     fwd = transition(seq, m, n)
-    sv = np.linalg.svd(fwd.unit, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * sv[0]:
+    if _singular_values(fwd.unit[None])[1] is not None:
         raise NotLyapunovSequenceError(
             f"transition({m},{n}) is singular to tolerance", index=n
         )
@@ -806,21 +796,12 @@ def additive_to_multiplicative(seq, q_seq, check_horizon=0):
     def block_fn(start, stop):
         return np.eye(s) + np.linalg.solve(seq.matrices(start, stop), q_seq.matrices(start, stop))
 
-    r_seq = CoefficientSequence(s, block_fn)
-    _check_nonsingular(
-        lambda start, stop: seq.matrices(start, stop) + q_seq.matrices(start, stop),
-        check_horizon,
-        "A({n}) + Q({n})",
-    )
-    return r_seq
+    def sums(start, stop):
+        return seq.matrices(start, stop) + q_seq.matrices(start, stop)
 
-
-def _check_nonsingular(block_fn, horizon, name):
-    """InadmissiblePerturbationError at the first n <= horizon where the
-    matrix block_fn gives is singular to tolerance."""
-    for start, mats in _chunks(block_fn, 1, int(horizon) + 1):
-        _, singular = _singular_values(mats, start)
+    for start, mats in _chunks(sums, 1, int(check_horizon) + 1):
+        singular = _singular_values(mats, start)[1]
         if singular is not None:
             raise InadmissiblePerturbationError(
-                f"{name.format(n=singular)} is singular to tolerance"
-            )
+                f"A({singular}) + Q({singular}) is singular to tolerance")
+    return CoefficientSequence(s, block_fn)

@@ -254,6 +254,20 @@ def test_lyapunov_transformation_checks_the_steps_past_the_horizon():
             assert info.value.index == 12
 
 
+def test_a_scaled_rotation_is_a_lyapunov_transformation():
+    # L = 1e-13 Q is perfectly conditioned, and B(n) = L A(n) L^-1 = Q A(n) Q^T;
+    # L = diag(1, 1e-13) is rank deficient to tolerance
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10)
+    q = np.array([[0.8, -0.6], [0.6, 0.8]])
+    new_seq, _ = apply_lyapunov_transformation(fss.seq, fss, CoefficientSequence.constant(1e-13 * q))
+    for n in (1, 5, 10, 11):
+        assert np.allclose(new_seq.matrix_at(n), q @ fss.seq.matrix_at(n) @ q.T, rtol=0, atol=1e-12)
+    flat = CoefficientSequence.constant(np.diag([1.0, 1e-13]))
+    with pytest.raises(NotLyapunovSequenceError,
+                       match=r"^L\(1\) is singular to tolerance; not a Lyapunov transformation$"):
+        apply_lyapunov_transformation(fss.seq, fss, flat)
+
+
 def test_one_dimensional_fss_takes_the_general_angle_path():
     fss = standard_basis_fss(geometric_diag([2.0]), 200)
     assert np.all(fss.angle_profile() == math.pi / 2)

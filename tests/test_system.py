@@ -359,6 +359,26 @@ def test_lyapunov_bound_rejects_singular():
     assert info.value.index == 3
 
 
+def test_the_rank_rule_is_relative_for_a_and_a_plus_q():
+    # 1e-13 I is a perfectly conditioned contraction, so neither A = 1e-13 I nor
+    # A + Q = 1e-13 I is singular; diag(1, 1e-13) is rank deficient to tolerance
+    small, flat = 1e-13 * np.eye(2), np.diag([1.0, 1e-13])
+    assert CoefficientSequence.constant(small).lyapunov_bound(5) == 1e13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # ||A^-1|| = 1e320 is past the double range: inf, quietly
+        assert CoefficientSequence.constant(1e-320 * np.eye(2)).lyapunov_bound(5) == math.inf
+    with pytest.raises(NotLyapunovSequenceError,
+                       match=r"^A\(1\) is singular to tolerance; not a Lyapunov sequence$"):
+        CoefficientSequence.constant(flat).lyapunov_bound(5)
+    r_seq = additive_to_multiplicative(CoefficientSequence.constant(2.0 * small),
+                                       CoefficientSequence.constant(-small), check_horizon=5)
+    assert np.array_equal(r_seq.matrix_at(5), 0.5 * np.eye(2))  # A + Q = A R, R = I / 2
+    with pytest.raises(InadmissiblePerturbationError,
+                       match=r"^A\(1\) \+ Q\(1\) is singular to tolerance$"):
+        additive_to_multiplicative(CoefficientSequence.constant(2.0 * flat),
+                                   CoefficientSequence.constant(-flat), check_horizon=5)
+
+
 def test_propagate_log_scaled_growth():
     # 2^n growth held as log-norm, direction stays put
     seq = geometric_diag([1.0, 2.0])

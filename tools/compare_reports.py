@@ -15,7 +15,10 @@ so a command that refuses its config is compared by its exit code and
 message.
 Each checkout's own path, and the run's working directory, are replaced by
 placeholders in stdout and stderr before comparing, so a warning that names
-a source file compares equal.  Exits 1 when any run differs.  Standard
+a source file compares equal.  A warning is compared by its file, category and
+message alone: the line number after its file and the source line Python
+echoes under it are dropped, for an edit above the ``warnings.warn`` call
+moves both.  Exits 1 when any run differs.  Standard
 library only, so it runs against any two checkouts.
 """
 
@@ -24,6 +27,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,6 +35,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 COMMANDS = ("spectrum", "splitness", "perturb", "assign", "instability")
+
+# "file.py:LINE: Category: message" and the indented source line echoed under it
+WARNING = re.compile(rb"^(.+\.py):\d+: (\w+: .*)\n(?:  .*\n)?", re.MULTILINE)
 
 SIN_LOG = (
     "dimension: 2\n"
@@ -138,7 +145,8 @@ def run(checkout, config_path, command, workdir):
             data = data.replace(str(path).encode(), mark)
         return data
 
-    return proc.returncode, normalized(proc.stdout), normalized(proc.stderr), reports
+    return (proc.returncode, normalized(proc.stdout),
+            WARNING.sub(rb"\1:<line>: \2\n", normalized(proc.stderr)), reports)
 
 
 def _leaves(data, path=""):
