@@ -7,6 +7,7 @@ overflow: a solution is stored as a unit direction plus an accumulated
 log-norm, and a transition matrix as a unit-norm matrix plus a log factor.
 """
 
+import io
 import math
 import re
 import warnings
@@ -308,14 +309,25 @@ def parse_generator_spec(text):
 # --- matrix sequence files --------------------------------------------
 
 
+_last_parsed = (None, None)  # hash() of the last matrix file's bytes, its sequence
+
+
 def read_matrix_sequence(path):
     """Read a matrix sequence file: header 's count', then count s*s blocks
     of signed ASCII decimals separated by whitespace.
 
-    Records are indexed from n=1; other origins are not supported.
+    Records are indexed from n=1; other origins are not supported.  The
+    process keeps the sequence of the last file parsed, keyed by ``hash()`` of
+    its bytes (64-bit SipHash under a per-process key), and returns it again
+    for the same bytes; a refused file is not kept.
     """
-    with open(path) as fh:
-        head = fh.read().split(None, 2)
+    global _last_parsed
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = hash(raw)
+    if key == _last_parsed[0]:
+        return _last_parsed[1]
+    head = io.TextIOWrapper(io.BytesIO(raw)).read().split(None, 2)  # decoded as open(path)
     if len(head) < 2:
         raise ParseError(f"matrix sequence file {path!r} is too short", 1, 1)
     if not all(map(_DIGITS.fullmatch, head[:2])) or min(map(int, head[:2])) < 1:
@@ -339,7 +351,8 @@ def read_matrix_sequence(path):
     bad = _first_non_finite(data)
     if bad is not None:
         raise ParseError(f"{path!r}: record {bad + 1} has a non-finite value", 1, 1)
-    return CoefficientSequence.from_matrices(data)
+    _last_parsed = key, CoefficientSequence.from_matrices(data)
+    return _last_parsed[1]
 
 
 def write_matrix_sequence(path, matrices):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +500,32 @@ def test_non_numeric_matrix_file_exit_code(tmp_path):
         path.write_text(text)
         code = main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_CONFIG, text
+
+
+def test_matrix_file_rewritten_between_commands_of_one_process(tmp_path, capsys):
+    path, spec = file_system(tmp_path, 20)
+    cfg = write_config(tmp_path, "cfg.json", {"system": spec, "horizon": 20})
+    out = tmp_path / "o"
+
+    def exponents():
+        assert main(["spectrum", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+        return json.loads((out / "spectrum.json").read_text())["exponents"]
+
+    first = exponents()  # log-norms over a fixed step count: ln of each diagonal entry, scaled
+    scale = first[1] / math.log(2.0)
+    assert first[0] == 0.0 and scale == pytest.approx(1.0, abs=0.1)
+    # diag(3, 4) in the same number of bytes, with the old mtime given back
+    before = path.stat()
+    text = path.read_text()
+    path.write_text(text.replace("1.0 0.0", "3.0 0.0").replace("0.0 2.0", "0.0 4.0"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert exponents() == pytest.approx([scale * math.log(3.0), scale * math.log(4.0)],
+                                        rel=1e-12)
+    path.write_text(text.replace("0.0 2.0", "0.0 nan", 1))
+    capsys.readouterr()
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "seq.txt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -287,9 +288,62 @@ def test_matrix_file_parse_refuses_where_numpy_warns(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np, "fromstring", partial_read)
     path = tmp_path / "seq.txt"
-    path.write_text("1 2\n1 1_0\n")
+    path.write_text("1 2\n1 1_0\n")  # refused by any numpy, so no earlier read kept it
     with pytest.raises(ParseError, match="bad number '1_0'"):
         read_matrix_sequence(path)
+
+
+def test_matrix_file_rewritten_with_the_same_size_and_mtime_reads_anew(tmp_path):
+    # same path, inode, length and mtime: only the bytes tell the two files apart
+    path = tmp_path / "seq.txt"
+    path.write_text("1 2\n1.5 2.5\n")
+    before = path.stat()
+    assert read_matrix_sequence(path).matrices(1, 3).ravel().tolist() == [1.5, 2.5]
+    path.write_text("1 2\n3.5 4.5\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns)
+    assert read_matrix_sequence(path).matrices(1, 3).ravel().tolist() == [3.5, 4.5]
+
+
+def test_matrix_file_refusals_are_not_kept(tmp_path):
+    path = tmp_path / "seq.txt"
+    for text, refusal in [("1 2\n1 two\n", "bad number 'two'"),
+                          ("1 3\n1 2\n", "expected 3 values, found 2"),
+                          ("1 2\n1 nan\n", "record 2 has a non-finite value")]:
+        path.write_text("1 2\n1 2\n")  # a good file first, at the same path
+        assert read_matrix_sequence(path).matrices(1, 3).ravel().tolist() == [1.0, 2.0]
+        path.write_text(text)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError, match=refusal) as info:
+                read_matrix_sequence(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    path.write_text("2 1\n1 2\n3 4\n")  # a 2-d file where 1-d is declared
+    spec = f"dimension: 1\nkind: file\npath: {path}\n"
+    for _ in range(2):
+        with pytest.raises(ParseError, match="file dimension 2 does not match declared 1"):
+            parse_generator_spec(spec)
+
+
+def test_matrix_files_with_the_same_bytes_read_alike(tmp_path):
+    mats = np.random.default_rng(5).normal(size=(4, 2, 2))
+    first, second = tmp_path / "first.seq", tmp_path / "second.seq"
+    write_matrix_sequence(first, mats)
+    second.write_bytes(first.read_bytes())
+    seqs = [read_matrix_sequence(path) for path in (first, second)]
+    assert seqs[1] is seqs[0]  # the same bytes give the kept sequence, not a copy
+    records = seqs[0].matrices(1, 5)
+    assert records.view(np.uint64).tolist() == mats.view(np.uint64).tolist()
+    with pytest.raises(ValueError, match="read-only"):  # no caller can change another's
+        records[0, 0, 0] = 7.0
+    for path, other in ((first, second), (second, first)):  # the same refused bytes
+        path.write_text("2 4\n1 2\n")
+        with pytest.raises(ParseError, match="expected 16 values, found 2") as info:
+            read_matrix_sequence(path)
+        assert path.name in str(info.value) and other.name not in str(info.value)
 
 
 def test_write_matrix_sequence_refuses_an_empty_sequence(tmp_path):
