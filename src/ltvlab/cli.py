@@ -320,7 +320,7 @@ def cmd_splitness(seq, opts):
 
 def cmd_perturb(seq, opts):
     plan = build_plan(opts["fss"], opts["shifts"])
-    outcome = execute_plan(seq, opts["fss"], plan)
+    outcome = execute_plan(plan)
     return (plan, outcome), None, [
         f"perturbed exponents: {outcome.perturbed_exponents.tolist()} "
         f"(||R-I|| = {outcome.r_norm_sup:.6g} <= budget {outcome.norm_budget:.6g})"
@@ -328,7 +328,7 @@ def cmd_perturb(seq, opts):
 
 
 def cmd_assign(seq, opts):
-    result = openness_experiment(seq, opts["fss"], opts["target_spectrum"], opts["epsilon"])
+    result = openness_experiment(opts["fss"], opts["target_spectrum"], opts["epsilon"])
     return result, None, [
         f"assigned spectrum {result.achieved_exponents.tolist()} "
         f"(error {result.assignment_error:.3e}, ||R-I|| = {result.r_norm_sup:.6g})"
@@ -336,7 +336,7 @@ def cmd_assign(seq, opts):
 
 
 def cmd_instability(seq, opts):
-    result = instability_experiment(seq, opts["fss"], opts["epsilon_grid"],
+    result = instability_experiment(opts["fss"], opts["epsilon_grid"],
                                     trials=opts["trials"], seed=opts["seed"])
     rows = [(row.epsilon, row.r_norm_sup, row.distance_to_base,
              "SUCCESS" if row.success else "FAIL") for row in result.rows]
@@ -385,7 +385,7 @@ def cmd_selftest(args):
     # shifting the exponents of diag(1,2) by (0.01, -0.01) through a synthesized R(n)
     diag12 = geometric_diag([1.0, 2.0])
     fss = FSSRecord.from_initial_vectors(diag12, np.eye(2), 2000)
-    outcome = execute_plan(diag12, fss, build_plan(fss, [0.01, -0.01]))
+    outcome = execute_plan(build_plan(fss, [0.01, -0.01]))
     targets = np.array([0.01, math.log(2) - 0.01])
     checks.append(("perturbation closed-form oracle", outcome.agreement_residual <= 1e-9))
     checks.append(

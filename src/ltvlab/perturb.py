@@ -35,7 +35,7 @@ from .spectrum import (
     limsup_estimate,
     spectrum_estimate,
 )
-from .splitness import RHO_THRESHOLD, _check_gamma, broken_away_scan, gamma_statistics
+from .splitness import RHO_THRESHOLD, FSSRecord, _check_gamma, broken_away_scan, gamma_statistics
 from .system import CoefficientSequence, _propagation_blocks
 
 MU_BRACKET_TOL = 1e-6
@@ -162,6 +162,7 @@ class PerturbationPlan:
     # (horizon, s): n in Gamma_i, so s_i(n) = eta + mu_i * flag
     gamma_flags: np.ndarray = field(repr=False)
     constants: SynthesisConstants
+    fss: FSSRecord = field(repr=False, compare=False)  # the FSS the plan was built for
 
     @property
     def norm_budget(self):
@@ -173,7 +174,8 @@ def build_plan(fss, xi_shifts, calibration=None):
 
     Every |xi_i| must fit within the budget delta of the synthesis
     constants, from ``calibration`` or else from ``calibrate(fss)``.
-    Synthesis always uses sigma = 1.
+    Synthesis always uses sigma = 1.  The plan keeps ``fss``, whose
+    directions build R(n) and whose system gives A(n).
     """
     xi = np.asarray(xi_shifts, dtype=float)
     s = fss.dimension
@@ -202,7 +204,7 @@ def build_plan(fss, xi_shifts, calibration=None):
         raise BracketError(
             f"schedule magnitude {worst:.6g} exceeds delta1 = {constants.delta1:.6g}"
         )
-    return PerturbationPlan(xi, eta, mu, flags, constants)
+    return PerturbationPlan(xi, eta, mu, flags, constants, fss)
 
 
 # --- the perturbation matrices ------------------------------------------
@@ -210,7 +212,7 @@ def build_plan(fss, xi_shifts, calibration=None):
 _PROJECTION_DENOM_MIN = 1e-30  # w0 . d at or below this: direction collapsed
 
 
-def perturbation_at(plan, fss, n):
+def perturbation_at(plan, n):
     """The matrix R(n) = sum_i P_n^i exp(s_i(n)), or the (k, s, s) stack
     of them for an array of k steps; InvalidInputError for a step that is
     not an integer, KeyError for one outside 1, ..., horizon.
@@ -223,6 +225,7 @@ def perturbation_at(plan, fss, n):
     conditioned while that angle is bounded away from zero, however
     degenerate the rest of the basis is.
     """
+    fss = plan.fss
     steps = np.asarray(n)
     ns = np.atleast_1d(steps)
     pos = _as_slice(fss.trajectories[0].positions(ns))  # checks every step
@@ -278,17 +281,18 @@ class PerturbationOutcome:
     perturbed_log_norms: np.ndarray = field(repr=False)  # (horizon, s)
 
 
-def execute_plan(seq, fss, plan):
+def execute_plan(plan):
     """Simulate the perturbed system and verify the closed-form identity.
 
-    Propagates x_bar(n+1) = A(n) R(n) x_bar(n) from x_bar(1) = x_i(1) for
-    every FSS member in one pass that keeps only the log-norms, and
-    compares them with the exact closed form
+    Propagates x_bar(n+1) = A(n) R(n) x_bar(n), A(n) of the system of the
+    plan's FSS, from x_bar(1) = x_i(1) for every member in one pass that
+    keeps only the log-norms, and compares them with the exact closed form
     log||x_bar_i(k)|| = log||x_i(k)|| + sum_{j<k} s_i(j).  The
     maximum relative deviation between the two is the module's primary
     oracle.  A perturbed solution that collapses (or an A(n) R(n) that is
     not finite) raises PreconditionError naming the step.
     """
+    fss = plan.fss
     s = fss.dimension
     horizon = len(plan.gamma_flags)
     eye = np.eye(s)
@@ -297,9 +301,9 @@ def execute_plan(seq, fss, plan):
     def perturbed_block(start, stop):
         # each R(n) is formed once, here, and ||R(n) - I|| taken from it
         nonlocal r_norm_sup
-        r_mats = perturbation_at(plan, fss, np.arange(start, stop))
+        r_mats = perturbation_at(plan, np.arange(start, stop))
         r_norm_sup = max(r_norm_sup, float(spectral_norm(r_mats - eye).max()))
-        return seq.matrices(start, stop) @ r_mats
+        return fss.seq.matrices(start, stop) @ r_mats
 
     perturbed = CoefficientSequence(s, perturbed_block)
     initial = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
@@ -359,8 +363,8 @@ class InstabilityResult:
     rows: list  # one InstabilityRow per epsilon
 
 
-def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
-    """Drive spectrum jumps from a splitted non-normal FSS.
+def instability_experiment(fss, epsilon_grid, trials=16, seed=0):
+    """Drive spectrum jumps in the system of a splitted non-normal FSS.
 
     Preconditions: the FSS is splitted and not normal.  For each epsilon,
     distinct shifts within min(epsilon/beta, delta) are applied; a SUCCESS
@@ -384,7 +388,7 @@ def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
 
     delta = calibration.constants.delta
     s = fss.dimension
-    base_spectrum = spectrum_estimate(seq, fss.horizon)
+    base_spectrum = spectrum_estimate(fss.seq, fss.horizon)
     fss_exponents = np.sort([v.lambda_hat for v in calibration.verdicts])
     gap = float(np.max(np.abs(fss_exponents - base_spectrum.exponents)))
     if gap <= 0.0:
@@ -401,7 +405,7 @@ def instability_experiment(seq, fss, epsilon_grid, trials=16, seed=0):
         # shifts of size eps / beta keep ||R - I|| below eps itself
         budget = min(eps / beta, delta)
         xi = np.linspace(-budget, budget, s)
-        outcome = execute_plan(seq, fss, build_plan(fss, xi, calibration))
+        outcome = execute_plan(build_plan(fss, xi, calibration))
         perturbed = np.sort(outcome.perturbed_exponents)
         distance = float(np.max(np.abs(perturbed - base_spectrum.exponents)))
         within_budget = outcome.r_norm_sup < eps
@@ -429,8 +433,8 @@ class OpennessResult:
     agreement_residual: float
 
 
-def openness_experiment(seq, fss, target_spectrum, epsilon):
-    """Assign a nearby target spectrum through a small perturbation.
+def openness_experiment(fss, target_spectrum, epsilon):
+    """Assign a nearby target spectrum to ``fss.seq`` by a small perturbation.
 
     Requires a splitted FSS with pairwise distinct exponent estimates.
     The target must lie within gamma = min(eta, epsilon/beta, delta) of
@@ -462,7 +466,7 @@ def openness_experiment(seq, fss, target_spectrum, epsilon):
             f"max|xi| = {worst:.6g} >= gamma = {gamma_open:.6g}"
         )
 
-    outcome = execute_plan(seq, fss, build_plan(fss, xi, calibration))
+    outcome = execute_plan(build_plan(fss, xi, calibration))
     achieved = outcome.perturbed_exponents
     return OpennessResult(
         gamma_open, eta if s > 1 else None, beta, delta, target, lams, achieved,

@@ -203,15 +203,15 @@ def splitness_report(fss, gamma_grid=GAMMA_GRID, sigma=1):
     return SplitnessReport(verdicts, splitted)
 
 
-def apply_lyapunov_transformation(seq, fss, transform):
-    """Transformed system B(n) = L(n+1) A(n) L(n)^-1 and FSS y_i = L(n) x_i
-    under the coordinate change L(n), a CoefficientSequence.
+def apply_lyapunov_transformation(fss, transform):
+    """The FSS y_i = L(n) x_i of B(n) = L(n+1) A(n) L(n)^-1, A(n) the system
+    of ``fss``, under the coordinate change L(n), a CoefficientSequence.
 
     L is checked up to the step after the horizon, and each block of B(n)
     checks the L(n) it reads; a singular L(n) raises NotLyapunovSequenceError
-    naming n.  Returns (transformed sequence, transformed FSSRecord).
+    naming n.  The returned FSSRecord's ``seq`` is B(n).
     """
-    if transform.dimension != seq.dimension:
+    if transform.dimension != fss.dimension:
         raise InvalidInputError("transformation dimension mismatch")
     ls = transform.matrices(1, fss.horizon + 2)  # L(1), ..., L(H + 1)
     _check_lyapunov(ls, 1)
@@ -219,15 +219,15 @@ def apply_lyapunov_transformation(seq, fss, transform):
     def block_fn(start, stop):
         ls = transform.matrices(start, stop + 1)
         _check_lyapunov(ls, start)
-        return ls[1:] @ seq.matrices(start, stop) @ np.linalg.inv(ls[:-1])
+        return ls[1:] @ fss.seq.matrices(start, stop) @ np.linalg.inv(ls[:-1])
 
-    new_seq = CoefficientSequence(seq.dimension, block_fn)
+    new_seq = CoefficientSequence(fss.dimension, block_fn)
     new_trajs = []
     for traj in fss.trajectories:
         y = (ls[:-1] @ traj.directions[:, :, None])[:, :, 0]  # L(n) x_i(n), row n - 1
         norms = np.linalg.norm(y, axis=1)
         new_trajs.append(TrajectoryLog(y / norms[:, None], traj.log_norms + np.log(norms)))
-    return new_seq, FSSRecord(new_seq, new_trajs, fss.initial_vectors @ ls[0].T)
+    return FSSRecord(new_seq, new_trajs, fss.initial_vectors @ ls[0].T)
 
 
 def _check_lyapunov(ls, start):

@@ -97,18 +97,6 @@ class CoefficientSequence:
         seq.count = count
         return seq
 
-    @classmethod
-    def product(cls, seq, rseq):
-        """Sequence n -> A(n) R(n) (a multiplicatively perturbed system)."""
-        if seq.dimension != rseq.dimension:
-            raise InvalidInputError(
-                f"dimension mismatch: {seq.dimension} vs {rseq.dimension}"
-            )
-        return cls(
-            seq.dimension,
-            lambda start, stop: seq.matrices(start, stop) @ rseq.matrices(start, stop),
-        )
-
     # --- access -------------------------------------------------------
 
     def matrices(self, start, stop):

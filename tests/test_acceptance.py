@@ -112,10 +112,10 @@ def test_criterion_4_sin_log_non_normality(sin_log_fss):
     )
 
 
-def test_criterion_5_prescribed_shift_constant_diag(diag12, diag12_fss):
+def test_criterion_5_prescribed_shift_constant_diag(diag12_fss):
     start = time.perf_counter()
     plan = lt.build_plan(diag12_fss, [0.01, -0.01])
-    outcome = lt.execute_plan(diag12, diag12_fss, plan)
+    outcome = lt.execute_plan(plan)
     elapsed = time.perf_counter() - start
     targets = np.array([0.01, math.log(2) - 0.01])
     exp_err = float(np.abs(outcome.perturbed_exponents - targets).max())
@@ -134,14 +134,14 @@ def test_criterion_5_prescribed_shift_constant_diag(diag12, diag12_fss):
     )
 
 
-def test_criterion_6_closed_form_oracle(diag12, diag12_fss, sin_log, sin_log_fss):
+def test_criterion_6_closed_form_oracle(diag12_fss, sin_log_fss):
     plan_a = lt.build_plan(diag12_fss, [0.01, -0.01])
-    out_a = lt.execute_plan(diag12, diag12_fss, plan_a)
+    out_a = lt.execute_plan(plan_a)
 
     cal = lt.calibrate(sin_log_fss)
     d = cal.constants.delta
     plan_b = lt.build_plan(sin_log_fss, [-d / 2, d / 2], calibration=cal)
-    out_b = lt.execute_plan(sin_log, sin_log_fss, plan_b)
+    out_b = lt.execute_plan(plan_b)
 
     worst = max(out_a.agreement_residual, out_b.agreement_residual)
     report(

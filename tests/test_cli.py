@@ -292,8 +292,8 @@ def test_assign_on_one_exponent_writes_a_strict_json_report(tmp_path):
 
 def test_a_report_value_that_is_not_json_exits_3_naming_the_report(tmp_path, capsys,
                                                                    monkeypatch):
-    def openness_experiment(seq, fss, target, epsilon):
-        result = perturb.openness_experiment(seq, fss, target, epsilon)
+    def openness_experiment(fss, target, epsilon):
+        result = perturb.openness_experiment(fss, target, epsilon)
         return dataclasses.replace(result, assignment_error=math.nan)
 
     monkeypatch.setattr("ltvlab.cli.openness_experiment", openness_experiment)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -101,15 +102,15 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
     "broken_away_scan-nan-grid":
         (diag12_fss, lambda seq, fss: broken_away_scan(fss, 0, gamma_grid=(math.nan,)), "gamma"),
     "openness_experiment-nan-epsilon":
-        (diag12_fss, lambda seq, fss: openness_experiment(seq, fss, [0.0, math.log(2)], math.nan),
+        (diag12_fss, lambda seq, fss: openness_experiment(fss, [0.0, math.log(2)], math.nan),
          "epsilon"),
     "openness_experiment-negative-epsilon":
-        (diag12_fss, lambda seq, fss: openness_experiment(seq, fss, [0.0, math.log(2)], -1.0),
+        (diag12_fss, lambda seq, fss: openness_experiment(fss, [0.0, math.log(2)], -1.0),
          "epsilon"),
     "instability_experiment-empty-grid":
-        (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, []), "epsilon"),
+        (sin_log_fss, lambda seq, fss: instability_experiment(fss, []), "epsilon"),
     "instability_experiment-negative-epsilon":
-        (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, [-1.0]), "epsilon"),
+        (sin_log_fss, lambda seq, fss: instability_experiment(fss, [-1.0]), "epsilon"),
     "incompressibility_test-negative-trials":
         (diag12_fss, lambda seq, fss: incompressibility_test(fss, trials=-3), "trials"),
     # trials and seed are integers >= 0: a float or a bool is refused, not truncated
@@ -122,10 +123,10 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
     "incompressibility_test-negative-seed":
         (diag12_fss, lambda seq, fss: incompressibility_test(fss, seed=-1), "seed"),
     "instability_experiment-fractional-trials":
-        (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, [0.1], trials=2.5),
+        (sin_log_fss, lambda seq, fss: instability_experiment(fss, [0.1], trials=2.5),
          "trials"),
     "instability_experiment-negative-seed":
-        (sin_log_fss, lambda seq, fss: instability_experiment(seq, fss, [0.1], seed=-1), "seed"),
+        (sin_log_fss, lambda seq, fss: instability_experiment(fss, [0.1], seed=-1), "seed"),
     # a sigma that is not an integer type is refused, not truncated
     "exponent_profile-fractional-sigma":
         (diag12_fss, lambda seq, fss: exponent_profile(fss.trajectories[0], 2.5), "sigma"),
@@ -179,12 +180,48 @@ def test_build_plan_budget():
     assert info.value.delta == pytest.approx(cal.constants.delta)
 
 
+def test_a_plan_keeps_the_fss_it_was_built_for():
+    seq, fss = diag12_fss()
+    plan = build_plan(fss, [0.01, -0.01])
+    assert plan.fss is fss
+    assert "fss" not in repr(plan)
+
+
+def test_an_old_form_call_is_refused():
+    # the system, the FSS and the plan are no longer passed side by side
+    seq, fss = diag12_fss()
+    plan = build_plan(fss, [0.01, -0.01])
+    for call in (lambda: perturbation_at(plan, fss, 3), lambda: execute_plan(seq, fss, plan),
+                 lambda: openness_experiment(seq, fss, [0.01, math.log(2) - 0.01], 0.2),
+                 lambda: instability_experiment(seq, fss, [0.1])):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_execute_plan_reads_each_step_of_the_fss_system_once():
+    # A(1), ..., A(H - 1) of the plan's system, in order, across a chunk boundary
+    horizon = 5000
+    requested = []
+    diag = geometric_diag([1.0, 2.0])
+
+    def block_fn(start, stop):
+        requested.extend(range(start, stop))
+        return diag.matrices(start, stop)
+
+    fss = standard_basis_fss(CoefficientSequence(2, block_fn), horizon)
+    plan = build_plan(fss, [0.01, -0.01])
+    requested.clear()
+    outcome = execute_plan(plan)
+    assert requested == list(range(1, horizon))
+    assert outcome.agreement_residual < 1e-9
+
+
 def test_plan_eigenvector_property():
     # R(n) x_i(n) = exp(s_i(n)) x_i(n) for every FSS member and step
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 300)
     plan = build_plan(fss, [0.01, -0.01])
     for n in (1, 2, 57, 299):
-        r_mat = perturbation_at(plan, fss, n)
+        r_mat = perturbation_at(plan, n)
         for i, traj in enumerate(fss.trajectories):
             d = traj.direction_at(n)
             expected = math.exp(plan.eta + plan.mu[i] * plan.gamma_flags[n - 1][i]) * d
@@ -195,7 +232,7 @@ def test_plan_r_norm_within_proof_cap():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 2000)
     plan = build_plan(fss, [0.01, -0.01])
     r_seq = CoefficientSequence(
-        2, lambda start, stop: perturbation_at(plan, fss, np.arange(start, stop))
+        2, lambda start, stop: perturbation_at(plan, np.arange(start, stop))
     )
     eye = np.eye(2)
     worst = max(
@@ -208,7 +245,7 @@ def test_plan_r_norm_within_proof_cap():
 def test_execute_plan_shifts_spectrum():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10_000)
     plan = build_plan(fss, [0.01, -0.01])
-    outcome = execute_plan(fss.seq, fss, plan)
+    outcome = execute_plan(plan)
     assert outcome.perturbed_exponents[0] == pytest.approx(0.01, abs=1e-3)
     assert outcome.perturbed_exponents[1] == pytest.approx(
         math.log(2) - 0.01, abs=1e-3
@@ -223,14 +260,14 @@ def test_execute_plan_shift_on_diag12_is_the_closed_form():
     # perturbed tail-max of (k - 1)/k * (lambda + 0.01) is taken at k = H
     horizon = 2000
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), horizon)
-    outcome = execute_plan(fss.seq, fss, build_plan(fss, [0.01, -0.01]))
+    outcome = execute_plan(build_plan(fss, [0.01, -0.01]))
     assert abs(outcome.achieved_shifts[0] - 0.01 * (1 - 1 / horizon)) <= 1e-15
 
 
 def test_execute_plan_zero_shift_is_identity():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 3000)
     plan = build_plan(fss, [0.0, 0.0])
-    outcome = execute_plan(fss.seq, fss, plan)
+    outcome = execute_plan(plan)
     assert outcome.r_norm_sup == 0.0
     assert np.abs(outcome.achieved_shifts).max() < 1e-12
     assert outcome.agreement_residual < 1e-12
@@ -242,7 +279,7 @@ def test_execute_plan_sin_log_closed_form_oracle():
     cal = calibrate(fss)
     delta = cal.constants.delta
     plan = build_plan(fss, [-delta / 2, delta / 2], calibration=cal)
-    outcome = execute_plan(seq, fss, plan)
+    outcome = execute_plan(plan)
     assert outcome.agreement_residual < 1e-9
     assert outcome.r_norm_sup <= outcome.norm_budget
 
@@ -250,7 +287,7 @@ def test_execute_plan_sin_log_closed_form_oracle():
 def test_instability_experiment_sin_log():
     seq = sin_log_system()
     fss = sin_log_witness_fss(10_000, seq)
-    report = instability_experiment(seq, fss, [0.05, 0.01])
+    report = instability_experiment(fss, [0.05, 0.01])
     assert report.witness is not None
     for row in report.rows:
         assert row.r_norm_sup < row.epsilon
@@ -261,13 +298,13 @@ def test_instability_requires_non_normal_fss():
     seq = geometric_diag([1.0, 2.0])
     fss = standard_basis_fss(seq, 2000)
     with pytest.raises(PreconditionError):
-        instability_experiment(seq, fss, [0.1])
+        instability_experiment(fss, [0.1])
 
 
 def test_openness_assigns_nearby_spectrum():
     seq = geometric_diag([1.0, 2.0])
     fss = standard_basis_fss(seq, 10_000)
-    result = openness_experiment(seq, fss, [0.01, math.log(2) - 0.01], 0.2)
+    result = openness_experiment(fss, [0.01, math.log(2) - 0.01], 0.2)
     assert result.assignment_error < 1e-3
     assert result.r_norm_sup < 0.2
     assert result.pairwise_distinct
@@ -279,7 +316,7 @@ def test_openness_identity_for_exact_targets():
     fss = standard_basis_fss(seq, 3000)
     cal = calibrate(fss)
     lams = [v.lambda_hat for v in cal.verdicts]
-    result = openness_experiment(seq, fss, lams, 0.1)
+    result = openness_experiment(fss, lams, 0.1)
     assert result.r_norm_sup == 0.0
 
 
@@ -287,7 +324,7 @@ def test_openness_on_a_one_dimensional_system():
     # one exponent has no gap to its neighbours, so there is no eta
     seq = geometric_diag([2.0])
     fss = standard_basis_fss(seq, 2000)
-    result = openness_experiment(seq, fss, [math.log(2) + 0.01], 1.0)
+    result = openness_experiment(fss, [math.log(2) + 0.01], 1.0)
     assert result.eta is None
     assert result.pairwise_distinct
     assert result.assignment_error <= 1e-3
@@ -297,14 +334,14 @@ def test_openness_refuses_equal_exponents():
     seq = geometric_diag([2.0, 2.0])
     fss = standard_basis_fss(seq, 2000)
     with pytest.raises(PreconditionError, match="pairwise distinct"):
-        openness_experiment(seq, fss, [0.7, 0.7], 1.0)
+        openness_experiment(fss, [0.7, 0.7], 1.0)
 
 
 def test_openness_rejects_far_targets():
     seq = geometric_diag([1.0, 2.0])
     fss = standard_basis_fss(seq, 3000)
     with pytest.raises(PreconditionError) as info:
-        openness_experiment(seq, fss, [1.0, 2.0], 0.2)
+        openness_experiment(fss, [1.0, 2.0], 0.2)
     assert "gamma" in str(info.value)
 
 
@@ -337,7 +374,7 @@ def per_step_execution(seq, fss, plan):
     dirs = dirs / np.exp(log_norms)
     logs, r_norm_sup = [log_norms], 0.0
     for n in range(1, len(plan.gamma_flags)):
-        r_mat = perturbation_at(plan, fss, n)
+        r_mat = perturbation_at(plan, n)
         r_norm_sup = max(r_norm_sup, np.linalg.norm(r_mat - eye, 2))
         dirs = seq.matrix_at(n) @ r_mat @ dirs
         norms = np.linalg.norm(dirs, axis=0)
@@ -351,15 +388,15 @@ def test_perturbation_at_stacks_the_per_step_matrices():
     for seq, fss, plan in plan_cases(300):
         s = fss.dimension
         ns = np.arange(1, 300)
-        stacked = perturbation_at(plan, fss, ns)
+        stacked = perturbation_at(plan, ns)
         assert stacked.shape == (299, s, s)
-        assert perturbation_at(plan, fss, 5).shape == (s, s)
+        assert perturbation_at(plan, 5).shape == (s, s)
         for n in ns:
-            assert np.abs(stacked[n - 1] - perturbation_at(plan, fss, n)).max() <= 1e-15
-        assert np.array_equal(perturbation_at(plan, fss, ns[::-7]), stacked[::-7])
+            assert np.abs(stacked[n - 1] - perturbation_at(plan, n)).max() <= 1e-15
+        assert np.array_equal(perturbation_at(plan, ns[::-7]), stacked[::-7])
         for outside in ([3, 301], [0, 3], -1):  # row -1 would read the last step
             with pytest.raises(KeyError):
-                perturbation_at(plan, fss, outside)
+                perturbation_at(plan, outside)
 
 
 def _first_form_perturbation_at(plan, fss, n):
@@ -424,7 +461,7 @@ def test_perturbation_at_keeps_the_bits_of_its_first_form(name):
         assert active.tolist() == {"diag12": [1.0, 0.0], "tri3": [1.0, 0.0, 1.0]}[name]
     # [5, 7, 6, 8] spans four steps but is no run of them
     for steps in (17, ns, ns[::-7], np.array([5, 7, 6, 8])):
-        assert_same_bits(np.asarray(perturbation_at(plan, fss, steps)),
+        assert_same_bits(np.asarray(perturbation_at(plan, steps)),
                          np.asarray(_first_form_perturbation_at(plan, fss, steps)))
 
 
@@ -439,13 +476,13 @@ def test_perturbation_at_raises_for_a_collapse_on_active_rows_only():
         trajectories[0].directions[row] = trajectories[1].directions[row]  # x_1 on x_2's line
         bad = FSSRecord(seq, trajectories, fss.initial_vectors)
         if row == inactive_row:
-            assert_same_bits(perturbation_at(plan, bad, ns),
+            assert_same_bits(perturbation_at(dataclasses.replace(plan, fss=bad), ns),
                              _first_form_perturbation_at(plan, bad, ns))
             continue
         with pytest.raises(SingularMatrixError) as want:
             _first_form_perturbation_at(plan, bad, ns)
         with pytest.raises(SingularMatrixError) as got:
-            perturbation_at(plan, bad, ns)
+            perturbation_at(dataclasses.replace(plan, fss=bad), ns)
         assert got.value.index == want.value.index == row + 1
         assert str(got.value) == str(want.value)
 
@@ -457,7 +494,7 @@ def test_a_step_that_is_not_an_integer_is_refused(step):
     plan = build_plan(fss, [0.01, -0.01])
     traj = fss.trajectories[0]
     first = np.ravel(step)[0].item()
-    for call in (lambda: perturbation_at(plan, fss, step), lambda: traj.direction_at(step),
+    for call in (lambda: perturbation_at(plan, step), lambda: traj.direction_at(step),
                  lambda: traj.value_at(step)):
         with pytest.raises(InvalidInputError, match=f"step n={first!r} is not an integer"):
             call()
@@ -467,22 +504,22 @@ def test_steps_may_be_numpy_integers_or_an_empty_list():
     seq, fss = diag12_fss()
     plan = build_plan(fss, [0.01, -0.01])
     traj = fss.trajectories[0]
-    want = perturbation_at(plan, fss, [3, 4])
+    want = perturbation_at(plan, [3, 4])
     for steps in (np.array([3, 4], dtype=np.int32), np.array([3, 4], dtype=np.uint16)):
-        assert np.array_equal(perturbation_at(plan, fss, steps), want)
-    assert np.array_equal(perturbation_at(plan, fss, np.int64(4)), want[1])
+        assert np.array_equal(perturbation_at(plan, steps), want)
+    assert np.array_equal(perturbation_at(plan, np.int64(4)), want[1])
     assert np.array_equal(traj.direction_at(np.uint8(3)), traj.direction_at(3))
     assert traj.value_at(np.int16(4))[0] == traj.value_at(4)[0]
-    assert perturbation_at(plan, fss, []).shape == (0, 2, 2)
+    assert perturbation_at(plan, []).shape == (0, 2, 2)
     with pytest.raises(KeyError):
-        perturbation_at(plan, fss, np.uint64(0))
+        perturbation_at(plan, np.uint64(0))
     with pytest.raises(InvalidInputError, match="integer array, got dtype object"):
-        perturbation_at(plan, fss, [3, 2**70])
+        perturbation_at(plan, [3, 2**70])
 
 
 def test_execute_plan_matches_the_per_step_recurrence():
     for seq, fss, plan in plan_cases(500):
-        outcome = execute_plan(seq, fss, plan)
+        outcome = execute_plan(plan)
         logs, r_norm_sup = per_step_execution(seq, fss, plan)
         rel = np.abs(outcome.perturbed_log_norms - logs) / np.maximum(1.0, np.abs(logs))
         assert rel.max() <= 1e-13
@@ -507,7 +544,7 @@ def test_perturbation_at_rejects_a_collapsed_projection():
     active = plan.gamma_flags[39] & (plan.mu > 0)
     assert active[0]
     with pytest.raises(SingularMatrixError) as info:
-        perturbation_at(plan, bad, np.arange(1, 300))
+        perturbation_at(dataclasses.replace(plan, fss=bad), np.arange(1, 300))
     assert info.value.index == 40
 
 
@@ -519,9 +556,9 @@ def test_execute_plan_rejects_a_collapsed_propagation():
         mats[np.arange(start, stop) == 7] = 0.0
         return mats
 
-    broken = CoefficientSequence(2, block_fn)
+    broken = FSSRecord(CoefficientSequence(2, block_fn), fss.trajectories, fss.initial_vectors)
     with pytest.raises(PreconditionError, match="n=8"):
-        execute_plan(broken, fss, plan)
+        execute_plan(dataclasses.replace(plan, fss=broken))
 
 
 def test_execute_plan_on_entries_near_1e150():
@@ -529,7 +566,7 @@ def test_execute_plan_on_entries_near_1e150():
     horizon = 2000
     seq = geometric_diag([1e150, 2e150])
     fss = standard_basis_fss(seq, horizon)
-    outcome = execute_plan(seq, fss, build_plan(fss, [0.01, -0.01]))
+    outcome = execute_plan(build_plan(fss, [0.01, -0.01]))
     assert outcome.agreement_residual <= 1e-9
     # the tail-max of ((k - 1) / k) * lambda is taken at k = horizon
     targets = math.log(1e150) + np.array([0.01, math.log(2) - 0.01])
@@ -654,7 +691,7 @@ def test_execute_plan_reports_a_collapsed_projection_as_such():
     trajectories[0].directions[39] = trajectories[1].directions[39]
     bad = FSSRecord(seq, trajectories, fss.initial_vectors)
     with pytest.raises(SingularMatrixError) as info:
-        execute_plan(seq, bad, plan)
+        execute_plan(dataclasses.replace(plan, fss=bad))
     assert info.value.index == 40
 
 
@@ -676,11 +713,11 @@ def test_execute_plan_raises_the_earlier_of_two_faults_in_one_chunk():
         mats[np.arange(start, stop) == 300] = 0.0
         return mats
 
-    broken = CoefficientSequence(3, block_fn)
+    broken = FSSRecord(CoefficientSequence(3, block_fn), trajectories, fss.initial_vectors)
     with pytest.raises(PreconditionError) as info:
-        execute_plan(broken, bad, plan)
+        execute_plan(dataclasses.replace(plan, fss=broken))
     assert str(info.value) == "perturbed propagation collapsed at n=301 (max |x|=0.0)"
     assert info.value.exit_code == 4
     with pytest.raises(SingularMatrixError) as info:  # the later fault alone
-        execute_plan(seq, bad, plan)
+        execute_plan(dataclasses.replace(plan, fss=bad))
     assert info.value.index == 3000 and info.value.exit_code == 3

@@ -181,7 +181,8 @@ def test_lyapunov_transformation_preserves_verdicts():
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
     transform = CoefficientSequence.constant(rot)
-    new_seq, new_fss = apply_lyapunov_transformation(fss.seq, fss, transform)
+    new_fss = apply_lyapunov_transformation(fss, transform)
+    new_seq = new_fss.seq
     before = broken_away_scan(fss, 0)
     after = broken_away_scan(new_fss, 0)
     assert after.status == before.status == "yes"
@@ -190,6 +191,30 @@ def test_lyapunov_transformation_preserves_verdicts():
     y2 = new_fss.trajectories[0].value_at(2)
     y1 = new_fss.trajectories[0].value_at(1)
     assert np.allclose(new_seq.matrix_at(1) @ y1, y2, rtol=1e-9)
+
+
+def test_the_transformed_fss_solves_its_own_system():
+    # B(n) y_i(n) is parallel to y_i(n + 1) on both sides of the block
+    # boundaries at 256 and 512, with the log-norm of the step between them
+    fss = FSSRecord.from_initial_vectors(geometric_diag([1.0, 2.0]), [[1.0, 1.0], [0.0, 1.0]],
+                                         600)
+    transform = CoefficientSequence.dense_formulas(
+        [["cos(sin(n))", "-sin(sin(n))"], ["sin(sin(n))", "cos(sin(n))"]])
+    new_fss = apply_lyapunov_transformation(fss, transform)
+    for n in (1, 2, 254, 255, 256, 257, 258, 511, 512, 513, 599):
+        b_n = new_fss.seq.matrix_at(n)
+        for traj in new_fss.trajectories:
+            image = b_n @ traj.direction_at(n)
+            size = np.linalg.norm(image)
+            assert np.abs(image / size - traj.direction_at(n + 1)).max() <= 1e-12
+            assert traj.log_norms[n - 1] + math.log(size) == pytest.approx(
+                traj.log_norms[n], rel=1e-12, abs=1e-12)
+
+
+def test_an_old_form_transformation_call_is_refused():
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10)
+    with pytest.raises(TypeError):
+        apply_lyapunov_transformation(fss.seq, fss, CoefficientSequence.constant(np.eye(2)))
 
 
 def test_lyapunov_transformation_bounds():
@@ -207,7 +232,8 @@ def test_lyapunov_transformation_matches_the_per_step_map():
     fss = FSSRecord.from_initial_vectors(seq, [[1.0, 1.0], [0.0, 1.0]], horizon)
     transform = CoefficientSequence.dense_formulas(
         [["cos(sin(n))", "-sin(sin(n))"], ["sin(sin(n))", "cos(sin(n))"]])
-    new_seq, new_fss = apply_lyapunov_transformation(seq, fss, transform)
+    new_fss = apply_lyapunov_transformation(fss, transform)
+    new_seq = new_fss.seq
     l_at = transform.matrix_at
     for n in (1, 2, 256, 257, 299):
         expected = l_at(n + 1) @ seq.matrix_at(n) @ np.linalg.inv(l_at(n))
@@ -238,7 +264,7 @@ def test_singular_lyapunov_transformation_names_the_step():
     for bad in (5, 11):  # a step of the FSS, and the step after the horizon
         transform = identity_but_at(bad, 0.0)
         with pytest.raises(NotLyapunovSequenceError, match=f"L\\({bad}\\)") as info:
-            apply_lyapunov_transformation(fss.seq, fss, transform)
+            apply_lyapunov_transformation(fss, transform)
         assert info.value.index == bad
 
 
@@ -247,7 +273,7 @@ def test_lyapunov_transformation_checks_the_steps_past_the_horizon():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10)
     for small in (1e-300, 0.0):
         transform = identity_but_at(12, small)
-        new_seq, _ = apply_lyapunov_transformation(fss.seq, fss, transform)
+        new_seq = apply_lyapunov_transformation(fss, transform).seq
         for n in (11, 12):
             with pytest.raises(NotLyapunovSequenceError, match=r"L\(12\)") as info:
                 new_seq.matrix_at(n)
@@ -259,13 +285,13 @@ def test_a_scaled_rotation_is_a_lyapunov_transformation():
     # L = diag(1, 1e-13) is rank deficient to tolerance
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 10)
     q = np.array([[0.8, -0.6], [0.6, 0.8]])
-    new_seq, _ = apply_lyapunov_transformation(fss.seq, fss, CoefficientSequence.constant(1e-13 * q))
+    new_seq = apply_lyapunov_transformation(fss, CoefficientSequence.constant(1e-13 * q)).seq
     for n in (1, 5, 10, 11):
         assert np.allclose(new_seq.matrix_at(n), q @ fss.seq.matrix_at(n) @ q.T, rtol=0, atol=1e-12)
     flat = CoefficientSequence.constant(np.diag([1.0, 1e-13]))
     with pytest.raises(NotLyapunovSequenceError,
                        match=r"^L\(1\) is singular to tolerance; not a Lyapunov transformation$"):
-        apply_lyapunov_transformation(fss.seq, fss, flat)
+        apply_lyapunov_transformation(fss, flat)
 
 
 def test_one_dimensional_fss_takes_the_general_angle_path():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -558,7 +559,8 @@ def test_additive_multiplicative_round_trip():
         a = seq.matrix_at(n)
         assert np.allclose(a @ r_seq.matrix_at(n) - a, q_seq.matrix_at(n), atol=1e-12)
         # the product system equals A + Q
-        prod = CoefficientSequence.product(seq, r_seq)
+        prod = CoefficientSequence(
+            2, lambda start, stop: seq.matrices(start, stop) @ r_seq.matrices(start, stop))
         assert np.allclose(
             prod.matrix_at(n), seq.matrix_at(n) + q_seq.matrix_at(n), atol=1e-12
         )
@@ -633,7 +635,8 @@ def test_matrices_stack_matrix_at_for_every_kind(tmp_path):
         "diagonal": diagonal_spec("n", "exp(-n/7)", "2"),
         "dense": dense,
         "file-backed": file_seq,
-        "product": CoefficientSequence.product(file_seq, dense),
+        "product": CoefficientSequence(
+            3, lambda start, stop: file_seq.matrices(start, stop) @ dense.matrices(start, stop)),
         "block function": callable_seq,
         "additive-to-multiplicative": additive_to_multiplicative(file_seq, callable_seq),
     }
@@ -898,7 +901,7 @@ def chunked_outcomes(horizon):
            raw(lambda: tri.lyapunov_bound(horizon))]
     fss = FSSRecord.from_initial_vectors(diag, np.eye(2), horizon)
     plan = build_plan(fss, [0.01, -0.01])
-    out.append(raw(lambda: list(vars(execute_plan(diag, fss, plan)).values())))
+    out.append(raw(lambda: list(vars(execute_plan(plan)).values())))
     return out
 
 
@@ -1081,7 +1084,7 @@ def route_outcomes(seq, horizon):
 
     def outcome():
         fss = FSSRecord.from_initial_vectors(seq, np.eye(s), horizon)
-        return vars(execute_plan(seq, fss, build_plan(fss, [0.01, -0.01, 0.0][:s])))
+        return vars(execute_plan(build_plan(fss, [0.01, -0.01, 0.0][:s])))
 
     return [*(raw_outcome(lambda m=m: [(t.directions, t.log_norms)
                                        for t in propagate(seq, cols[:, :m], horizon)])
@@ -1139,8 +1142,10 @@ def test_a_zero_diagonal_entry_collapses_every_pass():
     with pytest.raises(PropagationError, match="^" + collapse):
         spectrum_estimate(seq, 400)
     fss = FSSRecord.from_initial_vectors(geometric_diag([1.0, 2.0]), np.eye(2), 400)
+    plan = build_plan(fss, [0.01, -0.01])
+    zeroed = FSSRecord(seq, fss.trajectories, fss.initial_vectors)
     with pytest.raises(PreconditionError, match="^perturbed " + collapse):
-        execute_plan(seq, fss, build_plan(fss, [0.01, -0.01]))
+        execute_plan(dataclasses.replace(plan, fss=zeroed))
 
 
 def test_a_subnormal_diagonal_entry_takes_the_scan(monkeypatch):

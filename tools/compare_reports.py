@@ -3,10 +3,12 @@
 Usage: python3 tools/compare_reports.py PARENT CHANGE
 
 Runs every config of the table in ``configs`` through the five config commands
-(spectrum, splitness, perturb, assign, instability) once in each checkout,
-with ``PYTHONPATH=<checkout>/src`` and a fresh working directory per run,
-and prints each run whose exit code, stdout, stderr or report bytes differ
-between the two, with both stderr line counts where stderr differs.  Where a
+(spectrum, splitness, perturb, assign, instability), and ``selftest`` once,
+in each checkout, with ``PYTHONPATH=<checkout>/src`` and a fresh working
+directory per run, and prints each run whose exit code, stdout, stderr or
+report bytes differ between the two, with both stderr line counts where
+stderr differs.  Selftest is the one other command that runs
+``execute_plan`` and ``incompressibility_test``; it writes no report.  Where a
 JSON report differs, it also prints three key lists: keys only in PARENT,
 keys only in CHANGE and keys whose values differ.  A key is a path such as
 ``constants.gamma``, with ``[]`` standing for every object of a list, as in
@@ -130,12 +132,13 @@ def configs(inputs):
 
 
 def run(checkout, config_path, command, workdir):
-    """Exit code, stdout, stderr and report bytes of one command in ``checkout``."""
+    """Exit code, stdout, stderr and report bytes of one command in ``checkout``;
+    ``selftest`` takes no config."""
     workdir.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    options = [] if command == "selftest" else ["--config", str(config_path), "--out-dir", "out"]
     proc = subprocess.run(
-        [sys.executable, "-m", "ltvlab.cli", command, "--config", str(config_path),
-         "--out-dir", "out"],
+        [sys.executable, "-m", "ltvlab.cli", command, *options],
         cwd=workdir, env=env, capture_output=True, check=False)
     out = workdir / "out"
     reports = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
@@ -185,33 +188,32 @@ def main(argv=None):
         table = configs(tmp / "inputs")
         for name, config in table.items():
             (tmp / "inputs" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
-        jobs = [(name, command, side) for name in table for command in COMMANDS
-                for side in checkouts]
+        # every config through every config command, and selftest, which takes none
+        pairs = [(name, command) for name in table for command in COMMANDS] + [("-", "selftest")]
+        jobs = [(name, command, side) for name, command in pairs for side in checkouts]
         with ThreadPoolExecutor(max_workers=2) as pool:  # two runs at a time
             results = dict(zip(jobs, pool.map(
                 lambda job: run(checkouts[job[2]], tmp / "inputs" / f"{job[0]}.json", job[1],
                                 tmp / job[2] / f"{job[0]}-{job[1]}"), jobs)))
     differ = 0
-    for name in table:
-        for command in COMMANDS:
-            parent, change = results[name, command, "parent"], results[name, command, "change"]
-            what = [part for part, a, b in zip(("exit code", "stdout", "stderr", "reports"),
-                                               parent, change) if a != b]
-            differ += bool(what)
-            lines = [len(side[2].splitlines()) for side in (parent, change)]
-            print(f"{'DIFFERS' if what else 'same':8s} {name:22s} {command:12s} "
-                  f"exit {parent[0]} -> {change[0]}"
-                  + (f"  ({', '.join(what)})" if what else "")
-                  + (f"  stderr lines {lines[0]} -> {lines[1]}" if "stderr" in what else "")
-                  + (f"  stderr: {parent[2].decode(errors='replace').splitlines()[-1][:90]}"
-                     if parent[2] and not what else ""))
-            for file in sorted(parent[3].keys() & change[3].keys()):
-                if file.endswith(".json") and parent[3][file] != change[3][file]:
-                    for label, keys in zip(("only in PARENT", "only in CHANGE", "values differ"),
-                                           key_lists(parent[3][file], change[3][file])):
-                        print(f"{'':9s}{file} {label}: {', '.join(keys) or '-'}")
-    runs = len(table) * len(COMMANDS)
-    print(f"{runs} runs, {runs - differ} identical, {differ} differ")
+    for name, command in pairs:
+        parent, change = results[name, command, "parent"], results[name, command, "change"]
+        what = [part for part, a, b in zip(("exit code", "stdout", "stderr", "reports"),
+                                           parent, change) if a != b]
+        differ += bool(what)
+        lines = [len(side[2].splitlines()) for side in (parent, change)]
+        print(f"{'DIFFERS' if what else 'same':8s} {name:22s} {command:12s} "
+              f"exit {parent[0]} -> {change[0]}"
+              + (f"  ({', '.join(what)})" if what else "")
+              + (f"  stderr lines {lines[0]} -> {lines[1]}" if "stderr" in what else "")
+              + (f"  stderr: {parent[2].decode(errors='replace').splitlines()[-1][:90]}"
+                 if parent[2] and not what else ""))
+        for file in sorted(parent[3].keys() & change[3].keys()):
+            if file.endswith(".json") and parent[3][file] != change[3][file]:
+                for label, keys in zip(("only in PARENT", "only in CHANGE", "values differ"),
+                                       key_lists(parent[3][file], change[3][file])):
+                    print(f"{'':9s}{file} {label}: {', '.join(keys) or '-'}")
+    print(f"{len(pairs)} runs, {len(pairs) - differ} identical, {differ} differ")
     return 1 if differ else 0
 
 
