@@ -27,7 +27,7 @@ from .perturb import (
 from .spectrum import incompressibility_test, spectrum_estimate
 from .presets import geometric_diag, sin_log_extrema
 from .splitness import GAMMA_GRID, FSSRecord, _initial_basis, gamma_statistics, splitness_report
-from .system import CoefficientSequence, parse_generator_spec
+from .system import CoefficientSequence, _check_integer, parse_generator_spec
 
 SCHEMA_VERSION = 2
 _CSV_BLOCK_ROWS = 4096  # rows of a column-built CSV formatted and written at a time
@@ -83,13 +83,14 @@ def _in_range(key, value, seq, high, ndim=0):
 
 
 def _integer(key, value, seq, minimum):
-    """An integer >= ``minimum``: a JSON number that is whole; a string or a
-    bool is refused."""
-    whole = isinstance(value, int) and not isinstance(value, bool) or (
-        isinstance(value, float) and value.is_integer())
-    if not whole or int(value) < minimum:
-        raise ParseError(f"config field {key!r} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    """An integer >= ``minimum`` by the library's integer rule; a whole JSON number in range,
+    such as 2.0 or 2.0**64, is the integer it equals, and any other float is refused as given."""
+    if isinstance(value, float) and value.is_integer() and value >= minimum:
+        value = int(value)  # exact: the float is whole
+    try:
+        return _check_integer(f"config field {key!r}", value, minimum)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _horizon(key, value, seq):

@@ -96,9 +96,10 @@ def project_out(p, basis):
     ``w0 = p - Q Q^T p`` and a flag that is False where the basis is rank
     deficient to tolerance: where the smallest r_jj, the norm of column
     j's component orthogonal to the earlier columns, is at most
-    SINGULAR_RTOL * max(largest r_jj, 1).  ``||Q^T p||`` is accurate near
-    a right angle and ``||w0||`` near zero; ``w0 / (w0 . p)`` is the
-    covector of the oblique projection onto ``p`` along the span.
+    SINGULAR_RTOL * the largest r_jj (relative, so a scaled basis keeps its
+    rank).  ``||Q^T p||`` is accurate near a right angle and ``||w0||`` near
+    zero; ``w0 / (w0 . p)`` is the covector of the oblique projection onto
+    ``p`` along the span.
     """
     lead, (m, k) = basis.shape[:-2], basis.shape[-2:]
     # column j of every basis as rows of the stack: cols[j, i] is entry i of
@@ -116,8 +117,7 @@ def project_out(p, basis):
         norm = np.sqrt((v * v).sum(axis=0))
         diag[j] = np.ldexp(norm, exps)
         qs.append(v / np.where(norm > 0.0, norm, np.inf))
-    scale = np.maximum(diag.max(axis=0, initial=0.0), 1.0)
-    full_rank = diag.min(axis=0, initial=np.inf) > SINGULAR_RTOL * scale
+    full_rank = diag.min(axis=0, initial=np.inf) > SINGULAR_RTOL * diag.max(axis=0, initial=0)
     w0 = p.reshape(-1, m).T.copy()  # (m, N)
     coef = np.empty_like(diag)
     for j, q in enumerate(qs):

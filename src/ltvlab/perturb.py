@@ -36,7 +36,7 @@ from .spectrum import (
     spectrum_estimate,
 )
 from .splitness import RHO_THRESHOLD, FSSRecord, _check_gamma, broken_away_scan, gamma_statistics
-from .system import CoefficientSequence, _propagation_blocks
+from .system import CoefficientSequence, _check_integer, _propagation_blocks
 
 MU_BRACKET_TOL = 1e-6
 SYNTHESIS_R = 0.5  # the constant r: the proof keeps ||R(n) - I|| below it
@@ -62,8 +62,7 @@ def synthesis_constants(gamma, rho, s):
     _check_gamma(gamma)
     if not 0.0 < rho <= 1.0:
         raise InvalidInputError(f"rho must be in (0, 1], got {rho}")
-    if s < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {s}")
+    s = _check_integer("s", s, 1)
     r = SYNTHESIS_R
     l1 = r * math.sin(gamma) / s
     delta1 = math.log(l1 + 1.0) / 2.0
@@ -73,7 +72,7 @@ def synthesis_constants(gamma, rho, s):
     delta = delta1 * rho / 3.0
     beta = lipschitz * s * (1.0 + 2.0 / rho) / math.sin(gamma)
     return SynthesisConstants(
-        float(gamma), float(rho), int(s), float(r), l1, delta1, lipschitz, delta, beta
+        float(gamma), float(rho), s, float(r), l1, delta1, lipschitz, delta, beta
     )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .splitness import FSSRecord
-from .system import CoefficientSequence, parse_generator_spec
+from .system import CoefficientSequence, _check_integer, parse_generator_spec
 
 SIN_LOG_SPEC = """\
 dimension: 2
@@ -42,12 +42,13 @@ def standard_basis_fss(seq, horizon):
 def sin_log_extrema(max_n):
     """Largest and smallest sin(ln n) over n = 1, ..., max_n and where
     they occur."""
-    ns = np.arange(1, int(max_n) + 1, dtype=float)
+    max_n = _check_integer("max_n", max_n, 1)
+    ns = np.arange(1, max_n + 1, dtype=float)
     values = np.sin(np.log(ns))
     i_max = int(np.argmax(values))
     i_min = int(np.argmin(values))
     return {
-        "max_n": int(max_n),
+        "max_n": max_n,
         "max_value": float(values[i_max]),
         "argmax": i_max + 1,
         "min_value": float(values[i_min]),

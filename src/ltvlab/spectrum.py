@@ -9,14 +9,13 @@ a realizing sequence.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
 from .linalg import _max_abs
-from .system import _LN2, _NORMAL_MIN, _chunk_states, _chunks, _propagation_blocks
+from .system import _LN2, _NORMAL_MIN, _check_integer, _chunk_states, _chunks, _propagation_blocks
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -42,18 +41,11 @@ def exponent_profile(traj, sigma=1):
 
 def _sigma_steps(traj, sigma):
     """The steps k*sigma to the horizon of ``traj``; sigma is an integer >= 1."""
-    _check_integer("sigma", sigma, 1)
+    sigma = _check_integer("sigma", sigma, 1)
     kmax = traj.horizon // sigma
     if kmax < 1:
         raise InvalidInputError("trajectory does not cover one sigma step")
     return sigma * np.arange(1, kmax + 1)
-
-
-def _check_integer(name, value, minimum):
-    """Refuse a ``value`` that is not an integer >= ``minimum``: a bool or a
-    whole float is refused, not truncated, and a numpy integer is taken."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
-        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def limsup_estimate(ks, values):
@@ -99,12 +91,10 @@ def spectrum_estimate(seq, horizon, checkpoint_every=None):
     re-orthonormalizing every step (the compounds grow as C(s, s/2), so
     volumes lose from s = 5 on).
     """
-    horizon = int(horizon)
-    if horizon < 2:
-        raise InvalidInputError("horizon must be >= 2")
+    horizon = _check_integer("horizon", horizon, 2)
     if checkpoint_every is None:
         checkpoint_every = max(1, horizon // 1000)
-    _check_integer("checkpoint_every", checkpoint_every, 1)
+    checkpoint_every = _check_integer("checkpoint_every", checkpoint_every, 1)
 
     cp_ns, cp_logs = _checkpoint_logs(seq, horizon, checkpoint_every)
     per_column, realizing = limsup_estimate(cp_ns, cp_logs / cp_ns[:, None])
@@ -265,10 +255,8 @@ def _sign_patterns(s):
     """All nonzero coefficient patterns over {-1, 0, 1}^s with the first
     nonzero entry positive (sign duplicates removed)."""
     for raw in itertools.product((0, 1, -1), repeat=s):
-        nz = [v for v in raw if v != 0]
-        if not nz or nz[0] < 0:
-            continue
-        yield np.array(raw, dtype=float)
+        if any(raw) and next(v for v in raw if v) > 0:
+            yield np.array(raw, dtype=float)
 
 
 def incompressibility_test(fss, trials=64, seed=0):
@@ -279,7 +267,7 @@ def incompressibility_test(fss, trials=64, seed=0):
     cancellation in stored logs) to the FSS horizon.  A violation is a
     combination whose estimated exponent falls more than
     COMBINATION_GAP_TOL below the largest exponent among its supported
-    members.  For dimension <= 3 all deterministic sign patterns are
+    members.  For dimension <= 4 all deterministic sign patterns are
     checked before random unit-sphere draws.  ``trials`` and ``seed`` are
     integers >= 0.
 
@@ -299,9 +287,7 @@ def incompressibility_test(fss, trials=64, seed=0):
 
     member_exps = np.array([limsup_estimate(*exponent_profile(traj))[0] for traj in trajectories])
 
-    candidates = []
-    if s <= 3:
-        candidates.extend(_sign_patterns(s))
+    candidates = list(_sign_patterns(s)) if s <= 4 else []
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         c = rng.normal(size=s)

@@ -9,6 +9,8 @@ log-norm, and a transition matrix as a unit-norm matrix plus a log factor.
 
 import io
 import math
+import numbers
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -36,6 +38,15 @@ _DECIMAL = re.compile(rf"[+-]?(?:{_NUMBER.pattern})", re.ASCII)  # a spec or mat
 _DIGITS = re.compile("[0-9]+")  # a count: identity N, dimension, a matrix-file header
 
 
+def _check_integer(name, value, minimum):
+    """``value`` as an int by the one integer rule of every step, horizon, count and
+    dimension: InvalidInputError naming ``name`` unless it is an integer >= ``minimum``.
+    A bool or a float (2.0 too) is refused, not truncated; a numpy integer is taken."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return operator.index(value)
+
+
 class CoefficientSequence:
     """Generator of the coefficient matrices A(n), n >= 1.
 
@@ -44,7 +55,7 @@ class CoefficientSequence:
     """
 
     def __init__(self, dimension, block_fn):
-        self.dimension = int(dimension)
+        self.dimension = _check_integer("dimension", dimension, 1)
         self._block_fn = block_fn
 
     # --- constructors -------------------------------------------------
@@ -107,9 +118,7 @@ class CoefficientSequence:
         be evaluated or is not finite, and IndexError when a file-backed
         sequence runs out of records.
         """
-        start, stop = int(start), int(stop)
-        if start < 1 or stop < start:
-            raise InvalidInputError(f"steps must satisfy 1 <= start <= stop, got {start}, {stop}")
+        start, stop = _check_integer("start", start, 1), _check_integer("stop", stop, start)
         try:
             mats = np.asarray(self._block_fn(start, stop), dtype=float)
         except LtvLabError:  # the package's own errors keep their type
@@ -131,9 +140,7 @@ class CoefficientSequence:
 
     def matrix_at(self, n):
         """Coefficient matrix A(n).  Deterministic; n >= 1."""
-        n = int(n)
-        if n < 1:
-            raise InvalidInputError(f"index must be >= 1, got {n}")
+        n = _check_integer("n", n, 1)
         return self.matrices(n, n + 1)[0]
 
     def lyapunov_bound(self, horizon):
@@ -141,9 +148,7 @@ class CoefficientSequence:
 
         The true bound runs over all n; this one is horizon-stamped.
         """
-        horizon = int(horizon)
-        if horizon < 1:
-            raise InvalidInputError("horizon must be >= 1")
+        horizon = _check_integer("horizon", horizon, 1)
         bound = 1.0
         for start, mats in _chunks(self.matrices, 1, horizon + 1):
             sv, singular = _singular_values(mats, start)
@@ -439,8 +444,9 @@ class TrajectoryLog:
         return self.directions[self.positions(n)]
 
     def value_at(self, n):
+        """x(n); PropagationError where its norm is past the double range."""
         i = self.positions(n)
-        return math.exp(self.log_norms[i]) * self.directions[i]
+        return _exp_times(self.log_norms[i], self.directions[i], f"x(n={n})")
 
 
 def propagate(seq, x0, horizon):
@@ -472,9 +478,7 @@ def propagate(seq, x0, horizon):
             f"initial vectors must have shape ({seq.dimension},) or ({seq.dimension}, m), "
             f"got {x0.shape}"
         )
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InvalidInputError("horizon must be >= 1")
+    horizon = _check_integer("horizon", horizon, 1)
 
     m = cols.shape[1]
     directions = np.empty((m, horizon, seq.dimension))
@@ -732,11 +736,21 @@ class ScaledMatrix:
     log_scale: float
 
     def to_dense(self):
-        return math.exp(self.log_scale) * self.unit
+        """The matrix itself; PropagationError where its norm is past the double range."""
+        return _exp_times(self.log_scale, self.unit, "a transition matrix")
 
     @property
     def log_spectral_norm(self):
         return self.log_scale  # ||unit|| == 1 by construction
+
+
+def _exp_times(log_scale, unit, what):
+    """exp(log_scale) * unit, the value of a log-scaled ``what``."""
+    try:
+        return math.exp(log_scale) * unit
+    except OverflowError:
+        raise PropagationError(
+            f"{what} overflows the double range: its norm is exp({float(log_scale):.6g})") from None
 
 
 def _scaled(m):
@@ -756,9 +770,7 @@ def transition(seq, n, m):
     running products scaled by powers of two; a product that cancels to
     zero or below the double range raises PropagationError.
     """
-    n, m = int(n), int(m)
-    if n < 1 or m < 1:
-        raise InvalidInputError("indices must be >= 1")
+    n, m = _check_integer("n", n, 1), _check_integer("m", m, 1)
     if n >= m:
         prod, exp2 = np.eye(seq.dimension), 0
         for start in range(m, n, BLOCK_STEPS):
@@ -800,7 +812,7 @@ def additive_to_multiplicative(seq, q_seq, check_horizon=0):
     def sums(start, stop):
         return seq.matrices(start, stop) + q_seq.matrices(start, stop)
 
-    for start, mats in _chunks(sums, 1, int(check_horizon) + 1):
+    for start, mats in _chunks(sums, 1, _check_integer("check_horizon", check_horizon, 0) + 1):
         singular = _singular_values(mats, start)[1]
         if singular is not None:
             raise InadmissiblePerturbationError(

@@ -292,8 +292,7 @@ def _qr_project_out(p, basis):
     """project_out by one batched Householder QR: the reference form."""
     q, r = np.linalg.qr(basis)
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    scale = np.maximum(diag.max(axis=-1, initial=0.0), 1.0)
-    full_rank = diag.min(axis=-1, initial=np.inf) > SINGULAR_RTOL * scale
+    full_rank = diag.min(axis=-1, initial=np.inf) > SINGULAR_RTOL * diag.max(axis=-1, initial=0.0)
     coef = (np.swapaxes(q, -1, -2) @ p[..., None])[..., 0]
     return coef, p - (q @ coef[..., None])[..., 0], full_rank
 
@@ -353,11 +352,32 @@ def test_project_out_scale_free_in_the_basis(power):
     _, w0, _ = project_out(p, basis)
     _, scaled_w0, full_rank = project_out(p, scaled)
     assert np.abs(scaled_w0 - w0).max() <= 1e-13
-    # the rank rule is in the caller's units: columns of norm 2**-600
-    # fall below SINGULAR_RTOL, as they do for the QR form
-    assert full_rank.all() == (power > 0)
-    if power > 0:
-        assert np.abs(angle_to_subspace(p, scaled) - angle_to_subspace(p, basis)).max() <= 1e-13
+    # the rank rule is relative: columns of norm 2**-600 keep their rank, as
+    # they do for the QR form
+    assert full_rank.all()
+    assert np.abs(angle_to_subspace(p, scaled) - angle_to_subspace(p, basis)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("scale", [1e-13, 2.0**-60, 1e13])
+def test_a_scaled_basis_gives_the_unscaled_angle_and_cosine(scale):
+    # the rank flag is relative to the largest r_jj, so no floor refuses a small basis
+    assert angle_to_subspace([1.0, 1.0], [scale, 0.0]) == pytest.approx(math.pi / 4, abs=1e-15)
+    assert angle_to_subspace([1.0, 1.0], [1.0, 0.0]) == pytest.approx(math.pi / 4, abs=1e-15)
+    p = np.array([0.3, -1.2, 0.7])
+    basis = scale * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for f in (angle_to_subspace, cosine_to_subspace):
+        assert f(p, basis) == pytest.approx(f(p, basis / scale), rel=1e-15)
+    if scale == 2.0**-60:  # a power of two scales exactly, so the bits stay
+        assert angle_to_subspace(p, basis) == angle_to_subspace(p, basis / scale)
+        assert cosine_to_subspace(p, basis) == cosine_to_subspace(p, basis / scale)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e-13])
+def test_columns_whose_sizes_differ_by_1e13_are_refused(size):
+    basis = size * np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0]])
+    for f in (angle_to_subspace, cosine_to_subspace):
+        with pytest.raises(InvalidInputError, match="rank deficient"):
+            f([0.3, -1.2, 0.7], basis)
 
 
 @pytest.mark.parametrize("shape", [(256, 2, 2), (256, 3, 3), (50, 2, 5), (50, 5, 2), (3, 3)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ltvlab import (
     PreconditionError,
     SingularMatrixError,
     TrajectoryLog,
+    additive_to_multiplicative,
     broken_away_scan,
     build_plan,
     calibrate,
@@ -24,13 +26,17 @@ from ltvlab import (
     lambda_mu,
     openness_experiment,
     perturbation_at,
+    propagate,
     solve_mu,
+    spectrum_estimate,
     splitness_report,
     synthesis_constants,
+    transition,
 )
 from ltvlab.linalg import project_out
 from ltvlab.presets import (
     geometric_diag,
+    sin_log_extrema,
     sin_log_system,
     sin_log_witness_fss,
     standard_basis_fss,
@@ -140,6 +146,34 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
         (diag12_fss, lambda seq, fss: splitness_report(fss, sigma=True), "sigma"),
 }
 
+# entry point -> (its call on diag(1,2) and one integer, the argument's name, a valid value)
+INTEGER_ARGUMENTS = {
+    "CoefficientSequence": (lambda seq, v: CoefficientSequence(v, seq.matrices).matrices(1, 4),
+                            "dimension", 2),
+    "matrices-start": (lambda seq, v: seq.matrices(v, 5), "start", 2),
+    "matrices-stop": (lambda seq, v: seq.matrices(1, v), "stop", 3),
+    "matrix_at": (lambda seq, v: seq.matrix_at(v), "n", 3),
+    "lyapunov_bound": (lambda seq, v: seq.lyapunov_bound(v), "horizon", 3),
+    "propagate": (lambda seq, v: propagate(seq, [1.0, 1.0], v), "horizon", 30),
+    "from_initial_vectors": (
+        lambda seq, v: FSSRecord.from_initial_vectors(seq, np.eye(2), v).trajectories,
+        "horizon", 30),
+    "transition-n": (lambda seq, v: transition(seq, v, 1), "n", 4),
+    "transition-m": (lambda seq, v: transition(seq, 1, v), "m", 4),
+    "additive_to_multiplicative": (
+        lambda seq, v: additive_to_multiplicative(seq, seq, v).matrices(1, 3), "check_horizon", 3),
+    "spectrum_estimate": (lambda seq, v: spectrum_estimate(seq, v), "horizon", 300),
+    "synthesis_constants": (lambda seq, v: synthesis_constants(0.5, 0.5, v), "s", 2),
+    "sin_log_extrema": (lambda seq, v: sin_log_extrema(v), "max_n", 100),
+}
+# one integer rule: a float, a bool or a string is refused by a message that names the argument
+BAD_LIBRARY_INPUTS.update({
+    f"{entry}-{label}": (diag12_fss, lambda seq, fss, call=call, bad=bad: call(seq, bad),
+                         f"^{name} must be an integer >= ")
+    for entry, (call, name, _) in INTEGER_ARGUMENTS.items()
+    for label, bad in (("fractional", 2.5), ("bool", True), ("string", "3"))
+})
+
 
 @pytest.mark.parametrize("name", sorted(BAD_LIBRARY_INPUTS))
 def test_library_calls_refuse_what_the_cli_refuses(name):
@@ -148,6 +182,14 @@ def test_library_calls_refuse_what_the_cli_refuses(name):
     seq, fss = make()
     with pytest.raises(InvalidInputError, match=word):
         call(seq, fss)
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_take_a_numpy_integer(entry):
+    call, _, value = INTEGER_ARGUMENTS[entry]
+    seq = geometric_diag([1.0, 2.0])
+    # pickled, the results compare by their bits and by the types they hold
+    assert pickle.dumps(call(seq, np.int64(value))) == pickle.dumps(call(seq, value))
 
 
 def test_solve_mu_bracket_sin_log():

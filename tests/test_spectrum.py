@@ -178,7 +178,7 @@ def per_candidate_incompressibility(fss, trials=64, seed=0, gap_tol=0.1):
         [limsup_estimate(*exponent_profile(traj))[0] for traj in fss.trajectories]
     )
     candidates = [np.array(c, dtype=float) for c in itertools.product((0, 1, -1), repeat=s)
-                  if any(c) and next(v for v in c if v) > 0] if s <= 3 else []
+                  if any(c) and next(v for v in c if v) > 0] if s <= 4 else []
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         c = rng.normal(size=s)
@@ -220,6 +220,8 @@ INCOMPRESSIBILITY_CASES = {
         ),
         5,
     ),
+    # x_1 - x_4 = e_1 cancels the fast part of x_1 = e_1 + e_4: a sign pattern finds it
+    "diag-1-2-3-4-cancellation": (lambda: cancelling_fss(4, 3000), 0),
     # dense A(n), so the scan: every candidate reaches its bound in the window
     "rotated-diag-1-2-normal": (lambda: standard_basis_fss(rotated_diag_1_2(), 2000), 0),
     # upper-triangular, so the scan, and e_1 stays exact: of the members
@@ -247,6 +249,24 @@ def test_incompressibility_matches_the_per_candidate_reference(name):
         assert np.array_equal(verdict.witness, witness)
         assert abs(verdict.witness_exponent - lam) <= 1e-12
         assert verdict.support_exponent == support_max
+
+
+def cancelling_fss(s, horizon):
+    """The FSS e_1 + e_s, e_2, ..., e_s of diag(1, ..., s): x_1 - x_s = e_1 has
+    exponent 0 against the members' ln s, a sign pattern (1, 0, ..., 0, -1)."""
+    rows = np.eye(s)
+    rows[0, -1] = 1.0
+    return FSSRecord.from_initial_vectors(geometric_diag(np.arange(1.0, s + 1)), rows, horizon)
+
+
+@pytest.mark.parametrize("s", [4, pytest.param(5, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 15: at s >= 5 only random draws are tried; none cancels"))])
+@pytest.mark.parametrize("trials", [0, 64])
+def test_sign_patterns_find_a_cancelling_combination(s, trials):
+    verdict = incompressibility_test(cancelling_fss(s, 3000), trials=trials)
+    assert verdict.member_exponents == pytest.approx(np.log([s, *range(2, s + 1)]), abs=1e-3)
+    assert verdict.status == "NOT-NORMAL"
+    assert np.array_equal(verdict.witness, [1.0] + [0.0] * (s - 2) + [-1.0])
 
 
 def recording(seq):

@@ -538,6 +538,19 @@ def test_transition_of_a_vanishing_product_names_the_step():
         transition(seq, 5, 1)
 
 
+def test_a_value_past_the_double_range_raises_a_propagation_error():
+    # 2**2000 and the norm of X(3000, 1) = diag(1, 2**2999) are stored as logs alone
+    seq = geometric_diag([1.0, 2.0])
+    traj = propagate(seq, [0.0, 1.0], 3000)
+    assert traj.value_at(1000)[1] == pytest.approx(2.0**999, rel=1e-11)
+    with pytest.raises(PropagationError, match=r"x\(n=2000\) overflows the double range"):
+        traj.value_at(2000)
+    x = transition(seq, 3000, 1)
+    assert x.log_spectral_norm == pytest.approx(2999 * math.log(2.0), rel=1e-15)
+    with pytest.raises(PropagationError, match="transition matrix overflows the double range"):
+        x.to_dense()
+
+
 def test_transition_composition():
     rng = np.random.default_rng(9)
     mats = [np.eye(2) + 0.2 * rng.normal(size=(2, 2)) for _ in range(10)]

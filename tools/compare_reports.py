@@ -53,8 +53,8 @@ SIN_LOG = (
 def _fields(s):
     """The fields besides system and horizon that the commands read, for an s-d system."""
     return {
-        "shifts": [0.01, -0.01, 0.0][:s],
-        "target_spectrum": [0.001, 0.694, 1.1][:s],
+        "shifts": [0.01, -0.01, 0.0, 0.005, -0.005][:s],
+        "target_spectrum": [0.001, 0.694, 1.1, 1.387, 1.61][:s],
         "epsilon": 1.0,
         "epsilon_grid": [0.1, 1.0],
     }
@@ -94,6 +94,15 @@ def _triangular(rng, count):
              for i in range(3)] for _ in range(count)]
 
 
+def _dense_5d(rng):
+    """A 5 x 5 constant spec: diagonal 1 + 0.5 j plus U(-0.3, 0.3) entries, so the
+    spectrum takes the per-step QR loop (s >= 5) and the FSS the s >= 3 angle path."""
+    a = [[1.0 + 0.5 * i if i == j else 0.0 for j in range(5)] for i in range(5)]
+    a = [[v + rng.uniform(-0.3, 0.3) for v in row] for row in a]
+    return "dimension: 5\nkind: constant\nentries:\n" + "".join(
+        "  " + " ".join(repr(v) for v in row) + "\n" for row in a)
+
+
 def configs(inputs):
     """The config table: name -> config; matrix files are written to ``inputs``."""
     rng = random.Random(0)
@@ -128,6 +137,14 @@ def configs(inputs):
                                     "  exp(sin(n))\n",
                           "horizon": 3001, "sigma": 2, "gamma_grid": [0.3, 1.1],
                           "initial_vectors": [[1, 0, 0], [1, 1, 0], [0, 1, 1]], **_fields(3)},
+        # the volume pass at VOLUME_MAX_DIMENSION = 4; x_1 - x_4 = e_1 is a sign pattern, but
+        # x_1 and x_4 both turn towards e_4, so the FSS is not splitted; the standard basis is,
+        # and its instability run tries the s = 4 sign patterns before it refuses a normal FSS
+        "diag1234-standard": {"system": "diag(1,2,3,4)", "horizon": 3000, **_fields(4)},
+        "diag1234-cancelling": {"system": "diag(1,2,3,4)", "horizon": 3000, "checkpoint_every": 1,
+                                "initial_vectors": [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0],
+                                                    [0, 0, 0, 1]], **_fields(4)},
+        "dense-5d": {"system": _dense_5d(random.Random(2)), "horizon": 3000, **_fields(5)},
     }
 
 
