@@ -300,20 +300,15 @@ def cmd_spectrum(seq, opts):
 
 
 def cmd_splitness(seq, opts):
-    fss, sigma, gamma_grid = opts["fss"], opts["sigma"], opts["gamma_grid"]
-    report = splitness_report(fss, gamma_grid, sigma)
-
-    stats = []
-    for v in report.verdicts:
-        gamma = v.gamma if v.gamma is not None else min(gamma_grid)
-        stats.append(gamma_statistics(fss, v.solution_index, gamma, sigma))
-    flags, densities = zip(*stats)
+    fss, sigma = opts["fss"], opts["sigma"]
+    report = splitness_report(fss, opts["gamma_grid"], sigma)
+    flags, densities = zip(*(gamma_statistics(fss, v.solution_index, v.gamma, sigma)
+                             for v in report.verdicts))
     ns = sigma * np.arange(1, len(flags[0]) + 1)
     columns = [ns, *fss.angle_profile()[ns - 1].T, *flags, *densities]
     header = ["n", *(f"{c}_{i + 1}" for c in ("phi", "flag", "g") for i in range(fss.dimension))]
     lines = [f"splitted: {report.splitted}"] + [
-        f"  solution {v.solution_index}: {v.status}"
-        + ("" if v.rho_hat is None else f" (gamma={v.gamma:.4f}, rho={v.rho_hat:.4f})")
+        f"  solution {v.solution_index}: {v.status} (gamma={v.gamma:.4f}, rho={v.rho_hat:.4f})"
         for v in report.verdicts
     ]
     return report, _csv_blocks(header, columns), lines
@@ -469,8 +464,8 @@ def build_parser():
 
 def main(argv=None):
     """Run a command; its exit code.  A run that fails writes its labelled
-    line alone to stderr: the warnings raised on the way are held and shown
-    only when the run exits 0."""
+    line alone to stderr: the warnings raised on the way are held, and only
+    a run that exits 0 prints each as a line ``warning: <message>``."""
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as held:
         try:
@@ -486,7 +481,7 @@ def main(argv=None):
                   f"{exc}", file=sys.stderr)
     if code == EXIT_OK:
         for w in held:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+            print(f"warning: {w.message}", file=sys.stderr)
     return code
 
 

@@ -35,7 +35,7 @@ from .spectrum import (
     limsup_estimate,
     spectrum_estimate,
 )
-from .splitness import RHO_THRESHOLD, FSSRecord, _check_gamma, broken_away_scan, gamma_statistics
+from .splitness import RHO_THRESHOLD, FSSRecord, _check_gamma, gamma_statistics, splitness_report
 from .system import CoefficientSequence, _check_integer, _propagation_blocks
 
 MU_BRACKET_TOL = 1e-6
@@ -90,7 +90,7 @@ def lambda_mu(fss, i, mu, gamma):
 def _tail_lines(fss, i, gamma):
     """The exponent profile f_i(k) and the gamma densities g_i(k) >= 0 on
     the tail window: lambda_mu is the maximum of the lines f_i + mu g_i."""
-    ks, values = exponent_profile(fss.trajectories[i])
+    ks, values = exponent_profile(fss.trajectories[fss._member(i)])
     start = np.searchsorted(ks, _tail_start(ks[-1]))
     return values[start:], gamma_statistics(fss, i, gamma)[1][start:]
 
@@ -108,6 +108,7 @@ def solve_mu(fss, i, zeta, rho_hat, gamma):
         raise InvalidInputError(f"zeta must be >= 0, got {zeta}")
     if not rho_hat > 0.0:
         raise InvalidInputError(f"rho_hat must be > 0, got {rho_hat}")
+    fss._member(i)  # refused even where zeta = 0 needs no lines
     if zeta == 0.0:
         return 0.0
     values, densities = _tail_lines(fss, i, gamma)
@@ -135,22 +136,19 @@ class Calibration:
 
 
 def calibrate(fss):
-    """Run per-solution broken-away scans and derive the synthesis constants.
+    """Derive the synthesis constants from ``splitness_report``; PreconditionError if not splitted.
 
     Uses sigma = 1 throughout, the common gamma is the minimum over the
     per-solution certificates (enlarging every index set), and rho is the
     minimum of the measured density floors.
     """
-    verdicts = [broken_away_scan(fss, i) for i in range(fss.dimension)]
-    bad = [v for v in verdicts if v.status != "yes"]
-    if bad:
-        raise PreconditionError(
-            "FSS is not splitted at this horizon: solutions "
-            + ", ".join(f"{v.solution_index} ({v.status})" for v in bad)
-        )
-    gamma = min(v.gamma for v in verdicts)
-    rho_hat = max(RHO_THRESHOLD, min(v.rho_hat for v in verdicts))
-    return Calibration(verdicts, synthesis_constants(gamma, rho_hat, fss.dimension))
+    report = splitness_report(fss)
+    if not report.splitted:
+        raise PreconditionError("FSS is not splitted at this horizon: solutions " + ", ".join(
+            f"{v.solution_index} (no)" for v in report.verdicts if v.status == "no"))
+    gamma = min(v.gamma for v in report.verdicts)
+    rho_hat = max(RHO_THRESHOLD, min(v.rho_hat for v in report.verdicts))
+    return Calibration(report.verdicts, synthesis_constants(gamma, rho_hat, fss.dimension))
 
 
 @dataclass(frozen=True)

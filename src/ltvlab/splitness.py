@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError, NotLyapunovSequenceError
 from .linalg import _singular_values, angle_to_subspace, cosine_to_subspace
 from .spectrum import _sigma_steps, exponent_profile, limsup_estimate
-from .system import CoefficientSequence, TrajectoryLog, propagate
+from .system import CoefficientSequence, TrajectoryLog, _check_integer, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
 RHO_THRESHOLD = 0.05
@@ -54,6 +54,13 @@ class FSSRecord:
     @property
     def horizon(self):
         return self.trajectories[0].horizon
+
+    def _member(self, i):
+        """``i`` as an int in 0, ..., s - 1, the index of a member; else InvalidInputError."""
+        i = _check_integer("i", i, 0)
+        if i >= self.dimension:
+            raise InvalidInputError(f"i must be a member index below {self.dimension}, got {i!r}")
+        return i
 
     def _member_profile(self, to_others, collapsed_value):
         """to_others(x_i, the others' columns) for every member over all
@@ -138,8 +145,9 @@ def gamma_statistics(fss, i, gamma, sigma=1):
 
 
 def _member_angles(fss, i, sigma):
-    """phi_i(k * sigma) for every k * sigma within the horizon; a bad sigma
-    is refused before the angles are computed."""
+    """phi_i(k * sigma) for every k * sigma within the horizon; a bad member
+    or sigma is refused before the angles are computed."""
+    i = fss._member(i)
     ns = _sigma_steps(fss.trajectories[0], sigma)
     return fss.angle_profile()[ns - 1, i]
 
@@ -154,11 +162,11 @@ def _gamma_set(angles, gamma):
 @dataclass(frozen=True)
 class BrokenAwayVerdict:
     solution_index: int
-    gamma: float | None
-    realizing_ks: np.ndarray | None = field(repr=False)
-    rho_hat: float | None
-    lambda_hat: float | None
-    status: str  # "yes" | "no" | "inconclusive"
+    gamma: float
+    realizing_ks: np.ndarray = field(repr=False)
+    rho_hat: float
+    lambda_hat: float
+    status: str  # "yes" | "no"
 
 
 def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
@@ -168,12 +176,11 @@ def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
     exponent estimate; rho_hat is the minimum density over those indices
     (a conservative stand-in for the limit).  The verdict keeps the gamma
     with the largest rho_hat, preferring larger gamma on ties, and is
-    "yes" when that rho_hat reaches RHO_THRESHOLD.
+    "yes" when that rho_hat reaches RHO_THRESHOLD, else "no".
     """
     _check_gamma(*gamma_grid)
+    i = fss._member(i)
     lam, ks = limsup_estimate(*exponent_profile(fss.trajectories[i], sigma))
-    if len(ks) == 0:
-        return BrokenAwayVerdict(i, None, None, None, lam, "inconclusive")
     angles = _member_angles(fss, i, sigma)
     best_gamma, best_rho = None, -1.0
     for gamma in sorted(gamma_grid, reverse=True):
@@ -187,20 +194,13 @@ def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
 @dataclass(frozen=True)
 class SplitnessReport:
     verdicts: list
-    splitted: bool | None  # None when some verdict is inconclusive
+    splitted: bool  # every solution is broken away
 
 
 def splitness_report(fss, gamma_grid=GAMMA_GRID, sigma=1):
     """Per-solution broken-away verdicts plus the overall splitted flag."""
     verdicts = [broken_away_scan(fss, i, gamma_grid, sigma) for i in range(fss.dimension)]
-    statuses = {v.status for v in verdicts}
-    if "no" in statuses:
-        splitted = False
-    elif "inconclusive" in statuses:
-        splitted = None
-    else:
-        splitted = True
-    return SplitnessReport(verdicts, splitted)
+    return SplitnessReport(verdicts, all(v.status == "yes" for v in verdicts))
 
 
 def apply_lyapunov_transformation(fss, transform):

@@ -402,7 +402,7 @@ class TrajectoryLog:
 
     The actual solution value at step n is exp(log_norm) * direction.
     Directions are renormalized every propagation step, so log-norm
-    magnitudes up to ~1e7 are safe.
+    magnitudes up to ~1e7 are safe.  A non-finite entry is refused, naming its step.
     """
 
     def __init__(self, directions, log_norms):
@@ -413,6 +413,9 @@ class TrajectoryLog:
             raise InvalidInputError(
                 f"a trajectory needs (horizon, s) directions and (horizon,) log-norms, "
                 f"got {self.directions.shape} and {self.log_norms.shape}")
+        bad = ~(np.isfinite(self.directions).all(axis=1) & np.isfinite(self.log_norms))
+        if bad.any():
+            raise InvalidInputError(f"trajectory step n={np.argmax(bad) + 1} is not finite")
 
     @property
     def horizon(self):
@@ -444,9 +447,11 @@ class TrajectoryLog:
         return self.directions[self.positions(n)]
 
     def value_at(self, n):
-        """x(n); PropagationError where its norm is past the double range."""
+        """x(n), or the (k, s) rows x(n) of an array of k steps; PropagationError
+        naming the first step where the norm of x is past the double range."""
         i = self.positions(n)
-        return _exp_times(self.log_norms[i], self.directions[i], f"x(n={n})")
+        exps = [_exp_times(v, 1.0, f"x(n={k + 1})") for k, v in zip(i.flat, self.log_norms[i].flat)]
+        return np.reshape(exps, (*np.shape(i), 1)) * self.directions[i]
 
 
 def propagate(seq, x0, horizon):

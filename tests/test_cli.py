@@ -105,7 +105,7 @@ ROTATION_3D = ("dimension: 3\nkind: dense\nentries:\n"
 ])
 def test_splitness_csv_has_nine_decimals_and_crlf_line_ends(tmp_path, system, vectors,
                                                             horizon, sigma):
-    from ltvlab.splitness import GAMMA_GRID, FSSRecord, gamma_statistics, splitness_report
+    from ltvlab.splitness import FSSRecord, gamma_statistics, splitness_report
     from ltvlab.system import parse_generator_spec
 
     fields = {"system": system, "horizon": horizon, "initial_vectors": vectors, "sigma": sigma}
@@ -115,8 +115,7 @@ def test_splitness_csv_has_nine_decimals_and_crlf_line_ends(tmp_path, system, ve
     # the same table through csv.writer, one formatted cell at a time
     fss = FSSRecord.from_initial_vectors(parse_generator_spec(system), vectors, horizon)
     report = splitness_report(fss, sigma=sigma)
-    stats = [gamma_statistics(fss, v.solution_index,
-                              min(GAMMA_GRID) if v.gamma is None else v.gamma, sigma)
+    stats = [gamma_statistics(fss, v.solution_index, v.gamma, sigma)
              for v in report.verdicts]  # (flags, densities) per member
     angles = fss.angle_profile()
     s = len(vectors)

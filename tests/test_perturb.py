@@ -12,9 +12,12 @@ from ltvlab import (
     FSSRecord,
     InvalidInputError,
     PreconditionError,
+    PropagationError,
     SingularMatrixError,
     TrajectoryLog,
     additive_to_multiplicative,
+    angle_to_subspace,
+    apply_lyapunov_transformation,
     broken_away_scan,
     build_plan,
     calibrate,
@@ -24,6 +27,7 @@ from ltvlab import (
     incompressibility_test,
     instability_experiment,
     lambda_mu,
+    oblique_projections,
     openness_experiment,
     perturbation_at,
     propagate,
@@ -144,7 +148,78 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
         (diag12_fss, lambda seq, fss: broken_away_scan(fss, 0, sigma=1.9), "sigma"),
     "splitness_report-bool-sigma":
         (diag12_fss, lambda seq, fss: splitness_report(fss, sigma=True), "sigma"),
+    # the refusals of shapes and non-finite entries at each entry point; a fourth
+    # item names an error type other than InvalidInputError
+    "angle_to_subspace-0d-p":
+        (diag12_fss, lambda seq, fss: angle_to_subspace(1.0, [[1.0]]), "^p must be at least 1-d"),
+    "angle_to_subspace-nan-p":
+        (diag12_fss, lambda seq, fss: angle_to_subspace([1.0, math.nan], [[1.0], [0.0]]),
+         "^p has non-finite entries"),
+    "oblique_projections-not-square":
+        (diag12_fss, lambda seq, fss: oblique_projections([[1.0, 0.0]]),
+         r"^need 2 columns of dimension 2, got shape \(2, 1\)"),
+    "oblique_projections-nan":
+        (diag12_fss, lambda seq, fss: oblique_projections([[1.0, math.nan], [0.0, 1.0]]),
+         "^columns have non-finite entries"),
+    "build_plan-short-shifts":
+        (diag12_fss, lambda seq, fss: build_plan(fss, [0.01]), "^expected 2 shifts"),
+    "openness_experiment-short-target":
+        (diag12_fss, lambda seq, fss: openness_experiment(fss, [0.0], 1.0),
+         "^expected 2 target exponents"),
+    "exponent_profile-sigma-past-horizon":
+        (diag12_fss, lambda seq, fss: exponent_profile(fss.trajectories[0], 501),
+         "^trajectory does not cover one sigma step"),
+    "FSSRecord-one-member":
+        (diag12_fss, lambda seq, fss: FSSRecord(seq, fss.trajectories[:1], fss.initial_vectors),
+         "^an FSS of a 2-dimensional system needs 2 solutions, got 1"),
+    "apply_lyapunov_transformation-3d":
+        (diag12_fss, lambda seq, fss: apply_lyapunov_transformation(
+            fss, CoefficientSequence.constant(np.eye(3))), "^transformation dimension mismatch"),
+    "constant-not-square":
+        (diag12_fss, lambda seq, fss: CoefficientSequence.constant([[1.0, 2.0]]),
+         "^constant coefficient must be a square matrix"),
+    "constant-nan":
+        (diag12_fss, lambda seq, fss: CoefficientSequence.constant([[math.nan]]),
+         "^constant coefficient has non-finite entries"),
+    "dense_formulas-not-square":
+        (diag12_fss, lambda seq, fss: CoefficientSequence.dense_formulas([["1", "0"]]),
+         "^dense formula table must be square"),
+    "block_fn-raises-value-error":
+        (diag12_fss, lambda seq, fss: CoefficientSequence(2, _refuse_steps).matrices(1, 4),
+         r"^coefficient evaluation failed on steps 1\.\.3: no steps here", PropagationError),
+    "block_fn-wrong-shape":
+        (diag12_fss, lambda seq, fss: CoefficientSequence(
+            2, lambda start, stop: np.zeros((stop - start, 3, 3))).matrices(1, 4),
+         r"^coefficients for steps 1\.\.3 have shape \(3, 3, 3\)"),
+    "propagate-3-vector":
+        (diag12_fss, lambda seq, fss: propagate(seq, [1.0, 0.0, 0.0], 10),
+         r"^initial vectors must have shape \(2,\) or \(2, m\), got \(3,\)"),
+    "additive_to_multiplicative-3d-q":
+        (diag12_fss, lambda seq, fss: additive_to_multiplicative(seq, geometric_diag([1.0] * 3)),
+         "^dimension mismatch between system and perturbation"),
 }
+
+
+def _refuse_steps(start, stop):
+    raise ValueError("no steps here")
+
+
+# a member index is an integer in 0, ..., s - 1: a negative index, a bool and a float
+# are refused, not read by numpy as another member or a mask
+MEMBER_ARGUMENTS = {
+    "broken_away_scan": lambda fss, i: broken_away_scan(fss, i),
+    "gamma_statistics": lambda fss, i: gamma_statistics(fss, i, 0.5),
+    "lambda_mu": lambda fss, i: lambda_mu(fss, i, 0.1, 0.5),
+    "solve_mu": lambda fss, i: solve_mu(fss, i, 0.01, 0.5, 0.5),
+}
+BAD_LIBRARY_INPUTS.update({
+    f"{entry}-member-{label}": (diag12_fss, lambda seq, fss, call=call, bad=bad: call(fss, bad),
+                                f"^i must be {rule}, got {bad!r}$")
+    for entry, call in MEMBER_ARGUMENTS.items()
+    for label, bad, rule in (("negative", -1, "an integer >= 0"), ("bool", True, "an integer >= 0"),
+                             ("float", 1.0, "an integer >= 0"),
+                             ("past-dimension", 2, "a member index below 2"))
+})
 
 # entry point -> (its call on diag(1,2) and one integer, the argument's name, a valid value)
 INTEGER_ARGUMENTS = {
@@ -178,9 +253,9 @@ BAD_LIBRARY_INPUTS.update({
 @pytest.mark.parametrize("name", sorted(BAD_LIBRARY_INPUTS))
 def test_library_calls_refuse_what_the_cli_refuses(name):
     # gamma in (0, pi/2], a non-empty grid, epsilon finite and > 0, integer trials and seed >= 0
-    make, call, word = BAD_LIBRARY_INPUTS[name]
+    make, call, word, *error = BAD_LIBRARY_INPUTS[name]
     seq, fss = make()
-    with pytest.raises(InvalidInputError, match=word):
+    with pytest.raises(error[0] if error else InvalidInputError, match=word):
         call(seq, fss)
 
 

@@ -9,10 +9,12 @@ from ltvlab import (
     FSSRecord,
     InvalidInputError,
     NotLyapunovSequenceError,
+    PreconditionError,
     TrajectoryLog,
     angle_to_subspace,
     apply_lyapunov_transformation,
     broken_away_scan,
+    calibrate,
     cosine_to_subspace,
     gamma_statistics,
     splitness_report,
@@ -119,6 +121,20 @@ def test_a_trajectory_needs_one_direction_and_log_norm_per_step(directions, log_
         TrajectoryLog(directions, log_norms)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["direction", "log-norm"])
+def test_a_trajectory_refuses_a_non_finite_entry(where, value):
+    # so every exponent profile is finite, and its tail-max has a realizing step
+    directions, log_norms = np.tile([0.6, 0.8], (5, 1)), np.arange(5.0)
+    if where == "direction":
+        directions[3, 1] = value
+    else:
+        log_norms[3] = value
+    with pytest.raises(InvalidInputError,
+                       match=r"^trajectory step n=4 is not finite$"):
+        TrajectoryLog(directions, log_norms)
+
+
 def test_broken_away_orthogonal_solutions():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 2000)
     verdict = broken_away_scan(fss, 0)
@@ -137,7 +153,7 @@ def test_broken_away_collapsing_pair():
     assert verdict.status == "no"
 
 
-def test_splitness_report_tri_state():
+def test_splitness_report_is_splitted_when_every_verdict_is_yes():
     fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 2000)
     report = splitness_report(fss)
     assert report.splitted is True
@@ -147,6 +163,43 @@ def test_splitness_report_tri_state():
     bad = FSSRecord.from_initial_vectors(seq, [[1.0, 1.0], [0.0, 1.0]], 2000)
     report = splitness_report(bad)
     assert report.splitted is False
+    assert [v.status for v in report.verdicts] == ["no", "no"]  # one angle at s = 2
+
+
+def rotated_fss():
+    """The standard FSS of diag(1, 2) in the coordinates of a rotation by 0.9."""
+    fss = standard_basis_fss(geometric_diag([1.0, 2.0]), 2000)
+    c, s = math.cos(0.9), math.sin(0.9)
+    return apply_lyapunov_transformation(fss, CoefficientSequence.constant([[c, -s], [s, c]]))
+
+
+# the FSSs of this module, splitted and not
+FSS_CASES = {
+    "diag12-standard": lambda: standard_basis_fss(geometric_diag([1.0, 2.0]), 2000),
+    "diag12-collapsing": lambda: FSSRecord.from_initial_vectors(
+        geometric_diag([1.0, 2.0]), [[1.0, 1.0], [0.0, 1.0]], 2000),
+    "sin-log-witness": lambda: sin_log_witness_fss(10_000),
+    "diag123-standard": lambda: standard_basis_fss(geometric_diag([1.0, 2.0, 3.0]), 50),
+    "diag2-1d": lambda: standard_basis_fss(geometric_diag([2.0]), 200),
+    "rotated-diag12": rotated_fss,
+    "triangular-3d": lambda: triangular_fss(3, 300, seed=3),
+}
+
+
+def test_calibrate_refuses_exactly_what_splitness_report_does_not_call_splitted():
+    seen = set()
+    for name, make in FSS_CASES.items():
+        fss = make()
+        report = splitness_report(fss)
+        seen.add(report.splitted)
+        if not report.splitted:
+            with pytest.raises(PreconditionError, match="^FSS is not splitted at this horizon"):
+                calibrate(fss)
+            continue
+        verdicts = calibrate(fss).verdicts
+        assert [(v.gamma, v.rho_hat, v.status) for v in verdicts] == [
+            (v.gamma, v.rho_hat, v.status) for v in report.verdicts], name
+    assert seen == {True, False}
 
 
 def test_sigma_invariance_sin_log():

@@ -151,13 +151,17 @@ def test_formula_errors_point_into_the_spec(spec, line, column):
         # largest array size), so nothing is allocated
         ("identity 1000000000", "'identity 1000000000' is too large to hold in memory", 1, 1),
         ("identity 10000000000", "'identity 10000000000' is too large to hold in memory", 1, 1),
+        ("dimension: 2\nkind diagonal\nentries:\n  n\n  n\n",
+         "^expected 'key: value', got 'kind diagonal'", 2, 1),
+        ("dimension: 0\nkind: constant\nentries: 1\n", "^dimension must be >= 1, got 0", 1, 1),
     ],
     ids=["kind", "file-path", "diagonal-count", "dense-count", "constant-count",
          "constant-number", "constant-non-finite", "constant-underscore",
          "constant-arabic-digit", "diag-underscore", "diag-arabic-digit",
          "diag-leading-zero", "constant-leading-zero", "diagonal-leading-zero",
          "identity-arabic-digit", "identity-underscore", "dimension-arabic-digit",
-         "dimension-underscore", "identity-past-memory", "identity-past-array-size"],
+         "dimension-underscore", "identity-past-memory", "identity-past-array-size",
+         "no-colon", "dimension-zero"],
 )
 def test_spec_errors_point_at_their_line(spec, message, line, column):
     with pytest.raises(ParseError, match=message) as info:
@@ -312,7 +316,8 @@ def test_matrix_file_refusals_are_not_kept(tmp_path):
     path = tmp_path / "seq.txt"
     for text, refusal in [("1 2\n1 two\n", "bad number 'two'"),
                           ("1 3\n1 2\n", "expected 3 values, found 2"),
-                          ("1 2\n1 nan\n", "record 2 has a non-finite value")]:
+                          ("1 2\n1 nan\n", "record 2 has a non-finite value"),
+                          ("1\n", "^matrix sequence file .* is too short")]:
         path.write_text("1 2\n1 2\n")  # a good file first, at the same path
         assert read_matrix_sequence(path).matrices(1, 3).ravel().tolist() == [1.0, 2.0]
         path.write_text(text)
@@ -360,7 +365,8 @@ def test_write_matrix_sequence_refuses_an_empty_sequence(tmp_path):
     ([np.zeros((2, 3))], 1),
     ([np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])], 2),
     ([np.array([1.0, 2.0])], 1),
-], ids=["sizes", "not-square", "not-square-first", "nan", "1-d"])
+    ([np.eye(2), [[1.0, 2.0], [3.0]]], 2),
+], ids=["sizes", "not-square", "not-square-first", "nan", "1-d", "ragged"])
 def test_write_matrix_sequence_refuses_what_the_reader_refuses(tmp_path, matrices, record):
     path = tmp_path / "seq.txt"
     with pytest.raises(InvalidInputError, match=f"record {record} "):
@@ -549,6 +555,19 @@ def test_a_value_past_the_double_range_raises_a_propagation_error():
     assert x.log_spectral_norm == pytest.approx(2999 * math.log(2.0), rel=1e-15)
     with pytest.raises(PropagationError, match="transition matrix overflows the double range"):
         x.to_dense()
+
+
+def test_value_at_takes_an_array_of_steps():
+    # the rows of the single steps, bit for bit; a step past the double range is named
+    traj = propagate(geometric_diag([1.0, 2.0]), [0.6, 0.8], 3000)
+    values = traj.value_at(np.array([1, 2, 1000]))
+    assert values.shape == (3, 2)
+    for row, n in zip(values, (1, 2, 1000)):
+        assert row.tobytes() == traj.value_at(n).tobytes()
+    assert traj.value_at(np.array([[1], [2]])).shape == (2, 1, 2)
+    assert traj.value_at(np.array([], dtype=int)).shape == (0, 2)
+    with pytest.raises(PropagationError, match=r"^x\(n=2000\) overflows the double range"):
+        traj.value_at(np.array([3, 2000, 2500]))
 
 
 def test_transition_composition():

@@ -3,25 +3,22 @@
 Usage: python3 tools/compare_reports.py PARENT CHANGE
 
 Runs every config of the table in ``configs`` through the five config commands
-(spectrum, splitness, perturb, assign, instability), and ``selftest`` once,
-in each checkout, with ``PYTHONPATH=<checkout>/src`` and a fresh working
-directory per run, and prints each run whose exit code, stdout, stderr or
-report bytes differ between the two, with both stderr line counts where
-stderr differs.  Selftest is the one other command that runs
-``execute_plan`` and ``incompressibility_test``; it writes no report.  Where a
-JSON report differs, it also prints three key lists: keys only in PARENT,
-keys only in CHANGE and keys whose values differ.  A key is a path such as
+(spectrum, splitness, perturb, assign, instability), and the two commands that
+take no config once each, ``selftest`` and ``sinln --max-n 100000``, in each
+checkout, with ``PYTHONPATH=<checkout>/src`` and a fresh working directory per
+run, and prints each run whose exit code, stdout, stderr or report bytes
+differ between the two, with both stderr line counts where stderr differs.
+Selftest is the one other command that runs ``execute_plan`` and
+``incompressibility_test``; it writes no report.  Where a JSON report
+differs, it also prints three key lists: keys only in PARENT, keys only in
+CHANGE and keys whose values differ.  A key is a path such as
 ``constants.gamma``, with ``[]`` standing for every object of a list, as in
 ``verdicts[].status``.  Every config holds the fields of all five commands,
 so a command that refuses its config is compared by its exit code and
 message.
 Each checkout's own path, and the run's working directory, are replaced by
-placeholders in stdout and stderr before comparing, so a warning that names
-a source file compares equal.  A warning is compared by its file, category and
-message alone: the line number after its file and the source line Python
-echoes under it are dropped, for an edit above the ``warnings.warn`` call
-moves both.  Exits 1 when any run differs.  Standard
-library only, so it runs against any two checkouts.
+placeholders in stdout and stderr before comparing.  Exits 1 when any run
+differs.  Standard library only, so it runs against any two checkouts.
 """
 
 import argparse
@@ -29,7 +26,6 @@ import json
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import tempfile
@@ -37,9 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 COMMANDS = ("spectrum", "splitness", "perturb", "assign", "instability")
-
-# "file.py:LINE: Category: message" and the indented source line echoed under it
-WARNING = re.compile(rb"^(.+\.py):\d+: (\w+: .*)\n(?:  .*\n)?", re.MULTILINE)
+# the commands that take no config -> their options
+SINGLE_RUNS = {"selftest": [], "sinln": ["--max-n", "100000", "--out-dir", "out"]}
 
 SIN_LOG = (
     "dimension: 2\n"
@@ -150,10 +145,10 @@ def configs(inputs):
 
 def run(checkout, config_path, command, workdir):
     """Exit code, stdout, stderr and report bytes of one command in ``checkout``;
-    ``selftest`` takes no config."""
+    a command of SINGLE_RUNS takes its own options and no config."""
     workdir.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    options = [] if command == "selftest" else ["--config", str(config_path), "--out-dir", "out"]
+    options = SINGLE_RUNS.get(command, ["--config", str(config_path), "--out-dir", "out"])
     proc = subprocess.run(
         [sys.executable, "-m", "ltvlab.cli", command, *options],
         cwd=workdir, env=env, capture_output=True, check=False)
@@ -165,8 +160,7 @@ def run(checkout, config_path, command, workdir):
             data = data.replace(str(path).encode(), mark)
         return data
 
-    return (proc.returncode, normalized(proc.stdout),
-            WARNING.sub(rb"\1:<line>: \2\n", normalized(proc.stderr)), reports)
+    return proc.returncode, normalized(proc.stdout), normalized(proc.stderr), reports
 
 
 def _leaves(data, path=""):
@@ -205,8 +199,9 @@ def main(argv=None):
         table = configs(tmp / "inputs")
         for name, config in table.items():
             (tmp / "inputs" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
-        # every config through every config command, and selftest, which takes none
-        pairs = [(name, command) for name in table for command in COMMANDS] + [("-", "selftest")]
+        # every config through every config command, and each command that takes none
+        pairs = ([(name, command) for name in table for command in COMMANDS]
+                 + [("-", command) for command in SINGLE_RUNS])
         jobs = [(name, command, side) for name, command in pairs for side in checkouts]
         with ThreadPoolExecutor(max_workers=2) as pool:  # two runs at a time
             results = dict(zip(jobs, pool.map(
