@@ -27,7 +27,7 @@ from .perturb import (
 from .spectrum import incompressibility_test, spectrum_estimate
 from .presets import geometric_diag, sin_log_extrema
 from .splitness import GAMMA_GRID, FSSRecord, _initial_basis, gamma_statistics, splitness_report
-from .system import CoefficientSequence, _check_integer, parse_generator_spec
+from .system import CoefficientSequence, _check_integer, _check_real, parse_generator_spec
 
 SCHEMA_VERSION = 2
 _CSV_BLOCK_ROWS = 4096  # rows of a column-built CSV formatted and written at a time
@@ -44,42 +44,12 @@ _LABELS = {EXIT_CONFIG: "config error", EXIT_NUMERICAL: "numerical failure",
 # --- config fields: a check(key, value, seq) returns the value to use ------
 
 
-def _numbers(key, value):
-    """The finite number or numbers ``value`` of config field ``key``, as an
-    array; a string or a bool at any depth is refused, though numpy would
-    read '0.5' or true as a number."""
-    items = [value]
-    while items:
-        item = items.pop()
-        if isinstance(item, list):
-            items.extend(item)
-        elif isinstance(item, (str, bool)):
-            raise ParseError(f"config field {key!r} must be numeric, got {value!r}")
+def _relabel(check, key, *args):
+    """check(f"config field {key!r}", *args), its InvalidInputError raised as a ParseError."""
     try:
-        values = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"config field {key!r} must be numeric: {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        raise ParseError(f"config field {key!r} has a non-finite value")
-    return values
-
-
-def _vector(key, value, seq):
-    """One finite number per dimension of the system."""
-    values = _numbers(key, value)
-    if values.shape != (seq.dimension,):
-        raise ParseError(f"config field {key!r} must hold {seq.dimension} numbers, got {value!r}")
-    return values
-
-
-def _in_range(key, value, seq, high, ndim=0):
-    """Numbers in (0, high]: one number (ndim 0) or a non-empty list of them (ndim 1)."""
-    values = _numbers(key, value)
-    if values.ndim != ndim or values.size == 0 or not np.all((values > 0.0) & (values <= high)):
-        what = "a number" if ndim == 0 else "a non-empty list of numbers"
-        bound = "> 0" if high == math.inf else f"in (0, {high:.6g}]"
-        raise ParseError(f"config field {key!r} must be {what} {bound}, got {value!r}")
-    return float(values) if ndim == 0 else values
+        return check(f"config field {key!r}", *args)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _integer(key, value, seq, minimum):
@@ -87,10 +57,14 @@ def _integer(key, value, seq, minimum):
     such as 2.0 or 2.0**64, is the integer it equals, and any other float is refused as given."""
     if isinstance(value, float) and value.is_integer() and value >= minimum:
         value = int(value)  # exact: the float is whole
-    try:
-        return _check_integer(f"config field {key!r}", value, minimum)
-    except InvalidInputError as exc:
-        raise ParseError(str(exc)) from None
+    return _relabel(_check_integer, key, value, minimum)
+
+
+def _real(key, value, seq, low=-math.inf, high=math.inf, shape=None):
+    """Real numbers in (low, high] by the library's real-number rule, of ``shape`` (-1: a
+    non-empty list), or one per dimension of the system where ``shape`` is None."""
+    return _relabel(_check_real, key, value, low, high,
+                    (seq.dimension,) if shape is None else shape)
 
 
 def _horizon(key, value, seq):
@@ -104,11 +78,11 @@ def _horizon(key, value, seq):
 
 
 def _basis(key, value, seq):
-    """s finite, linearly independent rows of s numbers."""
+    """s linearly independent rows of s real numbers."""
     try:
-        return _initial_basis(seq, _numbers(key, value))
+        return _initial_basis(seq, value)
     except InvalidInputError as exc:
-        raise ParseError(f"config field {key!r}: {exc}") from exc
+        raise ParseError(f"config field {key!r}: {exc}") from None
 
 
 _REQUIRED = object()
@@ -118,13 +92,13 @@ _FIELDS = {  # config field -> (check, default); a default of None also accepts 
     "seed": (partial(_integer, minimum=0), 0),
     "checkpoint_every": (partial(_integer, minimum=1), None),
     "sigma": (partial(_integer, minimum=1), 1),
-    "gamma_grid": (partial(_in_range, high=math.pi / 2, ndim=1), GAMMA_GRID),
+    "gamma_grid": (partial(_real, low=0.0, high=math.pi / 2, shape=(-1,)), GAMMA_GRID),
     "initial_vectors": (_basis, None),  # None: the standard basis
-    "shifts": (_vector, _REQUIRED),
-    "target_spectrum": (_vector, _REQUIRED),
-    "epsilon": (partial(_in_range, high=math.inf), _REQUIRED),
+    "shifts": (_real, _REQUIRED),
+    "target_spectrum": (_real, _REQUIRED),
+    "epsilon": (partial(_real, low=0.0, shape=()), _REQUIRED),
     "trials": (partial(_integer, minimum=1), 16),
-    "epsilon_grid": (partial(_in_range, high=math.inf, ndim=1), _REQUIRED),
+    "epsilon_grid": (partial(_real, low=0.0, shape=(-1,)), _REQUIRED),
 }
 
 

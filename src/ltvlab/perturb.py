@@ -36,7 +36,7 @@ from .spectrum import (
     spectrum_estimate,
 )
 from .splitness import RHO_THRESHOLD, FSSRecord, _check_gamma, gamma_statistics, splitness_report
-from .system import CoefficientSequence, _check_integer, _propagation_blocks
+from .system import CoefficientSequence, _check_integer, _check_real, _propagation_blocks
 
 MU_BRACKET_TOL = 1e-6
 SYNTHESIS_R = 0.5  # the constant r: the proof keeps ||R(n) - I|| below it
@@ -59,9 +59,8 @@ class SynthesisConstants:
 def synthesis_constants(gamma, rho, s):
     """Evaluate the synthesis constants for given angle threshold and
     density floor; delta1 is the midpoint-in-log ln(L1+1)/2."""
-    _check_gamma(gamma)
-    if not 0.0 < rho <= 1.0:
-        raise InvalidInputError(f"rho must be in (0, 1], got {rho}")
+    gamma = _check_gamma("gamma", gamma)
+    rho = _check_real("rho", rho, 0.0, 1.0)
     s = _check_integer("s", s, 1)
     r = SYNTHESIS_R
     l1 = r * math.sin(gamma) / s
@@ -71,9 +70,7 @@ def synthesis_constants(gamma, rho, s):
     lipschitz = l1 / delta1
     delta = delta1 * rho / 3.0
     beta = lipschitz * s * (1.0 + 2.0 / rho) / math.sin(gamma)
-    return SynthesisConstants(
-        float(gamma), float(rho), s, float(r), l1, delta1, lipschitz, delta, beta
-    )
+    return SynthesisConstants(gamma, rho, s, float(r), l1, delta1, lipschitz, delta, beta)
 
 
 # --- exponent-boost solver ---------------------------------------------
@@ -81,8 +78,7 @@ def synthesis_constants(gamma, rho, s):
 
 def lambda_mu(fss, i, mu, gamma):
     """Tail-max estimate of limsup_k (f_i(k) + mu * g_i(k)), sigma = 1."""
-    if not mu >= 0.0:
-        raise InvalidInputError(f"mu must be >= 0, got {mu}")
+    mu = _check_real("mu", mu, 0.0, closed=True)
     values, densities = _tail_lines(fss, i, gamma)
     return float((values + mu * densities).max())
 
@@ -104,10 +100,8 @@ def solve_mu(fss, i, zeta, rho_hat, gamma):
     a lambda_mu(zeta/rho_hat) short of the target indicates inconsistent
     estimators and is reported as such.
     """
-    if not zeta >= 0.0:
-        raise InvalidInputError(f"zeta must be >= 0, got {zeta}")
-    if not rho_hat > 0.0:
-        raise InvalidInputError(f"rho_hat must be > 0, got {rho_hat}")
+    zeta = _check_real("zeta", zeta, 0.0, closed=True)
+    rho_hat = _check_real("rho_hat", rho_hat, 0.0)
     fss._member(i)  # refused even where zeta = 0 needs no lines
     if zeta == 0.0:
         return 0.0
@@ -174,10 +168,8 @@ def build_plan(fss, xi_shifts, calibration=None):
     Synthesis always uses sigma = 1.  The plan keeps ``fss``, whose
     directions build R(n) and whose system gives A(n).
     """
-    xi = np.asarray(xi_shifts, dtype=float)
     s = fss.dimension
-    if xi.shape != (s,):
-        raise InvalidInputError(f"expected {s} shifts, got shape {xi.shape}")
+    xi = _check_real("shifts", xi_shifts, shape=(s,))
     constants = (calibration or calibrate(fss)).constants
     over = np.abs(xi) > constants.delta
     if over.any():
@@ -373,9 +365,7 @@ def instability_experiment(fss, epsilon_grid, trials=16, seed=0):
     exponents of the perturbed FSS, not a QR spectrum of the perturbed
     system.
     """
-    if len(epsilon_grid) == 0 or not all(0.0 < eps < math.inf for eps in epsilon_grid):
-        raise InvalidInputError(f"epsilon_grid must be non-empty, each epsilon finite and > 0, "
-                                f"got {epsilon_grid}")
+    epsilon_grid = _check_real("epsilon_grid", epsilon_grid, 0.0, shape=(-1,))
     calibration = calibrate(fss)
     verdict = incompressibility_test(fss, trials=trials, seed=seed)
     if verdict.is_normal:
@@ -437,13 +427,9 @@ def openness_experiment(fss, target_spectrum, epsilon):
     The target must lie within gamma = min(eta, epsilon/beta, delta) of
     the estimated exponents, where eta is a third of the smallest gap.
     """
-    target = np.asarray(target_spectrum, dtype=float)
     s = fss.dimension
-    if target.shape != (s,):
-        raise InvalidInputError(f"expected {s} target exponents, got {target.shape}")
-    if not 0.0 < epsilon < math.inf:
-        raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
-    epsilon = float(epsilon)
+    target = _check_real("target exponents", target_spectrum, shape=(s,))
+    epsilon = _check_real("epsilon", epsilon, 0.0)
 
     calibration = calibrate(fss)
     lams = np.array([v.lambda_hat for v in calibration.verdicts])

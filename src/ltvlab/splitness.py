@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError, NotLyapunovSequenceError
 from .linalg import _singular_values, angle_to_subspace, cosine_to_subspace
 from .spectrum import _sigma_steps, exponent_profile, limsup_estimate
-from .system import CoefficientSequence, TrajectoryLog, _check_integer, propagate
+from .system import CoefficientSequence, TrajectoryLog, _check_integer, _check_real, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
 RHO_THRESHOLD = 0.05
@@ -115,32 +115,25 @@ class FSSRecord:
 
 
 def _initial_basis(seq, vectors):
-    """``vectors`` as an (s, s) float array of s finite, linearly
-    independent rows; InvalidInputError otherwise."""
-    vectors = np.array(vectors, dtype=float)
-    s = seq.dimension
-    if vectors.shape != (s, s) or not np.isfinite(vectors).all():
-        raise InvalidInputError(
-            f"an FSS of a {s}-dimensional system needs {s} finite initial vectors "
-            f"of length {s}, got shape {vectors.shape}"
-        )
+    """``vectors`` as a new (s, s) float array of s linearly independent rows,
+    real numbers by the real-number rule; InvalidInputError otherwise."""
+    vectors = _check_real("initial vectors", vectors, shape=(seq.dimension, seq.dimension))
     if _singular_values(vectors[None])[1] is not None:
         raise InvalidInputError("initial vectors are not linearly independent")
     return vectors
 
 
-def _check_gamma(*grid):
-    """InvalidInputError unless ``grid`` holds gammas, each in (0, pi/2]."""
-    if not grid or not all(0.0 < gamma <= math.pi / 2 for gamma in grid):
-        raise InvalidInputError(
-            f"gamma must be in (0, pi/2], got {', '.join(map(str, grid)) or 'none'}")
+def _check_gamma(name, gamma, shape=()):
+    """``gamma``, one angle or (shape (-1,)) a grid of them, by the real-number rule at
+    (0, pi/2]."""
+    return _check_real(name, gamma, 0.0, math.pi / 2, shape)
 
 
 def gamma_statistics(fss, i, gamma, sigma=1):
     """The gamma angle set of solution i: the arrays (flags, densities), with
     flags[k-1] = phi_i(k*sigma) >= gamma and densities[k-1] = g(k; sigma) =
     N(k)/k in [0, 1], N(k) the count of flags up to k."""
-    _check_gamma(gamma)
+    gamma = _check_gamma("gamma", gamma)
     return _gamma_set(_member_angles(fss, i, sigma), gamma)
 
 
@@ -178,7 +171,7 @@ def broken_away_scan(fss, i, gamma_grid=GAMMA_GRID, sigma=1):
     with the largest rho_hat, preferring larger gamma on ties, and is
     "yes" when that rho_hat reaches RHO_THRESHOLD, else "no".
     """
-    _check_gamma(*gamma_grid)
+    gamma_grid = _check_gamma("gamma_grid", gamma_grid, (-1,))
     i = fss._member(i)
     lam, ks = limsup_estimate(*exponent_profile(fss.trajectories[i], sigma))
     angles = _member_angles(fss, i, sigma)

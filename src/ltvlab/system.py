@@ -11,6 +11,7 @@ import io
 import math
 import numbers
 import operator
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -45,6 +46,36 @@ def _check_integer(name, value, minimum):
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return operator.index(value)
+
+
+def _check_real(name, value, low=-math.inf, high=math.inf, shape=(), closed=False):
+    """``value`` as a float, or as a float array of ``shape`` (-1: any length >= 1), by the one
+    real-number rule of every epsilon, angle, shift and vector: InvalidInputError naming
+    ``name`` unless every entry is a real number (a bool, a string or None at any depth is
+    refused, and so is a ragged array) that fits in a double, is finite and lies in
+    (low, high], or in [low, high] where ``closed``."""
+    got = None  # the value as the message shows it, where not its repr
+    try:
+        entries = np.asarray(value, dtype=object)  # keeps each entry's type, a bool's too
+        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries.flat)
+        values = np.asarray(entries, dtype=float) if real else None
+    except ValueError:  # numpy arrays of unequal shapes
+        values = None
+    except OverflowError:  # an int past the double range
+        values, got = None, "a number past the double range"
+    if values is not None and not (values.ndim == len(shape) and all(
+            n == want or (want == -1 and n >= 1) for n, want in zip(values.shape, shape))):
+        dims = " x ".join("1 or more" if want == -1 else str(want) for want in shape)
+        raise InvalidInputError(f"expected {dims or 'one'} {name}, got shape {values.shape}")
+    if values is None or not (np.isfinite(values) & (values <= high)
+                              & ((values >= low) if closed else (values > low))).all():
+        if high < math.inf:
+            bound = f" in {'[' if closed else '('}{low:g}, {high:.6g}]"
+        else:
+            bound = f" {'>=' if closed else '>'} {low:g}" if low > -math.inf else ""
+        what = "a finite real number" if shape == () else "finite real numbers"
+        raise InvalidInputError(f"{name} must be {what}{bound}, got {got or repr(value)}")
+    return float(values) if shape == () else values
 
 
 class CoefficientSequence:
@@ -302,7 +333,7 @@ def parse_generator_spec(text):
 # --- matrix sequence files --------------------------------------------
 
 
-_last_parsed = (None, None)  # hash() of the last matrix file's bytes, its sequence
+_last_parsed = (None, None)  # (length, hash()) of the last matrix file's bytes, its sequence
 
 
 def read_matrix_sequence(path):
@@ -310,14 +341,16 @@ def read_matrix_sequence(path):
     of signed ASCII decimals separated by whitespace.
 
     Records are indexed from n=1; other origins are not supported.  The
-    process keeps the sequence of the last file parsed, keyed by ``hash()`` of
-    its bytes (64-bit SipHash under a per-process key), and returns it again
-    for the same bytes; a refused file is not kept.
+    process keeps the sequence of the last file parsed, keyed by the length
+    and ``hash()`` of its bytes (64-bit SipHash under a per-process key), and
+    returns it again for the same bytes; a refused file is not kept.  A
+    message names the path as ``os.fspath`` gives it, a ``Path`` as its str.
     """
     global _last_parsed
+    path = os.fspath(path)
     with open(path, "rb") as fh:
         raw = fh.read()
-    key = hash(raw)
+    key = len(raw), hash(raw)
     if key == _last_parsed[0]:
         return _last_parsed[1]
     head = io.TextIOWrapper(io.BytesIO(raw)).read().split(None, 2)  # decoded as open(path)
@@ -352,6 +385,7 @@ def write_matrix_sequence(path, matrices):
     """Write ``matrices``, as ``from_matrices`` takes them, in the format that
     ``read_matrix_sequence`` reads back bit for bit; what the reader would
     refuse is refused first, by an InvalidInputError naming the record."""
+    path = os.fspath(path)
     data = _matrix_array(matrices)
     bad = _first_non_finite(data)
     if bad is not None:

@@ -765,10 +765,11 @@ _NOT_A_NUMBER = st.one_of(
     st.text(alphabet="abxyz ,{}", max_size=4),  # no digits, so never parses as a number
     st.lists(st.text(alphabet="ab", min_size=1), min_size=1, max_size=2),
     st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=1),
-    st.sampled_from([[], [[1.0], [1.0, 2.0]], float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from([[], [[1.0], [1.0, 2.0]], float("nan"), float("inf"), -float("inf"),
+                     10**400]),  # the last is past the double range
 )
 _NOT_AN_INTEGER = st.one_of(
-    _NOT_A_NUMBER,
+    _NOT_A_NUMBER.filter(lambda v: v != 10**400),  # an integer, however large
     st.just(True),
     st.floats(0.0, 1000.0).filter(lambda x: x != int(x)),
 )

@@ -63,6 +63,23 @@ CONFIGS = {
     "collapsing_6001": {**COLLAPSING, "horizon": 6001},
 }
 
+PAST_DOUBLE = 10**400  # a JSON integer too large for a double
+# real config field -> (a command that reads it, a value that holds PAST_DOUBLE)
+PAST_DOUBLE_FIELDS = {
+    "epsilon": ("assign", PAST_DOUBLE),
+    "shifts": ("perturb", [PAST_DOUBLE, 0.0]),
+    "target_spectrum": ("assign", [0.001, PAST_DOUBLE]),
+    "gamma_grid": ("splitness", [0.5, PAST_DOUBLE]),
+    "epsilon_grid": ("instability", [PAST_DOUBLE]),
+    "initial_vectors": ("splitness", [[PAST_DOUBLE, 0], [0, 1]]),
+}
+CONFIGS.update({
+    f"past_double_{field}": {"system": "diag(1,2)", "horizon": 200, "shifts": [0.01, -0.01],
+                             "target_spectrum": [0.001, 0.694], "epsilon": 1.0,
+                             "epsilon_grid": [0.1], field: value}
+    for field, (_, value) in PAST_DOUBLE_FIELDS.items()
+})
+
 # (command, config, expected exit code): a config names a file of CONFIGS,
 # "missing" one that does not exist; every report goes to ./out unless the
 # command names its own --out-dir
@@ -155,6 +172,14 @@ def test_exit_code_through_the_module(workdir, monkeypatch, capsys, command, con
     _check_outcome(code, stderr, want, workdir / "out")
     if want == 0 and argv[0] != "selftest":
         assert list((workdir / "out").glob("*.json"))
+
+
+@pytest.mark.parametrize("field", list(PAST_DOUBLE_FIELDS))
+def test_a_number_past_the_double_range_is_a_config_error(workdir, monkeypatch, capsys, field):
+    command = PAST_DOUBLE_FIELDS[field][0]
+    code, stderr = _run_module(monkeypatch, capsys, _argv(command, f"past_double_{field}"))
+    _check_outcome(code, stderr, 2, workdir / "out")
+    assert f"config field {field!r}" in stderr
 
 
 def test_stderr_of_a_collapsing_basis_does_not_grow_with_the_horizon(workdir, monkeypatch,

@@ -249,6 +249,45 @@ BAD_LIBRARY_INPUTS.update({
     for label, bad in (("fractional", 2.5), ("bool", True), ("string", "3"))
 })
 
+# bad values of a real argument by label: one number, a list of s = 2, a non-empty grid
+# and an s x s basis; a bool, a string or None is refused, not read as 1.0 or a number
+_ONE = {"string": "0.5", "bool": True, "none": None}
+_TWO = {"string": ["0.001", "-0.001"], "bool": [True, False], "none": None,
+        "nan": [math.nan, 0.001]}
+_GRID = {"string": ["0.5"], "bool": [True], "none": None}
+_BASIS = {"string": [["1", "0"], ["0", "1"]], "bool": [[True, False], [False, True]],
+          "none": None}
+# entry point -> (its call on diag(1,2) and one value, the argument's name, bad values)
+REAL_ARGUMENTS = {
+    "synthesis_constants-gamma": (lambda seq, fss, v: synthesis_constants(v, 0.5, 2), "gamma",
+                                  _ONE),
+    "synthesis_constants-rho": (lambda seq, fss, v: synthesis_constants(0.5, v, 2), "rho", _ONE),
+    "gamma_statistics-gamma": (lambda seq, fss, v: gamma_statistics(fss, 0, v), "gamma", _ONE),
+    "lambda_mu-mu": (lambda seq, fss, v: lambda_mu(fss, 0, v, 0.5), "mu", _ONE),
+    "solve_mu-zeta": (lambda seq, fss, v: solve_mu(fss, 0, v, 0.5, 0.5), "zeta", _ONE),
+    "solve_mu-rho_hat": (lambda seq, fss, v: solve_mu(fss, 0, 0.01, v, 0.5), "rho_hat", _ONE),
+    "splitness_report-gamma_grid": (lambda seq, fss, v: splitness_report(fss, v), "gamma_grid",
+                                    _GRID),
+    "build_plan-shifts": (lambda seq, fss, v: build_plan(fss, v), "shifts", _TWO),
+    "openness_experiment-target": (lambda seq, fss, v: openness_experiment(fss, v, 1.0),
+                                   "target exponents", _TWO),
+    "openness_experiment-epsilon": (
+        lambda seq, fss, v: openness_experiment(fss, [0.0, math.log(2)], v), "epsilon", _ONE),
+    "instability_experiment-epsilon_grid": (lambda seq, fss, v: instability_experiment(fss, v),
+                                            "epsilon_grid", _GRID),
+    "from_initial_vectors-vectors": (
+        lambda seq, fss, v: FSSRecord.from_initial_vectors(seq, v, 30), "initial vectors", _BASIS),
+}
+# one real-number rule: each refusal names the argument
+BAD_LIBRARY_INPUTS.update({
+    f"{entry}-{label}": (diag12_fss, lambda seq, fss, call=call, bad=bad: call(seq, fss, bad),
+                         f"^{name} must be ")
+    for entry, (call, name, bads) in REAL_ARGUMENTS.items() for label, bad in bads.items()
+})
+BAD_LIBRARY_INPUTS["instability_experiment-one-epsilon"] = (
+    diag12_fss, lambda seq, fss: instability_experiment(fss, 0.1),
+    r"^expected 1 or more epsilon_grid, got shape \(\)")
+
 
 @pytest.mark.parametrize("name", sorted(BAD_LIBRARY_INPUTS))
 def test_library_calls_refuse_what_the_cli_refuses(name):
@@ -309,10 +348,12 @@ def test_an_old_form_call_is_refused():
     seq, fss = diag12_fss()
     plan = build_plan(fss, [0.01, -0.01])
     for call in (lambda: perturbation_at(plan, fss, 3), lambda: execute_plan(seq, fss, plan),
-                 lambda: openness_experiment(seq, fss, [0.01, math.log(2) - 0.01], 0.2),
-                 lambda: instability_experiment(seq, fss, [0.1])):
+                 lambda: openness_experiment(seq, fss, [0.01, math.log(2) - 0.01], 0.2)):
         with pytest.raises(TypeError):
             call()
+    # the FSS in the place of the epsilon grid is refused by the real-number rule
+    with pytest.raises(InvalidInputError, match="epsilon_grid"):
+        instability_experiment(seq, fss, [0.1])
 
 
 def test_execute_plan_reads_each_step_of_the_fss_system_once():

@@ -352,6 +352,31 @@ def test_matrix_files_with_the_same_bytes_read_alike(tmp_path):
         assert path.name in str(info.value) and other.name not in str(info.value)
 
 
+def test_a_matrix_file_of_another_length_with_the_same_hash_reads_anew(monkeypatch, tmp_path):
+    # the kept sequence is matched on the byte length as well as on hash()
+    monkeypatch.setattr("ltvlab.system.hash", lambda raw: 0, raising=False)
+    monkeypatch.setattr("ltvlab.system._last_parsed", (None, None))  # restored after the test
+    first, second = tmp_path / "first.seq", tmp_path / "second.seq"
+    first.write_text("1 1\n1.5\n")
+    second.write_text("1 2\n3.5 4.5\n")
+    assert read_matrix_sequence(first).matrices(1, 2).ravel().tolist() == [1.5]
+    assert read_matrix_sequence(second).matrices(1, 3).ravel().tolist() == [3.5, 4.5]
+
+
+def test_matrix_file_messages_name_a_path_as_its_str(tmp_path):
+    path = tmp_path / "short.seq"
+    path.write_text("1 4\n1 2\n")
+    messages = []
+    for given in (path, str(path)):
+        with pytest.raises(ParseError) as read_info:
+            read_matrix_sequence(given)
+        with pytest.raises(InvalidInputError) as write_info:
+            write_matrix_sequence(given, [[[math.nan]]])
+        messages.append((str(read_info.value), str(write_info.value)))
+    assert messages[0] == messages[1]
+    assert messages[1][0].startswith(f"{str(path)!r}: expected 4 values, found 2")
+
+
 def test_write_matrix_sequence_refuses_an_empty_sequence(tmp_path):
     path = tmp_path / "seq.txt"
     with pytest.raises(InvalidInputError, match="empty matrix sequence"):

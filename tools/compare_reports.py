@@ -15,7 +15,10 @@ CHANGE and keys whose values differ.  A key is a path such as
 ``constants.gamma``, with ``[]`` standing for every object of a list, as in
 ``verdicts[].status``.  Every config holds the fields of all five commands,
 so a command that refuses its config is compared by its exit code and
-message.
+message.  Three configs hold a malformed real number: a string ``epsilon``, a
+``true`` inside ``gamma_grid`` and a 400-digit integer in ``epsilon_grid``;
+the one command of each that reads the field refuses it.  Where stderr
+differs, the last stderr line of each side is printed under the run.
 Each checkout's own path, and the run's working directory, are replaced by
 placeholders in stdout and stderr before comparing.  Exits 1 when any run
 differs.  Standard library only, so it runs against any two checkouts.
@@ -140,6 +143,13 @@ def configs(inputs):
                                 "initial_vectors": [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0],
                                                     [0, 0, 0, 1]], **_fields(4)},
         "dense-5d": {"system": _dense_5d(random.Random(2)), "horizon": 3000, **_fields(5)},
+        # malformed reals: assign, splitness and instability refuse them in turn
+        "bad-epsilon-string": {"system": "diag(1,2)", "horizon": 2000, **_fields(2),
+                               "epsilon": "0.5"},
+        "bad-gamma-grid-true": {"system": "diag(1,2)", "horizon": 2000, **_fields(2),
+                                "gamma_grid": [0.5, True]},
+        "bad-epsilon-grid-huge": {"system": "diag(1,2)", "horizon": 2000, **_fields(2),
+                                  "epsilon_grid": [0.1, 10**400]},
     }
 
 
@@ -220,6 +230,10 @@ def main(argv=None):
               + (f"  stderr lines {lines[0]} -> {lines[1]}" if "stderr" in what else "")
               + (f"  stderr: {parent[2].decode(errors='replace').splitlines()[-1][:90]}"
                  if parent[2] and not what else ""))
+        if "stderr" in what:
+            for side, result in (("PARENT", parent), ("CHANGE", change)):
+                last = (result[2].decode(errors="replace").splitlines() or ["-"])[-1]
+                print(f"{'':9s}{side} stderr: {last[:150]}")
         for file in sorted(parent[3].keys() & change[3].keys()):
             if file.endswith(".json") and parent[3][file] != change[3][file]:
                 for label, keys in zip(("only in PARENT", "only in CHANGE", "values differ"),
