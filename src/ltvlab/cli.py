@@ -27,7 +27,8 @@ from .perturb import (
 from .spectrum import incompressibility_test, spectrum_estimate
 from .presets import geometric_diag, sin_log_extrema
 from .splitness import GAMMA_GRID, FSSRecord, _initial_basis, gamma_statistics, splitness_report
-from .system import CoefficientSequence, _check_integer, _check_real, parse_generator_spec
+from .linalg import _check_integer, _check_real
+from .system import CoefficientSequence, parse_generator_spec
 
 SCHEMA_VERSION = 2
 _CSV_BLOCK_ROWS = 4096  # rows of a column-built CSV formatted and written at a time

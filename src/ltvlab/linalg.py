@@ -1,10 +1,13 @@
 """Dense small-matrix primitives: spectral norms, angles to subspaces,
-and oblique projections onto a basis of directions.
+and oblique projections onto a basis of directions, and the two input rules
+of the package, one for integers and one for real numbers and arrays of them.
 
 All functions are pure and operate on plain numpy arrays.
 """
 
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -14,6 +17,59 @@ from .errors import InvalidInputError, SingularMatrixError
 # this fraction of the largest one: the one rank rule, kept by _singular_values.
 SINGULAR_RTOL = 1e-12
 _EPS = 2.0**-53  # LAPACK's unit roundoff, DLAMCH('E')
+
+
+def _shown(value):
+    """repr(value), or its type where repr fails, as on an int past Python's digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value of type {type(value).__name__} too long to show"
+
+
+def _check_integer(name, value, minimum):
+    """``value`` as an int by the one integer rule of every step, horizon, count and
+    dimension: InvalidInputError naming ``name`` unless it is an integer >= ``minimum``.
+    A bool or a float (2.0 too) is refused, not truncated; a numpy integer is taken."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
+    return operator.index(value)
+
+
+def _check_real(name, value, low=-math.inf, high=math.inf, shape=(), closed=False):
+    """``value`` as a float, or as a float array of ``shape`` (-1: any length >= 1; None: any
+    shape, which the caller checks), by the one real-number rule of every epsilon, angle,
+    shift, vector and matrix: InvalidInputError naming ``name`` unless every entry is a real
+    number (a bool, a string or None at any depth is refused, and so is a ragged array) that
+    fits in a double, is finite and lies in (low, high], or in [low, high] where ``closed``.
+    A numpy array of ints or floats is read whole, and a float one is not copied."""
+    got = None  # the value as the message shows it, where not its repr
+    try:
+        if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+            values = np.asarray(value, dtype=float)  # a caller that keeps it takes a copy
+        else:
+            entries = np.asarray(value, dtype=object)  # keeps each entry's type, a bool's too
+            real = all(isinstance(v, numbers.Real) and type(v) is not bool for v in entries.flat)
+            values = np.asarray(entries, dtype=float) if real else None
+    except ValueError:  # numpy arrays of unequal shapes
+        values = None
+    except OverflowError:  # an int past the double range
+        values, got = None, "a number past the double range"
+    if values is not None and shape is not None and not (values.ndim == len(shape) and all(
+            n == want or (want == -1 and n >= 1) for n, want in zip(values.shape, shape))):
+        dims = " x ".join("1 or more" if want == -1 else str(want) for want in shape)
+        raise InvalidInputError(f"expected {dims or 'one'} {name}, got shape {values.shape}")
+    ok = values is not None and np.isfinite(values).all()  # a bound is compared where finite
+    ok = ok and (high == math.inf or (values <= high).all())
+    ok = ok and (low == -math.inf or (values >= low if closed else values > low).all())
+    if not ok:
+        if high < math.inf:
+            bound = f" in {'[' if closed else '('}{low:g}, {high:.6g}]"
+        else:
+            bound = f" {'>=' if closed else '>'} {low:g}" if low > -math.inf else ""
+        what = "a finite real number" if shape == () else "finite real numbers"
+        raise InvalidInputError(f"{name} must be {what}{bound}, got {got or _shown(value)}")
+    return float(values) if shape == () else values
 
 
 def _singular_values(mats, start=0):
@@ -33,11 +89,9 @@ def spectral_norm(m):
     of the top eigenvalue of the smaller Gram matrix, M^T M or M M^T: by
     ``_top_eigenvalue_2x2`` for a 2 x 2 one, and by ``eigvalsh`` otherwise.
     """
-    m = np.asarray(m, dtype=float)
+    m = _check_real("matrix", m, shape=None)
     if m.ndim < 2:
         raise InvalidInputError(f"expected a matrix or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("matrix has non-finite entries")
     if m.size == 0:  # no rows or no columns: the zero map, or an empty stack
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     stack = m.reshape(-1, *m.shape[-2:])  # one route, so a matrix equals its stack entry
@@ -128,14 +182,15 @@ def project_out(p, basis):
 
 
 def _subspace_inputs(p, basis, name):
-    """Validated (p, basis, stacked) for the angle functions.
+    """Validated (p, basis, |p|, stacked) for the angle functions.  Where some |p| is
+    below 2**-400 or overflows, each p is first scaled by the power of two of its
+    largest entry (exact, so no square overflows or underflows, and no bit moves).
 
     A 1-d ``p`` takes ``basis`` as a vector, an (m, k) array of columns
     or a sequence of k vectors; a stacked (..., m) ``p`` takes an
     (..., m, k) stack of column bases.
     """
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(basis, dtype=float)
+    p, b = _check_real("p", p, shape=None), _check_real("basis", basis, shape=None)
     if p.ndim == 0:
         raise InvalidInputError(f"p must be at least 1-d, got shape {p.shape}")
     stacked = p.ndim > 1
@@ -148,13 +203,14 @@ def _subspace_inputs(p, basis, name):
         raise InvalidInputError(
             f"basis of shape {b.shape} does not match vectors of shape {p.shape}"
         )
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError("p has non-finite entries")
-    if not np.all(np.isfinite(b)):
-        raise InvalidInputError("basis has non-finite entries")
-    norm_p = np.linalg.norm(p, axis=-1)
-    if np.any(norm_p == 0.0):
-        raise InvalidInputError(f"{name} requires a nonzero vector")
+    with np.errstate(over="ignore"):  # an overflowed square is caught below
+        norm_p = np.linalg.norm(p, axis=-1)
+    if not ((norm_p > 2.0**-400) & (norm_p < math.inf)).all():  # a square left the range
+        top = np.abs(p).max(axis=-1, keepdims=True, initial=0.0)
+        if not top.all():
+            raise InvalidInputError(f"{name} requires a nonzero vector")
+        p = np.ldexp(p, -np.frexp(top)[1])
+        norm_p = np.linalg.norm(p, axis=-1)
     return p, b, norm_p, stacked
 
 
@@ -203,12 +259,10 @@ def oblique_projections(columns):
     to the identity and are mutually annihilating.  Raises
     SingularMatrixError for a near-singular X.
     """
-    x = np.array(columns, dtype=float).T  # column i is columns[i], so a 2-d column is refused
-    s = x.shape[0]
+    x = _check_real("columns", columns, shape=None).T  # column i is columns[i]
+    s = x.shape[0] if x.ndim else 0
     if x.shape != (s, s):
         raise InvalidInputError(f"need {s} columns of dimension {s}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("columns have non-finite entries")
     sv, singular = _singular_values(x[None])
     if singular is not None:
         raise SingularMatrixError(

@@ -27,7 +27,7 @@ from .errors import (
     PropagationError,
     SingularMatrixError,
 )
-from .linalg import project_out, spectral_norm
+from .linalg import _check_integer, _check_real, project_out, spectral_norm
 from .spectrum import (
     _tail_start,
     exponent_profile,
@@ -36,7 +36,7 @@ from .spectrum import (
     spectrum_estimate,
 )
 from .splitness import RHO_THRESHOLD, FSSRecord, _check_gamma, gamma_statistics, splitness_report
-from .system import CoefficientSequence, _check_integer, _check_real, _propagation_blocks
+from .system import CoefficientSequence, _propagation_blocks
 
 MU_BRACKET_TOL = 1e-6
 SYNTHESIS_R = 0.5  # the constant r: the proof keeps ||R(n) - I|| below it
@@ -169,7 +169,7 @@ def build_plan(fss, xi_shifts, calibration=None):
     directions build R(n) and whose system gives A(n).
     """
     s = fss.dimension
-    xi = _check_real("shifts", xi_shifts, shape=(s,))
+    xi = _check_real("shifts", xi_shifts, shape=(s,)).copy()  # the plan keeps it
     constants = (calibration or calibrate(fss)).constants
     over = np.abs(xi) > constants.delta
     if over.any():
@@ -295,7 +295,7 @@ def execute_plan(plan):
         return fss.seq.matrices(start, stop) @ r_mats
 
     perturbed = CoefficientSequence(s, perturbed_block)
-    initial = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
+    initial = fss.initial_vectors.T  # exact: exp(log-norm) * direction is an ulp off
     try:
         sim_logs = np.concatenate(
             [logs for _, _, logs in _propagation_blocks(perturbed, initial, horizon)]
@@ -428,7 +428,7 @@ def openness_experiment(fss, target_spectrum, epsilon):
     the estimated exponents, where eta is a third of the smallest gap.
     """
     s = fss.dimension
-    target = _check_real("target exponents", target_spectrum, shape=(s,))
+    target = _check_real("target exponents", target_spectrum, shape=(s,)).copy()  # kept
     epsilon = _check_real("epsilon", epsilon, 0.0)
 
     calibration = calibrate(fss)

@@ -3,7 +3,8 @@
 import numpy as np
 
 from .splitness import FSSRecord
-from .system import CoefficientSequence, _check_integer, parse_generator_spec
+from .linalg import _check_integer
+from .system import CoefficientSequence, parse_generator_spec
 
 SIN_LOG_SPEC = """\
 dimension: 2

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PropagationError, UnderflowError
-from .linalg import _max_abs
-from .system import _LN2, _NORMAL_MIN, _check_integer, _chunk_states, _chunks, _propagation_blocks
+from .linalg import _check_integer, _max_abs
+from .system import _LN2, _NORMAL_MIN, _chunk_states, _chunks, _propagation_blocks
 from .system import propagate  # noqa: F401  (benchmarks/tracer.py rebinds spectrum.propagate)
 
 VOLUME_MAX_DIMENSION = 4  # largest s whose spectrum comes from compound volumes
@@ -296,9 +296,8 @@ def incompressibility_test(fss, trials=64, seed=0):
             continue
         candidates.append(c / norm)
 
-    initials = np.column_stack([traj.value_at(1) for traj in trajectories])
-    # a numerically degenerate combination of initials is skipped
-    live = [c for c in candidates if np.linalg.norm(initials @ c) != 0.0]
+    initials = fss.initial_vectors.T  # exact: exp(log-norm) * direction is an ulp off
+    live = [c for c in candidates if (initials @ c).any()]  # a zero combination is skipped
     support = np.array([member_exps[np.abs(c) > 0.0].max() for c in live])
     tail_max = np.full(len(live), -np.inf)
     carried = np.arange(len(live))  # the candidates still below their bounds

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NotLyapunovSequenceError
-from .linalg import _singular_values, angle_to_subspace, cosine_to_subspace
+from .linalg import _check_integer, _check_real, _singular_values
+from .linalg import angle_to_subspace, cosine_to_subspace
 from .spectrum import _sigma_steps, exponent_profile, limsup_estimate
-from .system import CoefficientSequence, TrajectoryLog, _check_integer, _check_real, propagate
+from .system import CoefficientSequence, TrajectoryLog, _unit_columns, propagate
 
 GAMMA_GRID = tuple(math.pi / 2 * 2.0 ** (-j) for j in range(8))
 RHO_THRESHOLD = 0.05
@@ -117,7 +118,7 @@ class FSSRecord:
 def _initial_basis(seq, vectors):
     """``vectors`` as a new (s, s) float array of s linearly independent rows,
     real numbers by the real-number rule; InvalidInputError otherwise."""
-    vectors = _check_real("initial vectors", vectors, shape=(seq.dimension, seq.dimension))
+    vectors = _check_real("initial vectors", vectors, shape=(seq.dimension, seq.dimension)).copy()
     if _singular_values(vectors[None])[1] is not None:
         raise InvalidInputError("initial vectors are not linearly independent")
     return vectors
@@ -216,10 +217,9 @@ def apply_lyapunov_transformation(fss, transform):
 
     new_seq = CoefficientSequence(fss.dimension, block_fn)
     new_trajs = []
-    for traj in fss.trajectories:
-        y = (ls[:-1] @ traj.directions[:, :, None])[:, :, 0]  # L(n) x_i(n), row n - 1
-        norms = np.linalg.norm(y, axis=1)
-        new_trajs.append(TrajectoryLog(y / norms[:, None], traj.log_norms + np.log(norms)))
+    for traj in fss.trajectories:  # L(n) x_i(n) of step n as column n - 1
+        dirs, logs = _unit_columns((ls[:-1] @ traj.directions[:, :, None])[:, :, 0].T)
+        new_trajs.append(TrajectoryLog(dirs.T, traj.log_norms + logs))
     return FSSRecord(new_seq, new_trajs, fss.initial_vectors @ ls[0].T)
 
 

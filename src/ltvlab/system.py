@@ -9,8 +9,6 @@ log-norm, and a transition matrix as a unit-norm matrix plus a log factor.
 
 import io
 import math
-import numbers
-import operator
 import os
 import re
 import warnings
@@ -28,7 +26,7 @@ from .errors import (
     UnderflowError,
 )
 from .expressions import _NUMBER, parse_expression
-from .linalg import _max_abs, _singular_values, spectral_norm
+from .linalg import _check_integer, _check_real, _max_abs, _singular_values, spectral_norm
 
 BLOCK_STEPS = 256  # steps per scan segment: the running products of one batch of steps
 CHUNK_STEPS = 16 * BLOCK_STEPS  # steps of A(n) evaluated at once, scanned in segments
@@ -37,45 +35,6 @@ _LN2 = math.log(2.0)
 _NORMAL_MIN = np.finfo(float).tiny  # below this a double keeps fewer than 53 bits
 _DECIMAL = re.compile(rf"[+-]?(?:{_NUMBER.pattern})", re.ASCII)  # a spec or matrix-file number
 _DIGITS = re.compile("[0-9]+")  # a count: identity N, dimension, a matrix-file header
-
-
-def _check_integer(name, value, minimum):
-    """``value`` as an int by the one integer rule of every step, horizon, count and
-    dimension: InvalidInputError naming ``name`` unless it is an integer >= ``minimum``.
-    A bool or a float (2.0 too) is refused, not truncated; a numpy integer is taken."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
-        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return operator.index(value)
-
-
-def _check_real(name, value, low=-math.inf, high=math.inf, shape=(), closed=False):
-    """``value`` as a float, or as a float array of ``shape`` (-1: any length >= 1), by the one
-    real-number rule of every epsilon, angle, shift and vector: InvalidInputError naming
-    ``name`` unless every entry is a real number (a bool, a string or None at any depth is
-    refused, and so is a ragged array) that fits in a double, is finite and lies in
-    (low, high], or in [low, high] where ``closed``."""
-    got = None  # the value as the message shows it, where not its repr
-    try:
-        entries = np.asarray(value, dtype=object)  # keeps each entry's type, a bool's too
-        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries.flat)
-        values = np.asarray(entries, dtype=float) if real else None
-    except ValueError:  # numpy arrays of unequal shapes
-        values = None
-    except OverflowError:  # an int past the double range
-        values, got = None, "a number past the double range"
-    if values is not None and not (values.ndim == len(shape) and all(
-            n == want or (want == -1 and n >= 1) for n, want in zip(values.shape, shape))):
-        dims = " x ".join("1 or more" if want == -1 else str(want) for want in shape)
-        raise InvalidInputError(f"expected {dims or 'one'} {name}, got shape {values.shape}")
-    if values is None or not (np.isfinite(values) & (values <= high)
-                              & ((values >= low) if closed else (values > low))).all():
-        if high < math.inf:
-            bound = f" in {'[' if closed else '('}{low:g}, {high:.6g}]"
-        else:
-            bound = f" {'>=' if closed else '>'} {low:g}" if low > -math.inf else ""
-        what = "a finite real number" if shape == () else "finite real numbers"
-        raise InvalidInputError(f"{name} must be {what}{bound}, got {got or repr(value)}")
-    return float(values) if shape == () else values
 
 
 class CoefficientSequence:
@@ -93,11 +52,9 @@ class CoefficientSequence:
 
     @classmethod
     def constant(cls, matrix):
-        m = np.array(matrix, dtype=float)
+        m = _check_real("constant coefficient", matrix, shape=None).copy()  # frozen below
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError("constant coefficient must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("constant coefficient has non-finite entries")
         m.setflags(write=False)
         return cls(m.shape[0], lambda start, stop: np.broadcast_to(m, (stop - start, *m.shape)))
 
@@ -411,7 +368,7 @@ def _matrix_array(matrices):
             m = np.empty(())
         if n == 1:
             rows = len(m) if m.ndim else None
-        if m.shape != (rows, rows) or m.dtype.kind not in "biuf":
+        if m.shape != (rows, rows) or m.dtype.kind not in "iuf":
             size = f"{rows} x {rows}" if n > 1 else "square"
             raise InvalidInputError(f"matrix sequence record {n} is not a real {size} matrix")
     if not rows:
@@ -509,7 +466,7 @@ def propagate(seq, x0, horizon):
     A(n) are all diagonal, with entries normal or zero, is taken exactly in
     log form instead, in blocks of whole segments (see ``_chunk_states``).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_real("initial vectors", x0, shape=None)
     single = x0.ndim == 1
     cols = x0[:, None] if single else x0
     if cols.ndim != 2 or cols.shape[0] != seq.dimension or cols.shape[1] == 0:

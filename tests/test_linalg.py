@@ -372,6 +372,23 @@ def test_a_scaled_basis_gives_the_unscaled_angle_and_cosine(scale):
         assert cosine_to_subspace(p, basis) == cosine_to_subspace(p, basis / scale)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200])
+def test_a_scaled_vector_gives_the_unscaled_angle_and_cosine(scale):
+    # where some |p| leaves the double range, each p is scaled by the power of two of its
+    # largest entry: unscaled, |p| of (1e160, 1e160) is inf and of (1e-200, 1e-200) is 0
+    power = 2.0 ** round(math.log2(scale))  # a power of two scales exactly, so the bits stay
+    stacked_basis = np.tile([[1.0], [0.0]], (3, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, value in ((angle_to_subspace, math.pi / 4), (cosine_to_subspace, math.sqrt(0.5))):
+            unit = f([1.0, 1.0], [1.0, 0.0])
+            assert f([scale, scale], [1.0, 0.0]) == pytest.approx(value, rel=1e-15)
+            assert f([power, power], [1.0, 0.0]) == unit
+            # one row out of range scales the whole stack, and every row keeps its bits
+            stacked = f(np.array([[power, power], [1.0, 1.0], [0.3, 0.7]]), stacked_basis)
+            assert np.array_equal(stacked, [unit, unit, f([0.3, 0.7], [1.0, 0.0])])
+
+
 @pytest.mark.parametrize("size", [1.0, 1e-13])
 def test_columns_whose_sizes_differ_by_1e13_are_refused(size):
     basis = size * np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0]])

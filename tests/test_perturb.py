@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import pickle
 
 import numpy as np
@@ -21,6 +22,7 @@ from ltvlab import (
     broken_away_scan,
     build_plan,
     calibrate,
+    cosine_to_subspace,
     execute_plan,
     exponent_profile,
     gamma_statistics,
@@ -32,10 +34,12 @@ from ltvlab import (
     perturbation_at,
     propagate,
     solve_mu,
+    spectral_norm,
     spectrum_estimate,
     splitness_report,
     synthesis_constants,
     transition,
+    write_matrix_sequence,
 )
 from ltvlab.linalg import project_out
 from ltvlab.presets import (
@@ -154,13 +158,16 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
         (diag12_fss, lambda seq, fss: angle_to_subspace(1.0, [[1.0]]), "^p must be at least 1-d"),
     "angle_to_subspace-nan-p":
         (diag12_fss, lambda seq, fss: angle_to_subspace([1.0, math.nan], [[1.0], [0.0]]),
-         "^p has non-finite entries"),
+         "^p must be finite real numbers"),
     "oblique_projections-not-square":
         (diag12_fss, lambda seq, fss: oblique_projections([[1.0, 0.0]]),
          r"^need 2 columns of dimension 2, got shape \(2, 1\)"),
+    "oblique_projections-0d":
+        (diag12_fss, lambda seq, fss: oblique_projections(5.0),
+         r"^need 0 columns of dimension 0, got shape \(\)"),
     "oblique_projections-nan":
         (diag12_fss, lambda seq, fss: oblique_projections([[1.0, math.nan], [0.0, 1.0]]),
-         "^columns have non-finite entries"),
+         "^columns must be finite real numbers"),
     "build_plan-short-shifts":
         (diag12_fss, lambda seq, fss: build_plan(fss, [0.01]), "^expected 2 shifts"),
     "openness_experiment-short-target":
@@ -180,7 +187,7 @@ BAD_LIBRARY_INPUTS = {  # name -> (system and FSS, the call, a word of its messa
          "^constant coefficient must be a square matrix"),
     "constant-nan":
         (diag12_fss, lambda seq, fss: CoefficientSequence.constant([[math.nan]]),
-         "^constant coefficient has non-finite entries"),
+         "^constant coefficient must be finite real numbers"),
     "dense_formulas-not-square":
         (diag12_fss, lambda seq, fss: CoefficientSequence.dense_formulas([["1", "0"]]),
          "^dense formula table must be square"),
@@ -284,6 +291,48 @@ BAD_LIBRARY_INPUTS.update({
                          f"^{name} must be ")
     for entry, (call, name, bads) in REAL_ARGUMENTS.items() for label, bad in bads.items()
 })
+# the one integer rule and the one real-number rule both show a value that repr cannot
+BAD_LIBRARY_INPUTS["incompressibility_test-seed-past-the-digit-limit"] = (
+    diag12_fss, lambda seq, fss: incompressibility_test(fss, seed=-10**5000),
+    "^seed must be an integer >= 0, got a value of type int too long to show$")
+BAD_LIBRARY_INPUTS["build_plan-shifts-past-the-digit-limit"] = (
+    diag12_fss, lambda seq, fss: build_plan(fss, ["a", 10**5000]),
+    "^shifts must be finite real numbers, got a value of type list too long to show$")
+
+# entry point -> (its call on diag(1,2) and one entry of a 2 x 2 matrix or a 2-vector, the
+# start of its message); each matrix and vector goes through the real-number rule, and a
+# matrix-file record is read by its numpy dtype, so its entries there share one type
+_RECORD = "matrix sequence record 1 is not a real square matrix"
+ARRAY_ARGUMENTS = {
+    "constant-matrix": (
+        lambda seq, v: CoefficientSequence.constant([[v, 0.0], [0.0, 1.0]]).matrices(1, 2),
+        "constant coefficient must be "),
+    "propagate-x0": (lambda seq, v: propagate(seq, [v, 1.0], 5), "initial vectors must be "),
+    "spectral_norm-m": (lambda seq, v: spectral_norm([[v, 0.0], [0.0, 1.0]]), "matrix must be "),
+    "angle_to_subspace-p": (lambda seq, v: angle_to_subspace([v, 1.0], [1.0, 0.0]), "p must be "),
+    "angle_to_subspace-basis": (lambda seq, v: angle_to_subspace([1.0, 1.0], [v, 0.0]),
+                                "basis must be "),
+    "cosine_to_subspace-p": (lambda seq, v: cosine_to_subspace([v, 1.0], [1.0, 0.0]),
+                             "p must be "),
+    "cosine_to_subspace-basis": (lambda seq, v: cosine_to_subspace([1.0, 1.0], [v, 0.0]),
+                                 "basis must be "),
+    "oblique_projections-columns": (lambda seq, v: oblique_projections([[v, 0.0], [0.0, 1.0]]),
+                                    "columns must be "),
+    "from_matrices-matrices": (
+        lambda seq, v: CoefficientSequence.from_matrices([[[v, v], [v, v]]]).matrices(1, 2),
+        _RECORD),
+    "write_matrix_sequence-matrices": (
+        lambda seq, v: write_matrix_sequence(os.devnull, [[[v, v], [v, v]]]), _RECORD),
+}
+# a string, a bool or an int past the double range is refused, naming the argument
+ARRAY_ROWS = {
+    f"{entry}-{label}": (diag12_fss, lambda seq, fss, call=call, bad=bad: call(seq, bad),
+                         f"^{word}")
+    for entry, (call, word) in ARRAY_ARGUMENTS.items()
+    for label, bad in (("string", "2"), ("bool", True), ("huge", 10**400))
+}
+assert not ARRAY_ROWS.keys() & BAD_LIBRARY_INPUTS.keys()  # no row replaces another
+BAD_LIBRARY_INPUTS.update(ARRAY_ROWS)
 BAD_LIBRARY_INPUTS["instability_experiment-one-epsilon"] = (
     diag12_fss, lambda seq, fss: instability_experiment(fss, 0.1),
     r"^expected 1 or more epsilon_grid, got shape \(\)")
@@ -304,6 +353,39 @@ def test_integer_arguments_take_a_numpy_integer(entry):
     seq = geometric_diag([1.0, 2.0])
     # pickled, the results compare by their bits and by the types they hold
     assert pickle.dumps(call(seq, np.int64(value))) == pickle.dumps(call(seq, value))
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ARGUMENTS))
+def test_array_arguments_read_an_integer_as_its_float(entry):
+    call = ARRAY_ARGUMENTS[entry][0]
+    seq = geometric_diag([1.0, 2.0])
+    assert pickle.dumps(call(seq, 2)) == pickle.dumps(call(seq, 2.0))
+
+
+def test_an_integer_or_float_array_gives_the_bits_of_a_list():
+    # a numpy array of ints or floats is read whole; a list entry by entry
+    seq = geometric_diag([1.0, 2.0])
+    calls = [lambda m: CoefficientSequence.constant(m).matrices(1, 3), spectral_norm,
+             oblique_projections, lambda m: propagate(seq, m, 20),
+             lambda m: angle_to_subspace(m[0], m[1]), lambda m: cosine_to_subspace(m[0], m[1])]
+    rows = [[3, 1], [1, 2]]
+    for call in calls:
+        want = pickle.dumps(call(rows))
+        for given in (np.array(rows), np.array(rows, dtype=float), np.array(rows, np.float32)):
+            assert pickle.dumps(call(given)) == want
+
+
+def test_no_result_shares_memory_with_an_array_the_caller_passed():
+    # the real-number rule hands back a float array as it is, so a caller that keeps one copies it
+    seq, fss = diag12_fss()
+    matrix, rows = np.diag([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0]])
+    shifts, target = np.array([0.001, -0.001]), np.array([0.0, math.log(2)])
+    for given, kept in ((matrix, CoefficientSequence.constant(matrix).matrices(1, 2)),
+                        (rows, FSSRecord.from_initial_vectors(seq, rows, 30).initial_vectors),
+                        (shifts, build_plan(fss, shifts).target_shifts),
+                        (target, openness_experiment(fss, target, 1.0).targets)):
+        assert np.array_equal(kept, np.broadcast_to(given, kept.shape))
+        assert not np.shares_memory(kept, given)
 
 
 def test_solve_mu_bracket_sin_log():
@@ -527,7 +609,7 @@ def plan_cases(horizon):
 def per_step_execution(seq, fss, plan):
     """The recurrence x(n+1) = A(n) R(n) x(n) one step at a time."""
     eye = np.eye(fss.dimension)
-    dirs = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
+    dirs = fss.initial_vectors.T
     log_norms = np.log(np.linalg.norm(dirs, axis=0))
     dirs = dirs / np.exp(log_norms)
     logs, r_norm_sup = [log_norms], 0.0

@@ -148,6 +148,21 @@ def test_incompressibility_sin_log_witness():
     assert verdict.witness_exponent <= 1.1
 
 
+@pytest.mark.parametrize("system, horizon, scale", [
+    ("diag12", 2000, 3.0), ("diag12", 2000, 0.1), ("diag12", 2000, 1e-100),
+    ("diag12", 2000, 1e-200), ("diag12", 2000, 1e200),
+    ("sin-log", 10_000, 3.0), ("sin-log", 10_000, 10.0)])
+def test_a_scaled_cancelling_fss_is_not_normal(system, horizon, scale):
+    # the pass starts from the rows as given: (3, 3) - (0, 3) is 3 e_1 exactly, while
+    # x_1(1) rebuilt as exp(log-norm) * direction is an ulp off and keeps a part of the
+    # fast member that takes over; at 1e-200 the norm of a combination underflows to 0
+    seq = geometric_diag([1.0, 2.0]) if system == "diag12" else sin_log_system()
+    fss = FSSRecord.from_initial_vectors(seq, scale * np.array([[1.0, 1.0], [0.0, 1.0]]), horizon)
+    verdict = incompressibility_test(fss, seed=0)
+    assert verdict.status == "NOT-NORMAL"
+    assert np.array_equal(verdict.witness, [1.0, -1.0])
+
+
 def test_the_sin_log_standard_basis_is_normal_at_3e4():
     # a diagonal system's standard basis is normal at every horizon, since
     # |c_1 x_1 e_1 + c_2 x_2 e_2| >= max |c_i x_i|; the (1, 1) combination
@@ -183,7 +198,7 @@ def per_candidate_incompressibility(fss, trials=64, seed=0, gap_tol=0.1):
     for _ in range(trials):
         c = rng.normal(size=s)
         candidates.append(c / np.linalg.norm(c))
-    initials = np.column_stack([traj.value_at(1) for traj in fss.trajectories])
+    initials = fss.initial_vectors.T
     for c in candidates:
         lam, _ = limsup_estimate(*exponent_profile(propagate(fss.seq, initials @ c, horizon)))
         support_max = member_exps[np.abs(c) > 0.0].max()

@@ -347,6 +347,19 @@ def test_a_scaled_rotation_is_a_lyapunov_transformation():
         apply_lyapunov_transformation(fss, flat)
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_a_scaled_identity_moves_each_log_norm_by_its_log(c):
+    # L = c I is perfectly conditioned; each L(n) x_i(n) is normalized by the power
+    # of two of its largest entry first, so no square overflows or underflows
+    fss = FSSRecord.from_initial_vectors(geometric_diag([1.0, 2.0]), [[1.0, 1.0], [0.0, 1.0]], 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new_fss = apply_lyapunov_transformation(fss, CoefficientSequence.constant(c * np.eye(2)))
+    for new, old in zip(new_fss.trajectories, fss.trajectories):
+        assert np.allclose(new.log_norms, old.log_norms + math.log(c), rtol=1e-12, atol=0)
+        assert np.allclose(new.directions, old.directions, rtol=0, atol=1e-15)
+
+
 def test_one_dimensional_fss_takes_the_general_angle_path():
     fss = standard_basis_fss(geometric_diag([2.0]), 200)
     assert np.all(fss.angle_profile() == math.pi / 2)

@@ -17,8 +17,12 @@ CHANGE and keys whose values differ.  A key is a path such as
 so a command that refuses its config is compared by its exit code and
 message.  Three configs hold a malformed real number: a string ``epsilon``, a
 ``true`` inside ``gamma_grid`` and a 400-digit integer in ``epsilon_grid``;
-the one command of each that reads the field refuses it.  Where stderr
-differs, the last stderr line of each side is printed under the run.
+the one command of each that reads the field refuses it.  The config
+``sinlog-witness-x3`` scales the sin-log witness FSS by 3: its ``instability``
+run reads the FSS as not normal only where a pass starts from the
+``initial_vectors`` as given (exit 0); a pass from x_i(1) rebuilt from its
+log-norm reads it as normal (exit 4).  Where stderr differs, the last stderr
+line of each side is printed under the run.
 Each checkout's own path, and the run's working directory, are replaced by
 placeholders in stdout and stderr before comparing.  Exits 1 when any run
 differs.  Standard library only, so it runs against any two checkouts.
@@ -115,6 +119,9 @@ def configs(inputs):
                         **_fields(2)},
         "sinlog-witness": {"system": SIN_LOG, "horizon": 10000, "initial_vectors": skew2,
                            "checkpoint_every": 1, **_fields(2), "epsilon_grid": [0.05, 0.5]},
+        # (3, 3) - (0, 3) = 3 e_1 exactly: a pass from the rows as given finds it not normal
+        "sinlog-witness-x3": {"system": SIN_LOG, "horizon": 10000,
+                              "initial_vectors": [[3, 3], [0, 3]], **_fields(2)},
         "sinlog-standard-12345": {"system": SIN_LOG, "horizon": 12345, **_fields(2)},
         "diag123": {"system": "diag(1,2,3)", "horizon": 9000, "checkpoint_every": 1,
                     **_fields(3)},
